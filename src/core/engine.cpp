@@ -4,10 +4,9 @@
 #include <cmath>
 #include <cstring>
 #include <span>
-#include <tuple>
 
 #include "core/autotune.hpp"
-#include "core/plan_cache.hpp"
+#include "core/metadata.hpp"
 #include "core/segcopy.hpp"
 #include "core/trace.hpp"
 #include "simbase/bufpool.hpp"
@@ -968,23 +967,11 @@ Result collective_write(smpi::Mpi& mpi, pfs::File& file, const FileView& view,
   const sim::Time start = mpi.ctx().now();
 
   // Metadata phase, stage 1: allgather the fixed-size view summaries —
-  // O(P·32B) per rank instead of the old O(P·view) full-blob allgatherv —
-  // and derive the shared geometry skeleton deterministically on every
-  // rank.
+  // O(P·32B) per run, shared by every rank — instead of the old O(P·view)
+  // full-blob allgatherv.
   PhaseTimings t;
   const sim::Time meta_start = mpi.ctx().now();
-  const ViewSummary my_summary = view.summarize();
-  std::vector<ViewSummary> summaries;
-  {
-    const auto blobs =
-        mpi.allgather(std::as_bytes(std::span(&my_summary, 1)));
-    summaries.resize(blobs.size());
-    for (std::size_t r = 0; r < blobs.size(); ++r) {
-      std::memcpy(&summaries[r], blobs[r].data(), sizeof(ViewSummary));
-    }
-  }
-  const net::Topology& topo = mpi.machine().fabric().topology();
-  const std::uint64_t stripe = file.stripe_size();
+  MetadataExchange meta(mpi, view);
 
   // Warm start (OverlapMode::Auto + tuning cache): resolve the cached
   // decision before planning, so a hit runs the chosen scheduler with its
@@ -995,12 +982,11 @@ Result collective_write(smpi::Mpi& mpi, pfs::File& file, const FileView& view,
   Options eff = opt;
   AutoDecision warm;
   if (opt.overlap == OverlapMode::Auto && !opt.tuning_cache.empty()) {
-    std::uint64_t global_bytes = 0;
-    for (const ViewSummary& s : summaries) global_bytes += s.total_bytes;
+    const net::Topology& topo = mpi.machine().fabric().topology();
     const std::string key =
         platform_signature(topo, mpi.machine().fabric().params(),
                            mpi.machine().params(), file.params()) +
-        "|" + workload_signature(topo.nprocs(), global_bytes, opt);
+        "|" + workload_signature(topo.nprocs(), meta.global_bytes(), opt);
     std::byte msg[2] = {std::byte{0}, std::byte{0}};
     if (mpi.rank() == 0) {
       OverlapMode cached{};
@@ -1019,45 +1005,10 @@ Result collective_write(smpi::Mpi& mpi, pfs::File& file, const FileView& view,
   }
 
   // The skeleton (aggregator map, domains, cycle count) comes from the
-  // summaries alone, built once per geometry and shared across ranks.
-  std::shared_ptr<const PlanSkeleton> skel =
-      PlanCache::get_or_build_skeleton(summaries, topo, stripe, eff);
-
-  // Stage 2: targeted delivery of the full view blobs. Aggregators plan
-  // over every source (their incoming_segments walk all views); lane
-  // leaders additionally unpack their members' gather pieces, so they pull
-  // their lane's rank interval (the whole node at co = 1, where the lane
-  // is the node); everyone else keeps only its own view.
-  const int me = mpi.rank();
-  const int P = topo.nprocs();
-  int want_b = 0, want_e = 0;
-  if (skel->is_aggregator(me)) {
-    want_e = P;
-  } else if (eff.hierarchical && skel->is_leader(me)) {
-    std::tie(want_b, want_e) =
-        skel->lane_rank_range(topo.node_of(me), skel->lane_of(me));
-  }
-  std::shared_ptr<const Plan> plan;
-  {
-    auto delivered = mpi.sparse_allgatherv(view.serialize(), want_b, want_e,
-                                           eff.dense_metadata);
-    if (static_cast<int>(delivered.size()) == P) {
-      // Every view held (aggregator, or dense_metadata): share one dense
-      // plan per geometry through the memoizing cache, as the legacy
-      // single-stage path did — bit-identical to a fresh construction.
-      std::vector<std::vector<std::byte>> blobs;
-      blobs.reserve(delivered.size());
-      for (auto& [r, b] : delivered) blobs.push_back(std::move(b));
-      plan = PlanCache::get_or_build(blobs, topo, stripe, eff);
-    } else {
-      std::vector<std::pair<int, FileView>> held;
-      held.reserve(delivered.size());
-      for (auto& [r, b] : delivered) {
-        held.emplace_back(r, FileView::deserialize(b));
-      }
-      plan = std::make_shared<const Plan>(skel, std::move(held));
-    }
-  }
+  // summaries alone under the effective options; stage 2 then delivers
+  // full views, with the two-level shuffle's lane leaders pulling theirs.
+  const std::shared_ptr<const Plan> plan =
+      meta.plan(file.stripe_size(), eff, /*lane_routing=*/true);
   t.meta += mpi.ctx().now() - meta_start;
 
   Engine engine(mpi, file, *plan, data, eff, t);

@@ -38,24 +38,32 @@ PlanSkeleton::PlanSkeleton(std::span<const ViewSummary> summaries,
     range_begin_ = range_end_ = 0;
   }
 
-  // Aggregator count and placement: spread across nodes first, then within.
+  // Aggregator count and placement: spread across nodes first, then within
+  // — (slot, node) pairs slot-major, skipping slots a partial node lacks.
+  // With every node full this is aggregator i on node i % nodes, slot
+  // i / nodes; a partial first or last node simply drops out of the
+  // rotation once its members run out, and A <= P always finds A ranks.
   int A = opt.num_aggregators > 0
               ? std::min(opt.num_aggregators, P)
               : auto_aggregator_count(global_bytes_, opt.cb_size, topo);
   A = std::max(A, 1);
   agg_ranks_.reserve(static_cast<std::size_t>(A));
   agg_index_of_rank_.assign(static_cast<std::size_t>(P), -1);
-  for (int i = 0; i < A; ++i) {
-    const int node = i % topo.nodes;
-    const int slot = i / topo.nodes;
-    const int rank = topo.node_first(node) + slot;
-    TPIO_CHECK(rank < topo.node_last(node),
-               "more aggregators than processes on a node");
-    TPIO_CHECK(agg_index_of_rank_[static_cast<std::size_t>(rank)] == -1,
-               "duplicate aggregator placement");
-    agg_index_of_rank_[static_cast<std::size_t>(rank)] = i;
-    agg_ranks_.push_back(rank);
+  for (int slot = 0;
+       slot < topo.procs_per_node && static_cast<int>(agg_ranks_.size()) < A;
+       ++slot) {
+    for (int node = 0; node < topo.nodes &&
+                       static_cast<int>(agg_ranks_.size()) < A;
+         ++node) {
+      const int rank = topo.node_first(node) + slot;
+      if (rank >= topo.node_last(node)) continue;
+      agg_index_of_rank_[static_cast<std::size_t>(rank)] =
+          static_cast<int>(agg_ranks_.size());
+      agg_ranks_.push_back(rank);
+    }
   }
+  TPIO_CHECK(static_cast<int>(agg_ranks_.size()) == A,
+             "more aggregators than processes");
 
   // Even byte-range file domains over [range_begin, range_end), optionally
   // aligned to stripe boundaries so one target is written by one aggregator.

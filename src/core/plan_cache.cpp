@@ -6,6 +6,8 @@
 #include <string>
 #include <unordered_map>
 
+#include "simbase/error.hpp"
+
 namespace tpio::coll {
 
 namespace {
@@ -14,11 +16,25 @@ std::atomic<bool> g_enabled{true};
 std::atomic<std::uint64_t> g_lookups{0};
 std::atomic<std::uint64_t> g_hits{0};
 
+using SummaryTable = std::vector<std::vector<std::byte>>;
+
+/// One live exchange generation's answer: the skeleton built for `table`
+/// under the Options `header`.
+struct TableMemo {
+  std::weak_ptr<const SummaryTable> table;
+  std::string header;
+  std::shared_ptr<const PlanSkeleton> skeleton;
+};
+
 struct CacheState {
   std::mutex mu;
   std::unordered_map<std::string, std::shared_ptr<const Plan>> plans;
   std::unordered_map<std::string, std::shared_ptr<const PlanSkeleton>>
       skeletons;
+  // One entry per summary table still alive somewhere — a handful, one per
+  // concurrently running collective; expired entries are pruned on every
+  // lookup.
+  std::vector<TableMemo> memo;
   // Bound the footprint: past this many distinct geometries the cache is
   // simply cleared (in-use plans stay alive through their shared_ptrs).
   static constexpr std::size_t kMaxEntries = 256;
@@ -120,6 +136,38 @@ std::shared_ptr<const Plan> PlanCache::get_or_build(
   return plan;
 }
 
+namespace {
+
+/// Content-keyed skeleton lookup-or-build; the caller holds `s.mu` (held
+/// across the build on purpose, as in get_or_build).
+std::shared_ptr<const PlanSkeleton> skeleton_locked(
+    CacheState& s, const std::vector<ViewSummary>& summaries,
+    const net::Topology& topo, std::uint64_t stripe, const Options& opt) {
+  std::string key = make_skeleton_key(summaries, topo, stripe, opt);
+  auto it = s.skeletons.find(key);
+  if (it != s.skeletons.end()) {
+    g_hits.fetch_add(1, std::memory_order_relaxed);
+    return it->second;
+  }
+  if (s.skeletons.size() >= CacheState::kMaxEntries) s.skeletons.clear();
+  auto skel = std::make_shared<const PlanSkeleton>(summaries, topo, stripe,
+                                                   opt);
+  s.skeletons.emplace(std::move(key), skel);
+  return skel;
+}
+
+std::vector<ViewSummary> decode_summaries(const SummaryTable& table) {
+  std::vector<ViewSummary> out(table.size());
+  for (std::size_t r = 0; r < table.size(); ++r) {
+    TPIO_CHECK(table[r].size() == sizeof(ViewSummary),
+               "summary table entry is not one ViewSummary");
+    std::memcpy(&out[r], table[r].data(), sizeof(ViewSummary));
+  }
+  return out;
+}
+
+}  // namespace
+
 std::shared_ptr<const PlanSkeleton> PlanCache::get_or_build_skeleton(
     const std::vector<ViewSummary>& summaries, const net::Topology& topo,
     std::uint64_t stripe_size, const Options& opt) {
@@ -128,18 +176,37 @@ std::shared_ptr<const PlanSkeleton> PlanCache::get_or_build_skeleton(
                                                 opt);
   }
   g_lookups.fetch_add(1, std::memory_order_relaxed);
-  std::string key = make_skeleton_key(summaries, topo, stripe_size, opt);
   CacheState& s = state();
   std::lock_guard<std::mutex> lk(s.mu);
-  auto it = s.skeletons.find(key);
-  if (it != s.skeletons.end()) {
-    g_hits.fetch_add(1, std::memory_order_relaxed);
-    return it->second;
+  return skeleton_locked(s, summaries, topo, stripe_size, opt);
+}
+
+std::shared_ptr<const PlanSkeleton> PlanCache::get_or_build_skeleton(
+    const std::shared_ptr<const SummaryTable>& summary_table,
+    const net::Topology& topo, std::uint64_t stripe_size,
+    const Options& opt) {
+  if (!g_enabled.load(std::memory_order_relaxed)) {
+    return std::make_shared<const PlanSkeleton>(
+        decode_summaries(*summary_table), topo, stripe_size, opt);
   }
-  if (s.skeletons.size() >= CacheState::kMaxEntries) s.skeletons.clear();
-  auto skel = std::make_shared<const PlanSkeleton>(summaries, topo,
-                                                   stripe_size, opt);
-  s.skeletons.emplace(std::move(key), skel);
+  g_lookups.fetch_add(1, std::memory_order_relaxed);
+  std::string header;
+  append_header(header, topo, stripe_size, opt);
+  CacheState& s = state();
+  std::lock_guard<std::mutex> lk(s.mu);
+  std::erase_if(s.memo,
+                [](const TableMemo& m) { return m.table.expired(); });
+  for (const TableMemo& m : s.memo) {
+    const bool same_table = !m.table.owner_before(summary_table) &&
+                            !summary_table.owner_before(m.table);
+    if (same_table && m.header == header) {
+      g_hits.fetch_add(1, std::memory_order_relaxed);
+      return m.skeleton;
+    }
+  }
+  auto skel = skeleton_locked(s, decode_summaries(*summary_table), topo,
+                              stripe_size, opt);
+  s.memo.push_back(TableMemo{summary_table, std::move(header), skel});
   return skel;
 }
 
@@ -158,6 +225,7 @@ void PlanCache::clear() {
   std::lock_guard<std::mutex> lk(s.mu);
   s.plans.clear();
   s.skeletons.clear();
+  s.memo.clear();
 }
 
 void PlanCache::set_enabled(bool on) {

@@ -47,13 +47,30 @@ class PlanCache {
   /// Skeleton twin of get_or_build for the two-stage metadata exchange:
   /// keyed by the raw ViewSummary table (O(P·32B)) plus the same topology /
   /// stripe / Options header, so the P ranks of a run trigger exactly one
-  /// skeleton construction. Plans themselves are not cached on the sparse
+  /// skeleton construction — but each lookup still builds and hashes the
+  /// O(P) key; the engines use the shared-table overload below, which does
+  /// so once per run. Plans themselves are not cached on the sparse
   /// path — each rank's Plan is a thin wrapper (shared skeleton + the few
   /// views delivered to it) whose construction is cheap and whose held set
   /// differs per rank.
   static std::shared_ptr<const PlanSkeleton> get_or_build_skeleton(
       const std::vector<ViewSummary>& summaries, const net::Topology& topo,
       std::uint64_t stripe_size, const Options& opt);
+
+  /// The same lookup over the shared summary table one exchange generation
+  /// hands every rank (Mpi::allgather_shared of each rank's ViewSummary
+  /// bytes). A memo keyed by that live table's identity plus the Options
+  /// header answers the P lookups of one run in O(1) each: only the first
+  /// rank decodes the table and builds, hashes and probes the content key
+  /// above (so hits across runs behave exactly as before); the other P - 1
+  /// get that skeleton back without touching the table. The memo holds the
+  /// table through a weak_ptr, so it never extends a generation's life and
+  /// a recycled address can never alias a dead table.
+  static std::shared_ptr<const PlanSkeleton> get_or_build_skeleton(
+      const std::shared_ptr<const std::vector<std::vector<std::byte>>>&
+          summary_table,
+      const net::Topology& topo, std::uint64_t stripe_size,
+      const Options& opt);
 
   struct Stats {
     std::uint64_t lookups = 0;
@@ -62,11 +79,13 @@ class PlanCache {
   };
   static Stats stats();
 
-  /// Drop every cached plan (in-flight shared_ptrs stay valid).
+  /// Drop every cached plan, skeleton and table memo (in-flight
+  /// shared_ptrs stay valid).
   static void clear();
 
-  /// Test hook: false makes get_or_build construct a fresh Plan every
-  /// call, the legacy behaviour. Thread-safe; default true.
+  /// Test hook: false makes every lookup construct afresh (no content
+  /// cache, no table memo), the legacy behaviour. Thread-safe; default
+  /// true.
   static void set_enabled(bool on);
   static bool enabled();
 };

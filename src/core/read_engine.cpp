@@ -4,7 +4,7 @@
 #include <cmath>
 #include <cstring>
 
-#include "core/plan_cache.hpp"
+#include "core/metadata.hpp"
 #include "core/segcopy.hpp"
 #include "simbase/bufpool.hpp"
 #include "simbase/error.hpp"
@@ -395,44 +395,13 @@ Result collective_read(smpi::Mpi& mpi, pfs::File& file, const FileView& view,
   PhaseTimings t;
   const sim::Time meta_start = mpi.ctx().now();
 
-  // Two-stage metadata exchange, mirroring collective_write: summaries
+  // Two-stage metadata exchange, shared with collective_write: summaries
   // first (fixed 32B per rank), then full views only to the aggregators
   // that scatter over every destination view. The read path is flat (no
-  // hierarchical routing), so non-aggregators keep just their own view.
-  const net::Topology& topo = mpi.machine().fabric().topology();
-  const std::uint64_t stripe = file.stripe_size();
-  const ViewSummary my_summary = view.summarize();
-  std::vector<ViewSummary> summaries;
-  {
-    const auto blobs =
-        mpi.allgather(std::as_bytes(std::span(&my_summary, 1)));
-    summaries.resize(blobs.size());
-    for (std::size_t r = 0; r < blobs.size(); ++r) {
-      std::memcpy(&summaries[r], blobs[r].data(), sizeof(ViewSummary));
-    }
-  }
-  std::shared_ptr<const PlanSkeleton> skel =
-      PlanCache::get_or_build_skeleton(summaries, topo, stripe, opt);
-  const int P = topo.nprocs();
-  const bool agg = skel->is_aggregator(mpi.rank());
-  std::shared_ptr<const Plan> plan;
-  {
-    auto delivered = mpi.sparse_allgatherv(
-        view.serialize(), 0, agg ? P : 0, opt.dense_metadata);
-    if (static_cast<int>(delivered.size()) == P) {
-      std::vector<std::vector<std::byte>> blobs;
-      blobs.reserve(delivered.size());
-      for (auto& [r, b] : delivered) blobs.push_back(std::move(b));
-      plan = PlanCache::get_or_build(blobs, topo, stripe, opt);
-    } else {
-      std::vector<std::pair<int, FileView>> held;
-      held.reserve(delivered.size());
-      for (auto& [r, b] : delivered) {
-        held.emplace_back(r, FileView::deserialize(b));
-      }
-      plan = std::make_shared<const Plan>(skel, std::move(held));
-    }
-  }
+  // lane routing), so non-aggregators keep just their own view.
+  const std::shared_ptr<const Plan> plan =
+      MetadataExchange(mpi, view)
+          .plan(file.stripe_size(), opt, /*lane_routing=*/false);
   t.meta += mpi.ctx().now() - meta_start;
 
   ReadEngine engine(mpi, file, *plan, out, opt, t);

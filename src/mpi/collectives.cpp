@@ -207,29 +207,31 @@ sim::Duration exchange_cost(Machine& m, int kind, int root,
 
 }  // namespace
 
-std::shared_ptr<const std::vector<std::vector<std::byte>>> Mpi::exchange(
+std::shared_ptr<const Mpi::BlobTable> Mpi::exchange(
     std::span<const std::byte> mine, int kind, int root,
     std::pair<int, int> want) {
   Machine& m = *machine_;
   const int P = size();
 
   struct Captured {
-    std::shared_ptr<std::vector<std::vector<std::byte>>> blobs;
+    std::shared_ptr<BlobTable> blobs;
     sim::EventPtr release;
   };
   Captured cap = ctx_->act([&]() -> Captured {
     Machine::ExchangeSlot& slot = m.exchange_;
     if (!slot.blobs) {
-      slot.blobs = std::make_shared<std::vector<std::vector<std::byte>>>(
-          static_cast<std::size_t>(P));
+      slot.blobs = std::make_shared<BlobTable>(static_cast<std::size_t>(P));
       slot.kind = kind;
       slot.root = root;
+      slot.first_size = mine.size();
       if (kind == kSparse) {
         slot.wants.assign(static_cast<std::size_t>(P), {0, 0});
       }
     }
     TPIO_CHECK(slot.kind == kind && slot.root == root,
                "mismatched collective calls across ranks");
+    TPIO_CHECK(kind != kAllgather || mine.size() == slot.first_size,
+               "allgather: contribution sizes differ across ranks");
     auto& blob = (*slot.blobs)[static_cast<std::size_t>(rank())];
     blob.assign(mine.begin(), mine.end());
     if (kind == kSparse) slot.wants[static_cast<std::size_t>(rank())] = want;
@@ -253,37 +255,38 @@ std::vector<std::vector<std::byte>> Mpi::allgatherv(
   return *exchange(mine, kAllgatherv, /*root=*/-1, {0, 0});
 }
 
+std::shared_ptr<const Mpi::BlobTable> Mpi::allgather_shared(
+    std::span<const std::byte> mine) {
+  return exchange(mine, kAllgather, /*root=*/-1, {0, 0});
+}
+
 std::vector<std::vector<std::byte>> Mpi::allgather(
     std::span<const std::byte> mine) {
-  auto table = exchange(mine, kAllgather, /*root=*/-1, {0, 0});
-  for (const auto& b : *table) {
-    TPIO_CHECK(b.size() == mine.size(),
-               "allgather: contribution sizes differ across ranks");
-  }
-  return *table;
+  return *allgather_shared(mine);
 }
 
 std::vector<std::pair<int, std::vector<std::byte>>> Mpi::sparse_allgatherv(
     std::span<const std::byte> mine, int want_begin, int want_end,
     bool dense) {
-  TPIO_CHECK(0 <= want_begin && want_begin <= want_end && want_end <= size(),
+  const int P = size();
+  TPIO_CHECK(0 <= want_begin && want_begin <= want_end && want_end <= P,
              "sparse_allgatherv: want interval out of range");
   auto table = exchange(mine, kSparse, /*root=*/-1, {want_begin, want_end});
-  std::vector<std::pair<int, std::vector<std::byte>>> out;
   if (dense) {
-    out.reserve(table->size());
-    for (int r = 0; r < size(); ++r) {
-      out.emplace_back(r, (*table)[static_cast<std::size_t>(r)]);
-    }
-    return out;
+    want_begin = 0;
+    want_end = P;
   }
-  const int me = rank();
+  std::vector<std::pair<int, std::vector<std::byte>>> out;
   out.reserve(static_cast<std::size_t>(want_end - want_begin) + 1);
-  for (int r = 0; r < size(); ++r) {
-    if (r == me || (want_begin <= r && r < want_end)) {
-      out.emplace_back(r, (*table)[static_cast<std::size_t>(r)]);
-    }
-  }
+  const auto take = [&](int r) {
+    out.emplace_back(r, (*table)[static_cast<std::size_t>(r)]);
+  };
+  // Ascending by source: this rank's own blob goes before, inside or after
+  // the wanted interval.
+  const int me = rank();
+  if (me < want_begin) take(me);
+  for (int r = want_begin; r < want_end; ++r) take(r);
+  if (me >= want_end) take(me);
   return out;
 }
 
@@ -416,7 +419,7 @@ std::vector<std::byte> detail::scatterv_unpack(
     pos += sizes[r];
   }
   std::vector<std::byte> out(sizes[static_cast<std::size_t>(rank)]);
-  std::memcpy(out.data(), packed.data() + pos, out.size());
+  if (!out.empty()) std::memcpy(out.data(), packed.data() + pos, out.size());
   return out;
 }
 
@@ -440,7 +443,7 @@ std::vector<std::byte> Mpi::scatterv(
     std::memcpy(mine.data(), sizes.data(), sizes.size() * sizeof(std::uint64_t));
     std::size_t pos = sizes.size() * sizeof(std::uint64_t);
     for (const auto& b : blobs) {
-      std::memcpy(mine.data() + pos, b.data(), b.size());
+      if (!b.empty()) std::memcpy(mine.data() + pos, b.data(), b.size());
       pos += b.size();
     }
   }

@@ -147,17 +147,28 @@ class Mpi {
   /// predates the plan that defines lane geometry — and every arrival must
   /// name the same party count (checked).
   void lane_barrier(int lane, int parties);
+  /// One collective generation's contributions, indexed by rank.
+  using BlobTable = std::vector<std::vector<std::byte>>;
+
   /// Everyone contributes `mine`; returns all contributions indexed by rank.
   std::vector<std::vector<std::byte>> allgatherv(std::span<const std::byte> mine);
   /// Fixed-size allgather: like allgatherv but every rank must contribute
-  /// the same number of bytes (checked). The vehicle of compact per-rank
-  /// summary exchanges — one cheap dissemination round trip instead of
-  /// shipping full metadata blobs.
+  /// the same number of bytes (checked once per contribution, at deposit).
+  /// The vehicle of compact per-rank summary exchanges — one cheap
+  /// dissemination round trip instead of shipping full metadata blobs.
+  /// Returns the generation's table itself: every rank of the generation
+  /// receives the same immutable object, so a P-rank exchange holds one
+  /// P-entry table on the host rather than P copies of it.
+  std::shared_ptr<const BlobTable> allgather_shared(
+      std::span<const std::byte> mine);
+  /// allgather_shared, copied into a table this rank owns (O(P) host bytes
+  /// per rank; the metadata phase uses the shared form).
   std::vector<std::vector<std::byte>> allgather(std::span<const std::byte> mine);
   /// Targeted metadata delivery (sparse allgatherv): every rank contributes
   /// `mine` and names the half-open source interval [want_begin, want_end)
   /// whose blobs it needs. Returns (source rank, blob) pairs ascending by
-  /// rank — always including this rank's own blob. With `dense` every
+  /// rank — always including this rank's own blob — visiting only the
+  /// wanted interval and this rank, never all P sources. With `dense` every
   /// rank materializes all P blobs instead; the virtual cost is identical
   /// either way, because it derives from the want topology all ranks
   /// declared, never from the host-side materialization switch.
@@ -213,9 +224,9 @@ class Mpi {
   /// the collective's closed-form cost, return the full blob table. `kind`
   /// selects the cost shape (see collectives.cpp); `root` and `want` feed
   /// the rooted and sparse variants.
-  std::shared_ptr<const std::vector<std::vector<std::byte>>> exchange(
-      std::span<const std::byte> mine, int kind, int root,
-      std::pair<int, int> want);
+  std::shared_ptr<const BlobTable> exchange(std::span<const std::byte> mine,
+                                            int kind, int root,
+                                            std::pair<int, int> want);
   /// Shared reduce slot: fold `elems` element-wise into the generation's
   /// accumulator; `scatter` selects the reduce_scatter vs allreduce cost.
   std::shared_ptr<const std::vector<std::uint64_t>> reduce(
@@ -298,8 +309,9 @@ class Machine {
     int arrived = 0;
     int kind = -1;  // collective kind of this generation (first arrival sets)
     int root = -1;
+    std::size_t first_size = 0;  // first arrival's contribution size
     sim::Time max_clock = 0;
-    std::shared_ptr<std::vector<std::vector<std::byte>>> blobs;
+    std::shared_ptr<Mpi::BlobTable> blobs;
     // Sparse exchanges only: per-rank want interval [first, second), the
     // input of the want-topology cost model.
     std::vector<std::pair<int, int>> wants;

@@ -26,6 +26,7 @@
 #endif
 
 #ifdef TPIO_FIBER_ASAN
+#include <sanitizer/asan_interface.h>
 #include <sanitizer/common_interface_defs.h>
 #endif
 #ifdef TPIO_FIBER_TSAN
@@ -149,6 +150,13 @@ Fiber::Fiber(std::size_t stack_bytes, Entry entry, void* arg)
              "fiber guard-page mprotect failed");
   map_base_ = m;
   stack_lo_ = static_cast<char*>(m) + page;
+#ifdef TPIO_FIBER_ASAN
+  // The mapping may reuse the address range of an earlier fiber's stack,
+  // whose frames that never returned (run_entry's final switch home, or a
+  // fiber destroyed while suspended) left their redzones poisoned in
+  // ASan's shadow; munmap does not clear it.
+  __asan_unpoison_memory_region(stack_lo_, stack_bytes_);
+#endif
 
 #ifdef TPIO_FIBER_ASM_X86_64
   // Initial frame, mirroring tpio_fiber_swap's save layout (ascending):

@@ -29,6 +29,11 @@ namespace tpio::sim {
 /// to the reservoir). Buffers may be acquired on one thread and released
 /// on another — the release simply lands in the releasing thread's pool.
 ///
+/// Memory past the pool's caps goes back to malloc. The first pool of the
+/// process pins glibc's allocator policy so that such memory stays in the
+/// heap for the next run instead of being returned to the OS and faulted
+/// in again (see bufpool.cpp).
+///
 /// Bit-identity: recycling changes *where* a buffer's storage comes from,
 /// never what the simulation computes. `zeroed` acquisition reproduces the
 /// all-zero contents of a fresh std::vector for buffers whose bytes may be
@@ -131,7 +136,7 @@ class BufferPool {
   BufferPool& operator=(const BufferPool&) = delete;
 
  private:
-  BufferPool() = default;
+  BufferPool();
   ~BufferPool();  // donates remaining free lists to the global reservoir
 
   friend class Buffer;

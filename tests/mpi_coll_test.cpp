@@ -4,12 +4,14 @@
 #include <cstring>
 #include <functional>
 #include <span>
+#include <string>
 #include <utility>
 #include <vector>
 
 #include "mpi/internal.hpp"
 #include "mpi/mpi.hpp"
 #include "net/fabric.hpp"
+#include "simbase/error.hpp"
 
 namespace smpi = tpio::smpi;
 namespace net = tpio::net;
@@ -606,4 +608,73 @@ TEST(MpiColl, DeterministicSummaryExchangeTimes) {
     return t;
   };
   EXPECT_EQ(once(), once());
+}
+
+TEST(MpiColl, AllgatherSharedHandsEveryRankTheSameTable) {
+  // One generation, one table: every rank receives the same immutable
+  // object (not a copy), holding every rank's contribution.
+  constexpr int P = 5;
+  std::vector<const void*> seen(P, nullptr);
+  Rig rig(P);
+  rig.run([&](smpi::Mpi& mpi) {
+    const std::uint32_t v = 0x2000u + static_cast<std::uint32_t>(mpi.rank());
+    const auto table = mpi.allgather_shared(std::as_bytes(std::span(&v, 1)));
+    seen[static_cast<std::size_t>(mpi.rank())] = table.get();
+    ASSERT_EQ(table->size(), static_cast<std::size_t>(P));
+    for (std::uint32_t r = 0; r < P; ++r) {
+      std::uint32_t got = 0;
+      std::memcpy(&got, (*table)[r].data(), sizeof(got));
+      EXPECT_EQ(got, 0x2000u + r);
+    }
+  });
+  for (int r = 1; r < P; ++r) EXPECT_EQ(seen[static_cast<std::size_t>(r)], seen[0]);
+}
+
+TEST(MpiColl, AllgatherSizeMismatchStillRejected) {
+  // The equal-size check moved to deposit time; a rank contributing a
+  // different size still fails the run with the historical message.
+  for (bool shared : {false, true}) {
+    Rig rig(4);
+    try {
+      rig.run([&](smpi::Mpi& mpi) {
+        const std::vector<std::byte> mine(mpi.rank() == 2 ? 8 : 4);
+        if (shared) {
+          mpi.allgather_shared(mine);
+        } else {
+          mpi.allgather(mine);
+        }
+      });
+      FAIL() << "expected the size mismatch to be rejected";
+    } catch (const tpio::Error& e) {
+      EXPECT_NE(std::string(e.what()).find(
+                    "allgather: contribution sizes differ across ranks"),
+                std::string::npos)
+          << e.what();
+    }
+  }
+}
+
+TEST(MpiColl, SparseAllgathervOwnBlobBelowInsideOrAboveTheInterval) {
+  // Every rank wants [3, 6): ranks 0-2 sit below the interval, 3-5 inside
+  // it, 6-7 above it. Each gets the interval plus its own blob, once,
+  // ascending by source.
+  constexpr int P = 8;
+  Rig rig(P);
+  rig.run([&](smpi::Mpi& mpi) {
+    const int me = mpi.rank();
+    const std::vector<std::byte> mine(static_cast<std::size_t>(me) + 1,
+                                      static_cast<std::byte>(me));
+    const auto got = mpi.sparse_allgatherv(mine, 3, 6);
+    std::vector<int> expect;
+    for (int r = 0; r < P; ++r) {
+      if (r == me || (3 <= r && r < 6)) expect.push_back(r);
+    }
+    ASSERT_EQ(got.size(), expect.size()) << "rank " << me;
+    for (std::size_t i = 0; i < got.size(); ++i) {
+      EXPECT_EQ(got[i].first, expect[i]) << "rank " << me;
+      EXPECT_EQ(got[i].second,
+                std::vector<std::byte>(static_cast<std::size_t>(expect[i]) + 1,
+                                       static_cast<std::byte>(expect[i])));
+    }
+  });
 }

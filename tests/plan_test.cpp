@@ -1,11 +1,20 @@
 #include <gtest/gtest.h>
 
+#include <memory>
+#include <span>
+
 #include "core/plan.hpp"
+#include "core/plan_cache.hpp"
+#include "harness/runner.hpp"
+#include "harness/sweep.hpp"
 #include "simbase/error.hpp"
+#include "simbase/units.hpp"
 
 namespace coll = tpio::coll;
 namespace net = tpio::net;
 namespace sim = tpio::sim;
+namespace wl = tpio::wl;
+namespace xp = tpio::xp;
 
 namespace {
 
@@ -26,6 +35,30 @@ std::vector<coll::FileView> block_views(int P, std::uint64_t n) {
   }
   return v;
 }
+
+using SummaryTable = std::vector<std::vector<std::byte>>;
+
+/// The summary table one exchange generation hands every rank:
+/// views[r].summarize() as raw bytes, indexed by rank.
+std::shared_ptr<const SummaryTable> summary_table(
+    const std::vector<coll::FileView>& views) {
+  auto table = std::make_shared<SummaryTable>();
+  for (const coll::FileView& v : views) {
+    const coll::ViewSummary s = v.summarize();
+    const auto bytes = std::as_bytes(std::span(&s, 1));
+    table->emplace_back(bytes.begin(), bytes.end());
+  }
+  return table;
+}
+
+/// Empties the plan cache around a test body and restores it enabled.
+struct FreshPlanCache {
+  FreshPlanCache() { coll::PlanCache::clear(); }
+  ~FreshPlanCache() {
+    coll::PlanCache::set_enabled(true);
+    coll::PlanCache::clear();
+  }
+};
 
 }  // namespace
 
@@ -343,4 +376,143 @@ TEST(Plan, ViewsWithHolesStillPartition) {
   EXPECT_EQ(plan.global_bytes(), 200u);
   // Cycle count is driven by the (mostly empty) domain size.
   EXPECT_GT(plan.num_cycles(), 900);
+}
+
+TEST(Plan, PartialLastNodeSkipsSlotsItLacks) {
+  // P = 10 on ppn = 4 leaves node 2 with ranks 8 and 9 only. Placement
+  // walks (slot, node) pairs slot-major and skips (node 2, slot 2), which
+  // used to abort the plan; node 0's slot 3 takes the ninth aggregator.
+  net::Topology topo{3, 4, 10};
+  auto views = block_views(10, 100);
+  coll::Options o = opts(100);
+  o.num_aggregators = 9;
+  coll::Plan plan(views, topo, 0, o);
+  ASSERT_EQ(plan.num_aggregators(), 9);
+  const int expect[] = {0, 4, 8, 1, 5, 9, 2, 6, 3};
+  for (int a = 0; a < 9; ++a) EXPECT_EQ(plan.agg_rank(a), expect[a]) << a;
+  EXPECT_FALSE(plan.is_aggregator(7));
+
+  // A = P places every rank exactly once.
+  o.num_aggregators = 10;
+  coll::Plan all(views, topo, 0, o);
+  ASSERT_EQ(all.num_aggregators(), 10);
+  for (int r = 0; r < 10; ++r) EXPECT_TRUE(all.is_aggregator(r)) << r;
+}
+
+TEST(Plan, PartialNodePlacementsVerifyByteExact) {
+  // End to end: both configurations that used to abort inside placement
+  // now run and read back byte-exact.
+  xp::RunSpec small;
+  small.platform = xp::scaled(xp::ibex());
+  small.platform.procs_per_node = 4;
+  small.workload = wl::make_ior(64 * sim::KiB);
+  small.nprocs = 10;
+  small.options.cb_size = xp::kCbSize;
+  small.options.num_aggregators = 9;
+  small.options.stripe_align = false;  // keep all nine domains non-empty
+  small.verify = true;
+  const xp::RunResult r = xp::execute(small);
+  EXPECT_EQ(r.aggregators, 9);
+  EXPECT_EQ(r.verify_error, "");
+
+  // tpio_sim --platform ibex --procs 16 --aggregators 16 (scaled ibex puts
+  // 10 ranks on node 0 and 6 on node 1).
+  xp::RunSpec ibex;
+  ibex.platform = xp::scaled(xp::ibex());
+  ibex.workload = wl::make_tile1m(1, 2);
+  ibex.nprocs = 16;
+  ibex.options.cb_size = xp::kCbSize;
+  ibex.options.overlap = coll::OverlapMode::WriteComm2;
+  ibex.options.num_aggregators = 16;
+  ibex.verify = true;
+  const xp::RunResult q = xp::execute(ibex);
+  EXPECT_EQ(q.aggregators, 16);
+  EXPECT_EQ(q.verify_error, "");
+}
+
+TEST(PlanCache, SameSummaryTableSameSkeleton) {
+  // Every rank of a generation presents the same table object: all of them
+  // get the one skeleton, each lookup counted as a hit after the first.
+  FreshPlanCache fresh;
+  net::Topology topo{4, 2};
+  const auto table = summary_table(block_views(8, 1000));
+  const auto before = coll::PlanCache::stats();
+  const auto a = coll::PlanCache::get_or_build_skeleton(table, topo, 0,
+                                                        opts(2000));
+  const auto b = coll::PlanCache::get_or_build_skeleton(table, topo, 0,
+                                                        opts(2000));
+  EXPECT_EQ(a.get(), b.get());
+  const auto after = coll::PlanCache::stats();
+  EXPECT_EQ(after.lookups - before.lookups, 2u);
+  EXPECT_EQ(after.hits - before.hits, 1u);
+  EXPECT_EQ(a->global_bytes(), 8000u);
+}
+
+TEST(PlanCache, IdenticalTableOfANewGenerationHitsThroughContentKey) {
+  // A later run exchanging byte-identical summaries gets a fresh table
+  // object; the memo misses, the content key hits — as does the
+  // ViewSummary-vector overload the same key serves.
+  FreshPlanCache fresh;
+  net::Topology topo{4, 2};
+  const auto views = block_views(8, 1000);
+  const auto first = coll::PlanCache::get_or_build_skeleton(
+      summary_table(views), topo, 0, opts(2000));
+  const auto before = coll::PlanCache::stats();
+  const auto second = coll::PlanCache::get_or_build_skeleton(
+      summary_table(views), topo, 0, opts(2000));
+  EXPECT_EQ(first.get(), second.get());
+  EXPECT_EQ(coll::PlanCache::stats().hits - before.hits, 1u);
+
+  std::vector<coll::ViewSummary> summaries;
+  for (const coll::FileView& v : views) summaries.push_back(v.summarize());
+  EXPECT_EQ(coll::PlanCache::get_or_build_skeleton(summaries, topo, 0,
+                                                   opts(2000))
+                .get(),
+            first.get());
+}
+
+TEST(PlanCache, DifferentOptionsHeaderMisses) {
+  // The same live table under different plan-relevant Options is a
+  // different skeleton.
+  FreshPlanCache fresh;
+  net::Topology topo{4, 2};
+  const auto table = summary_table(block_views(8, 1000));
+  const auto a = coll::PlanCache::get_or_build_skeleton(table, topo, 0,
+                                                        opts(2000));
+  coll::Options more = opts(2000);
+  more.num_aggregators = 4;
+  const auto b = coll::PlanCache::get_or_build_skeleton(table, topo, 0, more);
+  EXPECT_NE(a.get(), b.get());
+  EXPECT_EQ(b->num_aggregators(), 4);
+  const auto c = coll::PlanCache::get_or_build_skeleton(table, topo, 0,
+                                                        opts(500));
+  EXPECT_NE(a.get(), c.get());
+  EXPECT_NE(a->num_cycles(), c->num_cycles());
+}
+
+TEST(PlanCache, DisabledOrClearedCacheBypassesTheMemo) {
+  FreshPlanCache fresh;
+  net::Topology topo{4, 2};
+  const auto table = summary_table(block_views(8, 1000));
+  const auto a = coll::PlanCache::get_or_build_skeleton(table, topo, 0,
+                                                        opts(2000));
+  // Disabled: every lookup builds afresh, even for the memoized table.
+  coll::PlanCache::set_enabled(false);
+  const auto b = coll::PlanCache::get_or_build_skeleton(table, topo, 0,
+                                                        opts(2000));
+  const auto c = coll::PlanCache::get_or_build_skeleton(table, topo, 0,
+                                                        opts(2000));
+  EXPECT_NE(a.get(), b.get());
+  EXPECT_NE(b.get(), c.get());
+  EXPECT_EQ(b->num_cycles(), a->num_cycles());
+  coll::PlanCache::set_enabled(true);
+
+  // Cleared: the memo goes with the content cache.
+  coll::PlanCache::clear();
+  const auto d = coll::PlanCache::get_or_build_skeleton(table, topo, 0,
+                                                        opts(2000));
+  EXPECT_NE(a.get(), d.get());
+  EXPECT_EQ(coll::PlanCache::get_or_build_skeleton(table, topo, 0, opts(2000))
+                .get(),
+            d.get());
 }
