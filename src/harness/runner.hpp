@@ -103,6 +103,14 @@ struct RunResult {
 /// Execute one job on a freshly-built simulated cluster.
 RunResult execute(const RunSpec& spec);
 
+/// One-line rendering of every RunResult field as space-separated
+/// `name=value` pairs: integers in decimal, doubles exactly (%.17g),
+/// strings quoted, then `subfiles=K` followed by each subfile's fields
+/// (its QoS stats included). Two results are bit-identical iff their
+/// fingerprints are equal; the golden suite (tests/golden/) and every
+/// differential test compare these.
+std::string fingerprint(const RunResult& r);
+
 /// Resolve Options::sub_comm_count == 0 ("auto-k") by measurement: run a
 /// cheap blocking probe of `spec` (OverlapMode::None, no trace/verify,
 /// same seed) at each k from coll::sub_comm_candidates — lazily, stopping
