@@ -6,6 +6,7 @@
 #include <span>
 
 #include "core/autotune.hpp"
+#include "core/io_path.hpp"
 #include "core/metadata.hpp"
 #include "core/segcopy.hpp"
 #include "core/trace.hpp"
@@ -15,15 +16,6 @@
 namespace tpio::coll {
 
 namespace {
-
-/// Measure wall (virtual) time a rank spends inside `fn`, attributing it to
-/// the given PhaseTimings field.
-template <class F>
-void timed(sim::RankCtx& ctx, sim::Duration& field, F&& fn) {
-  const sim::Time before = ctx.now();
-  fn();
-  field += ctx.now() - before;
-}
 
 /// Tag space of the intra-node gather (member -> lane leader); disjoint
 /// from the forward tags (plain cycle numbers) so a rank that is both a
@@ -98,11 +90,6 @@ std::span<std::byte> Engine::cb_span(int slot) {
   return s.win->local(mpi_.rank());
 }
 
-sim::Duration Engine::pack_cost(std::size_t segs, std::uint64_t bytes) const {
-  return static_cast<sim::Duration>(segs) * opt_.seg_cpu +
-         sim::transfer_time(bytes, opt_.pack_bw);
-}
-
 // ---------------------------------------------------------------------------
 // Shuffle phase
 // ---------------------------------------------------------------------------
@@ -153,9 +140,7 @@ void Engine::leader_gather(int cycle, int slot) {
     } else {
       std::uint64_t total = 0;
       for (const Segment& g : pieces) total += g.length;
-      const segcopy::LocalRun run = segcopy::coalescing()
-                                        ? segcopy::local_run(pieces)
-                                        : segcopy::LocalRun{};
+      const segcopy::LocalRun run = segcopy::local_run(pieces);
       if (run.ok) {
         // Every piece lines up contiguously in the user buffer: the packed
         // message is a slice of it, so send in place (zero-copy).
@@ -176,7 +161,7 @@ void Engine::leader_gather(int cycle, int slot) {
       // Pack CPU is charged from the piece count regardless of how many
       // host copies actually moved the bytes.
       timed(mpi_.ctx(), t_.pack,
-            [&] { mpi_.ctx().advance(pack_cost(pieces.size(), total)); });
+            [&] { mpi_.ctx().advance(pack_cost(opt_, pieces.size(), total)); });
     }
     timed(mpi_.ctx(), t_.gather, [&] {
       smpi::Request rq =
@@ -263,7 +248,7 @@ void Engine::leader_gather(int cycle, int slot) {
   }
   if (own_bytes > 0) {
     timed(mpi_.ctx(), t_.pack,
-          [&] { mpi_.ctx().advance(pack_cost(own.size(), own_bytes)); });
+          [&] { mpi_.ctx().advance(pack_cost(opt_, own.size(), own_bytes)); });
   }
   timed(mpi_.ctx(), t_.gather, [&] { mpi_.waitall(reqs); });
   std::size_t nsegs = 0;
@@ -286,7 +271,7 @@ void Engine::leader_gather(int cycle, int slot) {
   }
   if (bytes > 0) {
     timed(mpi_.ctx(), t_.pack,
-          [&] { mpi_.ctx().advance(pack_cost(nsegs, bytes)); });
+          [&] { mpi_.ctx().advance(pack_cost(opt_, nsegs, bytes)); });
   }
 }
 
@@ -413,49 +398,25 @@ void Engine::shuffle_init(int cycle, int slot) {
       }
       return;
     }
-    // Sender side (direct path; also hierarchical single-member nodes): a
-    // single contiguous piece is sent zero-copy from the user buffer;
-    // scattered pieces still form one contiguous local run per cycle range
-    // (see segcopy.hpp), so they too are sent in place — the pack CPU is
-    // charged on the virtual timeline either way.
+    // Sender side (direct path; also hierarchical single-member nodes):
+    // the pieces of a cycle range form one contiguous local run (see
+    // segcopy.hpp), so the message is a slice of the user buffer, sent in
+    // place and untouched until this slot's shuffle_wait. The pack CPU of a
+    // multi-segment message is still charged on the virtual timeline.
     const int A = plan_.num_aggregators();
     if (my_agg_ < 0) s.sh.reqs.reserve(static_cast<std::size_t>(A));
-    s.sh.send_bufs.reserve(static_cast<std::size_t>(A));
     for (int a = 0; a < A; ++a) {
       const Plan::Range r = plan_.cycle_range(a, cycle);
       const auto segs = plan_.segments_in(me, r.begin, r.end);
       if (segs.empty()) continue;
-      std::span<const std::byte> payload;
-      if (segs.size() == 1) {
-        payload = data_.subspan(segs[0].local_offset, segs[0].length);
-      } else {
-        std::uint64_t total = 0;
-        for (const Segment& g : segs) total += g.length;
-        const segcopy::LocalRun run = segcopy::coalescing()
-                                          ? segcopy::local_run(segs)
-                                          : segcopy::LocalRun{};
-        if (run.ok) {
-          // The packed message is byte-for-byte a slice of the user
-          // buffer; it stays untouched until this slot's shuffle_wait,
-          // the same lifetime the staging buffer had.
-          payload = data_.subspan(run.local_offset, run.total);
-        } else {
-          sim::BufferPool::Buffer buf =
-              sim::BufferPool::local().acquire(total, /*zeroed=*/false);
-          if (opt_.materialize) {
-            std::uint64_t pos = 0;
-            segcopy::for_local_runs(
-                segs, [&](std::size_t, std::size_t, std::uint64_t off,
-                          std::uint64_t len) {
-                  std::memcpy(buf.data() + pos, data_.data() + off, len);
-                  pos += len;
-                });
-          }
-          s.sh.send_bufs.push_back(std::move(buf));
-          payload = s.sh.send_bufs.back().span();
-        }
-        timed(mpi_.ctx(), t_.pack,
-              [&] { mpi_.ctx().advance(pack_cost(segs.size(), total)); });
+      const segcopy::LocalRun run = segcopy::local_run(segs);
+      TPIO_CHECK(run.ok, "a cycle range's pieces must form one local run");
+      const std::span<const std::byte> payload =
+          data_.subspan(run.local_offset, run.total);
+      if (segs.size() > 1) {
+        timed(mpi_.ctx(), t_.pack, [&] {
+          mpi_.ctx().advance(pack_cost(opt_, segs.size(), run.total));
+        });
       }
       timed(mpi_.ctx(), t_.shuffle, [&] {
         s.sh.reqs.push_back(mpi_.isend(plan_.agg_rank(a), tag, payload));
@@ -590,7 +551,7 @@ void Engine::shuffle_wait(int slot) {
           bytes += pos;
         }
         timed(mpi_.ctx(), t_.pack,
-              [&] { mpi_.ctx().advance(pack_cost(nsegs, bytes)); });
+              [&] { mpi_.ctx().advance(pack_cost(opt_, nsegs, bytes)); });
       }
       break;
     }
@@ -616,25 +577,11 @@ void Engine::shuffle_blocking(int cycle, int slot) {
 // I/O phase
 // ---------------------------------------------------------------------------
 
-sim::Duration Engine::backoff_delay(int cycle, int attempt) const {
-  const int exp = std::min(attempt - 1, 16);
-  const auto scaled = static_cast<sim::Duration>(
-      opt_.retry_backoff * (sim::Duration{1} << exp));
-  // Jitter is a pure function of (fault seed, rank, cycle, attempt) — no
-  // shared stream, so the schedule is identical at any worker count.
-  sim::Rng rng(sim::Rng::derive_seed(
-      sim::Rng::derive_seed(file_.faults().params().seed ^ 0xB0FFull,
-                            static_cast<std::uint64_t>(mpi_.rank())),
-      (static_cast<std::uint64_t>(static_cast<std::uint32_t>(cycle)) << 8) ^
-          static_cast<std::uint64_t>(attempt)));
-  return scaled +
-         static_cast<sim::Duration>(std::llround(
-             rng.next_double() * static_cast<double>(scaled)));
-}
-
 void Engine::retry_backoff(int cycle, int attempt) {
   ++faults_.retries;
-  const sim::Duration d = backoff_delay(cycle, attempt);
+  const sim::Duration d =
+      backoff_delay(opt_, file_.faults().params().seed, /*salt=*/0xB0FF,
+                    mpi_.rank(), cycle, attempt);
   ScopedTraceEvent ev_(opt_.trace, "write_retry", cycle, mpi_.ctx().now());
   struct F_ { ScopedTraceEvent& e; smpi::Mpi& m; ~F_() { e.finish(m.ctx().now()); } } f_{ev_, mpi_};
   timed(mpi_.ctx(), t_.backoff, [&] { mpi_.ctx().advance(d); });

@@ -85,17 +85,14 @@ class Engine {
     int cycle = -1;
     bool pending = false;
     std::vector<smpi::Request> reqs;
-    // Two-sided staging: send buffers (per destination aggregator) must
-    // outlive the waitall; receive buffers (per source) are unpacked into
-    // the collective buffer at shuffle_wait. Pooled storage, recycled
-    // across cycles and runs; the vectors themselves keep their capacity
-    // (clear, never reconstruct) so steady-state cycles do not allocate.
-    std::vector<sim::BufferPool::Buffer> send_bufs;
+    // Two-sided receive staging (per source), unpacked into the
+    // collective buffer at shuffle_wait. Pooled storage, recycled across
+    // cycles and runs; the vector keeps its capacity (clear, never
+    // reconstruct) so steady-state cycles do not allocate.
     std::vector<RecvStage> recv_bufs;
 
     void clear() {
       reqs.clear();
-      send_bufs.clear();
       recv_bufs.clear();
     }
   };
@@ -148,15 +145,8 @@ class Engine {
     return opt_.overlap == OverlapMode::None ? 0 : cycle % 2;
   }
 
-  /// CPU cost of packing/unpacking `segs` segments totalling `bytes`.
-  sim::Duration pack_cost(std::size_t segs, std::uint64_t bytes) const;
-
-  /// Backoff before re-issuing attempt `attempt + 1` of `cycle`'s write:
-  /// Options::retry_backoff * 2^(attempt-1) * (1 + jitter), jitter a pure
-  /// function of (fault seed, rank, cycle, attempt).
-  sim::Duration backoff_delay(int cycle, int attempt) const;
-  /// Advance the virtual clock by backoff_delay, account it, trace it,
-  /// count the retry.
+  /// Advance the virtual clock by the retry backoff (io_path.hpp), account
+  /// it, trace it, count the retry.
   void retry_backoff(int cycle, int attempt);
   /// Record a give-up: count it, set io_error_ (first one wins), trace it.
   void give_up(const char* what, int cycle);

@@ -48,12 +48,10 @@ std::shared_ptr<const Plan> MetadataExchange::plan(std::uint64_t stripe_size,
     std::tie(want_b, want_e) =
         skel->lane_rank_range(topo.node_of(me), skel->lane_of(me));
   }
-  auto delivered = mpi_.sparse_allgatherv(view_.serialize(), want_b, want_e,
-                                          opt.dense_metadata);
+  auto delivered = mpi_.sparse_allgatherv(view_.serialize(), want_b, want_e);
   if (static_cast<int>(delivered.size()) == P) {
-    // Every view held (aggregator, or dense_metadata): share one dense plan
-    // per geometry through the memoizing cache, as the legacy single-stage
-    // path did — bit-identical to a fresh construction.
+    // Every view held (an aggregator): share one full plan per geometry
+    // through the memoizing cache — bit-identical to a fresh construction.
     std::vector<std::vector<std::byte>> blobs;
     blobs.reserve(delivered.size());
     for (auto& [r, b] : delivered) blobs.push_back(std::move(b));

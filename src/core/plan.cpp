@@ -277,7 +277,7 @@ std::size_t Plan::held_slot(int r) const {
   auto it = std::lower_bound(held_ranks_.begin(), held_ranks_.end(), r);
   TPIO_CHECK(it != held_ranks_.end() && *it == r,
              "view queried for a rank whose view was not delivered here — "
-             "widen the want interval or use dense_metadata");
+             "widen that rank's want interval in the metadata exchange");
   return static_cast<std::size_t>(it - held_ranks_.begin());
 }
 

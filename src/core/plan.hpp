@@ -103,18 +103,19 @@ class PlanSkeleton {
 };
 
 /// The distribution plan of one collective write: a shared geometry
-/// skeleton plus the full views this rank actually holds. On the sparse
-/// metadata path a plain sender holds only its own view, a node leader its
-/// node's views, an aggregator all of them; the dense path (and the legacy
-/// constructor) holds every view. Geometry queries are answered by the
+/// skeleton plus the full views this rank actually holds. After the
+/// metadata exchange a plain sender holds only its own view, a lane leader
+/// its lane's views, and an aggregator all of them (the full constructor
+/// below, shared through PlanCache). Geometry queries are answered by the
 /// skeleton and are identical on every rank regardless of which views it
 /// holds; view queries (segments_in, view, ...) require the view to be
 /// held and fail loudly otherwise. Owns no payload.
 class Plan {
  public:
-  /// Legacy dense construction: `views[r]` is rank r's file view. Builds
-  /// the skeleton from the views' own summaries — bit-identical geometry
-  /// to the two-stage path by construction — and holds every view.
+  /// Full construction, the aggregators' path: `views[r]` is rank r's file
+  /// view. Builds the skeleton from the views' own summaries — the same
+  /// geometry as a skeleton built from the exchanged summaries — and holds
+  /// every view.
   Plan(std::vector<FileView> views, const net::Topology& topo,
        std::uint64_t stripe_size, const Options& opt);
 
@@ -219,7 +220,7 @@ class Plan {
   void index_views();
 
   std::shared_ptr<const PlanSkeleton> skel_;
-  std::vector<int> held_ranks_;   // ascending; == [0, P) on the dense path
+  std::vector<int> held_ranks_;   // ascending; == [0, P) on a full plan
   std::vector<FileView> views_;   // parallel to held_ranks_
   std::vector<std::vector<std::uint64_t>> prefix_;  // parallel, per extent
   bool dense_ = false;            // held_ranks_ is exactly [0, P)

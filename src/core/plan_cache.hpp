@@ -82,12 +82,6 @@ class PlanCache {
   /// Drop every cached plan, skeleton and table memo (in-flight
   /// shared_ptrs stay valid).
   static void clear();
-
-  /// Test hook: false makes every lookup construct afresh (no content
-  /// cache, no table memo), the legacy behaviour. Thread-safe; default
-  /// true.
-  static void set_enabled(bool on);
-  static bool enabled();
 };
 
 }  // namespace tpio::coll

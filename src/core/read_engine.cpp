@@ -4,6 +4,7 @@
 #include <cmath>
 #include <cstring>
 
+#include "core/io_path.hpp"
 #include "core/metadata.hpp"
 #include "core/segcopy.hpp"
 #include "simbase/bufpool.hpp"
@@ -12,13 +13,6 @@
 namespace tpio::coll {
 
 namespace {
-
-template <class F>
-void timed(sim::RankCtx& ctx, sim::Duration& field, F&& fn) {
-  const sim::Time before = ctx.now();
-  fn();
-  field += ctx.now() - before;
-}
 
 /// Scatter tags live in their own space so interleaved collective writes
 /// and reads on one machine can never cross-match.
@@ -55,37 +49,16 @@ ReadEngine::ReadEngine(smpi::Mpi& mpi, pfs::File& file, const Plan& plan,
   }
 }
 
-sim::Duration ReadEngine::pack_cost(std::size_t segs,
-                                    std::uint64_t bytes) const {
-  return static_cast<sim::Duration>(segs) * opt_.seg_cpu +
-         sim::transfer_time(bytes, opt_.pack_bw);
-}
-
 // ---------------------------------------------------------------------------
 // File access phase
 // ---------------------------------------------------------------------------
 
-sim::Duration ReadEngine::backoff_delay(int cycle, int attempt) const {
-  const int exp = std::min(attempt - 1, 16);
-  const auto scaled = static_cast<sim::Duration>(
-      opt_.retry_backoff * (sim::Duration{1} << exp));
-  // Pure function of (fault seed, rank, cycle, attempt); the salt differs
-  // from the write engine's so interleaved reads and writes never share a
-  // jitter draw.
-  sim::Rng rng(sim::Rng::derive_seed(
-      sim::Rng::derive_seed(file_.faults().params().seed ^ 0x5EB0FFull,
-                            static_cast<std::uint64_t>(mpi_.rank())),
-      (static_cast<std::uint64_t>(static_cast<std::uint32_t>(cycle)) << 8) ^
-          static_cast<std::uint64_t>(attempt)));
-  return scaled +
-         static_cast<sim::Duration>(std::llround(
-             rng.next_double() * static_cast<double>(scaled)));
-}
-
 void ReadEngine::retry_backoff(int cycle, int attempt) {
   ++faults_.retries;
-  timed(mpi_.ctx(), t_.backoff,
-        [&] { mpi_.ctx().advance(backoff_delay(cycle, attempt)); });
+  const sim::Duration d =
+      backoff_delay(opt_, file_.faults().params().seed, /*salt=*/0x5EB0FF,
+                    mpi_.rank(), cycle, attempt);
+  timed(mpi_.ctx(), t_.backoff, [&] { mpi_.ctx().advance(d); });
 }
 
 void ReadEngine::give_up(int cycle) {
@@ -180,35 +153,23 @@ void ReadEngine::scatter_init(int cycle, int slot) {
   const int A = plan_.num_aggregators();
   s.sc.reqs.reserve(static_cast<std::size_t>(A) +
                     (my_agg_ >= 0 ? static_cast<std::size_t>(mpi_.size()) : 0));
-  s.sc.recv_bufs.reserve(static_cast<std::size_t>(A));
 
   // Receive side first (pre-post): one message per aggregator that holds
-  // pieces of this rank's view in this cycle. A destination whose pieces
-  // form one contiguous local run — always the case for a cycle range, see
-  // segcopy.hpp — receives straight into the output buffer; the unpack CPU
-  // is still charged at scatter_wait from the retained segment list.
+  // pieces of this rank's view in this cycle. The pieces of a cycle range
+  // form one contiguous local run (segcopy.hpp), so the message lands
+  // straight in the output buffer; the unpack CPU of a multi-segment
+  // message is still charged at scatter_wait.
   for (int a = 0; a < A; ++a) {
     const Plan::Range r = plan_.cycle_range(a, cycle);
-    auto segs = plan_.segments_in(me, r.begin, r.end);
+    const auto segs = plan_.segments_in(me, r.begin, r.end);
     if (segs.empty()) continue;
-    std::span<std::byte> dest;
-    if (segs.size() == 1) {
-      dest = out_.subspan(segs[0].local_offset, segs[0].length);
-    } else {
-      std::uint64_t n = 0;
-      for (const Segment& g : segs) n += g.length;
-      const segcopy::LocalRun run = segcopy::coalescing()
-                                        ? segcopy::local_run(segs)
-                                        : segcopy::LocalRun{};
-      RecvStage st;
-      st.agg = a;
-      if (!run.ok) st.buf = sim::BufferPool::local().acquire(n, false);
-      st.segs = std::move(segs);
-      s.sc.recv_bufs.push_back(std::move(st));
-      RecvStage& back = s.sc.recv_bufs.back();
-      dest = run.ok ? out_.subspan(run.local_offset, run.total)
-                    : back.buf.span();
+    const segcopy::LocalRun run = segcopy::local_run(segs);
+    TPIO_CHECK(run.ok, "a cycle range's pieces must form one local run");
+    if (segs.size() > 1) {
+      s.sc.unpack_segs += segs.size();
+      s.sc.unpack_bytes += run.total;
     }
+    const std::span<std::byte> dest = out_.subspan(run.local_offset, run.total);
     timed(mpi_.ctx(), t_.shuffle, [&] {
       s.sc.reqs.push_back(mpi_.irecv(plan_.agg_rank(a), tag, dest));
     });
@@ -231,7 +192,7 @@ void ReadEngine::scatter_init(int cycle, int slot) {
       } else {
         std::uint64_t total = 0;
         for (const Segment& g : segs) total += g.length;
-        bool file_run = segcopy::coalescing();
+        bool file_run = true;
         for (std::size_t i = 1; file_run && i < segs.size(); ++i) {
           file_run = segs[i].file_offset ==
                      segs[i - 1].file_offset + segs[i - 1].length;
@@ -257,7 +218,7 @@ void ReadEngine::scatter_init(int cycle, int slot) {
           payload = s.sc.send_bufs.back().span();
         }
         timed(mpi_.ctx(), t_.pack,
-              [&] { mpi_.ctx().advance(pack_cost(segs.size(), total)); });
+              [&] { mpi_.ctx().advance(pack_cost(opt_, segs.size(), total)); });
       }
       timed(mpi_.ctx(), t_.shuffle,
             [&] { s.sc.reqs.push_back(mpi_.isend(dst, tag, payload)); });
@@ -270,32 +231,10 @@ void ReadEngine::scatter_wait(int slot) {
   TPIO_CHECK(s.sc.pending, "scatter_wait without a pending scatter");
   s.sc.pending = false;
   timed(mpi_.ctx(), t_.shuffle, [&] { mpi_.waitall(s.sc.reqs); });
-  // Unpack staged multi-segment messages into the local view buffer
-  // (direct-landed ones only charge the unpack CPU — the bytes are already
-  // in place, in the same order the staged unpack would produce).
-  if (!s.sc.recv_bufs.empty()) {
-    std::size_t nsegs = 0;
-    std::uint64_t bytes = 0;
-    for (const RecvStage& st : s.sc.recv_bufs) {
-      std::uint64_t pos = 0;
-      if (st.buf.empty()) {
-        for (const Segment& g : st.segs) pos += g.length;
-      } else {
-        segcopy::for_local_runs(
-            st.segs, [&](std::size_t, std::size_t, std::uint64_t off,
-                         std::uint64_t len) {
-              if (opt_.materialize) {
-                std::memcpy(out_.data() + off, st.buf.data() + pos, len);
-              }
-              pos += len;
-            });
-        TPIO_CHECK(pos == st.buf.size(), "scatter unpack size mismatch");
-      }
-      nsegs += st.segs.size();
-      bytes += pos;
-    }
-    timed(mpi_.ctx(), t_.pack,
-          [&] { mpi_.ctx().advance(pack_cost(nsegs, bytes)); });
+  if (s.sc.unpack_segs > 0) {
+    timed(mpi_.ctx(), t_.pack, [&] {
+      mpi_.ctx().advance(pack_cost(opt_, s.sc.unpack_segs, s.sc.unpack_bytes));
+    });
   }
   s.sc.clear();
 }

@@ -59,27 +59,21 @@ class ReadEngine {
   void scatter_blocking(int cycle, int slot);
 
  private:
-  /// One multi-segment receive from aggregator `agg`: either a pooled
-  /// staging buffer that scatter_wait unpacks, or — when the destination
-  /// segments form one contiguous local run — no buffer at all (the
-  /// message landed directly in out_) with `segs` kept for the unpack-CPU
-  /// accounting that must be charged either way.
-  struct RecvStage {
-    int agg = -1;
-    sim::BufferPool::Buffer buf;  // empty: landed directly in out_
-    std::vector<Segment> segs;
-  };
   struct ScatterState {
     int cycle = -1;
     bool pending = false;
     std::vector<smpi::Request> reqs;
     std::vector<sim::BufferPool::Buffer> send_bufs;
-    std::vector<RecvStage> recv_bufs;
+    // Unpack CPU owed for the cycle's multi-segment receives (the bytes
+    // land in place; only the cost is charged at scatter_wait).
+    std::size_t unpack_segs = 0;
+    std::uint64_t unpack_bytes = 0;
 
     void clear() {
       reqs.clear();
       send_bufs.clear();
-      recv_bufs.clear();
+      unpack_segs = 0;
+      unpack_bytes = 0;
     }
   };
   struct Slot {
@@ -92,11 +86,8 @@ class ReadEngine {
   int slot_of(int cycle) const {
     return opt_.overlap == OverlapMode::None ? 0 : cycle % 2;
   }
-  sim::Duration pack_cost(std::size_t segs, std::uint64_t bytes) const;
-
-  /// Backoff before re-issuing attempt `attempt + 1` (same pure-function
-  /// schedule as the write engine, salted differently).
-  sim::Duration backoff_delay(int cycle, int attempt) const;
+  /// Wait out the retry backoff (io_path.hpp; the write engine's schedule,
+  /// salted differently) and count the retry.
   void retry_backoff(int cycle, int attempt);
   void give_up(int cycle);
   /// Bounded-retry blocking read of `r` into `slot`'s sub-buffer, starting

@@ -1,6 +1,5 @@
 #pragma once
 
-#include <atomic>
 #include <cstddef>
 #include <cstdint>
 #include <span>
@@ -26,25 +25,12 @@ namespace tpio::coll::segcopy {
 ///
 /// Coalescing only changes how many host memcpys move the same bytes; the
 /// virtual-timeline pack cost is still charged from the original segment
-/// count by the callers. set_coalescing(false) restores the per-segment
-/// copies — the legacy arm of the differential tests.
-
-inline std::atomic<bool>& coalescing_flag() {
-  static std::atomic<bool> on{true};
-  return on;
-}
-
-inline void set_coalescing(bool on) {
-  coalescing_flag().store(on, std::memory_order_relaxed);
-}
-
-inline bool coalescing() {
-  return coalescing_flag().load(std::memory_order_relaxed);
-}
+/// count by the callers.
 
 /// One contiguous run of a rank's local buffer covering a whole segment
-/// list. `ok` is expected to always hold for segments_in output; callers
-/// keep a per-segment fallback anyway.
+/// list. `ok` always holds for the segments_in output of one range (the
+/// shuffle paths check it); pieces gathered across several aggregators'
+/// ranges need not be contiguous, so the gather keeps a packing path.
 struct LocalRun {
   bool ok = false;
   std::uint64_t local_offset = 0;  // run start in the local buffer
@@ -71,21 +57,17 @@ inline LocalRun local_run(std::span<const Segment> segs) {
 /// Invoke `fn(first, count, file_offset, length)` once per file-contiguous
 /// run of `segs`: `first`/`count` delimit the run's segments, and
 /// [file_offset, file_offset + length) is the file region they jointly
-/// cover. With coalescing disabled every segment is its own run, which
-/// reproduces the legacy one-memcpy-per-segment behaviour exactly.
+/// cover.
 template <class Fn>
 void for_file_runs(std::span<const Segment> segs, Fn&& fn) {
-  const bool merge = coalescing();
   std::size_t i = 0;
   while (i < segs.size()) {
     std::size_t j = i + 1;
     std::uint64_t len = segs[i].length;
-    if (merge) {
-      while (j < segs.size() &&
-             segs[j].file_offset == segs[j - 1].file_offset + segs[j - 1].length) {
-        len += segs[j].length;
-        ++j;
-      }
+    while (j < segs.size() &&
+           segs[j].file_offset == segs[j - 1].file_offset + segs[j - 1].length) {
+      len += segs[j].length;
+      ++j;
     }
     fn(i, j - i, segs[i].file_offset, len);
     i = j;
@@ -99,17 +81,14 @@ void for_file_runs(std::span<const Segment> segs, Fn&& fn) {
 /// range always collapse into a single run here.
 template <class Fn>
 void for_local_runs(std::span<const Segment> segs, Fn&& fn) {
-  const bool merge = coalescing();
   std::size_t i = 0;
   while (i < segs.size()) {
     std::size_t j = i + 1;
     std::uint64_t len = segs[i].length;
-    if (merge) {
-      while (j < segs.size() && segs[j].local_offset ==
-                                    segs[j - 1].local_offset + segs[j - 1].length) {
-        len += segs[j].length;
-        ++j;
-      }
+    while (j < segs.size() &&
+           segs[j].local_offset == segs[j - 1].local_offset + segs[j - 1].length) {
+      len += segs[j].length;
+      ++j;
     }
     fn(i, j - i, segs[i].local_offset, len);
     i = j;

@@ -5,7 +5,6 @@
 
 #include "harness/runner.hpp"
 #include "harness/tenancy.hpp"
-#include "sched/conductor.hpp"
 
 namespace tpio::xp {
 
@@ -22,9 +21,6 @@ struct CliConfig {
   int tenants = 1;
   ArrivalSpec arrival;
   pfs::QosPolicy qos = pfs::QosPolicy::Fifo;
-  /// Rank execution substrate (--conductor); the binary installs it as the
-  /// process default before running.
-  sim::ConductorBackend conductor = sim::Conductor::default_backend();
   bool quick_help = false;
   std::string error;  // non-empty = parse failure (message for the user)
 };
@@ -54,7 +50,6 @@ struct CliConfig {
 ///   --straggler-after MS             (virtual onset of the slowdown, 0)
 ///   --max-retries N                  (retry budget per op, default 4)
 ///   --degrade F                      (degraded-mode trigger ratio, off)
-///   --conductor fibers|threads       (rank substrate, default fibers)
 ///   --help
 /// Sizes accept K/M/G suffixes. Unknown flags, non-numeric / overflowing /
 /// non-positive counts and zero byte-sizes all produce an error.

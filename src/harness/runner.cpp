@@ -133,120 +133,77 @@ RunResult execute(const RunSpec& spec) {
   return out;
 }
 
-namespace {
-
-class FingerprintWriter {
- public:
-  void put(const char* name, std::int64_t v) { key(name) += std::to_string(v); }
-  void put(const char* name, std::uint64_t v) { key(name) += std::to_string(v); }
-  void put(const char* name, int v) { key(name) += std::to_string(v); }
-  void put(const char* name, bool v) { key(name) += v ? '1' : '0'; }
-  void put(const char* name, double v) {
+std::string fingerprint(const RunResult& r) {
+  std::string out;
+  auto put = [&out](const std::string& name, const std::string& value) {
+    if (!out.empty()) out += ' ';
+    out += name + '=' + value;
+  };
+  auto num = [](auto v) { return std::to_string(v); };
+  auto exact = [](double v) {
     char buf[32];
     std::snprintf(buf, sizeof buf, "%.17g", v);
-    key(name) += buf;
-  }
-  void put(const char* name, const std::string& v) {
-    std::string& s = key(name);
-    s += '"';
+    return std::string(buf);
+  };
+  auto quoted = [](const std::string& v) {
+    std::string q = "\"";
     for (const char c : v) {
-      if (c == '"' || c == '\\') s += '\\';
-      s += c == '\n' ? ' ' : c;
+      if (c == '"' || c == '\\') q += '\\';
+      q += c == '\n' ? ' ' : c;
     }
-    s += '"';
-  }
-  void put(const char* name, const char* v) { key(name) += v; }
-
-  void timings(const std::string& p, const coll::PhaseTimings& t) {
-    scoped(p, [&] {
-      put("meta", t.meta);
-      put("pack", t.pack);
-      put("gather", t.gather);
-      put("forward", t.forward);
-      put("shuffle", t.shuffle);
-      put("sync", t.sync);
-      put("write", t.write);
-      put("backoff", t.backoff);
-      put("total", t.total);
-    });
-  }
-  void qos(const std::string& p, const pfs::QosStats& q) {
-    scoped(p, [&] {
-      put("requests", q.requests);
-      put("busy", q.busy);
-      put("cross_wait", q.cross_wait);
-      put("peak_active", q.peak_active);
-    });
-  }
-  template <class F>
-  void scoped(const std::string& p, F&& body) {
-    const std::size_t n = prefix_.size();
-    prefix_ += p + '.';
-    body();
-    prefix_.resize(n);
-  }
-
-  std::string take() { return std::move(out_); }
-
- private:
-  std::string& key(const char* name) {
-    if (!out_.empty()) out_ += ' ';
-    out_ += prefix_;
-    out_ += name;
-    out_ += '=';
-    return out_;
-  }
-
-  std::string out_;
-  std::string prefix_;
-};
-
-}  // namespace
-
-std::string fingerprint(const RunResult& r) {
-  FingerprintWriter w;
-  w.put("arrival", r.arrival);
-  w.put("completion", r.completion);
-  w.put("makespan", r.makespan);
-  w.timings("rank_sum", r.rank_sum);
-  w.timings("agg_sum", r.agg_sum);
-  w.timings("agg_max", r.agg_max);
-  w.put("aggregators", r.aggregators);
-  w.put("cycles", r.cycles);
-  w.put("bytes", r.bytes);
-  w.put("inter_node_bytes", r.inter_node_bytes);
-  w.put("inter_node_messages", r.inter_node_messages);
-  w.put("intra_node_bytes", r.intra_node_bytes);
-  w.put("pipelined_overlap", r.pipelined_overlap);
-  w.put("gather_critical", r.gather_critical);
-  w.scoped("autotune", [&] {
-    w.put("engaged", r.autotune.engaged);
-    w.put("chosen", coll::to_string(r.autotune.chosen));
-    w.put("from_cache", r.autotune.from_cache);
-    w.put("probe_cycles", r.autotune.probe_cycles);
-    w.put("comm_share", r.autotune.comm_share);
-    w.put("aio_ratio", r.autotune.aio_ratio);
-  });
-  w.scoped("faults", [&] {
-    w.put("retries", r.faults.retries);
-    w.put("giveups", r.faults.giveups);
-    w.put("degraded_cycles", r.faults.degraded_cycles);
-  });
-  w.put("io_error", r.io_error);
-  w.put("verify_error", r.verify_error);
-  w.put("subfiles", static_cast<std::uint64_t>(r.subfiles.size()));
+    return q + '"';
+  };
+  auto timings = [&](const std::string& p, const coll::PhaseTimings& t) {
+    put(p + ".meta", num(t.meta));
+    put(p + ".pack", num(t.pack));
+    put(p + ".gather", num(t.gather));
+    put(p + ".forward", num(t.forward));
+    put(p + ".shuffle", num(t.shuffle));
+    put(p + ".sync", num(t.sync));
+    put(p + ".write", num(t.write));
+    put(p + ".backoff", num(t.backoff));
+    put(p + ".total", num(t.total));
+  };
+  put("arrival", num(r.arrival));
+  put("completion", num(r.completion));
+  put("makespan", num(r.makespan));
+  timings("rank_sum", r.rank_sum);
+  timings("agg_sum", r.agg_sum);
+  timings("agg_max", r.agg_max);
+  put("aggregators", num(r.aggregators));
+  put("cycles", num(r.cycles));
+  put("bytes", num(r.bytes));
+  put("inter_node_bytes", num(r.inter_node_bytes));
+  put("inter_node_messages", num(r.inter_node_messages));
+  put("intra_node_bytes", num(r.intra_node_bytes));
+  put("pipelined_overlap", exact(r.pipelined_overlap));
+  put("gather_critical", num(r.gather_critical));
+  put("autotune.engaged", num(r.autotune.engaged));
+  put("autotune.chosen", coll::to_string(r.autotune.chosen));
+  put("autotune.from_cache", num(r.autotune.from_cache));
+  put("autotune.probe_cycles", num(r.autotune.probe_cycles));
+  put("autotune.comm_share", exact(r.autotune.comm_share));
+  put("autotune.aio_ratio", exact(r.autotune.aio_ratio));
+  put("faults.retries", num(r.faults.retries));
+  put("faults.giveups", num(r.faults.giveups));
+  put("faults.degraded_cycles", num(r.faults.degraded_cycles));
+  put("io_error", quoted(r.io_error));
+  put("verify_error", quoted(r.verify_error));
+  put("subfiles", num(r.subfiles.size()));
   for (std::size_t i = 0; i < r.subfiles.size(); ++i) {
     const SubfileResult& f = r.subfiles[i];
-    w.scoped("subfile" + std::to_string(i), [&] {
-      w.put("group", f.group);
-      w.put("ranks", f.ranks);
-      w.put("aggregators", f.aggregators);
-      w.put("bytes", f.bytes);
-      w.put("completion", f.completion);
-      w.qos("qos", f.qos);
-    });
+    const std::string p = "subfile" + std::to_string(i) + ".";
+    put(p + "group", num(f.group));
+    put(p + "ranks", num(f.ranks));
+    put(p + "aggregators", num(f.aggregators));
+    put(p + "bytes", num(f.bytes));
+    put(p + "completion", num(f.completion));
+    put(p + "qos.requests", num(f.qos.requests));
+    put(p + "qos.busy", num(f.qos.busy));
+    put(p + "qos.cross_wait", num(f.qos.cross_wait));
+    put(p + "qos.peak_active", num(f.qos.peak_active));
   }
-  return w.take();
+  return out;
 }
 
 int auto_sub_comm_count(const RunSpec& spec) {

@@ -105,8 +105,7 @@ std::uint64_t blob_min(const std::vector<std::vector<std::byte>>& blobs) {
 
 /// Closed-form duration of one exchange generation, computed by the last
 /// arrival from the full blob table (and, for sparse exchanges, the want
-/// topology). Never reads the materialization mode: dense and sparse
-/// host-side delivery of the same exchange cost the same virtual time.
+/// topology).
 sim::Duration exchange_cost(Machine& m, int kind, int root,
                             const std::vector<std::vector<std::byte>>& blobs,
                             const std::vector<std::pair<int, int>>& wants) {
@@ -266,16 +265,11 @@ std::vector<std::vector<std::byte>> Mpi::allgather(
 }
 
 std::vector<std::pair<int, std::vector<std::byte>>> Mpi::sparse_allgatherv(
-    std::span<const std::byte> mine, int want_begin, int want_end,
-    bool dense) {
+    std::span<const std::byte> mine, int want_begin, int want_end) {
   const int P = size();
   TPIO_CHECK(0 <= want_begin && want_begin <= want_end && want_end <= P,
              "sparse_allgatherv: want interval out of range");
   auto table = exchange(mine, kSparse, /*root=*/-1, {want_begin, want_end});
-  if (dense) {
-    want_begin = 0;
-    want_end = P;
-  }
   std::vector<std::pair<int, std::vector<std::byte>>> out;
   out.reserve(static_cast<std::size_t>(want_end - want_begin) + 1);
   const auto take = [&](int r) {

@@ -90,7 +90,7 @@ class Request {
   sim::EventPtr ev_;
 };
 
-/// Per-rank MPI facade; construct on the rank's own thread, one per rank.
+/// Per-rank MPI facade; construct on the rank's own fiber, one per rank.
 ///
 /// All `Mpi` objects of a run share one `Machine`. The interface mirrors
 /// the MPI subset the two-phase collective-write engine needs: point-to-
@@ -168,13 +168,10 @@ class Mpi {
   /// `mine` and names the half-open source interval [want_begin, want_end)
   /// whose blobs it needs. Returns (source rank, blob) pairs ascending by
   /// rank — always including this rank's own blob — visiting only the
-  /// wanted interval and this rank, never all P sources. With `dense` every
-  /// rank materializes all P blobs instead; the virtual cost is identical
-  /// either way, because it derives from the want topology all ranks
-  /// declared, never from the host-side materialization switch.
+  /// wanted interval and this rank, never all P sources. The virtual cost
+  /// derives from the want topology all ranks declared.
   std::vector<std::pair<int, std::vector<std::byte>>> sparse_allgatherv(
-      std::span<const std::byte> mine, int want_begin, int want_end,
-      bool dense = false);
+      std::span<const std::byte> mine, int want_begin, int want_end);
 
   enum class ReduceOp { Max, Min, Sum };
   /// Reduce-scatter over one element per rank: every rank contributes
@@ -237,8 +234,8 @@ class Mpi {
 };
 
 /// Shared state of the simulated MPI job: message queues, collective
-/// staging, window registry. Create once per simulation, before conductor
-/// threads start; thereafter all mutation happens under the baton.
+/// staging, window registry. Create once per simulation, before the
+/// conductor runs; thereafter all mutation happens under the baton.
 class Machine {
  public:
   Machine(net::Fabric& fabric, const MpiParams& params);

@@ -290,7 +290,7 @@ class StorageSystem {
   sim::Timeline& client_channel(int node);
 };
 
-/// One striped file. All I/O entry points must run on a rank thread; the
+/// One striped file. All I/O entry points must run on a rank's fiber; the
 /// caller passes its RankCtx and the compute node it runs on (for client-
 /// side channel contention). Offsets and lengths are bytes; `attempt`
 /// parameters are 1-based and thread through to the fault oracle so a

@@ -7,31 +7,7 @@
 #include <cstdlib>
 
 #include "simbase/error.hpp"
-
-// Sanitizer feature detection (GCC defines __SANITIZE_*, Clang exposes
-// __has_feature).
-#if defined(__SANITIZE_ADDRESS__)
-#define TPIO_FIBER_ASAN 1
-#endif
-#if defined(__SANITIZE_THREAD__)
-#define TPIO_FIBER_TSAN 1
-#endif
-#if defined(__has_feature)
-#if __has_feature(address_sanitizer) && !defined(TPIO_FIBER_ASAN)
-#define TPIO_FIBER_ASAN 1
-#endif
-#if __has_feature(thread_sanitizer) && !defined(TPIO_FIBER_TSAN)
-#define TPIO_FIBER_TSAN 1
-#endif
-#endif
-
-#ifdef TPIO_FIBER_ASAN
-#include <sanitizer/asan_interface.h>
-#include <sanitizer/common_interface_defs.h>
-#endif
-#ifdef TPIO_FIBER_TSAN
-#include <sanitizer/tsan_interface.h>
-#endif
+#include "simbase/sanitizers.hpp"
 
 // The x86-64 switcher is a dozen instructions; every other architecture
 // falls back to ucontext (correct everywhere POSIX, costs a sigprocmask
@@ -150,7 +126,7 @@ Fiber::Fiber(std::size_t stack_bytes, Entry entry, void* arg)
              "fiber guard-page mprotect failed");
   map_base_ = m;
   stack_lo_ = static_cast<char*>(m) + page;
-#ifdef TPIO_FIBER_ASAN
+#ifdef TPIO_ASAN
   // The mapping may reuse the address range of an earlier fiber's stack,
   // whose frames that never returned (run_entry's final switch home, or a
   // fiber destroyed while suspended) left their redzones poisoned in
@@ -193,13 +169,13 @@ Fiber::Fiber(std::size_t stack_bytes, Entry entry, void* arg)
   fiber_sp_ = uc;
 #endif
 
-#ifdef TPIO_FIBER_TSAN
+#ifdef TPIO_TSAN
   tsan_fiber_ = __tsan_create_fiber(0);
 #endif
 }
 
 Fiber::~Fiber() {
-#ifdef TPIO_FIBER_TSAN
+#ifdef TPIO_TSAN
   if (tsan_fiber_) __tsan_destroy_fiber(tsan_fiber_);
 #endif
 #ifndef TPIO_FIBER_ASM_X86_64
@@ -215,11 +191,11 @@ void Fiber::resume() {
   TPIO_CHECK(t_current != this, "re-entrant resume of a running fiber");
   Fiber* prev = t_current;
   t_current = this;
-#ifdef TPIO_FIBER_TSAN
+#ifdef TPIO_TSAN
   tsan_host_ = __tsan_get_current_fiber();
   __tsan_switch_to_fiber(tsan_fiber_, 0);
 #endif
-#ifdef TPIO_FIBER_ASAN
+#ifdef TPIO_ASAN
   __sanitizer_start_switch_fiber(&asan_host_fake_, stack_lo_, stack_bytes_);
 #endif
 #ifdef TPIO_FIBER_ASM_X86_64
@@ -230,7 +206,7 @@ void Fiber::resume() {
              "swapcontext into fiber failed");
 #endif
   // Back on the host stack: the fiber suspended or finished.
-#ifdef TPIO_FIBER_ASAN
+#ifdef TPIO_ASAN
   __sanitizer_finish_switch_fiber(asan_host_fake_, nullptr, nullptr);
 #endif
   t_current = prev;
@@ -239,10 +215,10 @@ void Fiber::resume() {
 void Fiber::suspend() {
   Fiber* f = t_current;
   TPIO_CHECK(f != nullptr, "Fiber::suspend outside a running fiber");
-#ifdef TPIO_FIBER_TSAN
+#ifdef TPIO_TSAN
   __tsan_switch_to_fiber(f->tsan_host_, 0);
 #endif
-#ifdef TPIO_FIBER_ASAN
+#ifdef TPIO_ASAN
   __sanitizer_start_switch_fiber(&f->asan_fiber_fake_, f->asan_host_bottom_,
                                  f->asan_host_size_);
 #endif
@@ -254,14 +230,14 @@ void Fiber::suspend() {
              "swapcontext to host failed");
 #endif
   // Resumed again.
-#ifdef TPIO_FIBER_ASAN
+#ifdef TPIO_ASAN
   __sanitizer_finish_switch_fiber(f->asan_fiber_fake_, &f->asan_host_bottom_,
                                   &f->asan_host_size_);
 #endif
 }
 
 void Fiber::run_entry(Fiber* f) {
-#ifdef TPIO_FIBER_ASAN
+#ifdef TPIO_ASAN
   // First arrival on this stack: no fake stack to restore yet; capture the
   // host stack bounds for the switches back.
   __sanitizer_finish_switch_fiber(nullptr, &f->asan_host_bottom_,
@@ -270,10 +246,10 @@ void Fiber::run_entry(Fiber* f) {
   f->entry_(f->arg_);
   f->finished_ = true;
   // Final switch home; this context is never resumed again.
-#ifdef TPIO_FIBER_TSAN
+#ifdef TPIO_TSAN
   __tsan_switch_to_fiber(f->tsan_host_, 0);
 #endif
-#ifdef TPIO_FIBER_ASAN
+#ifdef TPIO_ASAN
   // nullptr releases this fiber's fake stack: it is dying.
   __sanitizer_start_switch_fiber(nullptr, f->asan_host_bottom_,
                                  f->asan_host_size_);
@@ -302,7 +278,7 @@ std::size_t Fiber::default_stack_bytes() {
       return static_cast<std::size_t>(kb) << 10;
     }
   }
-#if defined(TPIO_FIBER_ASAN) || defined(TPIO_FIBER_TSAN)
+#if defined(TPIO_ASAN) || defined(TPIO_TSAN)
   return std::size_t{1} << 20;
 #else
   return std::size_t{256} << 10;

@@ -5,6 +5,8 @@
 #include <cstring>
 #include <mutex>
 
+#include "simbase/sanitizers.hpp"
+
 #if defined(__GLIBC__)
 #include <malloc.h>
 #endif
@@ -13,7 +15,6 @@ namespace tpio::sim {
 
 namespace {
 
-std::atomic<bool> g_recycling{true};
 std::atomic<std::uint64_t> g_acquires{0};
 std::atomic<std::uint64_t> g_hits{0};
 std::atomic<std::uint64_t> g_reservoir_hits{0};
@@ -24,10 +25,12 @@ int class_of(std::size_t n) {
   return static_cast<int>(std::bit_width(n - 1));
 }
 
-/// Process-wide parking lot for buffers whose owning thread exited (the
-/// conductor spawns fresh rank threads per run). Leaked on purpose: the
-/// reservoir must outlive every thread_local pool destructor, and a static
-/// pointer keeps it reachable so leak checkers stay quiet.
+/// Process-wide parking lot for buffers that spill past a thread's caps or
+/// outlive their thread (a sweep worker's pool donates its free lists when
+/// the worker exits; the conductor's host thread trims into it after every
+/// run). Leaked on purpose: the reservoir must outlive every thread_local
+/// pool destructor, and a static pointer keeps it reachable so leak
+/// checkers stay quiet.
 struct Reservoir {
   std::mutex mu;
   struct Node {
@@ -70,11 +73,7 @@ BufferPool::BufferPool() { pin_malloc_policy(); }
 
 void BufferPool::Buffer::reset() {
   if (!mem_) return;
-  if (g_recycling.load(std::memory_order_relaxed)) {
-    BufferPool::local().release(std::move(mem_), cap_);
-  } else {
-    mem_.reset();
-  }
+  BufferPool::local().release(std::move(mem_), cap_);
   cap_ = size_ = 0;
 }
 
@@ -110,18 +109,21 @@ BufferPool::Buffer BufferPool::acquire(std::size_t n, bool zeroed) {
   const int k = class_of(n);
   const std::size_t cap = std::size_t{1} << k;
 
-  if (g_recycling.load(std::memory_order_relaxed)) {
-    auto& list = free_[k];
-    if (!list.empty()) {
-      b.mem_ = std::move(list.back().mem);
-      b.cap_ = list.back().cap;
-      list.pop_back();
-      retained_bytes_ -= b.cap_;
-      g_hits.fetch_add(1, std::memory_order_relaxed);
-      if (zeroed) std::memset(b.mem_.get(), 0, n);
-      b.size_ = n;
-      return b;
-    }
+  auto& list = free_[k];
+  if (!list.empty()) {
+    b.mem_ = std::move(list.back().mem);
+    b.cap_ = list.back().cap;
+    list.pop_back();
+    retained_bytes_ -= b.cap_;
+    g_hits.fetch_add(1, std::memory_order_relaxed);
+#ifdef TPIO_ASAN
+    ASAN_UNPOISON_MEMORY_REGION(b.mem_.get(), b.cap_);
+#endif
+    if (zeroed) std::memset(b.mem_.get(), 0, n);
+    b.size_ = n;
+    return b;
+  }
+  {
     Reservoir& r = reservoir();
     std::lock_guard<std::mutex> lk(r.mu);
     if (!r.free_[k].empty()) {
@@ -130,6 +132,9 @@ BufferPool::Buffer BufferPool::acquire(std::size_t n, bool zeroed) {
       r.free_[k].pop_back();
       r.bytes -= b.cap_;
       g_reservoir_hits.fetch_add(1, std::memory_order_relaxed);
+#ifdef TPIO_ASAN
+      ASAN_UNPOISON_MEMORY_REGION(b.mem_.get(), b.cap_);
+#endif
       if (zeroed) std::memset(b.mem_.get(), 0, n);
       b.size_ = n;
       return b;
@@ -148,6 +153,11 @@ BufferPool::Buffer BufferPool::acquire(std::size_t n, bool zeroed) {
 
 void BufferPool::release(std::unique_ptr<std::byte[]> mem, std::size_t cap) {
   const int k = class_of(cap);
+#ifdef TPIO_ASAN
+  // Parked storage stays allocated, so ASan would not report a use after
+  // Buffer::reset(); poisoned until acquire() hands it out again, it does.
+  ASAN_POISON_MEMORY_REGION(mem.get(), cap);
+#endif
   auto& list = free_[k];
   if (list.size() >= kMaxPerClass || retained_bytes_ + cap > cap_bytes_) {
     // Local list full or thread over its retained-byte cap: park in the
@@ -191,14 +201,6 @@ void BufferPool::reset_stats() {
   g_hits.store(0, std::memory_order_relaxed);
   g_reservoir_hits.store(0, std::memory_order_relaxed);
   g_fresh.store(0, std::memory_order_relaxed);
-}
-
-void BufferPool::set_recycling(bool on) {
-  g_recycling.store(on, std::memory_order_relaxed);
-}
-
-bool BufferPool::recycling() {
-  return g_recycling.load(std::memory_order_relaxed);
 }
 
 void BufferPool::drain_reservoir() {

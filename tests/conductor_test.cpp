@@ -1,6 +1,5 @@
 #include <gtest/gtest.h>
 
-#include <atomic>
 #include <string>
 #include <vector>
 
@@ -9,27 +8,13 @@
 
 namespace sim = tpio::sim;
 using sim::Conductor;
-using sim::ConductorBackend;
 using sim::Event;
 using sim::EventPtr;
 using sim::RankCtx;
 using sim::Time;
 
-// Every behavioural test runs on both rank substrates: the cooperative
-// fiber scheduler (default) and the legacy thread-per-rank backend kept
-// for differential checks.
-class ConductorBackends
-    : public ::testing::TestWithParam<ConductorBackend> {};
-
-INSTANTIATE_TEST_SUITE_P(
-    Backends, ConductorBackends,
-    ::testing::Values(ConductorBackend::Fibers, ConductorBackend::Threads),
-    [](const ::testing::TestParamInfo<ConductorBackend>& info) {
-      return std::string(sim::to_string(info.param));
-    });
-
-TEST_P(ConductorBackends, SingleRankAdvances) {
-  Conductor c(1, GetParam());
+TEST(Conductor, SingleRankAdvances) {
+  Conductor c(1);
   c.run([](RankCtx& ctx) {
     EXPECT_EQ(ctx.now(), 0);
     ctx.advance(100);
@@ -43,16 +28,16 @@ TEST_P(ConductorBackends, SingleRankAdvances) {
   EXPECT_EQ(c.makespan(), 200);
 }
 
-TEST_P(ConductorBackends, NegativeAdvanceThrows) {
-  Conductor c(1, GetParam());
+TEST(Conductor, NegativeAdvanceThrows) {
+  Conductor c(1);
   EXPECT_THROW(c.run([](RankCtx& ctx) { ctx.advance(-1); }), tpio::Error);
 }
 
-TEST_P(ConductorBackends, ActionsExecuteInVirtualTimeOrder) {
+TEST(Conductor, ActionsExecuteInVirtualTimeOrder) {
   // Ranks act at staggered clocks; the shared log must observe ascending
   // virtual times regardless of host scheduling.
   const int n = 16;
-  Conductor c(n, GetParam());
+  Conductor c(n);
   std::vector<std::pair<Time, int>> log;
   c.run([&](RankCtx& ctx) {
     // Rank r performs 10 actions at clocks r, r+n, r+2n, ...
@@ -68,9 +53,9 @@ TEST_P(ConductorBackends, ActionsExecuteInVirtualTimeOrder) {
   }
 }
 
-TEST_P(ConductorBackends, TieBreakByRankId) {
+TEST(Conductor, TieBreakByRankId) {
   const int n = 8;
-  Conductor c(n, GetParam());
+  Conductor c(n);
   std::vector<int> order;
   c.run([&](RankCtx& ctx) {
     ctx.act([&] { order.push_back(ctx.rank()); });
@@ -79,8 +64,8 @@ TEST_P(ConductorBackends, TieBreakByRankId) {
   for (int i = 0; i < n; ++i) EXPECT_EQ(order[static_cast<std::size_t>(i)], i);
 }
 
-TEST_P(ConductorBackends, EventWaitAdvancesToCompletionTime) {
-  Conductor c(2, GetParam());
+TEST(Conductor, EventWaitAdvancesToCompletionTime) {
+  Conductor c(2);
   auto ev = std::make_shared<Event>();
   c.run([&](RankCtx& ctx) {
     if (ctx.rank() == 0) {
@@ -94,8 +79,8 @@ TEST_P(ConductorBackends, EventWaitAdvancesToCompletionTime) {
   EXPECT_EQ(c.finish_time(1), 1500);
 }
 
-TEST_P(ConductorBackends, WaitOnAlreadyDoneEventJumpsForward) {
-  Conductor c(2, GetParam());
+TEST(Conductor, WaitOnAlreadyDoneEventJumpsForward) {
+  Conductor c(2);
   auto ev = std::make_shared<Event>();
   c.run([&](RankCtx& ctx) {
     if (ctx.rank() == 0) {
@@ -108,8 +93,8 @@ TEST_P(ConductorBackends, WaitOnAlreadyDoneEventJumpsForward) {
   });
 }
 
-TEST_P(ConductorBackends, CompleteBeforeActorClockThrows) {
-  Conductor c(1, GetParam());
+TEST(Conductor, CompleteBeforeActorClockThrows) {
+  Conductor c(1);
   auto ev = std::make_shared<Event>();
   EXPECT_THROW(c.run([&](RankCtx& ctx) {
                  ctx.advance(100);
@@ -118,8 +103,8 @@ TEST_P(ConductorBackends, CompleteBeforeActorClockThrows) {
                tpio::Error);
 }
 
-TEST_P(ConductorBackends, DoubleCompleteThrows) {
-  Conductor c(1, GetParam());
+TEST(Conductor, DoubleCompleteThrows) {
+  Conductor c(1);
   auto ev = std::make_shared<Event>();
   EXPECT_THROW(c.run([&](RankCtx& ctx) {
                  ctx.act([&] { ctx.complete(*ev, 1); });
@@ -128,8 +113,8 @@ TEST_P(ConductorBackends, DoubleCompleteThrows) {
                tpio::Error);
 }
 
-TEST_P(ConductorBackends, WaitAllEventsEndsAtMax) {
-  Conductor c(2, GetParam());
+TEST(Conductor, WaitAllEventsEndsAtMax) {
+  Conductor c(2);
   auto e1 = std::make_shared<Event>();
   auto e2 = std::make_shared<Event>();
   auto e3 = std::make_shared<Event>();
@@ -148,8 +133,8 @@ TEST_P(ConductorBackends, WaitAllEventsEndsAtMax) {
   });
 }
 
-TEST_P(ConductorBackends, TestEventSeesOnlyPastCompletions) {
-  Conductor c(2, GetParam());
+TEST(Conductor, TestEventSeesOnlyPastCompletions) {
+  Conductor c(2);
   auto ev = std::make_shared<Event>();
   c.run([&](RankCtx& ctx) {
     if (ctx.rank() == 0) {
@@ -164,8 +149,8 @@ TEST_P(ConductorBackends, TestEventSeesOnlyPastCompletions) {
   });
 }
 
-TEST_P(ConductorBackends, TestEventChargesPollCost) {
-  Conductor c(1, GetParam());
+TEST(Conductor, TestEventChargesPollCost) {
+  Conductor c(1);
   auto ev = std::make_shared<Event>();
   c.run([&](RankCtx& ctx) {
     ctx.act([&] { ctx.complete(*ev, 0); });
@@ -174,8 +159,8 @@ TEST_P(ConductorBackends, TestEventChargesPollCost) {
   });
 }
 
-TEST_P(ConductorBackends, DeadlockDetected) {
-  Conductor c(2, GetParam());
+TEST(Conductor, DeadlockDetected) {
+  Conductor c(2);
   auto ev = std::make_shared<Event>();  // nobody completes it
   try {
     c.run([&](RankCtx& ctx) {
@@ -187,14 +172,14 @@ TEST_P(ConductorBackends, DeadlockDetected) {
   }
 }
 
-TEST_P(ConductorBackends, AllRanksBlockedDeadlockDetected) {
-  Conductor c(3, GetParam());
+TEST(Conductor, AllRanksBlockedDeadlockDetected) {
+  Conductor c(3);
   auto ev = std::make_shared<Event>();
   EXPECT_THROW(c.run([&](RankCtx& ctx) { ctx.wait_event(*ev); }), tpio::Error);
 }
 
-TEST_P(ConductorBackends, DeadlockReportNamesSiteAndClock) {
-  Conductor c(2, GetParam());
+TEST(Conductor, DeadlockReportNamesSiteAndClock) {
+  Conductor c(2);
   auto ev = std::make_shared<Event>();
   try {
     c.run([&](RankCtx& ctx) {
@@ -211,9 +196,9 @@ TEST_P(ConductorBackends, DeadlockReportNamesSiteAndClock) {
   }
 }
 
-TEST_P(ConductorBackends, DeadlockReportTruncatesToSixteenRanks) {
+TEST(Conductor, DeadlockReportTruncatesToSixteenRanks) {
   const int n = 24;  // 16 listed + 8 elided
-  Conductor c(n, GetParam());
+  Conductor c(n);
   auto ev = std::make_shared<Event>();
   try {
     c.run([&](RankCtx& ctx) { ctx.wait_event(*ev, "test.hang"); });
@@ -226,11 +211,11 @@ TEST_P(ConductorBackends, DeadlockReportTruncatesToSixteenRanks) {
   }
 }
 
-TEST_P(ConductorBackends, FinishingRankRecordsDeadlockVerdict) {
+TEST(Conductor, FinishingRankRecordsDeadlockVerdict) {
   // The last runnable rank finishing (not blocking) is what exposes the
   // deadlock; the verdict must be recorded in first_error_ and rethrown
   // from run() — the historical bug swallowed the throw on this path.
-  Conductor c(3, GetParam());
+  Conductor c(3);
   auto ev = std::make_shared<Event>();
   try {
     c.run([&](RankCtx& ctx) {
@@ -245,8 +230,8 @@ TEST_P(ConductorBackends, FinishingRankRecordsDeadlockVerdict) {
   }
 }
 
-TEST_P(ConductorBackends, ExceptionInOneRankPropagates) {
-  Conductor c(4, GetParam());
+TEST(Conductor, ExceptionInOneRankPropagates) {
+  Conductor c(4);
   auto ev = std::make_shared<Event>();
   try {
     c.run([&](RankCtx& ctx) {
@@ -256,20 +241,20 @@ TEST_P(ConductorBackends, ExceptionInOneRankPropagates) {
     FAIL() << "expected exception";
   } catch (const std::runtime_error& e) {
     // Either the original error or the deadlock/abort notice, depending on
-    // which thread records first; the original must win when rank 2 is
+    // which rank records first; the original must win when rank 2 is
     // first to fail.
     SUCCEED();
   }
 }
 
-TEST_P(ConductorBackends, AbortWakesEveryBlockedRankExactlyOnce) {
+TEST(Conductor, AbortWakesEveryBlockedRankExactlyOnce) {
   // Many ranks block; one throws. Every blocked rank must be released by
-  // the abort protocol exactly once (the conductor asserts the wake count
-  // internally) and run() must rethrow the original error. TSan-clean.
+  // the abort protocol exactly once and run() must rethrow the original
+  // error.
   const int n = 32;
-  Conductor c(n, GetParam());
+  Conductor c(n);
   auto ev = std::make_shared<Event>();
-  std::atomic<int> unwound{0};
+  int unwound = 0;
   try {
     c.run([&](RankCtx& ctx) {
       if (ctx.rank() == n - 1) {
@@ -280,7 +265,7 @@ TEST_P(ConductorBackends, AbortWakesEveryBlockedRankExactlyOnce) {
       try {
         ctx.wait_event(*ev, "test.abort_wake");
       } catch (...) {
-        unwound.fetch_add(1, std::memory_order_relaxed);
+        ++unwound;
         throw;
       }
     });
@@ -288,14 +273,14 @@ TEST_P(ConductorBackends, AbortWakesEveryBlockedRankExactlyOnce) {
   } catch (const std::exception&) {
     SUCCEED();
   }
-  EXPECT_EQ(unwound.load(), n - 1);
+  EXPECT_EQ(unwound, n - 1);
 }
 
-TEST_P(ConductorBackends, DeterministicScheduleAcrossRuns) {
+TEST(Conductor, DeterministicScheduleAcrossRuns) {
   // The exact interleaving (and thus the shared log) must be identical on
   // every execution with identical programs.
   auto run_once = [&] {
-    Conductor c(8, GetParam());
+    Conductor c(8);
     std::vector<std::pair<Time, int>> log;
     auto ev = std::make_shared<Event>();
     c.run([&](RankCtx& ctx) {
@@ -319,53 +304,10 @@ TEST_P(ConductorBackends, DeterministicScheduleAcrossRuns) {
   EXPECT_EQ(a, d);
 }
 
-TEST(Conductor, BackendsProduceIdenticalSchedules) {
-  // The determinism contract across substrates: the shared action log of
-  // the fiber scheduler must equal the thread-per-rank log entry for entry.
-  auto run_once = [](ConductorBackend backend) {
-    Conductor c(12, backend);
-    std::vector<std::pair<Time, int>> log;
-    auto ev = std::make_shared<Event>();
-    c.run([&](RankCtx& ctx) {
-      const int r = ctx.rank();
-      ctx.advance(static_cast<sim::Duration>((r * 53) % 17));
-      ctx.act([&] { log.emplace_back(ctx.now(), r); });
-      if (r == 0) {
-        ctx.advance(200);
-        ctx.act([&] { ctx.complete(*ev, ctx.now() + 9); });
-      } else {
-        ctx.wait_event(*ev);
-      }
-      ctx.act([&] { log.emplace_back(ctx.now(), r); });
-    });
-    return log;
-  };
-  EXPECT_EQ(run_once(ConductorBackend::Fibers),
-            run_once(ConductorBackend::Threads));
-}
-
-TEST_P(ConductorBackends, ManyRanksStress) {
-  const int n = 128;
-  Conductor c(n, GetParam());
-  std::vector<EventPtr> evs;
-  for (int i = 0; i < n; ++i) evs.push_back(std::make_shared<Event>());
-  // Chain: rank r waits for event r-1, then completes event r.
-  c.run([&](RankCtx& ctx) {
-    const int r = ctx.rank();
-    if (r > 0) ctx.wait_event(*evs[static_cast<std::size_t>(r - 1)]);
-    ctx.advance(10);
-    ctx.act([&] { ctx.complete(*evs[static_cast<std::size_t>(r)], ctx.now()); });
-  });
-  // Serial chain: each rank adds 10ns.
-  EXPECT_EQ(c.finish_time(n - 1), 10 * n);
-  EXPECT_EQ(c.makespan(), 10 * n);
-}
-
 TEST(Conductor, FibersScaleToThousandsOfRanks) {
-  // Thread-per-rank topped out near host thread limits; the fiber backend
-  // must take rank counts that only fit as user-space stacks.
+  // Rank counts far past host thread limits must fit as user-space stacks.
   const int n = 2048;
-  Conductor c(n, ConductorBackend::Fibers);
+  Conductor c(n);
   std::vector<EventPtr> evs;
   for (int i = 0; i < n; ++i) evs.push_back(std::make_shared<Event>());
   c.run([&](RankCtx& ctx) {
@@ -377,8 +319,8 @@ TEST(Conductor, FibersScaleToThousandsOfRanks) {
   EXPECT_EQ(c.makespan(), n);
 }
 
-TEST_P(ConductorBackends, ActionCounterCounts) {
-  Conductor c(2, GetParam());
+TEST(Conductor, ActionCounterCounts) {
+  Conductor c(2);
   c.run([](RankCtx& ctx) {
     ctx.act([] {});
     ctx.act([] {});
@@ -386,18 +328,8 @@ TEST_P(ConductorBackends, ActionCounterCounts) {
   EXPECT_GE(c.actions(), 4u);
 }
 
-TEST_P(ConductorBackends, FinishTimeBeforeDoneThrows) {
-  Conductor c(1, GetParam());
+TEST(Conductor, FinishTimeBeforeDoneThrows) {
+  Conductor c(1);
   EXPECT_THROW((void)c.finish_time(0), tpio::Error);
   EXPECT_THROW((void)c.finish_time(5), tpio::Error);
-}
-
-TEST(Conductor, EnvSelectsDefaultBackend) {
-  // set_default_backend overrides whatever TPIO_CONDUCTOR resolved to.
-  const ConductorBackend before = Conductor::default_backend();
-  Conductor::set_default_backend(ConductorBackend::Threads);
-  EXPECT_EQ(Conductor(1).backend(), ConductorBackend::Threads);
-  Conductor::set_default_backend(ConductorBackend::Fibers);
-  EXPECT_EQ(Conductor(1).backend(), ConductorBackend::Fibers);
-  Conductor::set_default_backend(before);
 }

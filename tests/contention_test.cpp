@@ -2,9 +2,9 @@
 // a single tenant on the shared path must be bit-identical field-by-field
 // to the solo runner across every scheduler, transfer primitive,
 // hierarchical mode and fault scenario; N-tenant runs must be bit-identical
-// across repeated executions, conductor backends, and executor worker
-// counts; and delayed arrivals must shift completion without touching
-// turnaround (the RunResult::bandwidth() arrival fix).
+// across repeated executions and executor worker counts; and delayed
+// arrivals must shift completion without touching turnaround (the
+// RunResult::bandwidth() arrival fix).
 
 #include <gtest/gtest.h>
 
@@ -15,7 +15,6 @@
 #include "harness/runner.hpp"
 #include "harness/sweep.hpp"
 #include "harness/tenancy.hpp"
-#include "sched/conductor.hpp"
 
 namespace coll = tpio::coll;
 namespace pfs = tpio::pfs;
@@ -25,55 +24,10 @@ namespace xp = tpio::xp;
 
 namespace {
 
-/// Every RunResult field (verify_error included — both paths verify).
-std::string fp(const xp::RunResult& r) {
-  std::string s;
-  auto add = [&](auto v) {
-    s += std::to_string(v);
-    s += '|';
-  };
-  auto add_timings = [&](const coll::PhaseTimings& t) {
-    add(t.meta);
-    add(t.pack);
-    add(t.gather);
-    add(t.forward);
-    add(t.shuffle);
-    add(t.sync);
-    add(t.write);
-    add(t.backoff);
-    add(t.total);
-  };
-  add(r.arrival);
-  add(r.completion);
-  add(r.makespan);
-  add_timings(r.rank_sum);
-  add_timings(r.agg_sum);
-  add_timings(r.agg_max);
-  add(r.aggregators);
-  add(r.cycles);
-  add(r.bytes);
-  add(r.inter_node_bytes);
-  add(r.inter_node_messages);
-  add(r.intra_node_bytes);
-  add(r.pipelined_overlap);
-  add(r.autotune.engaged);
-  add(static_cast<int>(r.autotune.chosen));
-  add(r.autotune.from_cache);
-  add(r.autotune.probe_cycles);
-  add(r.faults.retries);
-  add(r.faults.giveups);
-  add(r.faults.degraded_cycles);
-  s += r.io_error;
-  s += '|';
-  s += r.verify_error;
-  s += '|';
-  return s;
-}
-
 std::string fp_multi(const xp::MultiRunResult& r) {
   std::string s = std::to_string(r.makespan) + "#";
   for (const xp::TenantResult& t : r.tenants) {
-    s += fp(t.run);
+    s += xp::fingerprint(t.run) + "|";
     s += std::to_string(t.qos.requests) + "|" + std::to_string(t.qos.busy) +
          "|" + std::to_string(t.qos.cross_wait) + "|" +
          std::to_string(t.qos.peak_active) + "#";
@@ -109,7 +63,8 @@ void expect_lone_tenant_identity(const xp::RunSpec& spec,
   const xp::RunResult solo = xp::execute(spec);
   const xp::MultiRunResult multi = xp::execute_multi(as_multi(spec));
   ASSERT_EQ(multi.tenants.size(), 1u) << label;
-  EXPECT_EQ(fp(solo), fp(multi.tenants[0].run)) << label;
+  EXPECT_EQ(xp::fingerprint(solo), xp::fingerprint(multi.tenants[0].run))
+      << label;
   EXPECT_EQ(multi.makespan, solo.completion) << label;
 }
 
@@ -233,17 +188,6 @@ TEST(MultiTenant, RepeatedRunsBitIdentical) {
     const std::string y = fp_multi(xp::execute_multi(m));
     EXPECT_EQ(x, y) << pfs::to_string(q);
   }
-}
-
-TEST(MultiTenant, BackendsBitIdentical) {
-  const xp::MultiRunSpec m = three_tenants();
-  const sim::ConductorBackend orig = sim::Conductor::default_backend();
-  sim::Conductor::set_default_backend(sim::ConductorBackend::Fibers);
-  const std::string fibers = fp_multi(xp::execute_multi(m));
-  sim::Conductor::set_default_backend(sim::ConductorBackend::Threads);
-  const std::string threads = fp_multi(xp::execute_multi(m));
-  sim::Conductor::set_default_backend(orig);
-  EXPECT_EQ(fibers, threads);
 }
 
 TEST(MultiTenant, EveryTenantVerifiesAndConservesBytes) {

@@ -6,6 +6,7 @@
 #include <vector>
 
 #include "sched/fiber.hpp"
+#include "simbase/sanitizers.hpp"
 
 namespace sim = tpio::sim;
 using sim::Fiber;
@@ -96,14 +97,7 @@ TEST(Fiber, ThousandsOfFibersFitInMemory) {
   // TSan keeps per-fiber shadow state in its own fixed-size allocator,
   // which 8192 fibers exhaust; scale down there (the interleaving
   // coverage is unchanged — memory-fit is a non-sanitized property).
-#if defined(__SANITIZE_THREAD__)
-#define TPIO_TEST_TSAN 1
-#elif defined(__has_feature)
-#if __has_feature(thread_sanitizer)
-#define TPIO_TEST_TSAN 1
-#endif
-#endif
-#ifdef TPIO_TEST_TSAN
+#ifdef TPIO_TSAN
   const int n = 512;
 #else
   const int n = 8192;

@@ -5,8 +5,9 @@
 // reviewable diff of those files.
 //
 // On a mismatch the test writes the actual file into the build tree
-// (<build>/tests/golden/), prints the fields that moved per cell, and
-// prints the `cp` command that accepts the new file. See docs/HANDBOOK.md
+// (<build>/tests/golden/), names the cells that moved and prints the `cp`
+// command that accepts the new file; `git diff --word-diff` of the copied
+// file then shows each moved name=value pair. See docs/HANDBOOK.md
 // section 11.
 //
 // Registered under the `golden` ctest label (tests/CMakeLists.txt).
@@ -17,7 +18,6 @@
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
-#include <map>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -41,108 +41,29 @@ namespace {
 
 namespace fs = std::filesystem;
 
-/// Split a golden line into its cell key and `name=value` tokens (quoted
-/// values may hold spaces).
-std::vector<std::string> tokens(const std::string& line) {
-  std::vector<std::string> out;
-  std::string cur;
-  bool quoted = false;
-  for (std::size_t i = 0; i < line.size(); ++i) {
-    const char c = line[i];
-    if (c == '\\' && quoted && i + 1 < line.size()) {
-      cur += c;
-      cur += line[++i];
-      continue;
-    }
-    if (c == '"') quoted = !quoted;
-    if (c == ' ' && !quoted) {
-      out.push_back(std::move(cur));
-      cur.clear();
-      continue;
-    }
-    cur += c;
-  }
-  out.push_back(std::move(cur));
-  return out;
-}
-
-std::vector<std::string> lines_of(const std::string& text) {
-  std::vector<std::string> out;
-  std::istringstream in(text);
-  for (std::string l; std::getline(in, l);) out.push_back(l);
-  return out;
-}
-
-/// Per-cell field diff of two golden texts, capped for readability.
-std::string describe_diff(const std::string& want, const std::string& got) {
-  std::map<std::string, std::vector<std::string>> expected;
-  for (const std::string& l : lines_of(want)) {
-    auto t = tokens(l);
-    expected[t.front()] = std::move(t);
-  }
-  std::ostringstream os;
-  int shown = 0;
-  std::map<std::string, bool> seen;
-  for (const std::string& l : lines_of(got)) {
-    const auto t = tokens(l);
-    seen[t.front()] = true;
-    auto it = expected.find(t.front());
-    if (it == expected.end()) {
-      if (shown++ < 20) os << "  + " << t.front() << " (new cell)\n";
-      continue;
-    }
-    std::map<std::string, std::string> before;
-    for (std::size_t i = 1; i < it->second.size(); ++i) {
-      const std::string& kv = it->second[i];
-      before[kv.substr(0, kv.find('='))] = kv.substr(kv.find('=') + 1);
-    }
-    std::string moved;
-    for (std::size_t i = 1; i < t.size(); ++i) {
-      const std::string key = t[i].substr(0, t[i].find('='));
-      const std::string val = t[i].substr(t[i].find('=') + 1);
-      auto b = before.find(key);
-      if (b == before.end()) {
-        moved += " " + key + ": (new) -> " + val + ";";
-      } else if (b->second != val) {
-        moved += " " + key + ": " + b->second + " -> " + val + ";";
-      }
-      if (b != before.end()) before.erase(b);
-    }
-    for (const auto& [key, val] : before) {
-      moved += " " + key + ": " + val + " -> (gone);";
-    }
-    if (!moved.empty() && shown++ < 20) {
-      os << "  ~ " << t.front() << ":" << moved << "\n";
-    }
-  }
-  for (const auto& [cell, t] : expected) {
-    if (!seen.count(cell) && shown++ < 20) os << "  - " << cell << " (cell gone)\n";
-  }
-  if (shown > 20) os << "  ... " << shown - 20 << " more cells differ\n";
-  return os.str();
-}
-
 /// Compare `actual` with tests/golden/<name>.txt. On a mismatch, write the
-/// actual text into the build tree and print the command that accepts it.
+/// actual text into the build tree, name the cells whose lines differ and
+/// print the command that accepts the new file.
 void expect_golden(const std::string& name, const std::string& actual) {
   const fs::path want_path = fs::path(TPIO_GOLDEN_DIR) / (name + ".txt");
-  std::string want;
-  {
-    std::ifstream in(want_path, std::ios::binary);
-    std::ostringstream buf;
-    buf << in.rdbuf();
-    want = buf.str();
-  }
-  if (want == actual) return;
+  std::ostringstream want;
+  want << std::ifstream(want_path, std::ios::binary).rdbuf();
+  if (want.str() == actual) return;
   const fs::path got_path = fs::path(TPIO_GOLDEN_OUT) / (name + ".txt");
   fs::create_directories(got_path.parent_path());
   std::ofstream(got_path, std::ios::binary) << actual;
-  ADD_FAILURE() << "golden mismatch: " << want_path.string() << "\n"
-                << (want.empty() ? std::string("  (no committed file)\n")
-                                 : describe_diff(want, actual))
+  std::istringstream a(want.str()), b(actual);
+  std::string moved, la, lb;
+  while (std::getline(b, lb)) {
+    if (!std::getline(a, la)) la.clear();
+    if (la != lb) moved += "  " + lb.substr(0, lb.find(' ')) + "\n";
+  }
+  ADD_FAILURE() << "golden mismatch: " << want_path.string()
+                << "\ncells that differ:\n" << moved
                 << "actual file written; if the change is intended, accept "
-                   "it with:\n  cp "
-                << got_path.string() << " " << want_path.string() << "\n";
+                   "it with\n  cp "
+                << got_path.string() << " " << want_path.string()
+                << "\nand read the moved fields with git diff --word-diff\n";
 }
 
 /// Appends "<cell> <fingerprint>\n" lines.
@@ -165,14 +86,6 @@ xp::RunSpec base_spec(wl::Spec w, int procs) {
   s.seed = 0x601D;
   s.verify = true;
   return s;
-}
-
-std::string mode_name(int m) {
-  return coll::to_string(static_cast<coll::OverlapMode>(m));
-}
-
-std::string transfer_name(int t) {
-  return coll::to_string(static_cast<coll::Transfer>(t));
 }
 
 /// Write-path RunResult fields of one composed run (the restart cells,
@@ -233,7 +146,9 @@ std::string scheduler_grid(int co) {
       spec.options.transfer = static_cast<coll::Transfer>(t);
       spec.options.hierarchical = co > 0;
       spec.options.local_aggregators = std::max(co, 1);
-      g.add(mode_name(m) + "/" + transfer_name(t), xp::execute(spec));
+      g.add(std::string(coll::to_string(spec.options.overlap)) + "/" +
+                coll::to_string(spec.options.transfer),
+            xp::execute(spec));
     }
   }
   return g.text;

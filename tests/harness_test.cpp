@@ -144,68 +144,35 @@ TEST(TableOutput, FormatsAligned) {
 TEST(Fingerprint, EveryFieldMovesTheFingerprint) {
   xp::RunResult base;
   base.subfiles.resize(1);
-  using Mutator = void (*)(xp::RunResult&);
-  const std::vector<std::pair<const char*, Mutator>> fields = {
-      {"arrival", [](xp::RunResult& r) { r.arrival = 1; }},
-      {"completion", [](xp::RunResult& r) { r.completion = 1; }},
-      {"makespan", [](xp::RunResult& r) { r.makespan = 1; }},
-      {"rank_sum.meta", [](xp::RunResult& r) { r.rank_sum.meta = 1; }},
-      {"rank_sum.pack", [](xp::RunResult& r) { r.rank_sum.pack = 1; }},
-      {"rank_sum.gather", [](xp::RunResult& r) { r.rank_sum.gather = 1; }},
-      {"rank_sum.forward", [](xp::RunResult& r) { r.rank_sum.forward = 1; }},
-      {"rank_sum.shuffle", [](xp::RunResult& r) { r.rank_sum.shuffle = 1; }},
-      {"rank_sum.sync", [](xp::RunResult& r) { r.rank_sum.sync = 1; }},
-      {"rank_sum.write", [](xp::RunResult& r) { r.rank_sum.write = 1; }},
-      {"rank_sum.backoff", [](xp::RunResult& r) { r.rank_sum.backoff = 1; }},
-      {"rank_sum.total", [](xp::RunResult& r) { r.rank_sum.total = 1; }},
-      {"agg_sum.meta", [](xp::RunResult& r) { r.agg_sum.meta = 1; }},
-      {"agg_sum.total", [](xp::RunResult& r) { r.agg_sum.total = 1; }},
-      {"agg_max.write", [](xp::RunResult& r) { r.agg_max.write = 1; }},
-      {"agg_max.backoff", [](xp::RunResult& r) { r.agg_max.backoff = 1; }},
-      {"aggregators", [](xp::RunResult& r) { r.aggregators = 1; }},
-      {"cycles", [](xp::RunResult& r) { r.cycles = 1; }},
-      {"bytes", [](xp::RunResult& r) { r.bytes = 1; }},
-      {"inter_node_bytes", [](xp::RunResult& r) { r.inter_node_bytes = 1; }},
-      {"inter_node_messages",
-       [](xp::RunResult& r) { r.inter_node_messages = 1; }},
-      {"intra_node_bytes", [](xp::RunResult& r) { r.intra_node_bytes = 1; }},
-      // A tiny value: doubles must be printed exactly.
-      {"pipelined_overlap",
-       [](xp::RunResult& r) { r.pipelined_overlap = 0.1 + 0.2 - 0.3; }},
-      {"gather_critical", [](xp::RunResult& r) { r.gather_critical = 1; }},
-      {"autotune.engaged", [](xp::RunResult& r) { r.autotune.engaged = true; }},
-      {"autotune.chosen",
-       [](xp::RunResult& r) { r.autotune.chosen = coll::OverlapMode::Write; }},
-      {"autotune.from_cache",
-       [](xp::RunResult& r) { r.autotune.from_cache = true; }},
-      {"autotune.probe_cycles",
-       [](xp::RunResult& r) { r.autotune.probe_cycles = 1; }},
-      {"autotune.comm_share",
-       [](xp::RunResult& r) { r.autotune.comm_share = 1e-300; }},
-      {"autotune.aio_ratio",
-       [](xp::RunResult& r) { r.autotune.aio_ratio = 1.0; }},
-      {"faults.retries", [](xp::RunResult& r) { r.faults.retries = 1; }},
-      {"faults.giveups", [](xp::RunResult& r) { r.faults.giveups = 1; }},
-      {"faults.degraded_cycles",
-       [](xp::RunResult& r) { r.faults.degraded_cycles = 1; }},
-      {"io_error", [](xp::RunResult& r) { r.io_error = "x"; }},
-      {"verify_error", [](xp::RunResult& r) { r.verify_error = "x"; }},
-      {"subfiles", [](xp::RunResult& r) { r.subfiles.clear(); }},
-      {"subfile.group", [](xp::RunResult& r) { r.subfiles[0].group = 1; }},
-      {"subfile.ranks", [](xp::RunResult& r) { r.subfiles[0].ranks = 1; }},
-      {"subfile.aggregators",
-       [](xp::RunResult& r) { r.subfiles[0].aggregators = 1; }},
-      {"subfile.bytes", [](xp::RunResult& r) { r.subfiles[0].bytes = 1; }},
-      {"subfile.completion",
-       [](xp::RunResult& r) { r.subfiles[0].completion = 1; }},
-      {"subfile.qos.requests",
-       [](xp::RunResult& r) { r.subfiles[0].qos.requests = 1; }},
-      {"subfile.qos.busy", [](xp::RunResult& r) { r.subfiles[0].qos.busy = 1; }},
-      {"subfile.qos.cross_wait",
-       [](xp::RunResult& r) { r.subfiles[0].qos.cross_wait = 1; }},
-      {"subfile.qos.peak_active",
-       [](xp::RunResult& r) { r.subfiles[0].qos.peak_active = 1; }},
-  };
+  // Each entry sets one field away from its default.
+#define FIELD(assignment) \
+  { #assignment, [](xp::RunResult& r) { r.assignment; } }
+  const std::vector<std::pair<const char*, void (*)(xp::RunResult&)>> fields =
+      {FIELD(arrival = 1), FIELD(completion = 1), FIELD(makespan = 1),
+       FIELD(rank_sum.meta = 1), FIELD(rank_sum.pack = 1),
+       FIELD(rank_sum.gather = 1), FIELD(rank_sum.forward = 1),
+       FIELD(rank_sum.shuffle = 1), FIELD(rank_sum.sync = 1),
+       FIELD(rank_sum.write = 1), FIELD(rank_sum.backoff = 1),
+       FIELD(rank_sum.total = 1), FIELD(agg_sum.meta = 1),
+       FIELD(agg_sum.total = 1), FIELD(agg_max.write = 1),
+       FIELD(agg_max.backoff = 1), FIELD(aggregators = 1), FIELD(cycles = 1),
+       FIELD(bytes = 1), FIELD(inter_node_bytes = 1),
+       FIELD(inter_node_messages = 1), FIELD(intra_node_bytes = 1),
+       // A tiny value: doubles must be printed exactly.
+       FIELD(pipelined_overlap = 1e-300), FIELD(gather_critical = 1),
+       FIELD(autotune.engaged = true),
+       FIELD(autotune.chosen = coll::OverlapMode::Write),
+       FIELD(autotune.from_cache = true), FIELD(autotune.probe_cycles = 1),
+       FIELD(autotune.comm_share = 1e-300), FIELD(autotune.aio_ratio = 1.0),
+       FIELD(faults.retries = 1), FIELD(faults.giveups = 1),
+       FIELD(faults.degraded_cycles = 1), FIELD(io_error = "x"),
+       FIELD(verify_error = "x"), FIELD(subfiles.clear()),
+       FIELD(subfiles[0].group = 1), FIELD(subfiles[0].ranks = 1),
+       FIELD(subfiles[0].aggregators = 1), FIELD(subfiles[0].bytes = 1),
+       FIELD(subfiles[0].completion = 1), FIELD(subfiles[0].qos.requests = 1),
+       FIELD(subfiles[0].qos.busy = 1), FIELD(subfiles[0].qos.cross_wait = 1),
+       FIELD(subfiles[0].qos.peak_active = 1)};
+#undef FIELD
   const std::string fp0 = xp::fingerprint(base);
   EXPECT_EQ(fp0.find('\n'), std::string::npos);
   std::set<std::string> seen{fp0};
@@ -214,6 +181,7 @@ TEST(Fingerprint, EveryFieldMovesTheFingerprint) {
     mutate(r);
     const std::string fp = xp::fingerprint(r);
     EXPECT_NE(fp, fp0) << name;
-    EXPECT_TRUE(seen.insert(fp).second) << name << " collides with another field";
+    EXPECT_TRUE(seen.insert(fp).second)
+        << name << " collides with another field";
   }
 }

@@ -6,8 +6,8 @@
 //    node's merged payload, split but never duplicated or dropped;
 //  - co == 1 degeneracy: explicit --local-aggs 1 is bit-identical to the
 //    default single-leader scheme on every RunResult field, across all
-//    five schedulers, three shuffle primitives, both conductor backends
-//    and any executor worker count;
+//    five schedulers, three shuffle primitives and any executor worker
+//    count;
 //  - co > 1 correctness fuzz: pipelined lanes must land the same bytes as
 //    the single-leader run on randomized topologies and decompositions;
 //  - the forward timing bucket and the pipelined-overlap statistic.
@@ -24,7 +24,6 @@
 #include "harness/executor.hpp"
 #include "harness/runner.hpp"
 #include "harness/sweep.hpp"
-#include "sched/conductor.hpp"
 #include "simbase/crc.hpp"
 #include "simbase/rng.hpp"
 #include "test_rig.hpp"
@@ -41,19 +40,6 @@ using tpio::test::file_byte;
 using tpio::test::fill_view;
 
 namespace {
-
-/// Force a backend for the duration of one test body.
-class BackendGuard {
- public:
-  explicit BackendGuard(sim::ConductorBackend b)
-      : prev_(sim::Conductor::default_backend()) {
-    sim::Conductor::set_default_backend(b);
-  }
-  ~BackendGuard() { sim::Conductor::set_default_backend(prev_); }
-
- private:
-  sim::ConductorBackend prev_;
-};
 
 /// Round-robin chunk decomposition (as hier_diff_test's): co-located ranks
 /// own adjacent chunks, so lane coalescing has real work to do.
@@ -128,47 +114,6 @@ RunOut run_once(const ClusterSpec& cs,
   out.inter_bytes = cluster.fabric().inter_node_bytes();
   out.intra_bytes = cluster.fabric().intra_node_bytes();
   return out;
-}
-
-/// Every RunResult field, forward bucket and overlap fraction included.
-std::string fp(const xp::RunResult& r) {
-  std::string s;
-  auto add = [&](auto v) {
-    s += std::to_string(v);
-    s += '|';
-  };
-  auto add_timings = [&](const coll::PhaseTimings& t) {
-    add(t.meta);
-    add(t.pack);
-    add(t.gather);
-    add(t.forward);
-    add(t.shuffle);
-    add(t.sync);
-    add(t.write);
-    add(t.backoff);
-    add(t.total);
-  };
-  add(r.arrival);
-  add(r.completion);
-  add(r.makespan);
-  add_timings(r.rank_sum);
-  add_timings(r.agg_sum);
-  add_timings(r.agg_max);
-  add(r.aggregators);
-  add(r.cycles);
-  add(r.bytes);
-  add(r.inter_node_bytes);
-  add(r.inter_node_messages);
-  add(r.intra_node_bytes);
-  add(r.pipelined_overlap);
-  add(r.faults.retries);
-  add(r.faults.giveups);
-  add(r.faults.degraded_cycles);
-  s += r.io_error;
-  s += '|';
-  s += r.verify_error;
-  s += '|';
-  return s;
 }
 
 coll::Plan make_plan(const net::Topology& topo,
@@ -343,30 +288,25 @@ TEST(LaneBytes, LanesConserveNodePayload) {
 
 // Explicit --local-aggs 1 must be bit-identical to the default
 // single-leader scheme on every RunResult field, for all five schedulers x
-// three primitives, on both conductor backends.
-TEST(Co1Degeneracy, FieldIdenticalAcrossSchedulersPrimitivesBackends) {
-  for (sim::ConductorBackend b :
-       {sim::ConductorBackend::Fibers, sim::ConductorBackend::Threads}) {
-    BackendGuard guard(b);
-    for (int m = 0; m < 5; ++m) {
-      for (int t = 0; t < 3; ++t) {
-        xp::RunSpec spec;
-        spec.platform = xp::scaled(xp::ibex());
-        spec.workload = wl::make_tile256(2, 512);
-        spec.nprocs = 20;
-        spec.options.cb_size = xp::kCbSize;
-        spec.options.overlap = static_cast<coll::OverlapMode>(m);
-        spec.options.transfer = static_cast<coll::Transfer>(t);
-        spec.options.hierarchical = true;
-        spec.seed = 0xC0;
-        spec.verify = true;
-        const std::string base = fp(xp::execute(spec));
-        spec.options.local_aggregators = 1;  // explicit co = 1
-        EXPECT_EQ(base, fp(xp::execute(spec)))
-            << "backend=" << sim::to_string(b)
-            << " overlap=" << coll::to_string(spec.options.overlap)
-            << " transfer=" << coll::to_string(spec.options.transfer);
-      }
+// three primitives.
+TEST(Co1Degeneracy, FieldIdenticalAcrossSchedulersPrimitives) {
+  for (int m = 0; m < 5; ++m) {
+    for (int t = 0; t < 3; ++t) {
+      xp::RunSpec spec;
+      spec.platform = xp::scaled(xp::ibex());
+      spec.workload = wl::make_tile256(2, 512);
+      spec.nprocs = 20;
+      spec.options.cb_size = xp::kCbSize;
+      spec.options.overlap = static_cast<coll::OverlapMode>(m);
+      spec.options.transfer = static_cast<coll::Transfer>(t);
+      spec.options.hierarchical = true;
+      spec.seed = 0xC0;
+      spec.verify = true;
+      const std::string base = xp::fingerprint(xp::execute(spec));
+      spec.options.local_aggregators = 1;  // explicit co = 1
+      EXPECT_EQ(base, xp::fingerprint(xp::execute(spec)))
+          << "overlap=" << coll::to_string(spec.options.overlap)
+          << " transfer=" << coll::to_string(spec.options.transfer);
     }
   }
 }

@@ -23,10 +23,8 @@ struct ActionLog {
 
 /// Each rank alternates local work, completing "its" event of the step and
 /// waiting on a pseudo-random other rank's event of an earlier step.
-inline ActionLog run_random_program(
-    std::uint64_t seed, int P, int steps,
-    sim::ConductorBackend backend = sim::Conductor::default_backend()) {
-  sim::Conductor c(P, backend);
+inline ActionLog run_random_program(std::uint64_t seed, int P, int steps) {
+  sim::Conductor c(P);
   // events[r][s]: completed by rank r at its step s.
   std::vector<std::vector<sim::EventPtr>> events(
       static_cast<std::size_t>(P));

@@ -2,9 +2,9 @@
 // a shared-file run routed through the multi-group machinery (forced by a
 // per-subfile striping override equal to the platform default) must be
 // bit-identical field-by-field to the inline solo runner, on every
-// scheduler, shuffle primitive, hierarchy setting, seed, --jobs value and
-// conductor backend. This is the contract that lets Options::sub_comm_count
-// default to 1 without perturbing a single historical result.
+// scheduler, shuffle primitive, hierarchy setting, seed and --jobs value.
+// This is the contract that lets Options::sub_comm_count default to 1
+// without perturbing a single historical result.
 //
 // Registered under the `subfiling` ctest label (tests/CMakeLists.txt).
 
@@ -17,71 +17,12 @@
 #include "harness/runner.hpp"
 #include "harness/sweep.hpp"
 #include "harness/tenancy.hpp"
-#include "sched/conductor.hpp"
 
 namespace coll = tpio::coll;
-namespace sim = tpio::sim;
 namespace wl = tpio::wl;
 namespace xp = tpio::xp;
 
 namespace {
-
-/// Force a backend for the duration of one test body.
-class BackendGuard {
- public:
-  explicit BackendGuard(sim::ConductorBackend b)
-      : prev_(sim::Conductor::default_backend()) {
-    sim::Conductor::set_default_backend(b);
-  }
-  ~BackendGuard() { sim::Conductor::set_default_backend(prev_); }
-
- private:
-  sim::ConductorBackend prev_;
-};
-
-/// Every RunResult field (verify_error included — both paths verify).
-std::string fp(const xp::RunResult& r) {
-  std::string s;
-  auto add = [&](auto v) {
-    s += std::to_string(v);
-    s += '|';
-  };
-  auto add_timings = [&](const coll::PhaseTimings& t) {
-    add(t.meta);
-    add(t.pack);
-    add(t.gather);
-    add(t.forward);
-    add(t.shuffle);
-    add(t.sync);
-    add(t.write);
-    add(t.backoff);
-    add(t.total);
-  };
-  add(r.arrival);
-  add(r.completion);
-  add(r.makespan);
-  add_timings(r.rank_sum);
-  add_timings(r.agg_sum);
-  add_timings(r.agg_max);
-  add(r.aggregators);
-  add(r.cycles);
-  add(r.bytes);
-  add(r.inter_node_bytes);
-  add(r.inter_node_messages);
-  add(r.intra_node_bytes);
-  add(r.pipelined_overlap);
-  add(r.autotune.engaged);
-  add(static_cast<int>(r.autotune.chosen));
-  add(r.faults.retries);
-  add(r.faults.giveups);
-  add(r.faults.degraded_cycles);
-  add(r.subfiles.size());
-  s += r.io_error;
-  s += '|';
-  s += r.verify_error;
-  s += '|';
-  return s;
-}
 
 xp::RunSpec base_spec(wl::Spec w, int procs) {
   xp::RunSpec s;
@@ -106,7 +47,6 @@ xp::RunSpec forced(const xp::RunSpec& spec) {
 
 TEST(SubfilingDiff, SharedFileIdenticalAcrossSchedulersPrimitivesHierarchy) {
   // The full option matrix: 5 schedulers x 3 primitives x hier on/off.
-  BackendGuard guard(sim::ConductorBackend::Fibers);
   for (int m = 0; m < 5; ++m) {
     for (int t = 0; t < 3; ++t) {
       for (bool hier : {false, true}) {
@@ -118,64 +58,47 @@ TEST(SubfilingDiff, SharedFileIdenticalAcrossSchedulersPrimitivesHierarchy) {
             std::string(coll::to_string(spec.options.overlap)) + "/" +
             coll::to_string(spec.options.transfer) + " hier=" +
             std::to_string(hier);
-        EXPECT_EQ(fp(xp::execute(spec)), fp(xp::execute(forced(spec))))
+        EXPECT_EQ(xp::fingerprint(xp::execute(spec)),
+                  xp::fingerprint(xp::execute(forced(spec))))
             << what;
       }
     }
   }
 }
 
-TEST(SubfilingDiff, SharedFileIdenticalAcrossSeedsAndBackends) {
-  for (sim::ConductorBackend b :
-       {sim::ConductorBackend::Fibers, sim::ConductorBackend::Threads}) {
-    BackendGuard guard(b);
-    for (std::uint64_t seed : {1ull, 0xD1FFull, 0xABCDEF01ull}) {
-      xp::RunSpec spec = base_spec(wl::make_tile256(2, 256), 16);
-      spec.options.overlap = coll::OverlapMode::WriteComm2;
-      spec.seed = seed;
-      EXPECT_EQ(fp(xp::execute(spec)), fp(xp::execute(forced(spec))))
-          << "seed=" << seed;
-    }
+TEST(SubfilingDiff, SharedFileIdenticalAcrossSeeds) {
+  for (std::uint64_t seed : {1ull, 0xD1FFull, 0xABCDEF01ull}) {
+    xp::RunSpec spec = base_spec(wl::make_tile256(2, 256), 16);
+    spec.options.overlap = coll::OverlapMode::WriteComm2;
+    spec.seed = seed;
+    EXPECT_EQ(xp::fingerprint(xp::execute(spec)),
+              xp::fingerprint(xp::execute(forced(spec))))
+        << "seed=" << seed;
   }
 }
 
-TEST(SubfilingDiff, QuickSweepIdenticalAcrossJobsAndBackends) {
+TEST(SubfilingDiff, QuickSweepIdenticalAcrossJobs) {
   // The acceptance differential: the quick Table-I sweep routed through
-  // the subfiling machinery (k = 1 forced) must produce the identical
-  // table as the plain path, for every (backend, --jobs) corner. Exact
-  // double equality — the timeline is integer nanoseconds.
-  struct Corner {
-    sim::ConductorBackend backend;
-    int jobs;
-    bool force;
-  };
-  const Corner corners[] = {
-      {sim::ConductorBackend::Fibers, 1, false},
-      {sim::ConductorBackend::Fibers, 8, true},
-      {sim::ConductorBackend::Threads, 1, true},
-      {sim::ConductorBackend::Threads, 8, false},
-  };
+  // the subfiling machinery (k = 1 forced) at --jobs 8 must produce the
+  // identical table as the plain path at --jobs 1. Exact double equality —
+  // the timeline is integer nanoseconds.
   std::vector<std::vector<xp::OverlapSeries>> tables;
-  for (const Corner& c : corners) {
-    BackendGuard guard(c.backend);
+  for (const bool force : {false, true}) {
     xp::ExecOptions exec;
-    exec.jobs = c.jobs;
+    exec.jobs = force ? 8 : 1;
     // The bench grid runs the scaled stand-in platform, so the no-op
     // striping override must match the *scaled* stripe size.
     coll::Options base;
-    if (c.force) {
+    if (force) {
       base.subfile_stripe_unit = xp::scaled(xp::ibex()).pfs.stripe_size;
     }
     tables.push_back(
         xp::run_overlap_sweep(xp::ibex(), base, 1, 0x5F1D, true, exec));
   }
-  for (std::size_t k = 1; k < tables.size(); ++k) {
-    ASSERT_EQ(tables[k].size(), tables[0].size());
-    for (std::size_t i = 0; i < tables[0].size(); ++i) {
-      EXPECT_EQ(tables[k][i].procs, tables[0][i].procs);
-      EXPECT_EQ(tables[k][i].min_ms, tables[0][i].min_ms)
-          << "corner " << k << " series " << i;
-    }
+  ASSERT_EQ(tables[1].size(), tables[0].size());
+  for (std::size_t i = 0; i < tables[0].size(); ++i) {
+    EXPECT_EQ(tables[1][i].procs, tables[0][i].procs);
+    EXPECT_EQ(tables[1][i].min_ms, tables[0][i].min_ms) << "series " << i;
   }
 }
 

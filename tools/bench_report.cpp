@@ -12,12 +12,9 @@
 //                 IOR smoke) with wall time and the process peak-RSS
 //                 high-water mark after each (absent when built against
 //                 trees whose conductor cannot reach those rank counts);
-//   metadata    — host-side cost of the metadata exchange at 4096 and
-//                 8192 ranks: wall time and peak RSS of a full run under
-//                 the sparse two-stage exchange vs the legacy dense
-//                 materialization (--dense-metadata); virtual cost is
-//                 identical by construction, so the delta is pure host
-//                 time/memory (absent on trees without the sparse path);
+//   metadata    — host-side cost of the two-stage (sparse) metadata
+//                 exchange at 4096 and 8192 ranks: wall time, peak RSS and
+//                 delivered view-blob bytes of a full run;
 //   contention  — a 3-tenant shared-system run (tenant 0 write-comm-2 plus
 //                 two NoOverlap neighbors, fair-share storage) timed like a
 //                 grid cell: multi-tenant runs/sec is the tracked figure
@@ -159,26 +156,22 @@ struct MetadataPoint {
   int nprocs = 0;
   int aggregators = 0;
   double sparse_wall_s = 0.0;
-  double dense_wall_s = 0.0;
   double sparse_rss_mib_after = 0.0;
-  double dense_rss_mib_after = 0.0;
-  double meta_sim_ms = 0.0;  // virtual metadata phase, identical either way
-  // Exact view-blob bytes materialized across all ranks by each path
-  // (deterministic: a function of the workload and the aggregator count).
-  // The per-rank peak is transient and fiber-serialized, so it never shows
-  // in peak RSS; these totals are the honest memory figure.
+  double meta_sim_ms = 0.0;  // virtual metadata phase
+  // Exact view-blob bytes materialized across all ranks (deterministic: a
+  // function of the workload and the aggregator count). The per-rank peak
+  // is transient and fiber-serialized, so it never shows in peak RSS; this
+  // total is the honest memory figure.
   double sparse_delivered_mib = 0.0;
-  double dense_delivered_mib = 0.0;
 };
 
-xp::RunSpec metadata_spec(int nprocs, bool dense) {
+xp::RunSpec metadata_spec(int nprocs) {
   xp::RunSpec spec;
   spec.platform = xp::scaled(xp::ibex());
   spec.workload = wl::make_ior(16ull << 10);
   spec.nprocs = nprocs;
   spec.options.cb_size = xp::kCbSize;
   spec.options.overlap = coll::OverlapMode::None;
-  spec.options.dense_metadata = dense;
   spec.seed = static_cast<std::uint64_t>(nprocs);
   return spec;
 }
@@ -186,17 +179,17 @@ xp::RunSpec metadata_spec(int nprocs, bool dense) {
 /// Run one metadata leg in a forked child and report the child's own
 /// wall time, peak RSS and virtual metadata-phase time. Peak RSS is
 /// monotone within a process (Linux resets the high-water mark at fork),
-/// so in-process legs would mask each other — and would floor the scale
-/// section's tracked peaks at the dense-leg high-water. Isolation keeps
-/// every reported number the cost of exactly one run.
-bool run_metadata_leg(int nprocs, bool dense, double out[4]) {
+/// so in-process legs would mask each other and floor the scale section's
+/// tracked peaks. Isolation keeps every reported number the cost of
+/// exactly one run.
+bool run_metadata_leg(int nprocs, double out[4]) {
   int fds[2];
   if (::pipe(fds) != 0) return false;
   const pid_t pid = ::fork();
   if (pid == 0) {
     ::close(fds[0]);
     const Clock::time_point t0 = Clock::now();
-    const xp::RunResult r = xp::execute(metadata_spec(nprocs, dense));
+    const xp::RunResult r = xp::execute(metadata_spec(nprocs));
     double msg[4] = {seconds_since(t0), peak_rss_mib(),
                      static_cast<double>(r.rank_sum.meta) / 1e6,
                      static_cast<double>(r.aggregators)};
@@ -413,28 +406,23 @@ int main(int argc, char** argv) {
   std::fprintf(stderr, "quick sweep: %zu series, %.2f s wall\n", series.size(),
                sweep_s);
 
-  // Metadata-exchange host costs: the 4096/8192-rank dense legs pay the
-  // O(P^2) materialization the two-stage exchange removes. Every leg runs
-  // in its own forked child (see run_metadata_leg) so each peak-RSS figure
-  // is the cost of exactly one run.
+  // Metadata-exchange host costs at 4096/8192 ranks. Every leg runs in its
+  // own forked child (see run_metadata_leg) so each peak-RSS figure is the
+  // cost of exactly one run.
   std::vector<MetadataPoint> metadata;
   for (int nprocs : {4096, 8192}) {
     MetadataPoint p;
     p.nprocs = nprocs;
     double leg[4] = {0, 0, 0, 0};
-    if (run_metadata_leg(nprocs, false, leg)) {
+    if (run_metadata_leg(nprocs, leg)) {
       p.sparse_wall_s = leg[0];
       p.sparse_rss_mib_after = leg[1];
       p.meta_sim_ms = leg[2];
       p.aggregators = static_cast<int>(leg[3]);
     }
-    if (run_metadata_leg(nprocs, true, leg)) {
-      p.dense_wall_s = leg[0];
-      p.dense_rss_mib_after = leg[1];
-    }
-    // Delivered-bytes accounting: dense hands every rank all P blobs;
-    // sparse hands aggregators all P and every other rank its own only.
-    const wl::Spec workload = metadata_spec(nprocs, false).workload;
+    // Delivered-bytes accounting: aggregators get all P blobs, every other
+    // rank its own only.
+    const wl::Spec workload = metadata_spec(nprocs).workload;
     std::uint64_t total_blob = 0, own_sum = 0;
     for (int r = 0; r < nprocs; ++r) {
       const std::uint64_t b = workload.view(r, nprocs).serialize().size();
@@ -442,8 +430,6 @@ int main(int argc, char** argv) {
       own_sum += b;
     }
     const double agg = static_cast<double>(p.aggregators);
-    p.dense_delivered_mib = static_cast<double>(nprocs) *
-                            static_cast<double>(total_blob) / (1024.0 * 1024.0);
     p.sparse_delivered_mib =
         (agg * static_cast<double>(total_blob) +
          static_cast<double>(own_sum) * (nprocs - agg) /
@@ -453,10 +439,10 @@ int main(int argc, char** argv) {
   }
   for (const MetadataPoint& p : metadata) {
     std::fprintf(stderr,
-                 "metadata p=%-5d sparse %6.2f s / %.1f MiB delivered   "
-                 "dense %6.2f s / %.1f MiB delivered   meta %8.2f sim-ms\n",
+                 "metadata p=%-5d %6.2f s / %.1f MiB delivered   "
+                 "meta %8.2f sim-ms\n",
                  p.nprocs, p.sparse_wall_s, p.sparse_delivered_mib,
-                 p.dense_wall_s, p.dense_delivered_mib, p.meta_sim_ms);
+                 p.meta_sim_ms);
   }
 
   // Paper-scale points (fiber conductor): the 576-process Tile-I/O cell of
@@ -538,15 +524,13 @@ int main(int argc, char** argv) {
     std::snprintf(buf, sizeof(buf),
                   "    {\"workload\": \"ior16k\", \"nprocs\": %d, "
                   "\"aggregators\": %d, "
-                  "\"sparse_wall_s\": %.3f, \"dense_wall_s\": %.3f, "
+                  "\"sparse_wall_s\": %.3f, "
                   "\"sparse_peak_rss_mib\": %.1f, "
-                  "\"dense_peak_rss_mib\": %.1f, "
                   "\"sparse_delivered_mib\": %.2f, "
-                  "\"dense_delivered_mib\": %.2f, "
                   "\"meta_sim_ms\": %.3f}%s\n",
-                  p.nprocs, p.aggregators, p.sparse_wall_s, p.dense_wall_s,
-                  p.sparse_rss_mib_after, p.dense_rss_mib_after,
-                  p.sparse_delivered_mib, p.dense_delivered_mib, p.meta_sim_ms,
+                  p.nprocs, p.aggregators, p.sparse_wall_s,
+                  p.sparse_rss_mib_after, p.sparse_delivered_mib,
+                  p.meta_sim_ms,
                   i + 1 < metadata.size() ? "," : "");
     j += buf;
   }

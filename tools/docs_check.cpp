@@ -14,7 +14,13 @@
 //       CLIs accept must be mentioned in at least one document, so a knob
 //       can never be grown without a sentence saying what it does, and
 //   (d) experiment coverage — every `bench/fig_*` driver registered in
-//       bench/CMakeLists.txt must have a section in EXPERIMENTS.md.
+//       bench/CMakeLists.txt must have a section in EXPERIMENTS.md, and
+//   (e) the reverse of (c) — every `--flag` in a section whose `## `
+//       heading names tpio_sim or tpio_sweep, and every flag on a
+//       code-block line that invokes either tool, must be a flag the CLIs
+//       accept; every `Options::<name>` in the docs must name a field of
+//       coll::Options. A renamed or deleted knob can never linger in the
+//       manual.
 //
 // Usage: docs_check <repo-root> <build-dir>
 // Exit code 0 = clean; 1 = at least one broken reference (each printed).
@@ -135,20 +141,81 @@ std::vector<std::string> struct_fields(const std::string& text,
   return out;
 }
 
-// Every `--flag` spelled inside a string literal of `text` (CLI parse
-// branches and usage strings alike).
-std::set<std::string> cli_flags(const std::string& text) {
+// Every `--flag` in `text`: two dashes, a letter, then letters, digits
+// and dashes. In code (`in_code`) only flags that open a string literal or
+// follow a space count (CLI parse branches and usage strings); in docs
+// every flag not glued to a preceding word or dash does.
+std::set<std::string> cli_flags(const std::string& text, bool in_code) {
   std::set<std::string> out;
   for (std::size_t pos = text.find("--"); pos != std::string::npos;
        pos = text.find("--", pos + 2)) {
-    if (pos == 0 || (text[pos - 1] != '"' && text[pos - 1] != ' ')) continue;
+    const char before = pos > 0 ? text[pos - 1] : '\n';
+    if (in_code ? before != '"' && before != ' '
+                : name_char(before) || before == '-') {
+      continue;
+    }
     std::size_t end = pos + 2;
     while (end < text.size() &&
            (std::isalnum(static_cast<unsigned char>(text[end])) ||
             text[end] == '-')) {
       ++end;
     }
-    if (end > pos + 2) out.insert(text.substr(pos, end - pos));
+    if (end > pos + 2 && std::isalpha(static_cast<unsigned char>(text[pos + 2])))
+      out.insert(text.substr(pos, end - pos));
+  }
+  return out;
+}
+
+// The text the CLI flag check (e) reads in one document: every `## `
+// section whose heading names tpio_sim or tpio_sweep, plus, on every
+// fenced code-block line that invokes either tool (backslash continuation
+// lines joined), the part from the tool name to the end of that command.
+std::string cli_doc_text(const std::string& doc) {
+  std::string out;
+  std::istringstream in(doc);
+  std::string line;
+  bool in_section = false, in_code = false;
+  std::string command;
+  while (std::getline(in, line)) {
+    if (line.rfind("## ", 0) == 0) {
+      in_section = line.find("tpio_sim") != std::string::npos ||
+                   line.find("tpio_sweep") != std::string::npos;
+    }
+    if (in_section) out += line + "\n";
+    if (line.rfind("```", 0) == 0) {
+      in_code = !in_code;
+      continue;
+    }
+    if (!in_code) continue;
+    command += line;
+    if (!command.empty() && command.back() == '\\') {
+      command.pop_back();
+      continue;
+    }
+    for (const char* tool : {"tpio_sim ", "tpio_sweep "}) {
+      std::size_t at = command.find(tool);
+      if (at == std::string::npos) continue;
+      std::size_t stop = command.find_first_of("|;#&>", at);
+      out += command.substr(at, stop == std::string::npos
+                                    ? std::string::npos
+                                    : stop - at);
+      out += "\n";
+    }
+    command.clear();
+  }
+  return out;
+}
+
+// Names `X` of every `Options::X` reference in `text`.
+std::set<std::string> options_refs(const std::string& text) {
+  std::set<std::string> out;
+  const std::string needle = "Options::";
+  for (std::size_t pos = text.find(needle); pos != std::string::npos;
+       pos = text.find(needle, pos + 1)) {
+    std::size_t start = pos + needle.size();
+    std::size_t end = start;
+    while (end < text.size() && name_char(text[end])) ++end;
+    if (end > start) out.insert(text.substr(start, end - start));
   }
   return out;
 }
@@ -222,8 +289,9 @@ int main(int argc, char** argv) {
   for (const fs::path& doc : docs) corpus += slurp(doc);
 
   int knobs = 0;
-  for (const std::string& field :
-       struct_fields(slurp(repo / "src/core/types.hpp"), "Options")) {
+  const std::vector<std::string> fields =
+      struct_fields(slurp(repo / "src/core/types.hpp"), "Options");
+  for (const std::string& field : fields) {
     ++knobs;
     if (corpus.find(field) == std::string::npos) {
       std::cerr << "coll::Options::" << field
@@ -234,7 +302,9 @@ int main(int argc, char** argv) {
   std::set<std::string> flags;
   for (const char* src : {"src/harness/cli.cpp", "tools/tpio_sim.cpp",
                           "tools/tpio_sweep.cpp"}) {
-    for (const std::string& f : cli_flags(slurp(repo / src))) flags.insert(f);
+    for (const std::string& f : cli_flags(slurp(repo / src), true)) {
+      flags.insert(f);
+    }
   }
   for (const std::string& flag : flags) {
     ++knobs;
@@ -242,6 +312,27 @@ int main(int argc, char** argv) {
       std::cerr << "CLI flag " << flag
                 << " is documented nowhere (README/DESIGN/EXPERIMENTS/docs)\n";
       ++broken;
+    }
+  }
+
+  // (e) Docs may name only flags the CLIs accept and existing Options
+  // fields.
+  for (const fs::path& doc : docs) {
+    const std::string text = slurp(doc);
+    const std::string rel = doc.lexically_relative(repo).string();
+    for (const std::string& flag : cli_flags(cli_doc_text(text), false)) {
+      if (flags.count(flag) == 0) {
+        std::cerr << rel << ": " << flag
+                  << " is not a tpio_sim/tpio_sweep flag\n";
+        ++broken;
+      }
+    }
+    for (const std::string& name : options_refs(text)) {
+      if (std::find(fields.begin(), fields.end(), name) == fields.end()) {
+        std::cerr << rel << ": Options::" << name
+                  << " is not a coll::Options field\n";
+        ++broken;
+      }
     }
   }
 

@@ -107,8 +107,6 @@ int main(int argc, char** argv) {
                  xp::cli_usage().c_str());
     return 2;
   }
-  sim::Conductor::set_default_backend(cfg.conductor);
-
   std::printf("platform=%s workload=[%s] procs=%d cb=%s overlap=%s "
               "transfer=%s reps=%d\n",
               cfg.spec.platform.name.c_str(),
