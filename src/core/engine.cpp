@@ -135,33 +135,32 @@ void Engine::leader_gather(int cycle, int slot) {
     if (pieces.empty()) return;
     std::span<const std::byte> payload;
     sim::BufferPool::Buffer buf;
-    if (pieces.size() == 1) {
-      payload = data_.subspan(pieces[0].local_offset, pieces[0].length);
+    const segcopy::LocalRun run = segcopy::local_run(pieces);
+    if (run.ok) {
+      // Every piece lines up contiguously in the user buffer (always so
+      // for one piece): the message is a slice of it, sent in place.
+      payload = data_.subspan(run.local_offset, run.total);
     } else {
       std::uint64_t total = 0;
       for (const Segment& g : pieces) total += g.length;
-      const segcopy::LocalRun run = segcopy::local_run(pieces);
-      if (run.ok) {
-        // Every piece lines up contiguously in the user buffer: the packed
-        // message is a slice of it, so send in place (zero-copy).
-        payload = data_.subspan(run.local_offset, run.total);
-      } else {
-        buf = sim::BufferPool::local().acquire(total, /*zeroed=*/false);
-        if (opt_.materialize) {
-          std::uint64_t pos = 0;
-          segcopy::for_local_runs(
-              pieces, [&](std::size_t, std::size_t, std::uint64_t off,
-                          std::uint64_t len) {
-                std::memcpy(buf.data() + pos, data_.data() + off, len);
-                pos += len;
-              });
-        }
-        payload = buf.span();
+      buf = sim::BufferPool::local().acquire(total, /*zeroed=*/false);
+      if (opt_.materialize) {
+        std::uint64_t pos = 0;
+        segcopy::for_local_runs(
+            pieces, [&](std::size_t, std::size_t, std::uint64_t off,
+                        std::uint64_t len) {
+              std::memcpy(buf.data() + pos, data_.data() + off, len);
+              pos += len;
+            });
       }
+      payload = buf.span();
+    }
+    if (pieces.size() > 1) {
       // Pack CPU is charged from the piece count regardless of how many
       // host copies actually moved the bytes.
-      timed(mpi_.ctx(), t_.pack,
-            [&] { mpi_.ctx().advance(pack_cost(opt_, pieces.size(), total)); });
+      timed(mpi_.ctx(), t_.pack, [&] {
+        mpi_.ctx().advance(pack_cost(opt_, pieces.size(), payload.size()));
+      });
     }
     timed(mpi_.ctx(), t_.gather, [&] {
       smpi::Request rq =

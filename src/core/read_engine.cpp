@@ -186,37 +186,36 @@ void ReadEngine::scatter_init(int cycle, int slot) {
     for (int dst = 0; dst < mpi_.size(); ++dst) {
       const auto segs = plan_.segments_in(dst, r.begin, r.end);
       if (segs.empty()) continue;
+      std::uint64_t total = segs[0].length;
+      bool file_run = true;
+      for (std::size_t i = 1; i < segs.size(); ++i) {
+        total += segs[i].length;
+        file_run = file_run && segs[i].file_offset == segs[i - 1].file_offset +
+                                                          segs[i - 1].length;
+      }
       std::span<const std::byte> payload;
-      if (segs.size() == 1) {
-        payload = cb.subspan(segs[0].file_offset - r.begin, segs[0].length);
+      if (file_run) {
+        // The message is a contiguous slice of the sub-buffer (always so
+        // for one piece); the slice is stable until this slot's
+        // scatter_wait.
+        payload = cb.subspan(segs[0].file_offset - r.begin, total);
       } else {
-        std::uint64_t total = 0;
-        for (const Segment& g : segs) total += g.length;
-        bool file_run = true;
-        for (std::size_t i = 1; file_run && i < segs.size(); ++i) {
-          file_run = segs[i].file_offset ==
-                     segs[i - 1].file_offset + segs[i - 1].length;
+        sim::BufferPool::Buffer buf =
+            sim::BufferPool::local().acquire(total, /*zeroed=*/false);
+        if (opt_.materialize) {
+          std::uint64_t pos = 0;
+          segcopy::for_file_runs(
+              segs, [&](std::size_t, std::size_t, std::uint64_t off,
+                        std::uint64_t len) {
+                std::memcpy(buf.data() + pos, cb.data() + (off - r.begin),
+                            len);
+                pos += len;
+              });
         }
-        if (file_run) {
-          // The packed message is a contiguous slice of the sub-buffer;
-          // the slice is stable until this slot's scatter_wait.
-          payload = cb.subspan(segs[0].file_offset - r.begin, total);
-        } else {
-          sim::BufferPool::Buffer buf =
-              sim::BufferPool::local().acquire(total, /*zeroed=*/false);
-          if (opt_.materialize) {
-            std::uint64_t pos = 0;
-            segcopy::for_file_runs(
-                segs, [&](std::size_t, std::size_t, std::uint64_t off,
-                          std::uint64_t len) {
-                  std::memcpy(buf.data() + pos,
-                              cb.data() + (off - r.begin), len);
-                  pos += len;
-                });
-          }
-          s.sc.send_bufs.push_back(std::move(buf));
-          payload = s.sc.send_bufs.back().span();
-        }
+        s.sc.send_bufs.push_back(std::move(buf));
+        payload = s.sc.send_bufs.back().span();
+      }
+      if (segs.size() > 1) {
         timed(mpi_.ctx(), t_.pack,
               [&] { mpi_.ctx().advance(pack_cost(opt_, segs.size(), total)); });
       }

@@ -87,37 +87,7 @@ RunResult execute(const RunSpec& spec) {
   out.inter_node_bytes = fabric.inter_node_bytes();
   out.inter_node_messages = fabric.inter_node_messages();
   out.intra_node_bytes = fabric.intra_node_bytes();
-  sim::Duration fwd_lifetime = 0, fwd_blocked = 0;
-  for (int r = 0; r < spec.nprocs; ++r) {
-    const auto& res = results[static_cast<std::size_t>(r)];
-    out.rank_sum += res.timings;
-    out.faults += res.faults;
-    fwd_lifetime += res.forward_lifetime;
-    fwd_blocked += res.forward_blocked;
-    out.gather_critical = std::max(out.gather_critical, res.timings.gather);
-    if (out.io_error.empty()) {
-      out.io_error = res.io_error;
-    }
-  }
-  // Pipelined-overlap fraction: across all lane leaders and cycles, the
-  // share of forward-message lifetime the leaders were NOT blocked on —
-  // forwarding hidden under other work (typically the next lane gather).
-  // 0.0 whenever no rank forwarded pipelined (non-hierarchical, co = 1,
-  // one-sided), preserving field-for-field equality with legacy results.
-  if (fwd_lifetime > 0) {
-    out.pipelined_overlap =
-        1.0 - static_cast<double>(fwd_blocked) /
-                  static_cast<double>(fwd_lifetime);
-  }
-  // Aggregator attribution: aggregators are the ranks that reported write
-  // time (non-aggregators never touch the file system).
-  for (int r = 0; r < spec.nprocs; ++r) {
-    const auto& t = results[static_cast<std::size_t>(r)].timings;
-    if (t.write > 0) {
-      out.agg_sum += t;
-      if (t.write > out.agg_max.write) out.agg_max = t;
-    }
-  }
+  add_rank_results(out, results);
   if (spec.verify) {
     out.verify_error = file->verify(wl::expected_byte);
     // verify() checks consistency of what arrived; after give-ups the file
@@ -131,6 +101,34 @@ RunResult execute(const RunSpec& spec) {
     }
   }
   return out;
+}
+
+void add_rank_results(RunResult& out, std::span<const coll::Result> ranks) {
+  sim::Duration fwd_lifetime = 0, fwd_blocked = 0;
+  for (const coll::Result& res : ranks) {
+    out.rank_sum += res.timings;
+    out.faults += res.faults;
+    fwd_lifetime += res.forward_lifetime;
+    fwd_blocked += res.forward_blocked;
+    out.gather_critical = std::max(out.gather_critical, res.timings.gather);
+    if (out.io_error.empty()) out.io_error = res.io_error;
+    // Aggregators are the ranks that reported write time (non-aggregators
+    // never touch the file system).
+    if (res.timings.write > 0) {
+      out.agg_sum += res.timings;
+      if (res.timings.write > out.agg_max.write) out.agg_max = res.timings;
+    }
+  }
+  // Pipelined-overlap fraction: across all lane leaders and cycles, the
+  // share of forward-message lifetime the leaders were NOT blocked on —
+  // forwarding hidden under other work (typically the next lane gather).
+  // 0.0 whenever no rank forwarded pipelined (non-hierarchical, co = 1,
+  // one-sided).
+  if (fwd_lifetime > 0) {
+    out.pipelined_overlap =
+        1.0 - static_cast<double>(fwd_blocked) /
+                  static_cast<double>(fwd_lifetime);
+  }
 }
 
 std::string fingerprint(const RunResult& r) {

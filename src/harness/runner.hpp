@@ -1,6 +1,7 @@
 #pragma once
 
 #include <cstdint>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -102,6 +103,11 @@ struct RunResult {
 
 /// Execute one job on a freshly-built simulated cluster.
 RunResult execute(const RunSpec& spec);
+
+/// Roll one job's per-rank results into `out`: rank_sum, faults,
+/// gather_critical, the first io_error, pipelined_overlap, and agg_sum /
+/// agg_max over the ranks that wrote (the aggregators).
+void add_rank_results(RunResult& out, std::span<const coll::Result> ranks);
 
 /// One-line rendering of every RunResult field as space-separated
 /// `name=value` pairs: integers in decimal, doubles exactly (%.17g),

@@ -395,31 +395,7 @@ MultiRunResult execute_multi(const MultiRunSpec& spec, bool with_baselines) {
       r.intra_node_bytes += v.intra_node_bytes();
     }
     r.autotune = res[0].autotune;
-    sim::Duration fwd_lifetime = 0, fwd_blocked = 0;
-    for (int rk = 0; rk < ts.nprocs; ++rk) {
-      const auto& rr = res[static_cast<std::size_t>(rk)];
-      r.rank_sum += rr.timings;
-      r.faults += rr.faults;
-      fwd_lifetime += rr.forward_lifetime;
-      fwd_blocked += rr.forward_blocked;
-      r.gather_critical = std::max(r.gather_critical, rr.timings.gather);
-      if (r.io_error.empty()) {
-        r.io_error = rr.io_error;
-      }
-    }
-    // Same pipelined-overlap rollup as the solo runner: 0.0 when nothing
-    // forwarded pipelined, so lone-tenant results stay field-identical.
-    if (fwd_lifetime > 0) {
-      r.pipelined_overlap = 1.0 - static_cast<double>(fwd_blocked) /
-                                      static_cast<double>(fwd_lifetime);
-    }
-    for (int rk = 0; rk < ts.nprocs; ++rk) {
-      const auto& tm = res[static_cast<std::size_t>(rk)].timings;
-      if (tm.write > 0) {
-        r.agg_sum += tm;
-        if (tm.write > r.agg_max.write) r.agg_max = tm;
-      }
-    }
+    add_rank_results(r, res);
     for (int g = 0; g < k; ++g) {
       const SubGroup& sg = groups[static_cast<std::size_t>(first + g)];
       const pfs::File& f = *files[static_cast<std::size_t>(first + g)];

@@ -88,8 +88,8 @@ xp::RunSpec base_spec(wl::Spec w, int procs) {
   return s;
 }
 
-/// Write-path RunResult fields of one composed run (the restart cells,
-/// which run outside xp::execute).
+/// RunResult of one composed run (the restart cells, which run outside
+/// xp::execute).
 xp::RunResult summarize(const std::vector<coll::Result>& rs, sim::Time end,
                         tpio::test::Cluster& cl) {
   xp::RunResult out;
@@ -97,19 +97,10 @@ xp::RunResult summarize(const std::vector<coll::Result>& rs, sim::Time end,
   out.aggregators = rs[0].aggregators;
   out.cycles = rs[0].cycles;
   out.bytes = rs[0].bytes_global;
-  for (const coll::Result& r : rs) {
-    out.rank_sum += r.timings;
-    out.faults += r.faults;
-    out.gather_critical = std::max(out.gather_critical, r.timings.gather);
-    if (out.io_error.empty()) out.io_error = r.io_error;
-    if (r.timings.write > 0) {
-      out.agg_sum += r.timings;
-      if (r.timings.write > out.agg_max.write) out.agg_max = r.timings;
-    }
-  }
   out.inter_node_bytes = cl.fabric().inter_node_bytes();
   out.inter_node_messages = cl.fabric().inter_node_messages();
   out.intra_node_bytes = cl.fabric().intra_node_bytes();
+  xp::add_rank_results(out, rs);
   return out;
 }
 
