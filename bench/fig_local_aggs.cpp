@@ -2,21 +2,19 @@
 // pipelined intra-node gather/forward. Reproduces the shape of Kang's
 // Table I: a (ppn x message-size) grid, each cell swept over
 // co in {1, 2, 4, ppn}, on both cluster profiles. With co == 1 the node's
-// single leader serializes ppn - 1 member receives before anything crosses
-// the network; splitting the node into co lanes divides that chain and
-// lets each lane's forward overlap the other lanes' gathers — the win
+// single lane leader serializes ppn - 1 member receives before anything
+// crosses the network; splitting the node into co lanes divides that chain
+// and lets each lane's forward overlap the other lanes' gathers — the win
 // grows with ppn and shrinks with message size (large messages are
 // bandwidth-bound, not chain-bound).
 //
 // Reported per cell: write-comm-2 makespan, the intra-node gather
-// critical path (max over ranks of gather time — the only bucket that
-// means the same thing at every co, since co == 1 charges forwards to
-// shuffle), and the pipelined-overlap fraction measured under the
-// comm-overlap scheduler — the one whose call order lets a leader start
-// the next lane gather between posting forwards and waiting on them
-// (write-comm-2 posts and immediately waits, so its per-rank overlap is
-// structurally zero). Self-checks: co == 1 must be bit-identical to the
-// default single-leader run, and every co must land the same bytes.
+// critical path (max over ranks of gather time), and the pipelined-overlap
+// fraction measured under the comm-overlap scheduler — the one whose call
+// order lets a leader start the next lane gather between posting forwards
+// and waiting on them (write-comm-2 posts and immediately waits, so its
+// per-rank overlap is structurally zero). Self-check: every co must land
+// the same bytes.
 
 #include <cstdio>
 #include <string>
@@ -120,26 +118,6 @@ int main(int argc, char** argv) {
           comm_overlap.push_back(
               run(plat, workload, procs, co, coll::OverlapMode::Comm)
                   .pipelined_overlap);
-        }
-        // Self-check: explicit co=1 equals the default single-leader run
-        // bit-for-bit (the differential suite pins every field; the bench
-        // spot-checks the timeline and traffic).
-        xp::RunSpec def;
-        def.platform = plat;
-        def.workload = workload;
-        def.nprocs = procs;
-        def.options.cb_size = xp::kCbSize;
-        def.options.overlap = coll::OverlapMode::WriteComm2;
-        def.options.hierarchical = true;
-        def.options.leader_policy = coll::LeaderPolicy::Spread;
-        def.seed = 7;
-        const xp::RunResult d = xp::execute(def);
-        if (d.makespan != cell.runs[0].makespan ||
-            d.inter_node_bytes != cell.runs[0].inter_node_bytes) {
-          std::printf("FAIL: co=1 is not identical to the single-leader "
-                      "run (%s ppn=%d %s)\n",
-                      pname, ppn, sz.label);
-          ok = false;
         }
         for (std::size_t i = 0; i < cell.runs.size(); ++i) {
           const xp::RunResult& r = cell.runs[i];

@@ -21,8 +21,7 @@ namespace {
 /// from the forward tags (plain cycle numbers) so a rank that is both a
 /// member and an aggregator can never cross-match the two streams. The
 /// lane index occupies the bits above the marker, giving every lane leader
-/// its own tag space; lane 0 reproduces the historical single-leader tags
-/// exactly.
+/// its own tag space.
 smpi::Tag gather_tag(int cycle, int lane) {
   return static_cast<smpi::Tag>(cycle) | (smpi::Tag{1} << 40) |
          (static_cast<smpi::Tag>(lane) << 41);
@@ -47,16 +46,12 @@ Engine::Engine(smpi::Mpi& mpi, pfs::File& file, const Plan& plan,
              "Options::materialize == false requires Integrity::None");
   my_agg_ = plan_.agg_index(mpi_.rank());
   node_ = mpi_.machine().fabric().topology().node_of(mpi_.rank());
-  if (opt_.hierarchical) {
+  if (plan_.hierarchical()) {
     is_leader_ = plan_.is_leader(mpi_.rank());
     lane_ = plan_.lane_of(mpi_.rank());
     const auto [first, last] = plan_.lane_rank_range(node_, lane_);
     lane_first_ = first;
     lane_last_ = last;
-    // Pipelined lane mode is an option-level property (uniform across
-    // ranks even where small nodes clamp to one lane): the per-cycle sync
-    // structure must agree job-wide.
-    pipelined_ = plan_.local_aggregators() > 1;
   }
 
   const int nslots = opt_.overlap == OverlapMode::None ? 1 : 2;
@@ -96,15 +91,14 @@ std::span<std::byte> Engine::cb_span(int slot) {
 
 std::vector<Segment> Engine::incoming_segments(int src, std::uint64_t lo,
                                                std::uint64_t hi) const {
-  if (!opt_.hierarchical) return plan_.segments_in(src, lo, hi);
-  // `src` is a lane leader; its message carries its lane's coalesced
-  // union. One lane per node (co = 1) makes this the node union exactly.
+  if (!plan_.hierarchical()) return plan_.segments_in(src, lo, hi);
+  // `src` is a lane leader; its message carries its lane's coalesced union.
   return plan_.lane_segments_in(plan_.topology().node_of(src),
                                 plan_.lane_of(src), lo, hi);
 }
 
 void Engine::leader_gather(int cycle, int slot) {
-  if (!opt_.hierarchical) return;
+  if (!plan_.hierarchical()) return;
   Slot& s = slots_[slot];
   if (s.gathered_cycle == cycle) return;
   TPIO_CHECK(!s.sh.pending,
@@ -296,25 +290,13 @@ void Engine::shuffle_init(int cycle, int slot) {
     // race arbitrarily far ahead and pre-deliver future cycles into
     // unexpected-message buffers, which no real implementation allows at
     // collective-buffer granularity.
-    if (opt_.hierarchical && pipelined_) {
-      // Pipelined lane mode: each lane syncs only among its own members —
-      // the per-(leader, cycle) sub-baton. A lane leader whose gather is
-      // done forwards immediately, without waiting for the node's other
-      // lanes or for other nodes' leaders (no whole-node barrier, no
-      // fabric-wide leader barrier on the per-cycle path).
+    if (plan_.hierarchical()) {
+      // Each lane syncs only among its own members — the per-(leader,
+      // cycle) sub-baton, at shared-memory cost. A lane leader whose
+      // gather is done forwards immediately, without waiting for the
+      // node's other lanes or for other nodes' leaders.
       timed(mpi_.ctx(), t_.sync,
-            [&] { mpi_.lane_barrier(lane_, lane_last_ - lane_first_); });
-    } else if (opt_.hierarchical) {
-      // Hierarchical metadata sync: members only need lockstep with their
-      // node leader, leaders with the aggregators — most ranks pay the
-      // cheap shared-memory barrier instead of the O(log P) fabric one.
-      // At one rank per node this decomposes into exactly the flat
-      // barrier (node_barrier is a 1-party no-op, leader_barrier spans
-      // every rank).
-      timed(mpi_.ctx(), t_.sync, [&] {
-        mpi_.node_barrier();
-        if (is_leader_) mpi_.leader_barrier();
-      });
+            [&] { mpi_.lane_barrier(lane_first_, lane_last_); });
     } else {
       timed(mpi_.ctx(), t_.sync, [&] { mpi_.barrier(); });
     }
@@ -330,7 +312,7 @@ void Engine::shuffle_init(int cycle, int slot) {
       std::span<std::byte> cb = cb_span(slot);
       const int nodes = plan_.topology().nodes;
       int nsrc = mpi_.size();
-      if (opt_.hierarchical) {
+      if (plan_.hierarchical()) {
         nsrc = 0;
         for (int n = 0; n < nodes; ++n) nsrc += plan_.lanes(n);
       }
@@ -356,7 +338,7 @@ void Engine::shuffle_init(int cycle, int slot) {
         timed(mpi_.ctx(), t_.shuffle,
               [&] { s.sh.reqs.push_back(mpi_.irecv(src, tag, dest)); });
       };
-      if (opt_.hierarchical) {
+      if (plan_.hierarchical()) {
         for (int n = 0; n < nodes; ++n) {
           for (int l = 0; l < plan_.lanes(n); ++l) {
             post_recv(plan_.lane_leader(n, l));
@@ -366,34 +348,29 @@ void Engine::shuffle_init(int cycle, int slot) {
         for (int i = 0; i < nsrc; ++i) post_recv(i);
       }
     }
-    if (opt_.hierarchical && lane_last_ - lane_first_ > 1) {
+    if (lane_last_ - lane_first_ > 1) {
       // Hierarchical forward: the lane leader sends one contiguous slice of
       // the staging buffer per destination aggregator, zero-copy (the slice
       // layout is exactly leader_gather's). Members already handed their
-      // pieces to the leader and send nothing. In pipelined mode the posts
-      // are timed into the forward bucket and the slot remembers the post
-      // instant, feeding the pipelined-overlap stat at shuffle_wait.
+      // pieces to the leader and send nothing. The posts are timed into the
+      // forward bucket and the slot remembers the post instant, feeding the
+      // pipelined-overlap stat at shuffle_wait.
       if (is_leader_) {
-        if (pipelined_) {
-          s.fwd_begin = mpi_.ctx().now();
-        }
+        s.fwd_begin = mpi_.ctx().now();
         std::uint64_t base = 0;
-        sim::Duration& bucket = pipelined_ ? t_.forward : t_.shuffle;
         for (int a = 0; a < plan_.num_aggregators(); ++a) {
           const Plan::Range r = plan_.cycle_range(a, cycle);
           const std::uint64_t n =
               plan_.lane_bytes_in(node_, lane_, r.begin, r.end);
           if (n == 0) continue;
           const std::span<const std::byte> payload(s.stage.data() + base, n);
-          timed(mpi_.ctx(), bucket, [&] {
+          timed(mpi_.ctx(), t_.forward, [&] {
             s.sh.reqs.push_back(mpi_.isend(plan_.agg_rank(a), tag, payload));
           });
           base += n;
         }
-        if (pipelined_) {
-          s.fwd_posted = base > 0;
-          s.fwd_post_cost = mpi_.ctx().now() - s.fwd_begin;
-        }
+        s.fwd_posted = base > 0;
+        s.fwd_post_cost = mpi_.ctx().now() - s.fwd_begin;
       }
       return;
     }
@@ -434,19 +411,18 @@ void Engine::shuffle_init(int cycle, int slot) {
     timed(mpi_.ctx(), t_.sync, [&] { mpi_.win_fence(*s.win); });
   }
 
-  if (opt_.hierarchical && lane_last_ - lane_first_ > 1) {
+  if (lane_last_ - lane_first_ > 1) {
     // Hierarchical one-sided: only lane leaders originate puts — one per
     // coalesced union segment, sourced from the staging buffer. The gather
     // itself stays two-sided intra-node traffic (it models shared-memory
-    // staging, not RMA). With co > 1 the lanes' leaders originate their
-    // puts independently; the fence/barrier epoch structure is global
-    // either way, so there is no per-cycle lane sync here. Put issue time
-    // is charged to the forward bucket in pipelined mode (the lifetime
-    // stat stays two-sided-only: put completion is epoch-based, so no
-    // per-leader forward lifetime exists to measure).
+    // staging, not RMA). The lanes' leaders originate their puts
+    // independently; the fence/barrier epoch structure is global, so there
+    // is no per-cycle lane sync here. Put issue time is charged to the
+    // forward bucket (the lifetime stat stays two-sided-only: put
+    // completion is epoch-based, so no per-leader forward lifetime exists
+    // to measure).
     if (!is_leader_) return;
     std::uint64_t base = 0;
-    sim::Duration& bucket = pipelined_ ? t_.forward : t_.shuffle;
     for (int a = 0; a < plan_.num_aggregators(); ++a) {
       const Plan::Range r = plan_.cycle_range(a, cycle);
       const auto segs = plan_.lane_segments_in(node_, lane_, r.begin, r.end);
@@ -456,7 +432,7 @@ void Engine::shuffle_init(int cycle, int slot) {
         timed(mpi_.ctx(), t_.sync,
               [&] { mpi_.win_lock(*s.win, target, opt_.lock_type); });
       }
-      timed(mpi_.ctx(), bucket, [&] {
+      timed(mpi_.ctx(), t_.forward, [&] {
         for (const Segment& g : segs) {
           mpi_.ctx().advance(opt_.seg_cpu);
           mpi_.put(*s.win, target, g.file_offset - r.begin,
@@ -506,8 +482,8 @@ void Engine::shuffle_wait(int slot) {
     case Transfer::TwoSided: {
       // Pure lane leaders (not also aggregators) wait here only on their
       // own forward isends, so the blocked time is forward-completion wait;
-      // a leader that is also an aggregator (Superset) waits on a mix of
-      // recvs and forwards and keeps the historical shuffle attribution.
+      // a leader that is also an aggregator waits on a mix of recvs and
+      // forwards, which stays in shuffle.
       const bool fwd_wait = s.fwd_posted && my_agg_ < 0;
       const sim::Time w0 = mpi_.ctx().now();
       timed(mpi_.ctx(), fwd_wait ? t_.forward : t_.shuffle,

@@ -41,9 +41,8 @@ class Engine {
   /// Hierarchical-mode intra-node gather: the lane leader collects its
   /// lane's ranks' pieces of `cycle` into a per-slot staging buffer
   /// (coalesced, aggregator-major order) over intra-node links. With one
-  /// lane per node (local_aggregators == 1) the lane is the whole node and
-  /// this is the historical single-leader gather, byte for byte. No-op
-  /// unless Options::hierarchical; idempotent per (cycle, slot); called
+  /// lane per node (local_aggregators == 1) the lane is the whole node.
+  /// No-op unless Plan::hierarchical; idempotent per (cycle, slot); called
   /// automatically at the top of shuffle_init. Single-member lanes skip
   /// staging entirely — the direct send path is used unchanged.
   void leader_gather(int cycle, int slot);
@@ -65,10 +64,10 @@ class Engine {
   /// succeeded. Mirrored into Result::io_error by collective_write().
   const std::string& io_error() const { return io_error_; }
 
-  /// Pipelined-overlap inputs (two-sided pipelined lane leaders only; both
-  /// zero otherwise — in particular on every co = 1 run). The lifetime of
-  /// a cycle's forwards spans their post instant to the slot's waitall;
-  /// blocked is the part the leader spent posting or waiting on them.
+  /// Pipelined-overlap inputs (two-sided leaders of multi-member lanes
+  /// only; both zero otherwise). The lifetime of a cycle's forwards spans
+  /// their post instant to the slot's waitall; blocked is the part the
+  /// leader spent posting or waiting on them.
   sim::Duration forward_lifetime() const { return fwd_lifetime_; }
   sim::Duration forward_blocked() const { return fwd_blocked_; }
 
@@ -110,10 +109,10 @@ class Engine {
     // memory, so it stays untouched until the slot's shuffle_wait.
     sim::BufferPool::Buffer stage;
     int gathered_cycle = -1;  // last cycle gathered into this slot
-    // Pipelined lane mode (local_aggregators > 1), lane leaders only:
-    // when this slot's forwards were posted, and the leader's blocked time
-    // while posting them — inputs of the pipelined-overlap stat closed out
-    // at the slot's shuffle_wait.
+    // Two-sided leaders of multi-member lanes only: when this slot's
+    // forwards were posted, and the leader's blocked time while posting
+    // them — inputs of the pipelined-overlap stat closed out at the slot's
+    // shuffle_wait.
     bool fwd_posted = false;
     sim::Time fwd_begin = 0;
     sim::Duration fwd_post_cost = 0;
@@ -121,7 +120,7 @@ class Engine {
 
   std::span<std::byte> cb_span(int slot);
   /// Segment layout of the message an aggregator receives from `src` for
-  /// [lo, hi): per-rank segments on the direct path, the source node's
+  /// [lo, hi): per-rank segments on the direct path, the source lane's
   /// coalesced union under hierarchy.
   std::vector<Segment> incoming_segments(int src, std::uint64_t lo,
                                          std::uint64_t hi) const;
@@ -164,14 +163,12 @@ class Engine {
   PhaseTimings& t_;
   int my_agg_ = -1;  // aggregator index of this rank, or -1
   int node_ = 0;
-  // Hierarchical-mode geometry (valid when opt_.hierarchical).
+  // Hierarchical-mode geometry (valid when plan_.hierarchical(); the
+  // empty range [0, 0) otherwise, which keeps every rank on the direct
+  // path).
   bool is_leader_ = false;
   int lane_ = 0;                        // this rank's lane within its node
   int lane_first_ = 0, lane_last_ = 0;  // this lane's rank range
-  // Options::local_aggregators > 1: per-lane sub-batons replace the
-  // whole-node + leader barriers, and lane leaders forward as soon as
-  // their own gather completes (timed into PhaseTimings::forward).
-  bool pipelined_ = false;
   // Pipelined-overlap inputs (host-side counters, zero virtual cost):
   // summed forward lifetimes and the portion the leader spent blocked.
   sim::Duration fwd_lifetime_ = 0;

@@ -36,15 +36,15 @@ std::shared_ptr<const Plan> MetadataExchange::plan(std::uint64_t stripe_size,
 
   // Stage 2: targeted delivery of the full view blobs. Aggregators plan
   // over every source (their incoming_segments walk all views); lane
-  // leaders additionally unpack their members' gather pieces, so they pull
-  // their lane's rank interval (the whole node at co = 1, where the lane
-  // is the node); everyone else keeps only its own view.
+  // leaders of a two-level plan additionally unpack their members' gather
+  // pieces, so they pull their lane's rank interval; everyone else keeps
+  // only its own view.
   const int me = mpi_.rank();
   const int P = topo.nprocs();
   int want_b = 0, want_e = 0;
   if (skel->is_aggregator(me)) {
     want_e = P;
-  } else if (lane_routing && opt.hierarchical && skel->is_leader(me)) {
+  } else if (lane_routing && skel->hierarchical() && skel->is_leader(me)) {
     std::tie(want_b, want_e) =
         skel->lane_rank_range(topo.node_of(me), skel->lane_of(me));
   }

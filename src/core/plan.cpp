@@ -20,7 +20,7 @@ int auto_aggregator_count(std::uint64_t total_bytes, std::uint64_t cb_size,
 PlanSkeleton::PlanSkeleton(std::span<const ViewSummary> summaries,
                            const net::Topology& topo,
                            std::uint64_t stripe_size, const Options& opt)
-    : topo_(topo), hierarchical_(opt.hierarchical) {
+    : topo_(topo) {
   const int P = topo.nprocs();
   TPIO_CHECK(static_cast<int>(summaries.size()) == P,
              "one view summary per rank required");
@@ -94,21 +94,22 @@ PlanSkeleton::PlanSkeleton(std::span<const ViewSummary> summaries,
 
   // Lane geometry and leader election for the two-level shuffle. Each
   // node's members split into L = min(local_aggregators, members)
-  // contiguous lanes, each electing one leader per leader_policy. co = 1
-  // gives one lane per node whose leader is exactly the historical
-  // election (Lowest -> first, Spread -> last - 1), so the single-leader
-  // path is unchanged. Computed for every plan (cheap, O(P) total) so
-  // tests and tools can query lane geometry without opting into
-  // hierarchical routing. Runs after the empty-domain trim above so the
-  // Superset policy elects against the aggregators that actually survive.
-  local_aggs_ = std::max(opt.local_aggregators, 1);
-  leader_by_node_.reserve(static_cast<std::size_t>(topo.nodes));
+  // contiguous lanes, each electing one leader per leader_policy; co = 1
+  // makes the whole node one lane (Lowest -> first, Spread -> last - 1).
+  // Computed for every plan (cheap, O(P) total) so tests and tools can
+  // query lane geometry without opting into hierarchical routing. Runs
+  // after the empty-domain trim above so the Superset policy elects
+  // against the aggregators that actually survive. The shuffle runs two
+  // levels only where some node has a member to gather from; node_first /
+  // node_last count the partial first node of a rank-offset sub-view.
+  const int co = std::max(opt.local_aggregators, 1);
   lane_leaders_.reserve(static_cast<std::size_t>(topo.nodes));
   lane_bounds_.reserve(static_cast<std::size_t>(topo.nodes));
   for (int n = 0; n < topo.nodes; ++n) {
     const auto [first, last] = node_rank_range(n);
     const int m = last - first;
-    const int L = std::min(local_aggs_, m);
+    if (opt.hierarchical && m >= 2) hierarchical_ = true;
+    const int L = std::min(co, m);
     std::vector<int> bounds(static_cast<std::size_t>(L) + 1);
     std::vector<int> leaders(static_cast<std::size_t>(L));
     bounds.front() = first;
@@ -150,7 +151,6 @@ PlanSkeleton::PlanSkeleton(std::span<const ViewSummary> summaries,
                 : bounds[static_cast<std::size_t>(j)];
       }
     }
-    leader_by_node_.push_back(leaders.front());
     lane_leaders_.push_back(std::move(leaders));
     lane_bounds_.push_back(std::move(bounds));
   }
@@ -302,9 +302,10 @@ std::vector<Segment> Plan::segments_in(int r, std::uint64_t lo,
   return out;
 }
 
-std::vector<Segment> Plan::merged_segments_in(int first, int last,
-                                              std::uint64_t lo,
-                                              std::uint64_t hi) const {
+std::vector<Segment> Plan::lane_segments_in(int node, int lane,
+                                            std::uint64_t lo,
+                                            std::uint64_t hi) const {
+  const auto [first, last] = lane_rank_range(node, lane);
   if (last - first == 1) return segments_in(first, lo, hi);
   std::vector<Segment> all;
   for (int m = first; m < last; ++m) {
@@ -332,28 +333,6 @@ std::vector<Segment> Plan::merged_segments_in(int first, int last,
     pos += g.length;
   }
   return out;
-}
-
-std::vector<Segment> Plan::node_segments_in(int node, std::uint64_t lo,
-                                            std::uint64_t hi) const {
-  const auto [first, last] = node_rank_range(node);
-  return merged_segments_in(first, last, lo, hi);
-}
-
-std::uint64_t Plan::node_bytes_in(int node, std::uint64_t lo,
-                                  std::uint64_t hi) const {
-  const auto [first, last] = node_rank_range(node);
-  if (last - first == 1) return bytes_in(first, lo, hi);
-  std::uint64_t n = 0;
-  for (const Segment& g : node_segments_in(node, lo, hi)) n += g.length;
-  return n;
-}
-
-std::vector<Segment> Plan::lane_segments_in(int node, int lane,
-                                            std::uint64_t lo,
-                                            std::uint64_t hi) const {
-  const auto [first, last] = lane_rank_range(node, lane);
-  return merged_segments_in(first, last, lo, hi);
 }
 
 std::uint64_t Plan::lane_bytes_in(int node, int lane, std::uint64_t lo,

@@ -20,7 +20,8 @@ struct Segment {
 
 /// Everything about a collective write's geometry that is derivable from
 /// the per-rank ViewSummary table alone: file range, global volume,
-/// aggregator placement, file domains, leader election, cycle count. Built
+/// aggregator placement, file domains, lane leader election, cycle count,
+/// whether the two-level shuffle runs. Built
 /// once per (summary table, topology, options) and shared across ranks via
 /// shared_ptr — per-rank copies of the O(P) placement arrays would put the
 /// O(P²) aggregate memory the two-stage exchange removes right back.
@@ -52,12 +53,12 @@ class PlanSkeleton {
   Range domain(int a) const { return domains_[static_cast<std::size_t>(a)]; }
   Range cycle_range(int a, int c) const;
 
+  /// Whether the two-level shuffle runs: Options::hierarchical is set and
+  /// at least one node holds two or more ranks. With one rank per node
+  /// every lane is a single rank, so the run is exactly the direct path.
   bool hierarchical() const { return hierarchical_; }
   const net::Topology& topology() const { return topo_; }
-  int leader_rank(int node) const {
-    return leader_by_node_[static_cast<std::size_t>(node)];
-  }
-  /// Lane leader of `rank`'s own lane (== leader_rank(node) at co = 1).
+  /// Lane leader of `rank`'s own lane.
   int leader_of(int rank) const {
     const int node = topo_.node_of(rank);
     return lane_leader(node, lane_of(rank));
@@ -66,10 +67,7 @@ class PlanSkeleton {
   std::pair<int, int> node_rank_range(int node) const;
 
   // ----- lane geometry (Options::local_aggregators, Kang et al.'s co) -----
-  /// The requested co (>= 1); per-node lane counts are clamped to the
-  /// node's member count.
-  int local_aggregators() const { return local_aggs_; }
-  /// Lanes on `node`: min(co, members). 1 at co = 1.
+  /// Lanes on `node`: min(co, members).
   int lanes(int node) const {
     return static_cast<int>(lane_leaders_[static_cast<std::size_t>(node)].size());
   }
@@ -88,8 +86,6 @@ class PlanSkeleton {
  private:
   net::Topology topo_;
   bool hierarchical_ = false;
-  int local_aggs_ = 1;
-  std::vector<int> leader_by_node_;  // per node: lane 0's leader
   std::vector<std::vector<int>> lane_leaders_;  // per node, per lane
   std::vector<std::vector<int>> lane_bounds_;   // per node: lanes+1 boundaries
   std::vector<Range> domains_;       // per aggregator index
@@ -152,12 +148,10 @@ class Plan {
   std::uint64_t bytes_in(int r, std::uint64_t lo, std::uint64_t hi) const;
 
   // ----- two-level (hierarchical) routing ---------------------------------
-  /// Whether this plan was built with Options::hierarchical.
+  /// Whether the two-level shuffle runs (PlanSkeleton::hierarchical).
   bool hierarchical() const { return skel_->hierarchical(); }
   const net::Topology& topology() const { return skel_->topology(); }
-  /// The rank elected leader of `node` (per Options::leader_policy).
-  int leader_rank(int node) const { return skel_->leader_rank(node); }
-  /// The leader of `rank`'s node.
+  /// The leader of `rank`'s lane.
   int leader_of(int rank) const { return skel_->leader_of(rank); }
   bool is_leader(int rank) const { return skel_->is_leader(rank); }
   /// Half-open rank interval [first, last) living on `node` (block
@@ -165,22 +159,9 @@ class Plan {
   std::pair<int, int> node_rank_range(int node) const {
     return skel_->node_rank_range(node);
   }
-  /// Union of the node's members' segments inside [lo, hi): coalesced
-  /// (touching/overlapping pieces merged), ordered by file offset, with
-  /// `local_offset` re-purposed as the position inside the node's merged
-  /// message. Single-member nodes return segments_in(member) verbatim so
-  /// the hierarchical path degenerates to the direct one exactly. Requires
-  /// every member's view to be held.
-  std::vector<Segment> node_segments_in(int node, std::uint64_t lo,
-                                        std::uint64_t hi) const;
-  /// Bytes of the merged node message for [lo, hi) (coalesced size).
-  std::uint64_t node_bytes_in(int node, std::uint64_t lo,
-                              std::uint64_t hi) const;
 
-  // ----- lanes (Options::local_aggregators > 1) ---------------------------
-  /// Requested local aggregators per node (co); 1 = single-leader scheme.
-  int local_aggregators() const { return skel_->local_aggregators(); }
-  /// Lanes on `node` (min(co, members)).
+  // ----- lanes (Options::local_aggregators) -------------------------------
+  /// Lanes on `node` (min(co, members)); 1 at the default co = 1.
   int lanes(int node) const { return skel_->lanes(node); }
   int lane_leader(int node, int lane) const {
     return skel_->lane_leader(node, lane);
@@ -190,9 +171,12 @@ class Plan {
   }
   int lane_of(int rank) const { return skel_->lane_of(rank); }
   /// Union of the lane members' segments inside [lo, hi) — the merged
-  /// message lane `lane`'s leader forwards; same coalescing and
-  /// local_offset convention as node_segments_in. With one lane per node
-  /// this is node_segments_in verbatim. Requires the lane members' views.
+  /// message lane `lane`'s leader forwards: coalesced (touching or
+  /// overlapping pieces merged), ordered by file offset, with
+  /// `local_offset` re-purposed as the position inside the merged message.
+  /// A single-member lane returns segments_in(member) verbatim, so it
+  /// sends exactly what the direct path would. Requires the lane members'
+  /// views.
   std::vector<Segment> lane_segments_in(int node, int lane, std::uint64_t lo,
                                         std::uint64_t hi) const;
   /// Bytes of the merged lane message for [lo, hi).
@@ -210,11 +194,6 @@ class Plan {
   std::shared_ptr<const PlanSkeleton> skeleton_ptr() const { return skel_; }
 
  private:
-  /// Coalesced union of ranks [first, last)'s segments in [lo, hi) — the
-  /// shared core of node_segments_in / lane_segments_in.
-  std::vector<Segment> merged_segments_in(int first, int last,
-                                          std::uint64_t lo,
-                                          std::uint64_t hi) const;
   /// Index into views_/prefix_ for a held rank; fails if not held.
   std::size_t held_slot(int r) const;
   void index_views();

@@ -110,20 +110,20 @@ struct Options {
   /// required for performance, Exclusive kept as an ablation.
   smpi::Mpi::LockType lock_type = smpi::Mpi::LockType::Shared;
   /// Two-level shuffle (Kang et al., intra-node request aggregation): each
-  /// node elects a leader that gathers its co-located ranks' segments over
-  /// intra-node links, coalesces contiguous pieces, and forwards one merged
-  /// message per (node, aggregator, cycle). Composes with every overlap
-  /// mode and transfer primitive; degenerates to the direct path on
-  /// single-member nodes.
+  /// node's lanes (local_aggregators) elect a leader that gathers its
+  /// lane's ranks' segments over intra-node links, coalesces contiguous
+  /// pieces, and forwards one merged message per (lane, aggregator,
+  /// cycle). Composes with every overlap mode and transfer primitive.
+  /// Single-member lanes send directly; a job with one rank per node runs
+  /// exactly the direct path (Plan::hierarchical is false there).
   bool hierarchical = false;
   LeaderPolicy leader_policy = LeaderPolicy::Lowest;
   /// Local aggregators per node (Kang et al.'s `co`): each node's members
   /// split into this many contiguous lanes, each lane electing its own
-  /// leader per leader_policy. 1 (the default) is the single-leader scheme
-  /// and stays bit-identical to the pre-lane hierarchical path on every
-  /// RunResult field; > 1 additionally pipelines each lane's intra-node
-  /// gather against its inter-node forwards (per-lane sub-batons replace
-  /// the whole-node barrier). Clamped to the node's member count.
+  /// leader per leader_policy. 1 (the default) makes the whole node one
+  /// lane. At every co a two-sided write syncs each cycle per lane only,
+  /// so a lane leader forwards as soon as its own gather lands, overlapping
+  /// the other lanes' gathers. Clamped to the node's member count.
   int local_aggregators = 1;
   /// OverlapMode::Auto: leading cycles executed as blocking probes before
   /// the scheduler is chosen (clamped to the operation's cycle count).
@@ -214,10 +214,8 @@ struct PhaseTimings {
   sim::Duration meta = 0;     // view exchange + planning collectives
   sim::Duration pack = 0;     // CPU pack/unpack
   sim::Duration gather = 0;   // intra-node leader gather (hierarchical mode)
-  sim::Duration forward = 0;  // inter-node forward sends of pipelined lane
-                              // leaders (hierarchical, local_aggregators > 1;
-                              // the co = 1 path keeps forward time in shuffle
-                              // for bit-identity, leaving this 0)
+  sim::Duration forward = 0;  // lane leaders' forward sends/puts and a
+                              // pure leader's forward wait (hierarchical)
   sim::Duration shuffle = 0;  // blocked in sends/recvs/puts + their waits
   sim::Duration sync = 0;     // fences, barriers, lock traffic
   sim::Duration write = 0;    // blocked in file writes / write waits
@@ -268,13 +266,13 @@ struct Result {
   /// First give-up description on this rank; empty when every operation
   /// eventually succeeded. A non-empty value means the file has a hole.
   std::string io_error;
-  /// Pipelined-overlap inputs (two-sided hierarchical runs with
-  /// local_aggregators > 1, lane leaders only; both 0 everywhere else, in
-  /// particular on every co = 1 run): summed lifetimes of this rank's
-  /// forward messages (post instant to completion wait) and the part of
-  /// that the rank spent blocked posting/waiting on them. The difference
-  /// is forward time hidden under other work (typically the next cycle's
-  /// lane gather); the runner rolls both up into a job-wide fraction.
+  /// Pipelined-overlap inputs (two-sided hierarchical runs, leaders of
+  /// multi-member lanes only; both 0 everywhere else): summed lifetimes of
+  /// this rank's forward messages (post instant to completion wait) and
+  /// the part of that the rank spent blocked posting/waiting on them. The
+  /// difference is forward time hidden under other work (typically the
+  /// next cycle's lane gather); the runner rolls both up into a job-wide
+  /// fraction.
   sim::Duration forward_lifetime = 0;
   sim::Duration forward_blocked = 0;
 };

@@ -122,8 +122,7 @@ void add_rank_results(RunResult& out, std::span<const coll::Result> ranks) {
   // Pipelined-overlap fraction: across all lane leaders and cycles, the
   // share of forward-message lifetime the leaders were NOT blocked on —
   // forwarding hidden under other work (typically the next lane gather).
-  // 0.0 whenever no rank forwarded pipelined (non-hierarchical, co = 1,
-  // one-sided).
+  // 0.0 whenever no rank forwarded (non-hierarchical, one-sided).
   if (fwd_lifetime > 0) {
     out.pipelined_overlap =
         1.0 - static_cast<double>(fwd_blocked) /

@@ -64,19 +64,15 @@ struct RunResult {
   std::uint64_t inter_node_bytes = 0;
   std::uint64_t inter_node_messages = 0;
   std::uint64_t intra_node_bytes = 0;
-  /// Pipelined intra-node aggregation (hierarchical, local_aggregators > 1,
-  /// two-sided): fraction of the lane leaders' forward-message lifetimes
-  /// hidden under other work (next cycle's gather) instead of blocking the
-  /// leader. 0.0 whenever nothing forwarded pipelined — non-hierarchical
-  /// runs, co = 1, one-sided transfers — so legacy results compare equal
-  /// field-for-field.
+  /// Pipelined intra-node aggregation (hierarchical, two-sided): fraction
+  /// of the lane leaders' forward-message lifetimes hidden under other work
+  /// (next cycle's gather) instead of blocking the leader. 0.0 whenever
+  /// nothing forwarded — non-hierarchical runs, one-sided transfers.
   double pipelined_overlap = 0.0;
   /// Critical path of the intra-node gather: the largest per-rank gather
   /// time. This is the quantity local aggregators (co) attack — splitting a
   /// node into lanes shortens the serial chain of member receives on each
-  /// leader. Deliberately excludes the forward bucket: co = 1 charges its
-  /// forwards to `shuffle` (legacy field equality), so gather is the only
-  /// bucket that means the same thing at every co.
+  /// leader. Forwards are booked separately (PhaseTimings::forward).
   sim::Duration gather_critical = 0;
   /// OverlapMode::Auto only: what the probe phase decided (identical on
   /// every rank; engaged == false for fixed overlap modes).

@@ -31,48 +31,18 @@ void Mpi::barrier() {
                                  /*floor=*/0, "mpi.barrier");
 }
 
-std::vector<int> Mpi::node_ranks() const {
-  const net::Topology& topo = machine_->fabric_->topology();
-  const int node = topo.node_of(rank());
-  const int first = topo.node_first(node);
-  const int last = topo.node_last(node);
-  std::vector<int> out;
-  out.reserve(static_cast<std::size_t>(last - first));
-  for (int r = first; r < last; ++r) out.push_back(r);
-  return out;
-}
-
-void Mpi::node_barrier() {
+void Mpi::lane_barrier(int first, int last) {
   Machine& m = *machine_;
-  const int node = m.fabric_->topology().node_of(rank());
-  sim::SyncPoint& sp = *m.node_sync_[static_cast<std::size_t>(node)];
-  const sim::Duration cost =
-      static_cast<sim::Duration>(ceil_log2(std::max(sp.parties(), 1))) *
-      m.params_.node_collective_hop;
-  sp.arrive(*ctx_, cost, /*floor=*/0, "mpi.node_barrier");
-}
-
-void Mpi::leader_barrier() {
-  Machine& m = *machine_;
-  m.leader_sync_.arrive(*ctx_,
-                        m.sync_collective_cost(m.fabric_->topology().nodes),
-                        /*floor=*/0, "mpi.leader_barrier");
-}
-
-void Mpi::lane_barrier(int lane, int parties) {
-  Machine& m = *machine_;
-  TPIO_CHECK(parties >= 1, "lane_barrier requires at least one party");
-  const int node = m.fabric_->topology().node_of(rank());
+  TPIO_CHECK(first <= rank() && rank() < last,
+             "lane_barrier caller outside the named rank interval");
   sim::SyncPoint* sp = nullptr;
   ctx_->act([&] {
-    auto& slot = m.lane_sync_[{node, lane}];
-    if (!slot) slot = std::make_unique<sim::SyncPoint>(parties);
+    auto& slot = m.lane_sync_[{first, last}];
+    if (!slot) slot = std::make_unique<sim::SyncPoint>(last - first);
     sp = slot.get();
   });
-  TPIO_CHECK(sp->parties() == parties,
-             "lane_barrier called with mismatched party counts");
   const sim::Duration cost =
-      static_cast<sim::Duration>(ceil_log2(std::max(parties, 1))) *
+      static_cast<sim::Duration>(ceil_log2(last - first)) *
       m.params_.node_collective_hop;
   sp->arrive(*ctx_, cost, /*floor=*/0, "mpi.lane_barrier");
 }

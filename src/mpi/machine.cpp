@@ -16,15 +16,7 @@ Machine::Machine(net::Fabric& fabric, const MpiParams& params)
       params_(params),
       endpoints_(static_cast<std::size_t>(fabric.topology().nprocs())),
       barrier_sync_(fabric.topology().nprocs()),
-      leader_sync_(fabric.topology().nodes),
-      win_sync_(fabric.topology().nprocs()) {
-  const net::Topology& topo = fabric.topology();
-  node_sync_.reserve(static_cast<std::size_t>(topo.nodes));
-  for (int n = 0; n < topo.nodes; ++n) {
-    node_sync_.push_back(std::make_unique<sim::SyncPoint>(
-        topo.node_last(n) - topo.node_first(n)));
-  }
-}
+      win_sync_(fabric.topology().nprocs()) {}
 
 sim::Duration Machine::sync_collective_cost(int parties) const {
   return static_cast<sim::Duration>(ceil_log2(std::max(parties, 1))) *

@@ -58,7 +58,7 @@ struct MpiParams {
   /// Per-hop cost of synchronizing collectives (barrier, fence):
   /// cost = ceil(log2 P) * collective_hop.
   sim::Duration collective_hop = sim::microseconds(2.5);
-  /// Per-hop cost of node-local synchronizing collectives (node_barrier):
+  /// Per-hop cost of node-local synchronizing collectives (lane_barrier):
   /// shared-memory flag propagation, far below the fabric's collective_hop.
   sim::Duration node_collective_hop = sim::microseconds(0.4);
   /// Win_fence costs fence_cost_factor * barrier: closing an exposure
@@ -128,25 +128,14 @@ class Mpi {
 
   // ----- collectives --------------------------------------------------------
   void barrier();
-  // Sub-communicator helpers for the two-level shuffle. The node
-  // communicator is implicit in the topology's block mapping; the leader
-  // communicator has exactly one member per node.
-  /// Ranks co-located on this rank's node, ascending.
-  std::vector<int> node_ranks() const;
-  /// Barrier over this rank's node only; costs
-  /// ceil(log2 members) * node_collective_hop (shared-memory speed).
-  void node_barrier();
-  /// Barrier over the node-leader sub-communicator. Collective among
-  /// exactly one rank per node — every leader must call it each time.
-  void leader_barrier();
-  /// Barrier over one lane of this rank's node (the sub-baton of the
-  /// pipelined intra-node aggregation): collective among the `parties`
-  /// members of lane `lane` only, at shared-memory cost
-  /// ceil(log2 parties) * node_collective_hop. The (node, lane) sync point
-  /// is created lazily under the baton on first arrival — the Machine
-  /// predates the plan that defines lane geometry — and every arrival must
-  /// name the same party count (checked).
-  void lane_barrier(int lane, int parties);
+  /// Barrier over the ranks [first, last) of this rank's node — one lane
+  /// of the two-level shuffle: collective among those ranks only, at
+  /// shared-memory cost ceil(log2(last - first)) * node_collective_hop.
+  /// The caller must lie inside the interval (checked).
+  /// One sync point per interval is created lazily under the baton on
+  /// first arrival (the Machine predates the plan that defines lanes), so
+  /// writes with different lane layouts on one Machine never share one.
+  void lane_barrier(int first, int last);
   /// One collective generation's contributions, indexed by rank.
   using BlobTable = std::vector<std::vector<std::byte>>;
 
@@ -295,12 +284,9 @@ class Machine {
 
   // Collective machinery (single job-wide communicator).
   sim::SyncPoint barrier_sync_;
-  // Sub-communicator rendezvous: one per node, plus one for the node
-  // leaders (parties = node count; exactly one rank per node arrives).
-  std::vector<std::unique_ptr<sim::SyncPoint>> node_sync_;
-  sim::SyncPoint leader_sync_;
-  // Lane sub-batons, keyed by (node, lane); created lazily under the baton
-  // because lane geometry is a plan property the Machine predates.
+  // Lane sub-batons, keyed by the lane's rank interval [first, last);
+  // created lazily under the baton because lane geometry is a plan
+  // property the Machine predates.
   std::map<std::pair<int, int>, std::unique_ptr<sim::SyncPoint>> lane_sync_;
   struct ExchangeSlot {
     int arrived = 0;

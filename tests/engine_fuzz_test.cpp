@@ -246,19 +246,20 @@ TEST_P(EngineFuzz, HierarchicalLeaderAndSegmentProperties) {
     EXPECT_EQ(leaders, topo.nodes);
     for (int n = 0; n < topo.nodes; ++n) {
       const auto [first, last] = plan.node_rank_range(n);
-      EXPECT_GE(plan.leader_rank(n), first);
-      EXPECT_LT(plan.leader_rank(n), last);
+      EXPECT_GE(plan.lane_leader(n, 0), first);
+      EXPECT_LT(plan.lane_leader(n, 0), last);
     }
 
-    // Per (aggregator, cycle): the merged node message equals the interval
-    // union of the members' segments — nothing dropped, nothing duplicated.
+    // Per (aggregator, cycle): the merged message of the node's one lane
+    // (co = 1) equals the interval union of the members' segments —
+    // nothing dropped, nothing duplicated.
     for (int a = 0; a < plan.num_aggregators(); ++a) {
       for (int c = 0; c < plan.num_cycles(); ++c) {
         const auto r = plan.cycle_range(a, c);
         if (r.begin >= r.end) continue;
         for (int n = 0; n < topo.nodes; ++n) {
           const auto [first, last] = plan.node_rank_range(n);
-          const auto merged = plan.node_segments_in(n, r.begin, r.end);
+          const auto merged = plan.lane_segments_in(n, 0, r.begin, r.end);
           // Expected: members' pieces merged with the same touching rule
           // (single-member nodes pass segments through verbatim).
           std::vector<coll::Segment> expect;
@@ -302,7 +303,7 @@ TEST_P(EngineFuzz, HierarchicalLeaderAndSegmentProperties) {
             }
             bytes += merged[i].length;
           }
-          EXPECT_EQ(plan.node_bytes_in(n, r.begin, r.end), bytes);
+          EXPECT_EQ(plan.lane_bytes_in(n, 0, r.begin, r.end), bytes);
         }
       }
     }

@@ -2,14 +2,12 @@
 //
 //  - lane geometry invariants for every placement policy, including
 //    partially-filled last nodes and co that does not divide ppn;
-//  - per-lane byte conservation: the lanes of a node carry exactly the
-//    node's merged payload, split but never duplicated or dropped;
-//  - co == 1 degeneracy: explicit --local-aggs 1 is bit-identical to the
-//    default single-leader scheme on every RunResult field, across all
-//    five schedulers, three shuffle primitives and any executor worker
-//    count;
-//  - co > 1 correctness fuzz: pipelined lanes must land the same bytes as
-//    the single-leader run on randomized topologies and decompositions;
+//  - per-lane byte conservation: the lanes of a node carry exactly its
+//    members' bytes, split but never duplicated or dropped;
+//  - executor worker counts never perturb a co grid's results;
+//  - co > 1 correctness fuzz: multi-lane runs must land the same bytes as
+//    the one-lane run on randomized topologies and decompositions;
+//  - successive writes with different lane layouts on one Machine;
 //  - the forward timing bucket and the pipelined-overlap statistic.
 //
 // Registered under the `localaggs` ctest label (tests/CMakeLists.txt).
@@ -149,7 +147,6 @@ TEST(LaneGeometry, PartitionLeadersAndInverse) {
             o.leader_policy = pol;
             const coll::Plan plan =
                 make_plan(topo, strided_views(P, 64, 1), o);
-            EXPECT_EQ(plan.local_aggregators(), co);
             for (int n = 0; n < nodes; ++n) {
               const auto [first, last] = plan.node_rank_range(n);
               const int m = last - first;
@@ -173,8 +170,6 @@ TEST(LaneGeometry, PartitionLeadersAndInverse) {
                 }
               }
               EXPECT_EQ(cursor, last) << "lanes must cover the node";
-              // Lane 0's leader is the node leader of the legacy scheme.
-              EXPECT_EQ(plan.leader_rank(n), plan.lane_leader(n, 0));
             }
           }
         }
@@ -183,8 +178,8 @@ TEST(LaneGeometry, PartitionLeadersAndInverse) {
   }
 }
 
-// co == 1 reproduces the historical single-leader election exactly:
-// Lowest -> first member, Spread -> last member.
+// co == 1 makes each node one lane whose leader is the node's first member
+// (Lowest) or last member (Spread).
 TEST(LaneGeometry, Co1MatchesLegacyElection) {
   net::Topology topo{3, 4, 10};  // partial last node
   for (const auto& [pol, pick_last] :
@@ -196,7 +191,7 @@ TEST(LaneGeometry, Co1MatchesLegacyElection) {
     const coll::Plan plan = make_plan(topo, strided_views(10, 64, 1), o);
     for (int n = 0; n < 3; ++n) {
       const auto [first, last] = plan.node_rank_range(n);
-      EXPECT_EQ(plan.leader_rank(n), pick_last ? last - 1 : first);
+      EXPECT_EQ(plan.lane_leader(n, 0), pick_last ? last - 1 : first);
       EXPECT_EQ(plan.lanes(n), 1);
     }
   }
@@ -234,8 +229,8 @@ TEST(LaneGeometry, SupersetLeadersSitOnAggregators) {
 
 // For disjoint per-rank views, splitting a node into lanes must neither
 // duplicate nor drop a byte: over any window, the lane messages sum to the
-// node's merged message, which sums to the members' raw bytes; and the
-// materialized lane segments agree with the cheap byte count.
+// members' raw bytes; and the materialized lane segments agree with the
+// cheap byte count.
 TEST(LaneBytes, LanesConserveNodePayload) {
   for (std::uint64_t seed = 1; seed <= 6; ++seed) {
     sim::Rng rng(sim::Rng::derive_seed(seed, 0x1A9E5));
@@ -273,8 +268,6 @@ TEST(LaneBytes, LanesConserveNodePayload) {
                                   << " lane=" << l;
           lane_bytes += b;
         }
-        EXPECT_EQ(lane_bytes, plan.node_bytes_in(n, lo, hi))
-            << "seed=" << seed << " node=" << n;
         EXPECT_EQ(lane_bytes, member_bytes)
             << "seed=" << seed << " node=" << n;
       }
@@ -283,33 +276,8 @@ TEST(LaneBytes, LanesConserveNodePayload) {
 }
 
 // ---------------------------------------------------------------------------
-// co == 1 degeneracy
+// Executor determinism
 // ---------------------------------------------------------------------------
-
-// Explicit --local-aggs 1 must be bit-identical to the default
-// single-leader scheme on every RunResult field, for all five schedulers x
-// three primitives.
-TEST(Co1Degeneracy, FieldIdenticalAcrossSchedulersPrimitives) {
-  for (int m = 0; m < 5; ++m) {
-    for (int t = 0; t < 3; ++t) {
-      xp::RunSpec spec;
-      spec.platform = xp::scaled(xp::ibex());
-      spec.workload = wl::make_tile256(2, 512);
-      spec.nprocs = 20;
-      spec.options.cb_size = xp::kCbSize;
-      spec.options.overlap = static_cast<coll::OverlapMode>(m);
-      spec.options.transfer = static_cast<coll::Transfer>(t);
-      spec.options.hierarchical = true;
-      spec.seed = 0xC0;
-      spec.verify = true;
-      const std::string base = xp::fingerprint(xp::execute(spec));
-      spec.options.local_aggregators = 1;  // explicit co = 1
-      EXPECT_EQ(base, xp::fingerprint(xp::execute(spec)))
-          << "overlap=" << coll::to_string(spec.options.overlap)
-          << " transfer=" << coll::to_string(spec.options.transfer);
-    }
-  }
-}
 
 // The executor worker count must not leak into results: the same co grid
 // produces bit-identical measurement tables at --jobs 1 and --jobs 8.
@@ -352,8 +320,8 @@ TEST(Co1Degeneracy, ExecutorJobsDoNotPerturbResults) {
 // co > 1 correctness fuzz
 // ---------------------------------------------------------------------------
 
-// Randomized topology / decomposition / tuning grid: the pipelined
-// multi-lane run must land exactly the single-leader run's bytes. Includes
+// Randomized topology / decomposition / tuning grid: the multi-lane run
+// must land exactly the one-lane (co = 1) run's bytes. Includes
 // partially-filled last nodes and co that does not divide ppn.
 TEST(PipelinedLanes, RandomizedGridMatchesSingleLeader) {
   for (std::uint64_t seed = 1; seed <= 10; ++seed) {
@@ -399,14 +367,45 @@ TEST(PipelinedLanes, RandomizedGridMatchesSingleLeader) {
   }
 }
 
+// Two hierarchical writes with different lane layouts on one Machine: each
+// lane syncs on the sync point of its own rank interval, so the second
+// write never meets a sync point sized for the first one's lanes. Both
+// writes run inside one Cluster::run (a Conductor runs once).
+TEST(PipelinedLanes, SuccessiveLaneLayoutsOnOneMachine) {
+  ClusterSpec cs;
+  cs.nodes = 2;
+  cs.ppn = 6;
+  const int P = cs.nodes * cs.ppn;
+  const auto views = strided_views(P, 1000, 4);
+  for (const auto& layouts : {std::pair{1, 2}, std::pair{2, 3}}) {
+    const int co_a = layouts.first, co_b = layouts.second;
+    Cluster cluster(cs);
+    auto first = cluster.storage().create("a", pfs::Integrity::Store);
+    auto second = cluster.storage().create("b", pfs::Integrity::Store);
+    cluster.run([&](tpio::smpi::Mpi& mpi) {
+      const auto& view = views[static_cast<std::size_t>(mpi.rank())];
+      const auto data = fill_view(view);
+      coll::Options o;
+      o.cb_size = 8192;
+      o.hierarchical = true;
+      o.local_aggregators = co_a;
+      coll::collective_write(mpi, *first, view, data, o);
+      o.local_aggregators = co_b;
+      coll::collective_write(mpi, *second, view, data, o);
+    });
+    EXPECT_EQ(first->verify(file_byte), "") << "co " << co_a;
+    EXPECT_EQ(second->verify(file_byte), "") << "co " << co_a << " -> " << co_b;
+  }
+}
+
 // ---------------------------------------------------------------------------
 // Forward bucket and overlap statistic
 // ---------------------------------------------------------------------------
 
-// Two-sided pipelined runs report forward time split out of shuffle and a
-// pipelined-overlap fraction in [0, 1]; co = 1 keeps both at zero so
-// legacy results compare equal field-for-field. The accounting identity
-// holds with the forward bucket included.
+// Two-sided hierarchical runs report forward time split out of shuffle and
+// a pipelined-overlap fraction in [0, 1] at every co; one-sided runs book
+// forward puts too but have no per-message lifetime. The accounting
+// identity holds with the forward bucket included.
 TEST(PipelinedStats, ForwardBucketAndOverlapFraction) {
   xp::RunSpec spec;
   spec.platform = xp::scaled(xp::ibex());
@@ -420,8 +419,10 @@ TEST(PipelinedStats, ForwardBucketAndOverlapFraction) {
   spec.verify = true;
 
   const xp::RunResult single = xp::execute(spec);
-  EXPECT_EQ(single.rank_sum.forward, 0);
-  EXPECT_EQ(single.pipelined_overlap, 0.0);
+  EXPECT_EQ(single.verify_error, "");
+  EXPECT_GT(single.rank_sum.forward, 0);
+  EXPECT_GE(single.pipelined_overlap, 0.0);
+  EXPECT_LE(single.pipelined_overlap, 1.0);
 
   spec.options.local_aggregators = 2;
   const xp::RunResult lanes = xp::execute(spec);
@@ -434,10 +435,9 @@ TEST(PipelinedStats, ForwardBucketAndOverlapFraction) {
                 t.write + t.backoff,
             t.total);
 
-  // gather_critical is the max per-rank gather bucket — comparable at any
-  // co (forwards are charged to shuffle at co = 1, forward at co > 1, so
-  // they stay out of the metric). Both schemes gather here (multi-member
-  // lanes), so both report a nonzero chain. No monotonicity claim: the
+  // gather_critical is the max per-rank gather bucket; forwards are booked
+  // separately at every co. Both layouts gather here (multi-member lanes),
+  // so both report a nonzero chain. No monotonicity claim: the
   // bucket also counts waits induced by member arrival skew, which a
   // scheduler can shift between buckets; where the reduction lands is the
   // fig_local_aggs grid's business.
@@ -459,10 +459,13 @@ TEST(PipelinedStats, ForwardBucketAndOverlapFraction) {
 
   // One-sided transfers complete forwards under the global epoch; no
   // per-message lifetime exists, so the stat stays zero but the forward
-  // issue time is still split out of shuffle.
+  // issue time is still split out of shuffle, at co = 1 as at co = 2.
   spec.options.transfer = coll::Transfer::OneSidedFence;
-  const xp::RunResult fence = xp::execute(spec);
-  EXPECT_EQ(fence.verify_error, "");
-  EXPECT_GT(fence.rank_sum.forward, 0);
-  EXPECT_EQ(fence.pipelined_overlap, 0.0);
+  for (const int co : {1, 2}) {
+    spec.options.local_aggregators = co;
+    const xp::RunResult fence = xp::execute(spec);
+    EXPECT_EQ(fence.verify_error, "") << "co=" << co;
+    EXPECT_GT(fence.rank_sum.forward, 0) << "co=" << co;
+    EXPECT_EQ(fence.pipelined_overlap, 0.0) << "co=" << co;
+  }
 }

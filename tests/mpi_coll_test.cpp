@@ -76,78 +76,46 @@ TEST(MpiColl, BarrierCostGrowsWithRanks) {
   EXPECT_LT(cost(2), cost(32));
 }
 
-TEST(MpiColl, NodeRanksListCoLocatedRanks) {
-  Rig rig(3, 2);
-  rig.run([&](smpi::Mpi& mpi) {
-    const auto ranks = mpi.node_ranks();
-    const int first = (mpi.rank() / 2) * 2;
-    ASSERT_EQ(ranks.size(), 2u);
-    EXPECT_EQ(ranks[0], first);
-    EXPECT_EQ(ranks[1], first + 1);
-  });
-}
-
-TEST(MpiColl, NodeBarrierSynchronizesWithinNodeOnly) {
-  Rig rig(2, 3);
+TEST(MpiColl, LaneBarriersOfOneNodeReleaseIndependently) {
+  // One node, two lanes: [0, 2) and [2, 6). Each lane leaves together,
+  // held to its own slowest member plus ceil(log2 parties) shared-memory
+  // hops, and never waits for the other lane.
+  Rig rig(1, 6);
+  const sim::Duration hop = smpi::MpiParams{}.node_collective_hop;
   std::vector<sim::Time> after(6);
   rig.run([&](smpi::Mpi& mpi) {
     mpi.ctx().advance(static_cast<sim::Duration>(mpi.rank()) * 1000);
-    mpi.node_barrier();
+    if (mpi.rank() < 2) {
+      mpi.lane_barrier(0, 2);
+    } else {
+      mpi.lane_barrier(2, 6);
+    }
     after[static_cast<std::size_t>(mpi.rank())] = mpi.ctx().now();
   });
-  // Members of a node leave together, held to the slowest member.
-  EXPECT_EQ(after[0], after[1]);
-  EXPECT_EQ(after[1], after[2]);
-  EXPECT_EQ(after[3], after[4]);
-  EXPECT_EQ(after[4], after[5]);
-  EXPECT_GE(after[0], 2000);
-  EXPECT_GE(after[3], 5000);
-  // Nodes do not wait for each other.
-  EXPECT_LT(after[0], after[3]);
+  EXPECT_EQ(after[0], 1000 + 1 * hop);
+  EXPECT_EQ(after[1], after[0]);
+  for (int r = 2; r < 6; ++r) {
+    EXPECT_EQ(after[static_cast<std::size_t>(r)], 5000 + 2 * hop);
+  }
 }
 
-TEST(MpiColl, NodeBarrierSinglePartyIsFree) {
-  // ppn=1: a one-party node barrier must neither block nor cost time —
-  // the hierarchical engine relies on this to degenerate to the direct
-  // path exactly.
-  Rig rig(4, 1);
+TEST(MpiColl, OneRankLaneBarrierIsFree) {
+  // A single-member lane neither blocks nor costs time.
+  Rig rig(2, 2);
   rig.run([&](smpi::Mpi& mpi) {
     mpi.ctx().advance(static_cast<sim::Duration>(mpi.rank()) * 500);
     const sim::Time before = mpi.ctx().now();
-    mpi.node_barrier();
+    mpi.lane_barrier(mpi.rank(), mpi.rank() + 1);
     EXPECT_EQ(mpi.ctx().now(), before);
   });
 }
 
-TEST(MpiColl, LeaderBarrierSpansOneRankPerNode) {
-  Rig rig(3, 2);
-  std::vector<sim::Time> after(6, -1);
-  rig.run([&](smpi::Mpi& mpi) {
-    if (mpi.rank() % 2 != 0) return;  // only the per-node "leaders" join
-    mpi.ctx().advance(static_cast<sim::Duration>(mpi.rank()) * 1000);
-    mpi.leader_barrier();
-    after[static_cast<std::size_t>(mpi.rank())] = mpi.ctx().now();
-  });
-  EXPECT_EQ(after[0], after[2]);
-  EXPECT_EQ(after[2], after[4]);
-  EXPECT_GT(after[0], 4000);  // slowest leader + log-N hop cost
-}
-
-TEST(MpiColl, LeaderBarrierEqualsBarrierAtPpnOne) {
-  // ppn=1: every rank is a leader, so the leader barrier is the global
-  // barrier — identical parties, identical cost model.
-  auto finish = [](bool leader) {
-    Rig rig(4, 1);
-    sim::Time t = 0;
-    rig.run([&](smpi::Mpi& mpi) {
-      mpi.ctx().advance(static_cast<sim::Duration>(mpi.rank()) * 700);
-      if (leader) mpi.leader_barrier();
-      else mpi.barrier();
-      if (mpi.rank() == 0) t = mpi.ctx().now();
-    });
-    return t;
-  };
-  EXPECT_EQ(finish(true), finish(false));
+TEST(MpiColl, LaneBarrierRejectsCallerOutsideInterval) {
+  Rig rig(1, 4);
+  EXPECT_THROW(rig.run([&](smpi::Mpi& mpi) {
+                 if (mpi.rank() == 2) mpi.lane_barrier(0, 2);
+               }),
+               tpio::Error);
 }
 
 TEST(MpiColl, AllgathervRoundTripsData) {

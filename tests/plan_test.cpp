@@ -275,9 +275,9 @@ TEST(Plan, LeaderPolicies) {
   lo.hierarchical = true;
   coll::Plan lowest(views, topo, 0, lo);
   EXPECT_TRUE(lowest.hierarchical());
-  EXPECT_EQ(lowest.leader_rank(0), 0);
-  EXPECT_EQ(lowest.leader_rank(1), 4);
-  EXPECT_EQ(lowest.leader_rank(2), 8);
+  EXPECT_EQ(lowest.lane_leader(0, 0), 0);
+  EXPECT_EQ(lowest.lane_leader(1, 0), 4);
+  EXPECT_EQ(lowest.lane_leader(2, 0), 8);
   EXPECT_EQ(lowest.leader_of(5), 4);
   EXPECT_TRUE(lowest.is_leader(4));
   EXPECT_FALSE(lowest.is_leader(5));
@@ -285,13 +285,23 @@ TEST(Plan, LeaderPolicies) {
   coll::Options sp = lo;
   sp.leader_policy = coll::LeaderPolicy::Spread;
   coll::Plan spread(views, topo, 0, sp);
-  EXPECT_EQ(spread.leader_rank(0), 3);
-  EXPECT_EQ(spread.leader_rank(1), 7);
-  EXPECT_EQ(spread.leader_rank(2), 9);  // last node holds only 8, 9
+  EXPECT_EQ(spread.lane_leader(0, 0), 3);
+  EXPECT_EQ(spread.lane_leader(1, 0), 7);
+  EXPECT_EQ(spread.lane_leader(2, 0), 9);  // last node holds only 8, 9
 
   // Non-hierarchical plans still elect leaders (cheap) but report off.
   coll::Plan flat(views, topo, 0, opts(1 << 20));
   EXPECT_FALSE(flat.hierarchical());
+
+  // One rank per node leaves nobody to gather from: the plan runs the
+  // direct path even when hierarchy is requested.
+  coll::Plan ppn1(block_views(3, 100), net::Topology{3, 1}, 0, lo);
+  EXPECT_FALSE(ppn1.hierarchical());
+  // So does a rank-offset sub-view of two ranks straddling a node
+  // boundary, though each of its nodes has four slots.
+  coll::Plan straddle(block_views(2, 100), net::Topology::sub_view(topo, 3, 2),
+                      0, lo);
+  EXPECT_FALSE(straddle.hierarchical());
 }
 
 TEST(Plan, NodeRankRanges) {
@@ -305,7 +315,8 @@ TEST(Plan, NodeRankRanges) {
 
 TEST(Plan, NodeSegmentsCoalesceAcrossMembers) {
   // Node 0 holds ranks 0 and 1 with interleaved-but-touching pieces; the
-  // merged node message must be one run with dense local offsets.
+  // merged message of its one lane (co = 1) must be one run with dense
+  // local offsets.
   net::Topology topo{2, 2};
   std::vector<coll::FileView> views(4);
   views[0].extents = {{0, 100}, {200, 100}};
@@ -314,7 +325,7 @@ TEST(Plan, NodeSegmentsCoalesceAcrossMembers) {
   views[3].extents = {{600, 100}};
   coll::Plan plan(views, topo, 0, opts(1 << 20));
 
-  const auto segs = plan.node_segments_in(0, 0, 1000);
+  const auto segs = plan.lane_segments_in(0, 0, 0, 1000);
   ASSERT_EQ(segs.size(), 2u);
   EXPECT_EQ(segs[0].file_offset, 0u);    // [0,100)+[100,200)+[200,300)
   EXPECT_EQ(segs[0].length, 300u);
@@ -322,34 +333,34 @@ TEST(Plan, NodeSegmentsCoalesceAcrossMembers) {
   EXPECT_EQ(segs[1].file_offset, 400u);
   EXPECT_EQ(segs[1].length, 50u);
   EXPECT_EQ(segs[1].local_offset, 300u);  // dense in the merged message
-  EXPECT_EQ(plan.node_bytes_in(0, 0, 1000), 350u);
+  EXPECT_EQ(plan.lane_bytes_in(0, 0, 0, 1000), 350u);
 
   // Window clipping applies before the merge.
-  const auto clipped = plan.node_segments_in(0, 150, 250);
+  const auto clipped = plan.lane_segments_in(0, 0, 150, 250);
   ASSERT_EQ(clipped.size(), 1u);
   EXPECT_EQ(clipped[0].file_offset, 150u);
   EXPECT_EQ(clipped[0].length, 100u);
-  EXPECT_EQ(plan.node_bytes_in(0, 150, 250), 100u);
+  EXPECT_EQ(plan.lane_bytes_in(0, 0, 150, 250), 100u);
 }
 
 TEST(Plan, SingleMemberNodePassesSegmentsThrough) {
-  // ppn=1: node_segments_in must return segments_in(member) verbatim —
-  // including its local buffer offsets — so the hierarchical path
-  // degenerates to the direct one exactly.
+  // ppn=1: a single-member lane's merged message must be
+  // segments_in(member) verbatim — including its local buffer offsets —
+  // so it sends exactly what the direct path would.
   net::Topology topo{2, 1};
   std::vector<coll::FileView> views(2);
   views[0].extents = {{100, 50}, {300, 100}};
   views[1].extents = {{150, 100}};
   coll::Plan plan(views, topo, 0, opts(1 << 20));
   const auto direct = plan.segments_in(0, 120, 350);
-  const auto node = plan.node_segments_in(0, 120, 350);
+  const auto node = plan.lane_segments_in(0, 0, 120, 350);
   ASSERT_EQ(node.size(), direct.size());
   for (std::size_t i = 0; i < node.size(); ++i) {
     EXPECT_EQ(node[i].file_offset, direct[i].file_offset);
     EXPECT_EQ(node[i].local_offset, direct[i].local_offset);
     EXPECT_EQ(node[i].length, direct[i].length);
   }
-  EXPECT_EQ(plan.node_bytes_in(0, 120, 350), plan.bytes_in(0, 120, 350));
+  EXPECT_EQ(plan.lane_bytes_in(0, 0, 120, 350), plan.bytes_in(0, 120, 350));
 }
 
 TEST(Plan, EmptyJob) {

@@ -20,7 +20,12 @@
 //       code-block line that invokes either tool, must be a flag the CLIs
 //       accept; every `Options::<name>` in the docs must name a field of
 //       coll::Options. A renamed or deleted knob can never linger in the
-//       manual.
+//       manual, and
+//   (f) API references — every `Mpi::X`, `Plan::X`, `PlanSkeleton::X`,
+//       `PlanCache::X`, `Engine::X`, `ReadEngine::X` and `Conductor::X`
+//       in the docs must name an identifier declared in that class's
+//       definition in a header under src/, so a deleted or renamed member
+//       can never linger in the manual either.
 //
 // Usage: docs_check <repo-root> <build-dir>
 // Exit code 0 = clean; 1 = at least one broken reference (each printed).
@@ -206,16 +211,51 @@ std::string cli_doc_text(const std::string& doc) {
   return out;
 }
 
-// Names `X` of every `Options::X` reference in `text`.
-std::set<std::string> options_refs(const std::string& text) {
+// Names `X` of every `<scope>::X` reference in `text` whose scope is not
+// the tail of a longer name (`ReadEngine::x` is no `Engine::x`).
+std::set<std::string> scoped_refs(const std::string& text,
+                                  const std::string& scope) {
   std::set<std::string> out;
-  const std::string needle = "Options::";
+  const std::string needle = scope + "::";
   for (std::size_t pos = text.find(needle); pos != std::string::npos;
        pos = text.find(needle, pos + 1)) {
+    if (pos > 0 && name_char(text[pos - 1])) continue;
     std::size_t start = pos + needle.size();
     std::size_t end = start;
     while (end < text.size() && name_char(text[end])) ++end;
     if (end > start) out.insert(text.substr(start, end - start));
+  }
+  return out;
+}
+
+// Every identifier in the body of each `class <name> {` in `code`,
+// comments skipped: member names, nested types and parameter names alike.
+std::set<std::string> class_identifiers(const std::string& code,
+                                        const std::string& name) {
+  std::set<std::string> out;
+  const std::string needle = "class " + name + " {";
+  for (std::size_t pos = code.find(needle); pos != std::string::npos;
+       pos = code.find(needle, pos + 1)) {
+    int depth = 0;
+    std::string word;
+    for (std::size_t i = code.find('{', pos); i < code.size(); ++i) {
+      const char c = code[i];
+      if (name_char(c)) {
+        word += c;
+        continue;
+      }
+      if (!word.empty() && !std::isdigit(static_cast<unsigned char>(word[0])))
+        out.insert(word);
+      word.clear();
+      if (c == '/' && i + 1 < code.size() && code[i + 1] == '/') {
+        i = code.find('\n', i);
+        if (i == std::string::npos) break;
+      } else if (c == '{') {
+        ++depth;
+      } else if (c == '}' && --depth == 0) {
+        break;
+      }
+    }
   }
   return out;
 }
@@ -327,11 +367,32 @@ int main(int argc, char** argv) {
         ++broken;
       }
     }
-    for (const std::string& name : options_refs(text)) {
+    for (const std::string& name : scoped_refs(text, "Options")) {
       if (std::find(fields.begin(), fields.end(), name) == fields.end()) {
         std::cerr << rel << ": Options::" << name
                   << " is not a coll::Options field\n";
         ++broken;
+      }
+    }
+  }
+
+  // (f) Docs may name only members the classes declare.
+  std::string headers;
+  for (const auto& e : fs::recursive_directory_iterator(repo / "src"))
+    if (e.path().extension() == ".hpp") headers += slurp(e.path());
+  int api_refs = 0;
+  for (const char* cls : {"Mpi", "Plan", "PlanSkeleton", "PlanCache", "Engine",
+                          "ReadEngine", "Conductor"}) {
+    const std::set<std::string> members = class_identifiers(headers, cls);
+    for (const fs::path& doc : docs) {
+      for (const std::string& name : scoped_refs(slurp(doc), cls)) {
+        ++api_refs;
+        if (members.count(name) == 0) {
+          std::cerr << doc.lexically_relative(repo).string() << ": " << cls
+                    << "::" << name << " is not declared in class " << cls
+                    << " under src/\n";
+          ++broken;
+        }
       }
     }
   }
@@ -351,7 +412,7 @@ int main(int argc, char** argv) {
 
   std::cout << "docs_check: " << docs.size() << " documents, " << links
             << " intra-repo links, " << bins << " binary references, "
-            << knobs << " knobs/flags, " << figs << " fig drivers, " << broken
-            << " broken\n";
+            << knobs << " knobs/flags, " << api_refs << " API references, "
+            << figs << " fig drivers, " << broken << " broken\n";
   return broken == 0 ? 0 : 1;
 }

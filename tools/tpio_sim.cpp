@@ -159,9 +159,9 @@ int main(int argc, char** argv) {
   std::printf("geometry: %d aggregators, %d cycles, %s total\n",
               first.aggregators, first.cycles,
               sim::format_bytes(first.bytes).c_str());
-  if (cfg.spec.options.local_aggregators > 1 || first.rank_sum.forward > 0) {
-    // Pipelined intra-node aggregation (--local-aggs > 1): how much of the
-    // lane leaders' forward traffic was hidden under the next gather.
+  if (first.rank_sum.forward > 0) {
+    // Hierarchical lanes forwarded: how much of the lane leaders' forward
+    // traffic was hidden under the next gather.
     std::printf("pipelined forwards: %.3f ms forward time (summed over "
                 "ranks), %.1f%% of forward lifetime hidden\n",
                 sim::to_millis(first.rank_sum.forward),
