@@ -1,21 +1,17 @@
 // Multi-tenant contention study: what happens to the paper's Table-I
 // story when the collective write shares the PFS with other jobs?
 //
-//   A. Lone-tenant isolation: a single tenant on the shared-system runner
-//      is bit-identical to the solo runner, per scheduler — the tenancy
-//      layer is free when unused.
-//   B. Winner table, idle vs contended: the full (quick-grid) overlap
+//   A. Winner table, idle vs contended: the full (quick-grid) overlap
 //      sweep next to the same sweep with 2 same-shape NoOverlap background
 //      writers per cell. Reports every cell where the winning scheduler
 //      flips — the paper's ranking was measured on dedicated nodes with a
 //      shared PFS, so contention is exactly where it is most fragile.
-//   C. Determinism: the contended tables are bit-identical at --jobs 1
+//   B. Determinism: the contended tables are bit-identical at --jobs 1
 //      and --jobs 8.
-//   D. QoS disciplines: one 3-tenant mix under fifo / fair / priority;
+//   C. QoS disciplines: one 3-tenant mix under fifo / fair / priority;
 //      strict priority must never make the top tenant slower than FIFO.
 //
 // Self-checks (exit 1 on failure):
-//   - lone-tenant bit-identity for all five schedulers;
 //   - contended tables identical across worker counts;
 //   - priority top tenant <= its FIFO turnaround;
 //   - the winner-flip table prints either the flipped cells or an explicit
@@ -29,7 +25,6 @@
 
 #include "harness/sweep.hpp"
 #include "harness/tenancy.hpp"
-#include "simbase/rng.hpp"
 
 namespace xp = tpio::xp;
 namespace wl = tpio::wl;
@@ -38,11 +33,6 @@ namespace pfs = tpio::pfs;
 namespace sim = tpio::sim;
 
 namespace {
-
-constexpr coll::OverlapMode kModes[] = {
-    coll::OverlapMode::None, coll::OverlapMode::Comm, coll::OverlapMode::Write,
-    coll::OverlapMode::WriteComm, coll::OverlapMode::WriteComm2,
-};
 
 xp::RunSpec base_spec() {
   xp::RunSpec spec;
@@ -58,18 +48,6 @@ std::string fmt3(double v) {
   char buf[32];
   std::snprintf(buf, sizeof(buf), "%.3f", v);
   return buf;
-}
-
-/// The timing/shape fields two runs must agree on to count as
-/// bit-identical (mirrors the differential suite's fingerprint).
-bool same_run(const xp::RunResult& a, const xp::RunResult& b) {
-  return a.arrival == b.arrival && a.completion == b.completion &&
-         a.makespan == b.makespan && a.bytes == b.bytes &&
-         a.aggregators == b.aggregators && a.cycles == b.cycles &&
-         a.inter_node_bytes == b.inter_node_bytes &&
-         a.inter_node_messages == b.inter_node_messages &&
-         a.intra_node_bytes == b.intra_node_bytes &&
-         a.io_error == b.io_error && a.verify_error == b.verify_error;
 }
 
 bool same_tables(const std::vector<xp::OverlapSeries>& a,
@@ -93,31 +71,7 @@ int main(int argc, char** argv) {
   bool ok = true;
 
   // -------------------------------------------------------------------------
-  // A. Lone-tenant isolation
-  // -------------------------------------------------------------------------
-  std::puts("== A. Lone tenant on the shared system vs the solo runner ==\n");
-  for (coll::OverlapMode m : kModes) {
-    xp::RunSpec spec = base_spec();
-    spec.options.overlap = m;
-    spec.seed = sim::Rng::derive_seed(11, static_cast<std::uint64_t>(m));
-    const xp::RunResult solo = xp::execute(spec);
-    xp::MultiRunSpec ms;
-    ms.tenants.push_back(spec);
-    ms.seed = spec.seed;
-    const xp::MultiRunResult multi = xp::execute_multi(ms);
-    if (!same_run(solo, multi.tenants[0].run)) {
-      std::printf("FAIL: lone tenant differs from solo run (%s)\n",
-                  coll::to_string(m));
-      ok = false;
-    }
-  }
-  if (ok) {
-    std::puts("self-check A: lone tenant bit-identical to the solo runner, "
-              "all five schedulers\n");
-  }
-
-  // -------------------------------------------------------------------------
-  // B. Winner table: idle system vs 2 background writers
+  // A. Winner table: idle system vs 2 background writers
   // -------------------------------------------------------------------------
   const xp::Platform plat = xp::ibex();
   const coll::Options base;
@@ -132,7 +86,7 @@ int main(int argc, char** argv) {
   const std::vector<xp::OverlapSeries> contended = xp::run_contended_sweep(
       plat, base, cc, reps, 0xC57, /*quick=*/true, e8);
 
-  std::printf("== B. Table-I winners, idle vs contended (2 NoOverlap "
+  std::printf("== A. Table-I winners, idle vs contended (2 NoOverlap "
               "neighbors, fifo; min over %d reps) ==\n\n", reps);
   xp::Table winners({"benchmark", "size", "procs", "idle winner",
                      "contended winner", "idle best(ms)",
@@ -151,16 +105,16 @@ int main(int argc, char** argv) {
   }
   winners.print();
   if (flips > 0) {
-    std::printf("\nresult B: contention flips the Table-I winner in %d of "
+    std::printf("\nresult A: contention flips the Table-I winner in %d of "
                 "%zu cells (*)\n\n", flips, idle.size());
   } else {
-    std::printf("\nresult B: no winner flip at this contention level — the "
+    std::printf("\nresult A: no winner flip at this contention level — the "
                 "overlap ranking is robust to %d same-shape neighbors on "
                 "this grid\n\n", cc.neighbors);
   }
 
   // -------------------------------------------------------------------------
-  // C. Worker-count determinism of the contended sweep
+  // B. Worker-count determinism of the contended sweep
   // -------------------------------------------------------------------------
   xp::ExecOptions e1;
   e1.jobs = 1;
@@ -170,14 +124,14 @@ int main(int argc, char** argv) {
     std::puts("FAIL: contended tables differ between --jobs 1 and --jobs 8");
     ok = false;
   } else {
-    std::puts("self-check C: contended tables bit-identical at --jobs 1 "
+    std::puts("self-check B: contended tables bit-identical at --jobs 1 "
               "and --jobs 8");
   }
 
   // -------------------------------------------------------------------------
-  // D. QoS disciplines on a 3-tenant mix
+  // C. QoS disciplines on a 3-tenant mix
   // -------------------------------------------------------------------------
-  std::puts("\n== D. QoS disciplines, 3 tenants (tenant 0 write-comm-2, "
+  std::puts("\n== C. QoS disciplines, 3 tenants (tenant 0 write-comm-2, "
             "two NoOverlap neighbors, 0.5 ms arrivals) ==\n");
   xp::MultiRunSpec mix;
   {
@@ -220,7 +174,7 @@ int main(int argc, char** argv) {
     std::puts("\nFAIL: strict priority made the top tenant slower than FIFO");
     ok = false;
   } else {
-    std::puts("\nself-check D: priority top tenant never slower than FIFO");
+    std::puts("\nself-check C: priority top tenant never slower than FIFO");
   }
 
   if (ok) std::puts("\nOK: contention acceptance criteria hold");

@@ -2,26 +2,21 @@
 // sub-communicators (one file each, Options::sub_comm_count) beat the
 // paper's single shared file?
 //
-//   A. k=1 degeneracy: forcing a run through the subfiling machinery
-//      (per-file stripe override equal to the platform default) is
-//      bit-identical to the plain shared-file runner, per scheduler —
-//      the subfiling layer is free when unused.
-//   B. Shared vs subfiled on the Table-I grid: every (benchmark, size,
+//   A. Shared vs subfiled on the Table-I grid: every (benchmark, size,
 //      procs) cell of the quick grid measured blocking (NoOverlap) at
 //      k in {1, 2, 4}, with the shared-file write-comm-2 time as context.
 //      Subfiling attacks the same bottleneck as the overlap schedulers —
 //      the collective/shuffle share of the cycle — by shrinking the group
 //      instead of hiding the exchange, so it wins exactly where that share
 //      dominates (small discontiguous pieces, many procs, slow fabric).
-//   C. Stripe-unit sweep (gio-style): one subfiled cell swept over
+//   B. Stripe-unit sweep (gio-style): one subfiled cell swept over
 //      per-subfile stripe units, 1 MiB to 512 MiB.
-//   D. Auto-k: what coll::decide_sub_comm_count picks per cell from one
+//   C. Auto-k: what coll::decide_sub_comm_count picks per cell from one
 //      blocking probe, next to the measured best k.
-//   E. Determinism: the subfiled (k=2) overlap sweep is bit-identical at
+//   D. Determinism: the subfiled (k=2) overlap sweep is bit-identical at
 //      --jobs 1 and --jobs 8.
 //
 // Self-checks (exit 1 on failure):
-//   - k=1 degeneracy for all five schedulers;
 //   - at least one Table-I cell where k>1 strictly beats the shared file;
 //   - subfiled runs verify byte-exact (every k, every cell, rep 0);
 //   - auto-k picks k=1 where splitting loses and k>1 in at least one cell;
@@ -49,27 +44,10 @@ namespace sim = tpio::sim;
 
 namespace {
 
-constexpr coll::OverlapMode kModes[] = {
-    coll::OverlapMode::None, coll::OverlapMode::Comm, coll::OverlapMode::Write,
-    coll::OverlapMode::WriteComm, coll::OverlapMode::WriteComm2,
-};
-
 std::string fmt3(double v) {
   char buf[32];
   std::snprintf(buf, sizeof(buf), "%.3f", v);
   return buf;
-}
-
-/// The fields two runs must agree on to count as bit-identical (mirrors
-/// tests/subfiling_diff_test.cpp).
-bool same_run(const xp::RunResult& a, const xp::RunResult& b) {
-  return a.completion == b.completion && a.makespan == b.makespan &&
-         a.bytes == b.bytes && a.aggregators == b.aggregators &&
-         a.cycles == b.cycles && a.inter_node_bytes == b.inter_node_bytes &&
-         a.inter_node_messages == b.inter_node_messages &&
-         a.intra_node_bytes == b.intra_node_bytes &&
-         a.rank_sum.total == b.rank_sum.total &&
-         a.io_error == b.io_error && a.verify_error == b.verify_error;
 }
 
 /// Minimum turnaround over `reps` seeds for one cell at one k.
@@ -110,50 +88,19 @@ int main(int argc, char** argv) {
   bool ok = true;
 
   // -------------------------------------------------------------------------
-  // A. k=1 degeneracy through the subfiling machinery
-  // -------------------------------------------------------------------------
-  std::puts("== A. k=1 through the subfiling machinery vs the plain "
-            "runner ==\n");
-  for (coll::OverlapMode m : kModes) {
-    xp::RunSpec spec;
-    spec.platform = xp::scaled(xp::ibex());
-    spec.workload = wl::make_tile1m(1, 2);
-    spec.nprocs = 16;
-    spec.options.cb_size = xp::kCbSize;
-    spec.options.overlap = m;
-    spec.verify = true;
-    spec.seed = sim::Rng::derive_seed(17, static_cast<std::uint64_t>(m));
-    const xp::RunResult plain = xp::execute(spec);
-    // A per-file stripe unit equal to the platform default changes no
-    // byte's placement but routes the run through execute_multi.
-    xp::RunSpec forced = spec;
-    forced.options.subfile_stripe_unit = spec.platform.pfs.stripe_size;
-    const xp::RunResult multi = xp::execute(forced);
-    if (!same_run(plain, multi)) {
-      std::printf("FAIL: k=1 subfiling run differs from the plain runner "
-                  "(%s)\n", coll::to_string(m));
-      ok = false;
-    }
-  }
-  if (ok) {
-    std::puts("self-check A: k=1 bit-identical to the shared-file runner, "
-              "all five schedulers\n");
-  }
-
-  // -------------------------------------------------------------------------
-  // B. Shared vs subfiled, Table-I cells
+  // A. Shared vs subfiled, Table-I cells
   // -------------------------------------------------------------------------
   const std::vector<std::string> plats =
       args.quick ? std::vector<std::string>{"crill"}
                  : std::vector<std::string>{"crill", "ibex"};
   const std::vector<int> procs_grid =
       args.quick ? std::vector<int>{100} : std::vector<int>{64, 100};
-  std::printf("== B. Blocking write, shared file vs k sub-files (min over "
+  std::printf("== A. Blocking write, shared file vs k sub-files (min over "
               "%d reps; wc2 = shared write-comm-2 context) ==\n\n", reps);
   xp::Table grid({"platform", "benchmark", "size", "procs", "shared(ms)",
                   "k=2(ms)", "k=4(ms)", "best", "wc2(ms)"});
   int wins = 0, cells = 0;
-  std::vector<double> shared_ms, best_split_ms;  // per cell, for D
+  std::vector<double> shared_ms, best_split_ms;  // per cell, for C
   std::vector<xp::RunSpec> cell_specs;
   for (const std::string& pname : plats) {
     const xp::Platform plat = xp::platform_by_name(pname);
@@ -200,7 +147,7 @@ int main(int argc, char** argv) {
     }
   }
   grid.print();
-  std::printf("\nresult B: subfiling beats the shared file in %d of %d "
+  std::printf("\nresult A: subfiling beats the shared file in %d of %d "
               "blocking cells (*)\n\n", wins, cells);
   if (wins == 0) {
     std::puts("FAIL: no Table-I cell where k>1 beats the shared file");
@@ -208,9 +155,9 @@ int main(int argc, char** argv) {
   }
 
   // -------------------------------------------------------------------------
-  // C. Per-subfile stripe-unit sweep (gio-style)
+  // B. Per-subfile stripe-unit sweep (gio-style)
   // -------------------------------------------------------------------------
-  std::puts("== C. Stripe-unit sweep, crill tile256/L procs=100, k=2, "
+  std::puts("== B. Stripe-unit sweep, crill tile256/L procs=100, k=2, "
             "blocking ==\n");
   {
     xp::RunSpec cell;
@@ -234,9 +181,9 @@ int main(int argc, char** argv) {
   }
 
   // -------------------------------------------------------------------------
-  // D. Auto-k per cell
+  // C. Auto-k per cell
   // -------------------------------------------------------------------------
-  std::puts("\n== D. Probe-driven k (coll::decide_sub_comm_count) per "
+  std::puts("\n== C. Probe-driven k (coll::decide_sub_comm_count) per "
             "cell ==\n");
   xp::Table autok({"platform", "benchmark", "size", "procs", "auto k",
                    "shared(ms)", "best split(ms)"});
@@ -267,12 +214,12 @@ int main(int argc, char** argv) {
     std::puts("\nFAIL: auto-k never chose to split on this grid");
     ok = false;
   } else {
-    std::puts("\nself-check D: auto-k splits where the probes measure a "
+    std::puts("\nself-check C: auto-k splits where the probes measure a "
               "win and never refuses a >10% one");
   }
 
   // -------------------------------------------------------------------------
-  // E. Worker-count determinism of the subfiled sweep
+  // D. Worker-count determinism of the subfiled sweep
   // -------------------------------------------------------------------------
   {
     coll::Options base;
@@ -290,7 +237,7 @@ int main(int argc, char** argv) {
                 "--jobs 8");
       ok = false;
     } else {
-      std::puts("\nself-check E: subfiled (k=2) sweep bit-identical at "
+      std::puts("\nself-check D: subfiled (k=2) sweep bit-identical at "
                 "--jobs 1 and --jobs 8");
     }
   }

@@ -96,8 +96,8 @@ std::vector<int> sub_comm_candidates(const net::Topology& topo,
 /// makespans, one per candidate k (sub_comm_candidates order; candidates
 /// not probed may be omitted from the tail). Pure and deterministic: a
 /// doubling search that accepts a larger k only while it improves the
-/// previously accepted probe by at least `min_gain` (fractional, see
-/// Options::auto_subfile_floor) and stops at the first non-improvement —
+/// previously accepted probe by at least `min_gain` (fractional; the
+/// harness's auto-k passes 0.02) and stops at the first non-improvement —
 /// whether splitting pays is a property of the whole platform (per-request
 /// storage overheads, stream limits, fabric speed), which one shared-file
 /// cycle cannot reveal but two cheap probe runs measure directly.

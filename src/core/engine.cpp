@@ -153,7 +153,7 @@ void Engine::leader_gather(int cycle, int slot) {
       // Pack CPU is charged from the piece count regardless of how many
       // host copies actually moved the bytes.
       timed(mpi_.ctx(), t_.pack, [&] {
-        mpi_.ctx().advance(pack_cost(opt_, pieces.size(), payload.size()));
+        mpi_.ctx().advance(pack_cost(pieces.size(), payload.size()));
       });
     }
     timed(mpi_.ctx(), t_.gather, [&] {
@@ -241,7 +241,7 @@ void Engine::leader_gather(int cycle, int slot) {
   }
   if (own_bytes > 0) {
     timed(mpi_.ctx(), t_.pack,
-          [&] { mpi_.ctx().advance(pack_cost(opt_, own.size(), own_bytes)); });
+          [&] { mpi_.ctx().advance(pack_cost(own.size(), own_bytes)); });
   }
   timed(mpi_.ctx(), t_.gather, [&] { mpi_.waitall(reqs); });
   std::size_t nsegs = 0;
@@ -264,7 +264,7 @@ void Engine::leader_gather(int cycle, int slot) {
   }
   if (bytes > 0) {
     timed(mpi_.ctx(), t_.pack,
-          [&] { mpi_.ctx().advance(pack_cost(opt_, nsegs, bytes)); });
+          [&] { mpi_.ctx().advance(pack_cost(nsegs, bytes)); });
   }
 }
 
@@ -391,7 +391,7 @@ void Engine::shuffle_init(int cycle, int slot) {
           data_.subspan(run.local_offset, run.total);
       if (segs.size() > 1) {
         timed(mpi_.ctx(), t_.pack, [&] {
-          mpi_.ctx().advance(pack_cost(opt_, segs.size(), run.total));
+          mpi_.ctx().advance(pack_cost(segs.size(), run.total));
         });
       }
       timed(mpi_.ctx(), t_.shuffle, [&] {
@@ -434,7 +434,7 @@ void Engine::shuffle_init(int cycle, int slot) {
       }
       timed(mpi_.ctx(), t_.forward, [&] {
         for (const Segment& g : segs) {
-          mpi_.ctx().advance(opt_.seg_cpu);
+          mpi_.ctx().advance(kSegmentCpu);
           mpi_.put(*s.win, target, g.file_offset - r.begin,
                    s.stage.span().subspan(base + g.local_offset, g.length));
         }
@@ -460,7 +460,7 @@ void Engine::shuffle_init(int cycle, int slot) {
       for (const Segment& g : segs) {
         // Each contiguous piece goes straight to its final position in the
         // target's sub-buffer: origin-side placement, no target CPU.
-        mpi_.ctx().advance(opt_.seg_cpu);
+        mpi_.ctx().advance(kSegmentCpu);
         mpi_.put(*s.win, target, g.file_offset - r.begin,
                  data_.subspan(g.local_offset, g.length));
       }
@@ -526,7 +526,7 @@ void Engine::shuffle_wait(int slot) {
           bytes += pos;
         }
         timed(mpi_.ctx(), t_.pack,
-              [&] { mpi_.ctx().advance(pack_cost(opt_, nsegs, bytes)); });
+              [&] { mpi_.ctx().advance(pack_cost(nsegs, bytes)); });
       }
       break;
     }

@@ -25,11 +25,15 @@ void timed(sim::RankCtx& ctx, sim::Duration& field, F&& fn) {
   field += ctx.now() - before;
 }
 
+/// Host-CPU model of the engines: memcpy bandwidth of pack/unpack at the
+/// sender or aggregator, and the cost per segment packed, unpacked or put.
+inline constexpr double kPackBandwidth = 6e9;
+inline constexpr sim::Duration kSegmentCpu = sim::nanoseconds(1500);
+
 /// CPU cost of packing/unpacking `segs` segments totalling `bytes`.
-inline sim::Duration pack_cost(const Options& opt, std::size_t segs,
-                               std::uint64_t bytes) {
-  return static_cast<sim::Duration>(segs) * opt.seg_cpu +
-         sim::transfer_time(bytes, opt.pack_bw);
+inline sim::Duration pack_cost(std::size_t segs, std::uint64_t bytes) {
+  return static_cast<sim::Duration>(segs) * kSegmentCpu +
+         sim::transfer_time(bytes, kPackBandwidth);
 }
 
 /// Backoff before re-issuing attempt `attempt + 1` of `cycle`'s operation:

@@ -217,7 +217,7 @@ void ReadEngine::scatter_init(int cycle, int slot) {
       }
       if (segs.size() > 1) {
         timed(mpi_.ctx(), t_.pack,
-              [&] { mpi_.ctx().advance(pack_cost(opt_, segs.size(), total)); });
+              [&] { mpi_.ctx().advance(pack_cost(segs.size(), total)); });
       }
       timed(mpi_.ctx(), t_.shuffle,
             [&] { s.sc.reqs.push_back(mpi_.isend(dst, tag, payload)); });
@@ -232,7 +232,7 @@ void ReadEngine::scatter_wait(int slot) {
   timed(mpi_.ctx(), t_.shuffle, [&] { mpi_.waitall(s.sc.reqs); });
   if (s.sc.unpack_segs > 0) {
     timed(mpi_.ctx(), t_.pack, [&] {
-      mpi_.ctx().advance(pack_cost(opt_, s.sc.unpack_segs, s.sc.unpack_bytes));
+      mpi_.ctx().advance(pack_cost(s.sc.unpack_segs, s.sc.unpack_bytes));
     });
   }
   s.sc.clear();

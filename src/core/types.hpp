@@ -143,10 +143,6 @@ struct Options {
   /// disables the cache — required for bit-reproducible sweeps whose grid
   /// points must not influence each other.
   std::string tuning_cache;
-  /// CPU bandwidth for pack/unpack memcpy at sender/aggregator.
-  double pack_bw = 6e9;
-  /// Per-segment CPU cost when packing/unpacking or issuing one put.
-  sim::Duration seg_cpu = sim::nanoseconds(1500);
   /// Optional per-rank phase recording (chrome://tracing export); not
   /// owned, may be null. Each rank passes its own Trace.
   Trace* trace = nullptr;
@@ -168,11 +164,6 @@ struct Options {
   /// g * factor (mod num_targets), so k * factor <= num_targets gives the
   /// subfiles disjoint target subsets.
   int subfile_stripe_factor = 0;
-  /// sub_comm_count == 0 (auto-k): minimum fractional improvement a larger
-  /// k must show over the previously accepted probe run before auto-k
-  /// accepts it (coll::decide_sub_comm_count); the default absorbs run-
-  /// to-run noise so near-ties keep the shared file.
-  double auto_subfile_floor = 0.02;
 
   // ----- resilience (fault injection: pfs::FaultParams) ---------------------
   /// Transiently failed writes/reads are retried up to this many times

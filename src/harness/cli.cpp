@@ -6,6 +6,7 @@
 #include <cstdlib>
 
 #include "harness/sweep.hpp"
+#include "net/topology.hpp"
 #include "simbase/error.hpp"
 #include "simbase/units.hpp"
 
@@ -381,55 +382,60 @@ CliConfig parse_cli(const std::vector<std::string>& args) {
   } catch (const tpio::Error& e) {
     cfg.error = e.what();
   }
-  if (cfg.error.empty() && faults.straggler_targets >
-                               cfg.spec.platform.pfs.num_targets) {
-    cfg.error = "--straggler-targets exceeds the platform's " +
-                std::to_string(cfg.spec.platform.pfs.num_targets) +
-                " storage targets";
+  if (cfg.error.empty()) cfg.error = check_cli(cfg);
+  return cfg;
+}
+
+std::string check_cli(const CliConfig& cfg) {
+  const RunSpec& spec = cfg.spec;
+  const coll::Options& opt = spec.options;
+  const int ppn = spec.platform.procs_per_node;
+  const int nodes = net::Topology::fit(spec.nprocs, ppn).nodes;
+  // Co-located storage grows with the nodes of every tenant sharing the
+  // machine, so the smallest system either tool builds is one tenant
+  // alone — which tpio_sim's slowdown baselines run.
+  const int targets = storage_targets(spec.platform, nodes);
+  if (spec.platform.pfs.faults.straggler_targets > targets) {
+    return "--straggler-targets " +
+           std::to_string(spec.platform.pfs.faults.straggler_targets) +
+           " exceeds the " + std::to_string(targets) +
+           " storage targets of a " + std::to_string(spec.nprocs) +
+           "-process job on " + spec.platform.name;
   }
-  if (cfg.error.empty() &&
-      cfg.spec.options.sub_comm_count > cfg.spec.nprocs) {
-    cfg.error = "--sub-comms " +
-                std::to_string(cfg.spec.options.sub_comm_count) +
-                " exceeds --procs " + std::to_string(cfg.spec.nprocs);
+  if (opt.sub_comm_count > spec.nprocs) {
+    return "--sub-comms " + std::to_string(opt.sub_comm_count) +
+           " exceeds the " + std::to_string(spec.nprocs) +
+           " processes of the run";
   }
-  if (cfg.error.empty() &&
-      cfg.spec.options.local_aggregators >
-          cfg.spec.platform.procs_per_node) {
-    cfg.error = "--local-aggs " +
-                std::to_string(cfg.spec.options.local_aggregators) +
-                " exceeds the platform's " +
-                std::to_string(cfg.spec.platform.procs_per_node) +
-                " processes per node";
+  if (opt.local_aggregators > ppn) {
+    return "--local-aggs " + std::to_string(opt.local_aggregators) +
+           " exceeds the platform's " + std::to_string(ppn) +
+           " processes per node";
   }
-  if (cfg.error.empty() &&
-      cfg.spec.options.leader_policy == coll::LeaderPolicy::Superset &&
-      cfg.spec.options.local_aggregators > 1) {
+  if (opt.leader_policy == coll::LeaderPolicy::Superset &&
+      opt.local_aggregators > 1) {
     // Superset needs one global aggregator per lane leader, or the fill
     // degenerates to Spread picks. Placement is round-robin over nodes, so
     // the per-node capacity is ceil(A / nodes); auto aggregator count
     // (--aggregators 0) guarantees only one.
-    const int ppn = cfg.spec.platform.procs_per_node;
-    const int nodes = (cfg.spec.nprocs + ppn - 1) / ppn;
-    const int a = std::min(cfg.spec.options.num_aggregators, cfg.spec.nprocs);
-    const int per_node = cfg.spec.options.num_aggregators == 0
-                             ? 1
-                             : (a + nodes - 1) / nodes;
-    if (cfg.spec.options.local_aggregators > per_node) {
-      cfg.error = "--leader superset with --local-aggs " +
-                  std::to_string(cfg.spec.options.local_aggregators) +
-                  " exceeds the " + std::to_string(per_node) +
-                  " aggregator(s) per node; raise --aggregators or lower "
-                  "--local-aggs";
+    const int a = std::min(opt.num_aggregators, spec.nprocs);
+    const int per_node =
+        opt.num_aggregators == 0 ? 1 : (a + nodes - 1) / nodes;
+    if (opt.local_aggregators > per_node) {
+      return "--leader superset with --local-aggs " +
+             std::to_string(opt.local_aggregators) + " exceeds the " +
+             std::to_string(per_node) +
+             " aggregator(s) per node; raise --aggregators, lower "
+             "--local-aggs or use --leader spread";
     }
   }
-  if (cfg.error.empty() && cfg.arrival.model == ArrivalModel::Trace &&
+  if (cfg.arrival.model == ArrivalModel::Trace &&
       static_cast<int>(cfg.arrival.trace.size()) != cfg.tenants) {
-    cfg.error = "--arrival trace lists " +
-                std::to_string(cfg.arrival.trace.size()) +
-                " instants but --tenants is " + std::to_string(cfg.tenants);
+    return "--arrival trace lists " +
+           std::to_string(cfg.arrival.trace.size()) +
+           " instants but --tenants is " + std::to_string(cfg.tenants);
   }
-  return cfg;
+  return {};
 }
 
 }  // namespace tpio::xp

@@ -52,8 +52,22 @@ struct CliConfig {
 ///   --degrade F                      (degraded-mode trigger ratio, off)
 ///   --help
 /// Sizes accept K/M/G suffixes. Unknown flags, non-numeric / overflowing /
-/// non-positive counts and zero byte-sizes all produce an error.
+/// non-positive counts and zero byte-sizes all produce an error, as does
+/// any configuration check_cli rejects.
 CliConfig parse_cli(const std::vector<std::string>& args);
+
+/// The configuration checks both front ends run before simulating
+/// anything: `cfg.spec` is one job exactly as it will run (the scaled
+/// platform with its fault knobs, the process count, the options) and
+/// `cfg.tenants` same-shape copies of it share the machine. Rejects what
+/// would otherwise abort inside the run or be silently clamped —
+/// straggler targets beyond the storage targets of one job's nodes, more
+/// sub-communicators than processes, more local aggregators than
+/// processes per node, superset lane leaders without an aggregator each,
+/// an arrival trace whose length is not the tenant count. Returns an
+/// empty string when the configuration runs, else a message naming the
+/// flag. tpio_sweep calls it once per process count of its grid.
+std::string check_cli(const CliConfig& cfg);
 
 /// Strict decimal integer parse shared by the CLI front ends: the whole
 /// string must be consumed, the value must fit a long long and lie in

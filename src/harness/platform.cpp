@@ -6,6 +6,11 @@
 
 namespace tpio::xp {
 
+int storage_targets(const Platform& p, int nodes) {
+  return p.targets_per_node > 0 ? std::max(1, nodes * p.targets_per_node)
+                                : p.pfs.num_targets;
+}
+
 Platform crill() {
   Platform p;
   p.name = "crill";

@@ -26,6 +26,11 @@ struct Platform {
   pfs::PfsParams pfs;
 };
 
+/// Storage targets a job spanning `nodes` compute nodes sees on `p`:
+/// max(1, nodes * targets_per_node) on co-located storage, else the fixed
+/// pfs.num_targets.
+int storage_targets(const Platform& p, int nodes);
+
 /// University of Houston *crill*: 16 nodes x 48 cores (AMD Magny Cours),
 /// QDR InfiniBand (~2.6 GB/s node-to-node), BeeGFS v7 striped over two
 /// extra HDDs in each of the 16 compute nodes (storage shares the compute

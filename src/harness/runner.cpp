@@ -1,106 +1,21 @@
 #include "harness/runner.hpp"
 
 #include <algorithm>
-#include <cmath>
 #include <cstdio>
 
 #include "core/autotune.hpp"
 #include "harness/tenancy.hpp"
 #include "net/topology.hpp"
-#include "sched/conductor.hpp"
-#include "simbase/bufpool.hpp"
 #include "simbase/error.hpp"
 #include "simbase/rng.hpp"
 
 namespace tpio::xp {
 
 RunResult execute(const RunSpec& spec) {
-  TPIO_CHECK(spec.nprocs > 0, "run needs processes");
-  TPIO_CHECK(spec.options.sub_comm_count >= 1,
-             "sub_comm_count must be resolved (>= 1) before execute; "
-             "0 = auto is decided by xp::auto_sub_comm_count");
-
-  // Subfiling (or per-file striping overrides): run through the
-  // multi-group machinery as a single tenant. The lone-tenant path is
-  // pinned bit-identical to the inline runner below by the contention and
-  // subfiling differential suites.
-  if (spec.options.sub_comm_count > 1 || spec.options.subfile_stripe_unit > 0 ||
-      spec.options.subfile_stripe_factor > 0) {
-    MultiRunSpec ms;
-    ms.tenants = {spec};
-    ms.seed = spec.seed;
-    MultiRunResult mr = execute_multi(ms);
-    return std::move(mr.tenants[0].run);
-  }
-
-  net::FabricParams fp = spec.platform.fabric;
-  fp.noise_seed = sim::Rng::derive_seed(spec.seed, 0xFAB);
-  pfs::PfsParams pp = spec.platform.pfs;
-  pp.noise_seed = sim::Rng::derive_seed(spec.seed, 0x57C);
-  if (pp.aio_penalty_sigma > 0.0) {
-    // One aio-quality draw per run (see PfsParams::aio_penalty_sigma).
-    sim::Rng rng(sim::Rng::derive_seed(spec.seed, 0xA10));
-    const double jitter = std::exp(pp.aio_penalty_sigma * rng.next_normal());
-    pp.aio_penalty *= std::max(1.0, jitter);
-    pp.aio_penalty_sigma = 0.0;
-  }
-
-  const net::Topology topo =
-      net::Topology::fit(spec.nprocs, spec.platform.procs_per_node);
-  if (spec.platform.targets_per_node > 0) {
-    pp.num_targets = std::max(1, topo.nodes * spec.platform.targets_per_node);
-  }
-  net::Fabric fabric(topo, fp);
-  smpi::Machine machine(fabric, spec.platform.mpi);
-  pfs::StorageSystem storage(pp, &fabric);
-  auto file = storage.create(
-      "run", spec.verify ? pfs::Integrity::Digest : pfs::Integrity::None);
-
-  // Timing-only fast path: without verification the file records no
-  // content, fault verdicts are pure functions of offsets, and no payload
-  // byte is ever consumed — so the workload pattern is not materialized
-  // and the engines skip every host-side payload copy. All RunResult
-  // fields are bit-identical to a materialized run.
-  coll::Options eff = spec.options;
-  eff.materialize = spec.verify;
-
-  sim::Conductor conductor(topo.nprocs());
-  std::vector<coll::Result> results(static_cast<std::size_t>(topo.nprocs()));
-  conductor.run([&](sim::RankCtx& ctx) {
-    smpi::Mpi mpi(machine, ctx);
-    const coll::FileView view = spec.workload.view(mpi.rank(), spec.nprocs);
-    sim::BufferPool::Buffer data = sim::BufferPool::local().acquire(
-        view.total_bytes(), /*zeroed=*/false);
-    if (eff.materialize) wl::fill_into(view, data.span());
-    results[static_cast<std::size_t>(mpi.rank())] =
-        coll::collective_write(mpi, *file, view, data.span(), eff);
-  });
-
-  RunResult out;
-  out.arrival = 0;
-  out.completion = conductor.makespan();
-  out.makespan = out.completion - out.arrival;
-  out.aggregators = results[0].aggregators;
-  out.cycles = results[0].cycles;
-  out.bytes = results[0].bytes_global;
-  out.autotune = results[0].autotune;
-  out.inter_node_bytes = fabric.inter_node_bytes();
-  out.inter_node_messages = fabric.inter_node_messages();
-  out.intra_node_bytes = fabric.intra_node_bytes();
-  add_rank_results(out, results);
-  if (spec.verify) {
-    out.verify_error = file->verify(wl::expected_byte);
-    // verify() checks consistency of what arrived; after give-ups the file
-    // can be *consistently short* (trailing regions never written shrink
-    // it), so also demand the full planned volume landed.
-    if (out.verify_error.empty() && file->bytes_written() != out.bytes) {
-      out.verify_error = "file holds " +
-                         std::to_string(file->bytes_written()) + " of " +
-                         std::to_string(out.bytes) +
-                         " expected bytes (I/O give-ups?)";
-    }
-  }
-  return out;
+  MultiRunSpec ms;
+  ms.tenants = {spec};
+  ms.seed = spec.seed;
+  return std::move(execute_multi(ms).tenants[0].run);
 }
 
 void add_rank_results(RunResult& out, std::span<const coll::Result> ranks) {
@@ -204,12 +119,13 @@ std::string fingerprint(const RunResult& r) {
 }
 
 int auto_sub_comm_count(const RunSpec& spec) {
+  // Fractional improvement a larger k must show over the previously
+  // accepted probe; absorbs run-to-run noise so near-ties keep the shared
+  // file.
+  constexpr double kMinGain = 0.02;
   const net::Topology topo =
       net::Topology::fit(spec.nprocs, spec.platform.procs_per_node);
-  int num_targets = spec.platform.pfs.num_targets;
-  if (spec.platform.targets_per_node > 0) {
-    num_targets = std::max(1, topo.nodes * spec.platform.targets_per_node);
-  }
+  const int num_targets = storage_targets(spec.platform, topo.nodes);
   // Blocking probe runs at doubling k, lazily: the search stops at the
   // first candidate that fails the improvement floor, so the common
   // shared-file answer costs two probes. Probes are virtual-time runs of
@@ -226,12 +142,11 @@ int auto_sub_comm_count(const RunSpec& spec) {
     probe.verify = false;
     const RunResult r = execute(probe);
     probe_ms.push_back(sim::to_millis(r.makespan));
-    if (coll::decide_sub_comm_count(probe_ms,
-                                    spec.options.auto_subfile_floor) < k) {
+    if (coll::decide_sub_comm_count(probe_ms, kMinGain) < k) {
       break;  // k lost to the previous probe; larger k only fragments more
     }
   }
-  return coll::decide_sub_comm_count(probe_ms, spec.options.auto_subfile_floor);
+  return coll::decide_sub_comm_count(probe_ms, kMinGain);
 }
 
 sim::Duration Series::min_makespan() const {

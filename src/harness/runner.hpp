@@ -97,7 +97,9 @@ struct RunResult {
   }
 };
 
-/// Execute one job on a freshly-built simulated cluster.
+/// Execute one job on a freshly-built simulated cluster: tenant 0 of
+/// execute_multi (tenancy.hpp) on a system that holds only `spec`, seeded
+/// with spec.seed.
 RunResult execute(const RunSpec& spec);
 
 /// Roll one job's per-rank results into `out`: rank_sum, faults,

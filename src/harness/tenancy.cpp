@@ -64,10 +64,6 @@ std::vector<sim::Time> arrival_times(const ArrivalSpec& spec, int n,
   return at;
 }
 
-MultiRunResult execute_multi(const MultiRunSpec& spec) {
-  return execute_multi(spec, /*with_baselines=*/false);
-}
-
 namespace {
 
 /// Dense subfile-local address space of one sub-communicator: the sorted,
@@ -199,9 +195,9 @@ MultiRunResult execute_multi(const MultiRunSpec& spec, bool with_baselines) {
     total_nodes += topos.back().nodes;
   }
 
-  // Shared-system parameters, with noise/aio streams derived from the
-  // multi-run seed by exactly the solo runner's salts — a lone tenant with
-  // spec.seed == tenants[0].seed replays the solo schedule bit-for-bit.
+  // Shared-system parameters: the fabric and storage noise streams and the
+  // one aio-quality draw per run (see PfsParams::aio_penalty_sigma) all
+  // derive from the multi-run seed; xp::execute passes the job's own seed.
   net::FabricParams fp = plat.fabric;
   fp.noise_seed = sim::Rng::derive_seed(spec.seed, 0xFAB);
   pfs::PfsParams pp = plat.pfs;
@@ -212,9 +208,7 @@ MultiRunResult execute_multi(const MultiRunSpec& spec, bool with_baselines) {
     pp.aio_penalty *= std::max(1.0, jitter);
     pp.aio_penalty_sigma = 0.0;
   }
-  if (plat.targets_per_node > 0) {
-    pp.num_targets = std::max(1, total_nodes * plat.targets_per_node);
-  }
+  pp.num_targets = storage_targets(plat, total_nodes);
   pp.qos = spec.qos;
 
   const net::Topology union_topo{total_nodes, plat.procs_per_node, 0};
@@ -226,9 +220,7 @@ MultiRunResult execute_multi(const MultiRunSpec& spec, bool with_baselines) {
 
   // Per-(tenant, subgroup) infrastructure over the shared substrate. Every
   // tenant splits into sub_comm_count contiguous sub-communicators; the
-  // default of 1 makes the subgroup exactly the tenant, and every formula
-  // below degenerates to the historical per-tenant path bit-for-bit (the
-  // `subfiling` differential suite pins this).
+  // default of 1 makes the subgroup exactly the tenant.
   struct SubGroup {
     int tenant = 0;  // owning tenant
     int index = 0;   // sub-communicator index within the tenant
@@ -334,8 +326,7 @@ MultiRunResult execute_multi(const MultiRunSpec& spec, bool with_baselines) {
     const SubGroup& g = groups[static_cast<std::size_t>(gi)];
     programs.push_back([&, gi, g](sim::RankCtx& ctx) {
       // The tenant's job enters the system at its arrival instant: every
-      // reservation it makes starts no earlier. An arrival of 0 is a no-op,
-      // preserving solo bit-identity.
+      // reservation it makes starts no earlier. An arrival of 0 is a no-op.
       const RunSpec& ts = spec.tenants[static_cast<std::size_t>(g.tenant)];
       ctx.advance_to(arrivals[static_cast<std::size_t>(g.tenant)]);
       smpi::Mpi mpi(*machines[static_cast<std::size_t>(gi)], ctx);

@@ -40,9 +40,8 @@ std::vector<sim::Time> arrival_times(const ArrivalSpec& spec, int n,
 /// N concurrent jobs on one shared PFS + fabric. The shared system is
 /// built from `tenants[0].platform` (every tenant must run the same
 /// platform — they share the machine) sized to the union of the tenants'
-/// node blocks, with noise streams derived from `seed` exactly as the solo
-/// runner derives them — so a single tenant with spec.seed == seed is
-/// bit-identical to execute(tenants[0]).
+/// node blocks, with noise streams derived from `seed`. execute(spec) is
+/// the single tenant `spec` with seed == spec.seed.
 struct MultiRunSpec {
   std::vector<RunSpec> tenants;
   ArrivalSpec arrival;
@@ -77,11 +76,11 @@ struct MultiRunResult {
 };
 
 /// Run every tenant concurrently on the shared system. Deterministic:
-/// bit-identical at any executor worker count and on either conductor
-/// backend. With `with_baselines`, each tenant's spec is also executed
-/// solo (same seed) to fill TenantResult::slowdown.
-MultiRunResult execute_multi(const MultiRunSpec& spec);
-MultiRunResult execute_multi(const MultiRunSpec& spec, bool with_baselines);
+/// bit-identical at any executor worker count. With `with_baselines`, each
+/// tenant's spec is also executed solo (same seed) to fill
+/// TenantResult::slowdown.
+MultiRunResult execute_multi(const MultiRunSpec& spec,
+                             bool with_baselines = false);
 
 /// Compact textual fingerprint of the tenancy configuration (tenant count,
 /// arrivals, QoS, weights/priorities), empty for a default solo spec; used

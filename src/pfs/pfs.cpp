@@ -110,15 +110,7 @@ sim::Timeline& StorageSystem::client_channel(int node) {
 
 std::shared_ptr<File> StorageSystem::create(std::string name,
                                             Integrity integrity) {
-  return create(std::move(name), integrity, TenantClass{}, 0);
-}
-
-std::shared_ptr<File> StorageSystem::create(std::string name,
-                                            Integrity integrity,
-                                            const TenantClass& tenant,
-                                            int node_offset) {
-  return create(std::move(name), integrity, tenant, node_offset,
-                FileStriping{});
+  return create(std::move(name), integrity, TenantClass{}, 0, FileStriping{});
 }
 
 std::shared_ptr<File> StorageSystem::create(std::string name,

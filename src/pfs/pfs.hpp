@@ -248,19 +248,16 @@ class StorageSystem {
   StorageSystem(const StorageSystem&) = delete;
   StorageSystem& operator=(const StorageSystem&) = delete;
 
+  /// Exactly create(name, integrity, {}, 0, {}).
   std::shared_ptr<File> create(std::string name, Integrity integrity);
 
   /// Multi-tenant create: the file's I/O is billed to `tenant` under the
   /// system's QoS policy, and the caller's tenant-local compute nodes are
   /// translated by `node_offset` onto the shared system's node space
   /// (client storage channels, compute-NIC sharing, fault-oracle keys).
-  /// The default create() is exactly create(name, integrity, {}, 0).
-  std::shared_ptr<File> create(std::string name, Integrity integrity,
-                               const TenantClass& tenant, int node_offset);
-
-  /// Subfiling create: like the tenant overload, plus per-file striping
-  /// overrides (stripe unit, striping factor, first target). A default-
-  /// constructed FileStriping makes this exactly the overload above.
+  /// `striping` overrides the file's stripe unit, striping factor and
+  /// first target; a default-constructed FileStriping inherits the
+  /// system-wide striping.
   std::shared_ptr<File> create(std::string name, Integrity integrity,
                                const TenantClass& tenant, int node_offset,
                                const FileStriping& striping);

@@ -12,8 +12,8 @@ namespace tpio::pfs {
 /// Queuing discipline of a shared storage resource serving several tenants
 /// (concurrent jobs). All three disciplines degenerate to plain FIFO — and
 /// are bit-identical to a bare sim::Timeline — when only one tenant ever
-/// uses the queue, which is the lone-tenant isolation guarantee the
-/// differential tests pin.
+/// uses the queue, which is the lone-tenant isolation guarantee
+/// tests/qos_test.cpp pins.
 enum class QosPolicy {
   /// First-come-first-served in virtual-time (baton) order; exactly the
   /// historical single-job Timeline semantics.

@@ -120,6 +120,48 @@ TEST(Cli, StrictIntParsers) {
   EXPECT_FALSE(xp::parse_u64_arg("1.5", u));
 }
 
+TEST(Cli, CheckRejectsRunsThatWouldAbortOrBeClamped) {
+  auto rejects = [](const xp::CliConfig& cfg, const std::string& flag) {
+    const std::string error = xp::check_cli(cfg);
+    EXPECT_NE(error.find(flag), std::string::npos) << "'" << error << "'";
+  };
+  // Scaled crill has one storage target per node: 16 ranks are 2 nodes.
+  rejects(parse({"--platform", "crill", "--procs", "16", "--straggler-targets",
+                 "4", "--straggler", "3"}),
+          "--straggler-targets");
+  EXPECT_EQ(parse({"--platform", "crill", "--procs", "16",
+                   "--straggler-targets", "2"})
+                .error,
+            "");
+  // Two tenants pool 4 targets, but the slowdown baseline runs one alone.
+  rejects(parse({"--platform", "crill", "--procs", "16", "--straggler-targets",
+                 "4", "--tenants", "2"}),
+          "--straggler-targets");
+
+  // The cells tpio_sweep --quick checks: the scaled platform at 16 ranks.
+  xp::CliConfig cell;
+  cell.spec.platform = xp::platform_by_name("ibex");
+  cell.spec.nprocs = 16;
+  EXPECT_EQ(xp::check_cli(cell), "");
+  xp::CliConfig c = cell;
+  c.spec.platform.pfs.faults.straggler_targets = 100;
+  rejects(c, "--straggler-targets");
+  c = cell;
+  c.spec.options.sub_comm_count = 32;
+  rejects(c, "--sub-comms");
+  c = cell;
+  c.tenants = 2;
+  c.arrival.model = xp::ArrivalModel::Trace;
+  c.arrival.trace = {0};
+  rejects(c, "--arrival");
+  // Scaled ibex runs 10 ranks per node (the preset has 40).
+  c = cell;
+  c.spec.options.local_aggregators = 20;
+  rejects(c, "--local-aggs");
+  c.spec.options.local_aggregators = 10;
+  EXPECT_EQ(xp::check_cli(c), "");
+}
+
 TEST(Cli, AutoOverlapFlags) {
   const auto cfg = parse({"--overlap", "auto", "--probe-cycles", "6",
                           "--tuning-cache", "/tmp/tpio-cache.json"});

@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <functional>
+#include <utility>
 #include <vector>
 
 #include "pfs/pfs.hpp"
@@ -278,4 +279,34 @@ TEST(Pfs, SystemBytesCounter) {
     b->write_at(ctx, 0, 0, make_region(0, 500));
   });
   EXPECT_EQ(sys.bytes_written(), 1500u);
+}
+
+TEST(Pfs, StripeUnitEqualToSystemStripeIsTheDefaultStriping) {
+  // A per-file stripe unit equal to the system stripe size changes
+  // nothing: the file reports the same stripe size as one without the
+  // override, and each stripe lands on the same target.
+  const pfs::PfsParams p = fast_params();
+  const int stripes = 3 * p.num_targets;
+  auto layout = [&](const pfs::FileStriping& striping) {
+    std::uint64_t stripe_size = 0;
+    std::vector<int> target_of_stripe;
+    for (int s = 0; s < stripes; ++s) {
+      pfs::StorageSystem sys(p, nullptr);
+      auto f = sys.create("t", pfs::Integrity::None, {}, 0, striping);
+      stripe_size = f->stripe_size();
+      const std::uint64_t off = static_cast<std::uint64_t>(s) * p.stripe_size;
+      solo([&](sim::RankCtx& ctx) {
+        f->write_at(ctx, 0, off, make_region(off, p.stripe_size));
+      });
+      for (int t = 0; t < p.num_targets; ++t) {
+        if (sys.target(t).stats(0).requests > 0) target_of_stripe.push_back(t);
+      }
+    }
+    return std::make_pair(stripe_size, target_of_stripe);
+  };
+  pfs::FileStriping same;
+  same.stripe_unit = p.stripe_size;
+  const auto plain = layout(pfs::FileStriping{});
+  ASSERT_EQ(plain.second.size(), static_cast<std::size_t>(stripes));
+  EXPECT_EQ(layout(same), plain);
 }

@@ -2,8 +2,8 @@
 // sub-view geometry units, edge geometries (k not dividing P, k == P
 // file-per-rank, single-node subgroups under the hierarchical shuffle),
 // composition with fault injection and multi-tenant contention, and the
-// pure auto-k decision functions. The k == 1 bit-identity contract lives
-// in subfiling_diff_test.cpp.
+// pure auto-k decision functions. The golden suite (tests/golden/) pins
+// the shared-file (k == 1) results.
 //
 // Registered under the `subfiling` ctest label (tests/CMakeLists.txt).
 
@@ -229,6 +229,15 @@ TEST(Subfiling, AllSchedulersAndPrimitivesVerify) {
               coll::to_string(spec.options.transfer));
     }
   }
+}
+
+TEST(Subfiling, SharedFileRunsCarryNoSubfileResults) {
+  // A k == 1 RunResult lists no subfiles, with or without a per-file
+  // stripe override.
+  xp::RunSpec spec = base_spec(wl::make_ior(1u << 19), 16);
+  EXPECT_TRUE(xp::execute(spec).subfiles.empty());
+  spec.options.subfile_stripe_unit = spec.platform.pfs.stripe_size;
+  EXPECT_TRUE(xp::execute(spec).subfiles.empty());
 }
 
 TEST(Subfiling, StripeOverridesVerify) {

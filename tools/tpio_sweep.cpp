@@ -206,24 +206,20 @@ int main(int argc, char** argv) {
   // resume from a healthy checkpoint (or vice versa).
   plat.pfs.faults = faults;
 
-  if (base.local_aggregators > plat.procs_per_node) {
-    std::fprintf(stderr,
-                 "--local-aggs %d exceeds the platform's %d processes "
-                 "per node\n",
-                 base.local_aggregators, plat.procs_per_node);
-    return 2;
-  }
-  if (base.leader_policy == coll::LeaderPolicy::Superset &&
-      base.local_aggregators > 1) {
-    // The sweep always runs with automatic aggregator selection, which
-    // guarantees only one global aggregator per node — not enough to host
-    // more than one superset lane leader.
-    std::fprintf(stderr,
-                 "--leader superset with --local-aggs %d exceeds the 1 "
-                 "aggregator per node the sweep's automatic election "
-                 "guarantees; use --leader spread for co > 1 sweeps\n",
-                 base.local_aggregators);
-    return 2;
+  // The shared configuration checks, against each grid cell as it will
+  // run: the scaled platform at every process count of the grid.
+  for (const int procs : xp::paper_proc_counts(quick)) {
+    xp::CliConfig cell;
+    cell.spec.platform = xp::scaled(plat);
+    cell.spec.nprocs = procs;
+    cell.spec.options = base;
+    cell.tenants = static_cast<int>(tenants);
+    cell.arrival = tenancy.arrival;
+    const std::string error = xp::check_cli(cell);
+    if (!error.empty()) {
+      std::fprintf(stderr, "error: %s\n", error.c_str());
+      return 2;
+    }
   }
 
   // The executor refuses stale --resume checkpoints (and other invariant
