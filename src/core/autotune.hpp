@@ -48,8 +48,9 @@ struct ProbeStats {
   bool has_async = false;       // at least one async probe ran
 };
 
-/// Thresholds of the decision model; defaults live in coll::Options
-/// (auto_* knobs) and are calibrated on the quick Table I grid.
+/// Thresholds of the decision model, calibrated on the quick Table I grid.
+/// Every run uses the defaults; tests hand coll::Engine other values to
+/// force each switch target.
 struct AutoPolicy {
   /// Async writes are rejected when their per-cycle floor (aio_ratio *
   /// blocking write) exceeds the blocking pipeline's floor
@@ -67,11 +68,6 @@ struct AutoPolicy {
   /// data-flow ordering dominates it on every measured grid — but kept as
   /// a knob so every switch target stays reachable.
   double joint_wait_floor = 2.0;
-
-  static AutoPolicy from(const Options& o) {
-    return AutoPolicy{o.auto_aio_margin, o.auto_comm_floor,
-                      o.auto_write_only_ceiling, o.auto_joint_wait_floor};
-  }
 };
 
 /// Shuffle share of a probed cycle: shuffle / (shuffle + blocking write).

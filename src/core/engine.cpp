@@ -8,6 +8,7 @@
 #include "core/autotune.hpp"
 #include "core/io_path.hpp"
 #include "core/metadata.hpp"
+#include "core/pipeline.hpp"
 #include "core/segcopy.hpp"
 #include "core/trace.hpp"
 #include "simbase/bufpool.hpp"
@@ -27,17 +28,29 @@ smpi::Tag gather_tag(int cycle, int lane) {
          (static_cast<smpi::Tag>(lane) << 41);
 }
 
+constexpr FileDirection kWriteDirection{
+    .write = true, .salt = 0xB0FF, .init = "write_init", .wait = "write_wait",
+    .blocking = "write_blocking", .retry = "write_retry",
+    .giveup = "write_giveup", .degraded = "write_degraded"};
+
+using ShuffleStage = Stage<Engine, &Engine::shuffle_init, &Engine::shuffle_wait,
+                           &Engine::shuffle_blocking>;
+using WriteStage = Stage<Engine, &Engine::write_init, &Engine::write_wait,
+                         &Engine::write_blocking>;
+
 }  // namespace
 
 Engine::Engine(smpi::Mpi& mpi, pfs::File& file, const Plan& plan,
                std::span<const std::byte> local_data, const Options& opt,
-               PhaseTimings& timings)
+               PhaseTimings& timings, const AutoPolicy& policy)
     : mpi_(mpi),
       file_(file),
       plan_(plan),
       data_(local_data),
       opt_(opt),
-      t_(timings) {
+      t_(timings),
+      policy_(policy),
+      io_(mpi, file, plan, opt_, timings, kWriteDirection) {
   TPIO_CHECK(data_.size() == plan.view(mpi.rank()).total_bytes(),
              "local buffer size does not match the file view");
   // Timing-only mode must never meet a content-recording file: the digest
@@ -54,7 +67,7 @@ Engine::Engine(smpi::Mpi& mpi, pfs::File& file, const Plan& plan,
     lane_last_ = last;
   }
 
-  const int nslots = opt_.overlap == OverlapMode::None ? 1 : 2;
+  const int nslots = num_slots(opt_.overlap);
   const std::uint64_t sb = plan_.sub_buffer_bytes();
   if (opt_.transfer == Transfer::TwoSided) {
     if (my_agg_ >= 0) {
@@ -202,8 +215,7 @@ void Engine::leader_gather(int cycle, int slot) {
 
   // Receive every member's packed pieces, scatter them (and our own) into
   // the merged staging buffer.
-  ScopedTraceEvent ev_(opt_.trace, "leader_gather", cycle, mpi_.ctx().now());
-  struct F_ { ScopedTraceEvent& e; smpi::Mpi& m; ~F_() { e.finish(m.ctx().now()); } } f_{ev_, mpi_};
+  ScopedTraceEvent ev(opt_.trace, "leader_gather", cycle, mpi_.ctx());
   // The staging buffer is fully covered by the members' pieces, so it
   // needs no zeroing; pooled, recycled across cycles and runs.
   s.stage = sim::BufferPool::local().acquire(stage_bytes, /*zeroed=*/false);
@@ -270,11 +282,10 @@ void Engine::leader_gather(int cycle, int slot) {
 
 void Engine::shuffle_init(int cycle, int slot) {
   leader_gather(cycle, slot);  // hierarchical mode only; no-op otherwise
-  ScopedTraceEvent ev_(opt_.trace, "shuffle_init", cycle, mpi_.ctx().now());
-  struct F_ { ScopedTraceEvent& e; smpi::Mpi& m; ~F_() { e.finish(m.ctx().now()); } } f_{ev_, mpi_};
+  ScopedTraceEvent ev(opt_.trace, "shuffle_init", cycle, mpi_.ctx());
   Slot& s = slots_[slot];
   TPIO_CHECK(!s.sh.pending, "shuffle_init while a shuffle is pending on slot");
-  TPIO_CHECK(!s.wr.valid(),
+  TPIO_CHECK(!io_.in_flight(slot),
              "shuffle_init into a sub-buffer with an outstanding write");
   s.sh.clear();  // keeps vector capacity: steady-state cycles don't allocate
   s.sh.cycle = cycle;
@@ -472,8 +483,8 @@ void Engine::shuffle_init(int cycle, int slot) {
 }
 
 void Engine::shuffle_wait(int slot) {
-  ScopedTraceEvent ev_(opt_.trace, "shuffle_wait", slots_[slot].sh.cycle, mpi_.ctx().now());
-  struct F_ { ScopedTraceEvent& e; smpi::Mpi& m; ~F_() { e.finish(m.ctx().now()); } } f_{ev_, mpi_};
+  ScopedTraceEvent ev(opt_.trace, "shuffle_wait", slots_[slot].sh.cycle,
+                      mpi_.ctx());
   Slot& s = slots_[slot];
   TPIO_CHECK(s.sh.pending, "shuffle_wait without a pending shuffle");
   s.sh.pending = false;
@@ -552,157 +563,22 @@ void Engine::shuffle_blocking(int cycle, int slot) {
 // I/O phase
 // ---------------------------------------------------------------------------
 
-void Engine::retry_backoff(int cycle, int attempt) {
-  ++faults_.retries;
-  const sim::Duration d =
-      backoff_delay(opt_, file_.faults().params().seed, /*salt=*/0xB0FF,
-                    mpi_.rank(), cycle, attempt);
-  ScopedTraceEvent ev_(opt_.trace, "write_retry", cycle, mpi_.ctx().now());
-  struct F_ { ScopedTraceEvent& e; smpi::Mpi& m; ~F_() { e.finish(m.ctx().now()); } } f_{ev_, mpi_};
-  timed(mpi_.ctx(), t_.backoff, [&] { mpi_.ctx().advance(d); });
-}
-
-void Engine::give_up(const char* what, int cycle) {
-  ++faults_.giveups;
-  if (io_error_.empty()) {
-    io_error_ = std::string(what) + " gave up after " +
-                std::to_string(opt_.max_retries + 1) + " attempts (cycle " +
-                std::to_string(cycle) + ", rank " +
-                std::to_string(mpi_.rank()) + ")";
-  }
-  ScopedTraceEvent ev_(opt_.trace, "write_giveup", cycle, mpi_.ctx().now());
-  ev_.finish(mpi_.ctx().now());
-}
-
-void Engine::observe_async_write(int cycle, sim::Duration d,
-                                 std::uint64_t bytes) {
-  if (opt_.degrade_slowdown <= 1.0 || degraded_ || bytes == 0) return;
-  const double per_byte = static_cast<double>(d) / static_cast<double>(bytes);
-  if (best_write_ns_per_byte_ <= 0.0 || per_byte < best_write_ns_per_byte_) {
-    best_write_ns_per_byte_ = per_byte;
-    return;
-  }
-  if (per_byte > opt_.degrade_slowdown * best_write_ns_per_byte_) {
-    // This aggregator's storage path has gone pathological (straggling
-    // server): abandon the aio pipeline, drain remaining cycles blocking.
-    degraded_ = true;
-    ScopedTraceEvent ev_(opt_.trace, "degrade", cycle, mpi_.ctx().now());
-    ev_.finish(mpi_.ctx().now());
-  }
-}
-
 void Engine::write_init(int cycle, int slot) {
-  Slot& s = slots_[slot];
-  TPIO_CHECK(!s.wr.valid(), "write_init with an outstanding write on slot");
-  TPIO_CHECK(!s.sh.pending, "write_init while the sub-buffer is shuffling");
-  if (my_agg_ < 0) return;  // non-aggregator: no write, no trace event
-  const Plan::Range r = plan_.cycle_range(my_agg_, cycle);
-  if (r.size() == 0) return;
-  if (degraded_) {
-    // Degraded mode: the aio path on this aggregator is pathological —
-    // drain the cycle blocking instead of queueing behind the straggler.
-    // The scheduler's later write_wait finds no outstanding op.
-    ++faults_.degraded_cycles;
-    ScopedTraceEvent ev_(opt_.trace, "write_degraded", cycle,
-                         mpi_.ctx().now());
-    struct F_ { ScopedTraceEvent& e; smpi::Mpi& m; ~F_() { e.finish(m.ctx().now()); } } f_{ev_, mpi_};
-    write_attempts(cycle, slot, r);
-    return;
-  }
-  ScopedTraceEvent ev_(opt_.trace, "write_init", cycle, mpi_.ctx().now());
-  struct F_ { ScopedTraceEvent& e; smpi::Mpi& m; ~F_() { e.finish(m.ctx().now()); } } f_{ev_, mpi_};
-  s.wr_cycle = cycle;
-  s.wr_submit = mpi_.ctx().now();
-  s.wr_bytes = r.size();
-  timed(mpi_.ctx(), t_.write, [&] {
-    s.wr = file_.start_write(mpi_.ctx(), node_, r.begin,
-                             cb_span(slot).subspan(0, r.size()),
-                             /*async=*/true);
-  });
+  TPIO_CHECK(!slots_[slot].sh.pending,
+             "write_init while the sub-buffer is shuffling");
+  io_.init(cycle, slot, cb_span(slot));
 }
 
-void Engine::write_wait(int slot) {
-  Slot& s = slots_[slot];
-  if (!s.wr.valid()) return;  // non-aggregator or empty cycle: no trace event
-  const int cycle = s.wr_cycle;
-  pfs::IoStatus st = pfs::IoStatus::Ok;
-  {
-    ScopedTraceEvent ev_(opt_.trace, "write_wait", cycle, mpi_.ctx().now());
-    struct F_ { ScopedTraceEvent& e; smpi::Mpi& m; ~F_() { e.finish(m.ctx().now()); } } f_{ev_, mpi_};
-    const sim::Time done = s.wr.completion();
-    timed(mpi_.ctx(), t_.write, [&] { st = file_.wait(mpi_.ctx(), s.wr); });
-    if (st == pfs::IoStatus::Ok) {
-      observe_async_write(cycle, done - s.wr_submit, s.wr_bytes);
-    }
-  }
-  s.wr_cycle = -1;
-  if (st == pfs::IoStatus::Ok) return;
-
-  // The asynchronous attempt bounced. The sub-buffer still holds the
-  // cycle's payload (the scheduler only reuses a slot after this wait), so
-  // re-issue from it — blocking, like a degraded rewrite: the pipeline is
-  // already stalled on this cycle, queueing another aio behind a flaky
-  // server helps nobody.
-  const Plan::Range r = plan_.cycle_range(my_agg_, cycle);
-  for (int attempt = 2;; ++attempt) {
-    if (attempt > opt_.max_retries + 1) {
-      give_up("async write", cycle);
-      return;
-    }
-    retry_backoff(cycle, attempt - 1);
-    ScopedTraceEvent ev_(opt_.trace, "write_blocking", cycle,
-                         mpi_.ctx().now());
-    struct F_ { ScopedTraceEvent& e; smpi::Mpi& m; ~F_() { e.finish(m.ctx().now()); } } f_{ev_, mpi_};
-    timed(mpi_.ctx(), t_.write, [&] {
-      pfs::WriteOp op = file_.start_write(mpi_.ctx(), node_, r.begin,
-                                          cb_span(slot).subspan(0, r.size()),
-                                          /*async=*/false, attempt);
-      mpi_.set_unavailable_until(op.completion());
-      st = file_.wait(mpi_.ctx(), op);
-    });
-    if (st == pfs::IoStatus::Ok) return;
-  }
-}
-
-void Engine::write_attempts(int cycle, int slot, const Plan::Range& r) {
-  // Bounded-retry blocking write of [r.begin, r.end) from the slot's
-  // sub-buffer: attempt, and on transient failure back off and re-issue
-  // until success or give-up.
-  for (int attempt = 1;; ++attempt) {
-    if (attempt > opt_.max_retries + 1) {
-      give_up("blocking write", cycle);
-      return;
-    }
-    if (attempt > 1) retry_backoff(cycle, attempt - 1);
-    pfs::IoStatus st = pfs::IoStatus::Ok;
-    timed(mpi_.ctx(), t_.write, [&] {
-      pfs::WriteOp op = file_.start_write(mpi_.ctx(), node_, r.begin,
-                                          cb_span(slot).subspan(0, r.size()),
-                                          /*async=*/false, attempt);
-      // A blocking pwrite keeps this rank out of the MPI progress engine
-      // for its whole duration — the effect the paper identifies as the
-      // weakness of communication-only overlap.
-      mpi_.set_unavailable_until(op.completion());
-      st = file_.wait(mpi_.ctx(), op);
-    });
-    if (st == pfs::IoStatus::Ok) return;
-  }
-}
+void Engine::write_wait(int slot) { io_.wait(slot); }
 
 void Engine::write_blocking(int cycle, int slot) {
-  Slot& s = slots_[slot];
-  TPIO_CHECK(!s.wr.valid(), "blocking write with an outstanding write on slot");
-  TPIO_CHECK(!s.sh.pending, "blocking write while the sub-buffer is shuffling");
-  if (my_agg_ < 0) return;  // non-aggregator: no write, no trace event
-  const Plan::Range r = plan_.cycle_range(my_agg_, cycle);
-  if (r.size() == 0) return;
-  ScopedTraceEvent ev_(opt_.trace, "write_blocking", cycle, mpi_.ctx().now());
-  struct F_ { ScopedTraceEvent& e; smpi::Mpi& m; ~F_() { e.finish(m.ctx().now()); } } f_{ev_, mpi_};
-  write_attempts(cycle, slot, r);
+  TPIO_CHECK(!slots_[slot].sh.pending,
+             "blocking write while the sub-buffer is shuffling");
+  io_.blocking(cycle, slot, cb_span(slot));
 }
 
 // ---------------------------------------------------------------------------
-// Overlap schedulers (Algorithms 1-4 of the paper + the baseline)
+// Scheduling: the pipeline's fixed orders (pipeline.hpp) and Auto
 // ---------------------------------------------------------------------------
 
 void Engine::run() {
@@ -715,93 +591,10 @@ void Engine::run() {
 }
 
 void Engine::run_scheduler(OverlapMode m, int first) {
-  switch (m) {
-    case OverlapMode::None: run_none(first); return;
-    case OverlapMode::Comm: run_comm(first); return;
-    case OverlapMode::Write: run_write(first); return;
-    case OverlapMode::WriteComm: run_write_comm(first); return;
-    case OverlapMode::WriteComm2: run_write_comm2(first); return;
-    case OverlapMode::Auto: break;  // not a fixed scheduler
-  }
-  tpio::fail("run_scheduler needs a fixed overlap mode");
-}
-
-void Engine::run_none(int first) {
-  // Classic two-phase: fully serial. As the Auto continuation (first > 0)
-  // the plan keeps the split-buffer geometry, so slots alternate; every
-  // operation is blocking either way.
-  for (int c = first; c < plan_.num_cycles(); ++c) {
-    shuffle_blocking(c, slot_of(c));
-    write_blocking(c, slot_of(c));
-  }
-}
-
-void Engine::run_comm(int first) {
-  // Algorithm 1 (Communication Overlap): non-blocking shuffle, blocking
-  // write. The next cycle's shuffle runs behind the current write.
-  const int N = plan_.num_cycles();
-  shuffle_init(first, slot_of(first));
-  for (int c = first; c + 1 < N; ++c) {
-    shuffle_init(c + 1, slot_of(c + 1));
-    shuffle_wait(slot_of(c));
-    write_blocking(c, slot_of(c));
-  }
-  shuffle_wait(slot_of(N - 1));
-  write_blocking(N - 1, slot_of(N - 1));
-}
-
-void Engine::run_write(int first) {
-  // Algorithm 2 (Write Overlap): blocking shuffle, asynchronous write. The
-  // previous cycle's write drains while the next shuffle runs.
-  const int N = plan_.num_cycles();
-  shuffle_blocking(first, slot_of(first));
-  write_init(first, slot_of(first));
-  for (int c = first + 1; c < N; ++c) {
-    shuffle_blocking(c, slot_of(c));
-    write_init(c, slot_of(c));
-    write_wait(slot_of(c - 1));
-  }
-  write_wait(slot_of(N - 1));
-}
-
-void Engine::run_write_comm(int first) {
-  // Algorithm 3 (Write-Communication Overlap): asynchronous write and
-  // non-blocking shuffle posted together, then a joint wait.
-  const int N = plan_.num_cycles();
-  shuffle_blocking(first, slot_of(first));
-  for (int c = first; c < N; ++c) {
-    write_init(c, slot_of(c));
-    if (c + 1 < N) shuffle_init(c + 1, slot_of(c + 1));
-    // wait_all(p1, p2): both the write and the shuffle must finish before
-    // the buffers swap. Completing the shuffle first lets its aggregator-
-    // side unpack overlap the tail of the in-flight write.
-    if (c + 1 < N) shuffle_wait(slot_of(c + 1));
-    write_wait(slot_of(c));
-  }
-}
-
-void Engine::run_write_comm2(int first) {
-  // Algorithm 4 (Write-Communication-2 Overlap), data-flow interpretation:
-  // the completion of any non-blocking operation immediately posts its
-  // follow-up (write after its shuffle, shuffle after the write that frees
-  // its sub-buffer) instead of Algorithm 3's joint wait.
-  //
-  // The paper's listing contains an apparent typo (line 11 re-issues
-  // write_init(p1) right before waiting on it); we implement the stated
-  // intent — see DESIGN.md, "Notes on fidelity".
-  const int N = plan_.num_cycles();
-  shuffle_blocking(first, slot_of(first));
-  write_init(first, slot_of(first));
-  if (first + 1 < N) shuffle_init(first + 1, slot_of(first + 1));
-  for (int c = first + 1; c < N; ++c) {
-    shuffle_wait(slot_of(c));          // shuffle c finished ...
-    write_init(c, slot_of(c));         // ... so its write posts immediately
-    write_wait(slot_of(c - 1));        // write c-1 frees sub-buffer ...
-    if (c + 1 < N) {
-      shuffle_init(c + 1, slot_of(c + 1));  // ... so shuffle c+1 posts
-    }
-  }
-  write_wait(slot_of(N - 1));
+  ShuffleStage shuffle{*this};
+  WriteStage write{*this};
+  run_pipeline(shuffle, write, m, /*file_first=*/false, first,
+               plan_.num_cycles(), num_slots(opt_.overlap));
 }
 
 void Engine::run_auto() {
@@ -832,7 +625,7 @@ void Engine::run_auto() {
   sim::Duration shuffle_ns = 0, write_block_ns = 0, write_async_ns = 0;
   int nblock = 0, nasync = 0;
   for (int c = 0; c < K; ++c) {
-    const int slot = slot_of(c);
+    const int slot = c % 2;  // Auto always runs two slots
     const sim::Time s0 = mpi_.ctx().now();
     shuffle_blocking(c, slot);
     shuffle_ns += mpi_.ctx().now() - s0;
@@ -866,13 +659,13 @@ void Engine::run_auto() {
 
   d.comm_share = probe_comm_share(st);
   d.aio_ratio = probe_aio_ratio(st);
-  d.chosen = decide(st, AutoPolicy::from(opt_));
+  d.chosen = decide(st, policy_);
   // Persist only decisions backed by both write paths; a one-cycle
   // operation never sampled aio and teaches the cache nothing.
   if (!key.empty() && st.has_async && mpi_.rank() == 0) {
     TuningCache::store(opt_.tuning_cache, key, d.chosen);
   }
-  if (K < N) run_scheduler(d.chosen, K);
+  run_scheduler(d.chosen, K);
 }
 
 // ---------------------------------------------------------------------------

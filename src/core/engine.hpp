@@ -3,6 +3,8 @@
 #include <memory>
 #include <span>
 
+#include "core/autotune.hpp"
+#include "core/pipeline.hpp"
 #include "core/plan.hpp"
 #include "core/types.hpp"
 #include "mpi/mpi.hpp"
@@ -14,25 +16,18 @@ namespace tpio::coll {
 /// Execution engine of one collective write on one rank.
 ///
 /// Owns the two collective sub-buffers (plain memory for two-sided
-/// transfers, RMA windows for one-sided ones), implements the shuffle and
-/// I/O phases, and sequences them according to the selected overlap
-/// algorithm. Constructed and run by coll::collective_write(); exposed for
+/// transfers, RMA windows for one-sided ones), implements the shuffle
+/// phase, and runs shuffle -> write through the two-stage pipeline
+/// (pipeline.hpp) in the selected overlap algorithm's order. The write
+/// phase is the pipeline's FileStage, with its retry policy and degraded
+/// mode. Constructed and run by coll::collective_write(); exposed for
 /// white-box tests of individual phases.
-///
-/// Resilience: every file write (blocking and asynchronous, all five
-/// schedulers) runs under a bounded retry policy — a transiently failed
-/// attempt (pfs::FaultParams injection) is re-issued after an exponential
-/// backoff on the virtual timeline, up to Options::max_retries times, then
-/// abandoned (give-up). With Options::degrade_slowdown set, an aggregator
-/// that observes a pathologically slow asynchronous write switches its
-/// remaining cycles to blocking writes (degraded mode). All of it is
-/// deterministic: decisions derive from seeds and virtual-time
-/// observations only, so runs are bit-identical at any worker count.
 class Engine {
  public:
+  /// `policy` holds the thresholds OverlapMode::Auto decides with.
   Engine(smpi::Mpi& mpi, pfs::File& file, const Plan& plan,
          std::span<const std::byte> local_data, const Options& opt,
-         PhaseTimings& timings);
+         PhaseTimings& timings, const AutoPolicy& policy = AutoPolicy{});
 
   /// Execute all cycles with the configured overlap algorithm.
   void run();
@@ -59,10 +54,10 @@ class Engine {
 
   /// Retry/give-up/degradation counters of this rank (valid after run();
   /// all zero on a fault-free run).
-  const FaultStats& fault_stats() const { return faults_; }
+  const FaultStats& fault_stats() const { return io_.faults(); }
   /// First give-up description, empty when every write eventually
   /// succeeded. Mirrored into Result::io_error by collective_write().
-  const std::string& io_error() const { return io_error_; }
+  const std::string& io_error() const { return io_.io_error(); }
 
   /// Pipelined-overlap inputs (two-sided leaders of multi-member lanes
   /// only; both zero otherwise). The lifetime of a cycle's forwards spans
@@ -99,10 +94,6 @@ class Engine {
     sim::BufferPool::Buffer cb;          // two-sided sub-buffer (aggregators)
     std::shared_ptr<smpi::Window> win;   // one-sided sub-buffer
     ShuffleState sh;
-    pfs::WriteOp wr;
-    int wr_cycle = -1;  // cycle of the outstanding write, -1 if none
-    sim::Time wr_submit = 0;      // issue time of the outstanding write
-    std::uint64_t wr_bytes = 0;   // bytes of the outstanding write
     // Hierarchical mode, leaders of multi-member lanes only: the lane's
     // merged cycle payload, laid out as the concatenation over aggregators
     // of the coalesced lane segments. Forwards (sends/puts) reference this
@@ -125,35 +116,12 @@ class Engine {
   std::vector<Segment> incoming_segments(int src, std::uint64_t lo,
                                          std::uint64_t hi) const;
 
-  // Each scheduler runs cycles [first, num_cycles). `first` > 0 is the
-  // Auto continuation: the probe cycles before it completed blocking, so
-  // both sub-buffers are quiescent at the handoff boundary and any
-  // scheduler can take over mid-operation.
-  void run_none(int first);
-  void run_comm(int first);        // Algorithm 1
-  void run_write(int first);       // Algorithm 2
-  void run_write_comm(int first);  // Algorithm 3
-  void run_write_comm2(int first); // Algorithm 4 (data-flow interpretation)
-  /// Dispatch to the fixed scheduler `m` starting at cycle `first`.
+  /// Run cycles [first, num_cycles) under the fixed scheduler `m`.
+  /// `first` > 0 is the Auto continuation.
   void run_scheduler(OverlapMode m, int first);
   /// OverlapMode::Auto: consult the tuning cache, else probe, decide,
   /// persist, and hand the remaining cycles to the chosen scheduler.
   void run_auto();
-
-  int slot_of(int cycle) const {
-    return opt_.overlap == OverlapMode::None ? 0 : cycle % 2;
-  }
-
-  /// Advance the virtual clock by the retry backoff (io_path.hpp), account
-  /// it, trace it, count the retry.
-  void retry_backoff(int cycle, int attempt);
-  /// Record a give-up: count it, set io_error_ (first one wins), trace it.
-  void give_up(const char* what, int cycle);
-  /// Bounded-retry blocking write of `r` from `slot`'s sub-buffer.
-  void write_attempts(int cycle, int slot, const Plan::Range& r);
-  /// Feed the degraded-mode detector with one completed asynchronous
-  /// write's observed (duration, bytes); may latch degraded_.
-  void observe_async_write(int cycle, sim::Duration d, std::uint64_t bytes);
 
   smpi::Mpi& mpi_;
   pfs::File& file_;
@@ -161,6 +129,8 @@ class Engine {
   std::span<const std::byte> data_;
   Options opt_;
   PhaseTimings& t_;
+  AutoPolicy policy_;
+  FileStage io_;  // the write phase; holds opt_ and t_ by reference
   int my_agg_ = -1;  // aggregator index of this rank, or -1
   int node_ = 0;
   // Hierarchical-mode geometry (valid when plan_.hierarchical(); the
@@ -174,12 +144,6 @@ class Engine {
   sim::Duration fwd_lifetime_ = 0;
   sim::Duration fwd_blocked_ = 0;
   AutoDecision auto_decision_;
-  FaultStats faults_;
-  std::string io_error_;
-  // Degraded mode (Options::degrade_slowdown): once latched, write_init
-  // drains cycles through the blocking path instead of the aio pipeline.
-  bool degraded_ = false;
-  double best_write_ns_per_byte_ = 0.0;  // 0 = no observation yet
   Slot slots_[2];
 };
 

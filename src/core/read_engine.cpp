@@ -7,6 +7,7 @@
 #include "core/io_path.hpp"
 #include "core/metadata.hpp"
 #include "core/segcopy.hpp"
+#include "core/trace.hpp"
 #include "simbase/bufpool.hpp"
 #include "simbase/error.hpp"
 
@@ -20,6 +21,17 @@ smpi::Tag scatter_tag(int cycle) {
   return static_cast<smpi::Tag>(cycle) | (smpi::Tag{1} << 30);
 }
 
+constexpr FileDirection kReadDirection{
+    .write = false, .salt = 0x5EB0FF, .init = "read_init", .wait = "read_wait",
+    .blocking = "read_blocking", .retry = "read_retry",
+    .giveup = "read_giveup", .degraded = "read_degraded"};
+
+using ReadStage = Stage<ReadEngine, &ReadEngine::read_init,
+                        &ReadEngine::read_wait, &ReadEngine::read_blocking>;
+using ScatterStage =
+    Stage<ReadEngine, &ReadEngine::scatter_init, &ReadEngine::scatter_wait,
+          &ReadEngine::scatter_blocking>;
+
 }  // namespace
 
 ReadEngine::ReadEngine(smpi::Mpi& mpi, pfs::File& file, const Plan& plan,
@@ -30,16 +42,18 @@ ReadEngine::ReadEngine(smpi::Mpi& mpi, pfs::File& file, const Plan& plan,
       plan_(plan),
       out_(local_out),
       opt_(opt),
-      t_(timings) {
+      t_(timings),
+      io_(mpi, file, plan, opt_, timings, kReadDirection) {
   TPIO_CHECK(opt.transfer == Transfer::TwoSided,
              "collective read implements the two-sided scatter only");
+  TPIO_CHECK(opt.overlap != OverlapMode::Auto,
+             "collective read needs a fixed overlap mode (Auto probes "
+             "write costs only)");
   TPIO_CHECK(out_.size() == plan.view(mpi.rank()).total_bytes(),
              "output buffer size does not match the file view");
   my_agg_ = plan_.agg_index(mpi_.rank());
-  node_ = mpi_.machine().fabric().topology().node_of(mpi_.rank());
   if (my_agg_ >= 0) {
-    const int nslots = opt_.overlap == OverlapMode::None ? 1 : 2;
-    for (int s = 0; s < nslots; ++s) {
+    for (int s = 0; s < num_slots(opt_.overlap); ++s) {
       // start_read always defines every byte of the span it is handed
       // (zero-fill plus stored-content overlay), so the pooled sub-buffer
       // needs no zeroing even with materialized contents.
@@ -53,85 +67,18 @@ ReadEngine::ReadEngine(smpi::Mpi& mpi, pfs::File& file, const Plan& plan,
 // File access phase
 // ---------------------------------------------------------------------------
 
-void ReadEngine::retry_backoff(int cycle, int attempt) {
-  ++faults_.retries;
-  const sim::Duration d =
-      backoff_delay(opt_, file_.faults().params().seed, /*salt=*/0x5EB0FF,
-                    mpi_.rank(), cycle, attempt);
-  timed(mpi_.ctx(), t_.backoff, [&] { mpi_.ctx().advance(d); });
-}
-
-void ReadEngine::give_up(int cycle) {
-  ++faults_.giveups;
-  if (io_error_.empty()) {
-    io_error_ = "collective read gave up after " +
-                std::to_string(opt_.max_retries + 1) + " attempts (cycle " +
-                std::to_string(cycle) + ", rank " +
-                std::to_string(mpi_.rank()) + ")";
-  }
-}
-
-void ReadEngine::read_attempts(int cycle, int slot, const Plan::Range& r,
-                               int first) {
-  Slot& s = slots_[slot];
-  for (int attempt = first;; ++attempt) {
-    if (attempt > opt_.max_retries + 1) {
-      give_up(cycle);
-      return;
-    }
-    if (attempt > first) retry_backoff(cycle, attempt - 1);
-    pfs::IoStatus st = pfs::IoStatus::Ok;
-    timed(mpi_.ctx(), t_.write, [&] {
-      pfs::WriteOp op = file_.start_read(
-          mpi_.ctx(), node_, r.begin, s.cb.span().subspan(0, r.size()),
-          /*async=*/false, attempt);
-      mpi_.set_unavailable_until(op.completion());
-      st = file_.wait(mpi_.ctx(), op);
-    });
-    if (st == pfs::IoStatus::Ok) return;
-  }
-}
-
 void ReadEngine::read_init(int cycle, int slot) {
-  Slot& s = slots_[slot];
-  TPIO_CHECK(!s.rd.valid(), "read_init with an outstanding read on slot");
-  TPIO_CHECK(!s.sc.pending,
+  TPIO_CHECK(!slots_[slot].sc.pending,
              "read_init into a sub-buffer still being scattered");
-  s.rd_cycle = cycle;
-  if (my_agg_ < 0) return;
-  const Plan::Range r = plan_.cycle_range(my_agg_, cycle);
-  if (r.size() == 0) return;
-  timed(mpi_.ctx(), t_.write, [&] {
-    s.rd = file_.start_read(mpi_.ctx(), node_, r.begin,
-                            s.cb.span().subspan(0, r.size()),
-                            /*async=*/true);
-  });
+  io_.init(cycle, slot, slots_[slot].cb.span());
 }
 
-void ReadEngine::read_wait(int slot) {
-  Slot& s = slots_[slot];
-  if (!s.rd.valid()) return;
-  pfs::IoStatus st = pfs::IoStatus::Ok;
-  timed(mpi_.ctx(), t_.write, [&] { st = file_.wait(mpi_.ctx(), s.rd); });
-  if (st == pfs::IoStatus::Ok) return;
-  // The asynchronous attempt bounced; re-read the cycle's range blocking
-  // (the sub-buffer is only consumed after this wait), continuing the
-  // attempt numbering so the fault oracle sees the retry as attempt 2.
-  const Plan::Range r = plan_.cycle_range(my_agg_, s.rd_cycle);
-  retry_backoff(s.rd_cycle, 1);
-  read_attempts(s.rd_cycle, slot, r, /*first=*/2);
-}
+void ReadEngine::read_wait(int slot) { io_.wait(slot); }
 
 void ReadEngine::read_blocking(int cycle, int slot) {
-  Slot& s = slots_[slot];
-  TPIO_CHECK(!s.rd.valid(), "blocking read with an outstanding read on slot");
-  TPIO_CHECK(!s.sc.pending,
+  TPIO_CHECK(!slots_[slot].sc.pending,
              "blocking read into a sub-buffer still being scattered");
-  s.rd_cycle = cycle;
-  if (my_agg_ < 0) return;
-  const Plan::Range r = plan_.cycle_range(my_agg_, cycle);
-  if (r.size() == 0) return;
-  read_attempts(cycle, slot, r);
+  io_.blocking(cycle, slot, slots_[slot].cb.span());
 }
 
 // ---------------------------------------------------------------------------
@@ -139,11 +86,12 @@ void ReadEngine::read_blocking(int cycle, int slot) {
 // ---------------------------------------------------------------------------
 
 void ReadEngine::scatter_init(int cycle, int slot) {
+  ScopedTraceEvent ev(opt_.trace, "scatter_init", cycle, mpi_.ctx());
   Slot& s = slots_[slot];
   TPIO_CHECK(!s.sc.pending, "scatter_init while a scatter is pending on slot");
-  TPIO_CHECK(!s.rd.valid(),
+  TPIO_CHECK(!io_.in_flight(slot),
              "scatter_init from a sub-buffer with an outstanding read");
-  TPIO_CHECK(my_agg_ < 0 || s.rd_cycle == cycle,
+  TPIO_CHECK(my_agg_ < 0 || io_.cycle(slot) == cycle,
              "scatter_init without the cycle's data in the sub-buffer");
   s.sc.clear();  // keeps vector capacity: steady-state cycles don't allocate
   s.sc.cycle = cycle;
@@ -226,6 +174,8 @@ void ReadEngine::scatter_init(int cycle, int slot) {
 }
 
 void ReadEngine::scatter_wait(int slot) {
+  ScopedTraceEvent ev(opt_.trace, "scatter_wait", slots_[slot].sc.cycle,
+                      mpi_.ctx());
   Slot& s = slots_[slot];
   TPIO_CHECK(s.sc.pending, "scatter_wait without a pending scatter");
   s.sc.pending = false;
@@ -244,78 +194,14 @@ void ReadEngine::scatter_blocking(int cycle, int slot) {
 }
 
 // ---------------------------------------------------------------------------
-// Schedulers (mirrors of the write engine's Algorithms 1-4)
+// Pipeline
 // ---------------------------------------------------------------------------
 
 void ReadEngine::run() {
-  if (plan_.num_cycles() == 0) return;
-  switch (opt_.overlap) {
-    case OverlapMode::None: run_none(); break;
-    case OverlapMode::Comm: run_comm(); break;
-    case OverlapMode::Write: run_read_ahead(); break;
-    case OverlapMode::WriteComm: run_read_comm(); break;
-    case OverlapMode::WriteComm2: run_read_comm2(); break;
-    // Probe-based selection is a write-side feature (the paper's analysis
-    // is of collective writes); reads fall back to the data-flow scheduler.
-    case OverlapMode::Auto: run_read_comm2(); break;
-  }
-}
-
-void ReadEngine::run_none() {
-  for (int c = 0; c < plan_.num_cycles(); ++c) {
-    read_blocking(c, 0);
-    scatter_blocking(c, 0);
-  }
-}
-
-void ReadEngine::run_comm() {
-  // Non-blocking scatter of cycle c overlaps the blocking read of c+1.
-  const int N = plan_.num_cycles();
-  read_blocking(0, slot_of(0));
-  for (int c = 0; c < N; ++c) {
-    scatter_init(c, slot_of(c));
-    if (c + 1 < N) read_blocking(c + 1, slot_of(c + 1));
-    scatter_wait(slot_of(c));
-  }
-}
-
-void ReadEngine::run_read_ahead() {
-  // Asynchronous read of cycle c+1 behind the blocking scatter of c.
-  const int N = plan_.num_cycles();
-  read_init(0, slot_of(0));
-  for (int c = 0; c < N; ++c) {
-    read_wait(slot_of(c));
-    if (c + 1 < N) read_init(c + 1, slot_of(c + 1));
-    scatter_blocking(c, slot_of(c));
-  }
-}
-
-void ReadEngine::run_read_comm() {
-  // Joint wait of the in-flight read and scatter each iteration.
-  const int N = plan_.num_cycles();
-  read_blocking(0, slot_of(0));
-  for (int c = 0; c < N; ++c) {
-    scatter_init(c, slot_of(c));
-    if (c + 1 < N) read_init(c + 1, slot_of(c + 1));
-    if (c + 1 < N) read_wait(slot_of(c + 1));
-    scatter_wait(slot_of(c));
-  }
-}
-
-void ReadEngine::run_read_comm2() {
-  // Data-flow: a completed read immediately posts its scatter; a completed
-  // scatter immediately frees its slot for the next read.
-  const int N = plan_.num_cycles();
-  read_blocking(0, slot_of(0));
-  scatter_init(0, slot_of(0));
-  if (N > 1) read_init(1, slot_of(1));
-  for (int c = 1; c < N; ++c) {
-    read_wait(slot_of(c));
-    scatter_init(c, slot_of(c));
-    scatter_wait(slot_of(c - 1));
-    if (c + 1 < N) read_init(c + 1, slot_of(c + 1));
-  }
-  scatter_wait(slot_of(N - 1));
+  ReadStage read{*this};
+  ScatterStage scatter{*this};
+  run_pipeline(read, scatter, opt_.overlap, /*file_first=*/true, 0,
+               plan_.num_cycles(), num_slots(opt_.overlap));
 }
 
 // ---------------------------------------------------------------------------

@@ -2,6 +2,7 @@
 
 #include <span>
 
+#include "core/pipeline.hpp"
 #include "core/plan.hpp"
 #include "core/types.hpp"
 #include "mpi/mpi.hpp"
@@ -16,25 +17,32 @@ namespace tpio::coll {
 ///
 /// Per internal cycle, the aggregator reads its file-domain slice into a
 /// collective sub-buffer (file access phase) and scatters each rank's
-/// pieces back through the fabric (shuffle phase). The write engine's
-/// overlap modes map naturally:
+/// pieces back through the fabric (shuffle phase): the write engine's
+/// two-stage pipeline (pipeline.hpp) with the stages swapped, run in the
+/// same five orders. `Comm` overlaps the communication stage and `Write`
+/// the file stage, so the modes map to:
 ///
 ///   None       — read, then scatter, strictly alternating.
-///   Comm       — non-blocking scatter overlaps the next blocking read.
-///   Write      — *read-ahead*: asynchronous read of cycle c+1 overlaps
-///                the scatter of cycle c (the read-side analogue of
-///                asynchronous writes).
+///   Comm       — Algorithm 2's shape: the scatter of cycle c is posted
+///                before the scatter of c-1 is waited on, so it drains
+///                behind the blocking read of c+1.
+///   Write      — *read-ahead*, Algorithm 1's shape: the asynchronous read
+///                of cycle c+1 is posted before the read of c is waited
+///                on, so two reads are in flight while cycle c scatters
+///                (the read-side analogue of asynchronous writes).
 ///   WriteComm  — asynchronous read and non-blocking scatter, joint wait.
 ///   WriteComm2 — data-flow ordering of the above.
+///
+/// Auto is rejected: its probes measure write costs only.
 ///
 /// The scatter uses two-sided messages (single-segment destinations
 /// receive in place; multi-segment destinations are packed/unpacked with
 /// per-segment CPU cost, as in the write engine).
 ///
-/// Resilience mirrors the write engine: transiently failed reads
-/// (pfs::FaultParams::read_fail_rate) are re-issued after a deterministic
-/// exponential backoff up to Options::max_retries times, then abandoned
-/// with a give-up recorded in fault_stats()/io_error().
+/// The file access is the pipeline's FileStage, as in the write engine:
+/// the same retry policy (pfs::FaultParams::read_fail_rate draws the
+/// verdicts), give-up record, degraded mode and trace events, with read
+/// names (docs/FAULTS.md).
 class ReadEngine {
  public:
   ReadEngine(smpi::Mpi& mpi, pfs::File& file, const Plan& plan,
@@ -43,12 +51,11 @@ class ReadEngine {
 
   void run();
 
-  /// Retry/give-up counters of this rank (valid after run(); all zero on a
-  /// fault-free run). degraded_cycles stays zero — degraded mode is a
-  /// write-pipeline feature.
-  const FaultStats& fault_stats() const { return faults_; }
+  /// Retry/give-up/degradation counters of this rank (valid after run();
+  /// all zero on a fault-free run).
+  const FaultStats& fault_stats() const { return io_.faults(); }
   /// First give-up description, empty when every read eventually succeeded.
-  const std::string& io_error() const { return io_error_; }
+  const std::string& io_error() const { return io_.io_error(); }
 
   // Individual phases (exposed for white-box tests).
   void read_init(int cycle, int slot);    // aggregator: async file read
@@ -78,29 +85,8 @@ class ReadEngine {
   };
   struct Slot {
     sim::BufferPool::Buffer cb;
-    pfs::WriteOp rd;
-    int rd_cycle = -1;
     ScatterState sc;
   };
-
-  int slot_of(int cycle) const {
-    return opt_.overlap == OverlapMode::None ? 0 : cycle % 2;
-  }
-  /// Wait out the retry backoff (io_path.hpp; the write engine's schedule,
-  /// salted differently) and count the retry.
-  void retry_backoff(int cycle, int attempt);
-  void give_up(int cycle);
-  /// Bounded-retry blocking read of `r` into `slot`'s sub-buffer, starting
-  /// the fault oracle's attempt numbering at `first` (continuation of a
-  /// failed asynchronous attempt passes 2).
-  void read_attempts(int cycle, int slot, const Plan::Range& r,
-                     int first = 1);
-
-  void run_none();
-  void run_comm();
-  void run_read_ahead();
-  void run_read_comm();
-  void run_read_comm2();
 
   smpi::Mpi& mpi_;
   pfs::File& file_;
@@ -108,10 +94,8 @@ class ReadEngine {
   std::span<std::byte> out_;
   Options opt_;
   PhaseTimings& t_;
+  FileStage io_;  // the read phase; holds opt_ and t_ by reference
   int my_agg_ = -1;
-  int node_ = 0;
-  FaultStats faults_;
-  std::string io_error_;
   Slot slots_[2];
 };
 

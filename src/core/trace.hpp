@@ -5,6 +5,7 @@
 #include <string>
 #include <vector>
 
+#include "sched/conductor.hpp"
 #include "simbase/time.hpp"
 
 namespace tpio::coll {
@@ -41,20 +42,25 @@ class Trace {
   std::vector<TraceEvent> events_;
 };
 
-/// RAII recorder used by the engines; no-op when trace == nullptr.
+/// RAII recorder used by the engines: one event spanning the rank's virtual
+/// clock from construction to destruction; no-op when trace == nullptr. A
+/// temporary records an instant.
 class ScopedTraceEvent {
  public:
-  ScopedTraceEvent(Trace* t, const char* name, int cycle, sim::Time begin)
-      : trace_(t), name_(name), cycle_(cycle), begin_(begin) {}
-  void finish(sim::Time end) {
-    if (trace_ != nullptr) trace_->add(name_, cycle_, begin_, end);
-    trace_ = nullptr;
+  ScopedTraceEvent(Trace* t, const char* name, int cycle,
+                   const sim::RankCtx& ctx)
+      : trace_(t), name_(name), cycle_(cycle), ctx_(ctx), begin_(ctx.now()) {}
+  ~ScopedTraceEvent() {
+    if (trace_ != nullptr) trace_->add(name_, cycle_, begin_, ctx_.now());
   }
+  ScopedTraceEvent(const ScopedTraceEvent&) = delete;
+  ScopedTraceEvent& operator=(const ScopedTraceEvent&) = delete;
 
  private:
   Trace* trace_;
   const char* name_;
   int cycle_;
+  const sim::RankCtx& ctx_;
   sim::Time begin_;
 };
 

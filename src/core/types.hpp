@@ -130,13 +130,6 @@ struct Options {
   /// Even probes write blocking, odd ones through the aio path, so the
   /// decision sees the platform's real async-write quality.
   int probe_cycles = 4;
-  /// OverlapMode::Auto: thresholds of the decision model (autotune.hpp).
-  /// The aggregate type is defined there; defaults are calibrated on the
-  /// quick Table I grid.
-  double auto_aio_margin = 0.15;
-  double auto_comm_floor = 0.10;
-  double auto_write_only_ceiling = 0.04;
-  double auto_joint_wait_floor = 2.0;
   /// OverlapMode::Auto: path of a persistent JSON tuning cache keyed by
   /// platform signature x workload shape x procs. A hit skips the probe
   /// cycles entirely (warm start); a cold decision is stored back. Empty

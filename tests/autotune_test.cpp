@@ -13,6 +13,7 @@
 
 #include "core/autotune.hpp"
 #include "core/engine.hpp"
+#include "core/metadata.hpp"
 #include "harness/sweep.hpp"
 #include "simbase/crc.hpp"
 #include "test_rig.hpp"
@@ -74,17 +75,30 @@ struct RunOut {
   coll::AutoDecision decision;
 };
 
+/// One collective write of `views`. With `policy`, the Plan and Engine
+/// are built as collective_write builds them, but Auto decides under
+/// `policy` instead of the calibrated thresholds.
 RunOut run_once(const ClusterSpec& cs,
                 const std::vector<coll::FileView>& views, std::uint64_t total,
-                const coll::Options& o) {
+                const coll::Options& o,
+                const coll::AutoPolicy* policy = nullptr) {
   Cluster cluster(cs);
   auto file = cluster.storage().create("auto_diff", pfs::Integrity::Store);
   std::vector<coll::Result> results(static_cast<std::size_t>(cluster.nprocs()));
   cluster.run([&](tpio::smpi::Mpi& mpi) {
-    const auto& view = views[static_cast<std::size_t>(mpi.rank())];
+    const auto r = static_cast<std::size_t>(mpi.rank());
+    const auto& view = views[r];
     const auto data = fill_view(view);
-    results[static_cast<std::size_t>(mpi.rank())] =
-        coll::collective_write(mpi, *file, view, data, o);
+    if (policy == nullptr) {
+      results[r] = coll::collective_write(mpi, *file, view, data, o);
+      return;
+    }
+    coll::MetadataExchange meta(mpi, view);
+    const auto plan = meta.plan(file->stripe_size(), o, /*lane_routing=*/true);
+    coll::PhaseTimings t;
+    coll::Engine engine(mpi, *file, *plan, data, o, t, *policy);
+    engine.run();
+    results[r].autotune = engine.auto_decision();
   });
   EXPECT_EQ(file->verify(file_byte), "")
       << "overlap=" << coll::to_string(o.overlap)
@@ -96,38 +110,37 @@ RunOut run_once(const ClusterSpec& cs,
   return out;
 }
 
-/// Policy knobs that force decide() onto one scheduler regardless of the
+/// Thresholds that force decide() onto one scheduler regardless of the
 /// measured probe costs, so every switch target is exercised.
-coll::Options forced(coll::OverlapMode target) {
-  coll::Options o;
-  o.overlap = coll::OverlapMode::Auto;
+coll::AutoPolicy forced(coll::OverlapMode target) {
+  coll::AutoPolicy p;
   switch (target) {
     case coll::OverlapMode::None:
-      o.auto_aio_margin = -1.0;  // async floor > 0: always bad-aio branch
-      o.auto_comm_floor = 2.0;   // comm share can never reach it
+      p.aio_margin = -1.0;  // async floor > 0: always bad-aio branch
+      p.comm_floor = 2.0;   // comm share can never reach it
       break;
     case coll::OverlapMode::Comm:
-      o.auto_aio_margin = -1.0;
-      o.auto_comm_floor = 0.0;
+      p.aio_margin = -1.0;
+      p.comm_floor = 0.0;
       break;
     case coll::OverlapMode::Write:
-      o.auto_aio_margin = 1e9;  // good-aio branch
-      o.auto_write_only_ceiling = 2.0;
+      p.aio_margin = 1e9;  // good-aio branch
+      p.write_only_ceiling = 2.0;
       break;
     case coll::OverlapMode::WriteComm:
-      o.auto_aio_margin = 1e9;
-      o.auto_write_only_ceiling = -1.0;
-      o.auto_joint_wait_floor = 0.0;
+      p.aio_margin = 1e9;
+      p.write_only_ceiling = -1.0;
+      p.joint_wait_floor = 0.0;
       break;
     case coll::OverlapMode::WriteComm2:
-      o.auto_aio_margin = 1e9;
-      o.auto_write_only_ceiling = -1.0;
-      o.auto_joint_wait_floor = 2.0;
+      p.aio_margin = 1e9;
+      p.write_only_ceiling = -1.0;
+      p.joint_wait_floor = 2.0;
       break;
     case coll::OverlapMode::Auto:
       break;
   }
-  return o;
+  return p;
 }
 
 }  // namespace
@@ -222,11 +235,10 @@ TEST(AutoDiff, AllSwitchTargetsBytesMatchFixedScheduler) {
         const RunOut ref = run_once(cs, views, total, fixed);
         EXPECT_FALSE(ref.decision.engaged);
 
-        coll::Options au = forced(target);
-        au.cb_size = fixed.cb_size;
-        au.transfer = fixed.transfer;
-        au.hierarchical = hier;
-        const RunOut got = run_once(cs, views, total, au);
+        coll::Options au = fixed;
+        au.overlap = coll::OverlapMode::Auto;
+        const coll::AutoPolicy policy = forced(target);
+        const RunOut got = run_once(cs, views, total, au, &policy);
         EXPECT_TRUE(got.decision.engaged);
         EXPECT_EQ(got.decision.chosen, target)
             << "transfer=" << coll::to_string(fixed.transfer)
@@ -257,11 +269,12 @@ TEST(AutoDiff, ProbeWindowEdgeCases) {
   fixed.overlap = coll::OverlapMode::None;
   const RunOut ref = run_once(cs, views, total, fixed);
 
+  const coll::AutoPolicy policy = forced(coll::OverlapMode::None);
   for (int probes : {1, 1000}) {
-    coll::Options au = forced(coll::OverlapMode::None);
-    au.cb_size = fixed.cb_size;
+    coll::Options au = fixed;
+    au.overlap = coll::OverlapMode::Auto;
     au.probe_cycles = probes;
-    const RunOut got = run_once(cs, views, total, au);
+    const RunOut got = run_once(cs, views, total, au, &policy);
     EXPECT_EQ(got.crc, ref.crc) << "probe_cycles=" << probes;
     EXPECT_TRUE(got.decision.engaged);
     EXPECT_EQ(got.decision.chosen, coll::OverlapMode::None);

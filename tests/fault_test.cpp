@@ -411,36 +411,57 @@ TEST(ReadResilience, RetriedReadsReturnCorrectBytes) {
 }
 
 TEST(ReadResilience, ReadGiveUpPropagates) {
-  // Writes succeed (healthy storage), then a second cluster sharing no
-  // state re-reads under a doomed schedule. Reads and writes draw from
-  // separate rate knobs, so only the read path is affected here.
-  ClusterSpec spec;
-  spec.pfs.faults.read_fail_rate = 1.0;
-  Cluster cluster(spec);
-  auto file = cluster.storage().create("rt", pfs::Integrity::Store);
-  std::vector<coll::Result> reads(static_cast<std::size_t>(cluster.nprocs()));
-  cluster.run([&](tpio::smpi::Mpi& mpi) {
-    const coll::FileView view = block_view(mpi.rank(), 20'000);
-    const auto data = fill_view(view);
-    coll::Options opt;
-    opt.cb_size = 8192;
-    opt.max_retries = 1;
-    coll::collective_write(mpi, *file, view, data, opt);
-    mpi.barrier();
+  // Writes succeed (healthy storage), then every read attempt fails. Reads
+  // and writes draw from separate rate knobs, so only the read path is
+  // affected here. Every scheduler gives up; without a retry budget it
+  // gives up at once, with no retry and no backoff.
+  for (const int max_retries : {0, 1}) {
+    for (const coll::OverlapMode mode :
+         {coll::OverlapMode::None, coll::OverlapMode::Comm,
+          coll::OverlapMode::Write, coll::OverlapMode::WriteComm,
+          coll::OverlapMode::WriteComm2}) {
+      ClusterSpec spec;
+      spec.pfs.faults.read_fail_rate = 1.0;
+      Cluster cluster(spec);
+      auto file = cluster.storage().create("rt", pfs::Integrity::Store);
+      std::vector<coll::Result> reads(
+          static_cast<std::size_t>(cluster.nprocs()));
+      cluster.run([&](tpio::smpi::Mpi& mpi) {
+        const coll::FileView view = block_view(mpi.rank(), 20'000);
+        const auto data = fill_view(view);
+        coll::Options opt;
+        opt.cb_size = 8192;
+        coll::collective_write(mpi, *file, view, data, opt);
+        mpi.barrier();
 
-    std::vector<std::byte> out(view.total_bytes());
-    reads[static_cast<std::size_t>(mpi.rank())] =
-        coll::collective_read(mpi, *file, view, out, opt);
-  });
-  EXPECT_EQ(file->verify(file_byte), "");  // writes were unaffected
-  coll::FaultStats total;
-  int with_error = 0;
-  for (const auto& r : reads) {
-    total += r.faults;
-    if (!r.io_error.empty()) ++with_error;
+        std::vector<std::byte> out(view.total_bytes());
+        opt.overlap = mode;
+        opt.max_retries = max_retries;
+        reads[static_cast<std::size_t>(mpi.rank())] =
+            coll::collective_read(mpi, *file, view, out, opt);
+      });
+      const std::string where = std::string(coll::to_string(mode)) +
+                                " max_retries=" + std::to_string(max_retries);
+      EXPECT_EQ(file->verify(file_byte), "") << where;  // writes unaffected
+      coll::FaultStats total;
+      sim::Duration backoff = 0;
+      int with_error = 0;
+      for (const auto& r : reads) {
+        total += r.faults;
+        backoff += r.timings.backoff;
+        if (!r.io_error.empty()) ++with_error;
+      }
+      EXPECT_GT(total.giveups, 0) << where;
+      EXPECT_GT(with_error, 0) << where;
+      if (max_retries == 0) {
+        EXPECT_EQ(total.retries, 0) << where;
+        EXPECT_EQ(backoff, 0) << where;
+      } else {
+        EXPECT_GT(total.retries, 0) << where;
+        EXPECT_GT(backoff, 0) << where;
+      }
+    }
   }
-  EXPECT_GT(total.giveups, 0);
-  EXPECT_GT(with_error, 0);
 }
 
 // ---------------------------------------------------------------------------
@@ -518,6 +539,70 @@ TEST(DegradedMode, StragglerTriggersBlockingDrainWithTraceEvents) {
   const WriteOutcome undegraded = run_faulty_write(f, opt, kPerRank);
   EXPECT_EQ(undegraded.verify_error, "");
   EXPECT_GT(undegraded.makespan, cluster.conductor().makespan());
+}
+
+TEST(DegradedMode, StragglingReadsDrainBlocking) {
+  // The read engine shares the write engine's detector: a read-ahead
+  // aggregator whose reads slow down past degrade_slowdown times its best
+  // drains its remaining cycles blocking, and every rank still gets its
+  // bytes back. Same geometry as above: 32 cycles.
+  const std::uint64_t kPerRank = 131072;
+  struct Outcome {
+    coll::FaultStats faults;
+    int degraded_events = 0;
+    sim::Time read_start = 0;
+    sim::Time end = 0;
+  };
+  auto write_then_read = [&](const pfs::FaultParams& f,
+                             const coll::Options& ropt) {
+    ClusterSpec spec;
+    spec.pfs.faults = f;
+    Cluster cluster(spec);
+    auto file = cluster.storage().create("rt", pfs::Integrity::Store);
+    const auto P = static_cast<std::size_t>(cluster.nprocs());
+    std::vector<coll::Trace> traces(P);
+    std::vector<coll::Result> reads(P);
+    Outcome out;
+    cluster.run([&](tpio::smpi::Mpi& mpi) {
+      const auto r = static_cast<std::size_t>(mpi.rank());
+      const coll::FileView view = block_view(mpi.rank(), kPerRank);
+      const auto data = fill_view(view);
+      coll::Options wopt;
+      wopt.cb_size = ropt.cb_size;
+      coll::collective_write(mpi, *file, view, data, wopt);
+      mpi.barrier();
+      if (r == 0) out.read_start = mpi.ctx().now();
+      std::vector<std::byte> back(view.total_bytes());
+      coll::Options o = ropt;
+      o.trace = &traces[r];
+      reads[r] = coll::collective_read(mpi, *file, view, back, o);
+      EXPECT_EQ(back, data) << "rank " << mpi.rank();
+    });
+    out.end = cluster.conductor().makespan();
+    for (std::size_t r = 0; r < P; ++r) {
+      out.faults += reads[r].faults;
+      for (const auto& e : traces[r].events()) {
+        if (std::string(e.name) == "read_degraded") ++out.degraded_events;
+      }
+    }
+    return out;
+  };
+  coll::Options opt;
+  opt.cb_size = 8192;
+  opt.overlap = coll::OverlapMode::Write;
+  const Outcome healthy = write_then_read(pfs::FaultParams{}, opt);
+  EXPECT_EQ(healthy.faults.degraded_cycles, 0);
+
+  pfs::FaultParams f;
+  f.straggler_factor = 8.0;
+  f.straggler_targets = 4;  // the targets lag once the read is under way
+  f.straggler_after =
+      healthy.read_start + (healthy.end - healthy.read_start) / 8;
+  opt.degrade_slowdown = 2.0;
+  const Outcome degraded = write_then_read(f, opt);
+  EXPECT_GT(degraded.faults.degraded_cycles, 0);
+  // Every degraded cycle is traced exactly once.
+  EXPECT_EQ(degraded.faults.degraded_cycles, degraded.degraded_events);
 }
 
 // ---------------------------------------------------------------------------

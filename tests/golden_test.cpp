@@ -263,47 +263,59 @@ TEST(Golden, SubComms) {
 }
 
 // Write, then read the same file back through collective_read (the
-// restart path), flat and with co = 4 local aggregators on the write.
+// restart path), flat and with co = 4 local aggregators on the write. The
+// read-comm-2 read-back follows its write; each other read scheduler reads
+// back a fresh copy of the same write.
 TEST(Golden, WriteThenRestartRead) {
   Golden g;
   for (const int co : {0, 4}) {
-    tpio::test::ClusterSpec cs;
-    cs.nodes = 4;
-    cs.ppn = 4;
-    tpio::test::Cluster cl(cs);
-    auto file = cl.storage().create("restart", pfs::Integrity::Store);
-    const int P = cl.nprocs();
-    const wl::Spec w = wl::make_tile256(4, 64);
-    coll::Options wopt;
-    wopt.cb_size = 1u << 16;
-    wopt.overlap = coll::OverlapMode::WriteComm2;
-    wopt.hierarchical = co > 0;
-    wopt.local_aggregators = std::max(co, 1);
-    coll::Options ropt;
-    ropt.cb_size = 1u << 16;
-    ropt.overlap = coll::OverlapMode::WriteComm2;
-    std::vector<coll::Result> wres(static_cast<std::size_t>(P));
-    std::vector<coll::Result> rres(static_cast<std::size_t>(P));
-    std::vector<sim::Time> wend(static_cast<std::size_t>(P));
-    std::uint64_t crc = 0;
-    cl.run([&](tpio::smpi::Mpi& mpi) {
-      const auto r = static_cast<std::size_t>(mpi.rank());
-      const coll::FileView view = w.view(mpi.rank(), P);
-      const std::vector<std::byte> data = wl::fill_local(view);
-      wres[r] = coll::collective_write(mpi, *file, view, data, wopt);
-      wend[r] = mpi.ctx().now();
-      mpi.barrier();
-      std::vector<std::byte> back(view.total_bytes(), std::byte{0xEE});
-      rres[r] = coll::collective_read(mpi, *file, view, back, ropt);
-      EXPECT_EQ(back, data) << "rank " << mpi.rank();
-      mpi.ctx().act([&] { crc = sim::crc64(crc, back); });
-    });
     const std::string cell = co == 0 ? "restart/flat" : "restart/hier_co4";
-    g.add(cell + "/write",
-          summarize(wres, *std::max_element(wend.begin(), wend.end()), cl));
-    g.add(cell + "/read", xp::fingerprint(summarize(
-                              rres, cl.conductor().makespan(), cl)) +
-                              " readback_crc=" + std::to_string(crc));
+    for (const coll::OverlapMode read_mode :
+         {coll::OverlapMode::WriteComm2, coll::OverlapMode::None,
+          coll::OverlapMode::Comm, coll::OverlapMode::Write,
+          coll::OverlapMode::WriteComm}) {
+      tpio::test::ClusterSpec cs;
+      cs.nodes = 4;
+      cs.ppn = 4;
+      tpio::test::Cluster cl(cs);
+      auto file = cl.storage().create("restart", pfs::Integrity::Store);
+      const int P = cl.nprocs();
+      const wl::Spec w = wl::make_tile256(4, 64);
+      coll::Options wopt;
+      wopt.cb_size = 1u << 16;
+      wopt.overlap = coll::OverlapMode::WriteComm2;
+      wopt.hierarchical = co > 0;
+      wopt.local_aggregators = std::max(co, 1);
+      coll::Options ropt;
+      ropt.cb_size = 1u << 16;
+      ropt.overlap = read_mode;
+      std::vector<coll::Result> wres(static_cast<std::size_t>(P));
+      std::vector<coll::Result> rres(static_cast<std::size_t>(P));
+      std::vector<sim::Time> wend(static_cast<std::size_t>(P));
+      std::uint64_t crc = 0;
+      cl.run([&](tpio::smpi::Mpi& mpi) {
+        const auto r = static_cast<std::size_t>(mpi.rank());
+        const coll::FileView view = w.view(mpi.rank(), P);
+        const std::vector<std::byte> data = wl::fill_local(view);
+        wres[r] = coll::collective_write(mpi, *file, view, data, wopt);
+        wend[r] = mpi.ctx().now();
+        mpi.barrier();
+        std::vector<std::byte> back(view.total_bytes(), std::byte{0xEE});
+        rres[r] = coll::collective_read(mpi, *file, view, back, ropt);
+        EXPECT_EQ(back, data) << "rank " << mpi.rank();
+        mpi.ctx().act([&] { crc = sim::crc64(crc, back); });
+      });
+      const std::string read =
+          xp::fingerprint(summarize(rres, cl.conductor().makespan(), cl)) +
+          " readback_crc=" + std::to_string(crc);
+      if (read_mode != coll::OverlapMode::WriteComm2) {
+        g.add(cell + "/read/" + coll::to_string(read_mode), read);
+        continue;
+      }
+      g.add(cell + "/write",
+            summarize(wres, *std::max_element(wend.begin(), wend.end()), cl));
+      g.add(cell + "/read", read);
+    }
   }
   expect_golden("restart", g.text);
 }

@@ -135,17 +135,24 @@ INSTANTIATE_TEST_SUITE_P(
       return s;
     });
 
-TEST(CollectiveReadMisc, OneSidedScatterRejected) {
-  Cluster cluster;
-  auto file = cluster.storage().create("rt", pfs::Integrity::Store);
-  EXPECT_THROW(cluster.run([&](tpio::smpi::Mpi& mpi) {
-                 coll::FileView v = block_view(mpi.rank(), 512);
-                 std::vector<std::byte> out(512);
-                 coll::Options o;
-                 o.transfer = coll::Transfer::OneSidedFence;
-                 coll::collective_read(mpi, *file, v, out, o);
-               }),
-               tpio::Error);
+TEST(CollectiveReadMisc, OneSidedScatterAndAutoRejected) {
+  // The scatter is two-sided only, and Auto's probes measure write costs
+  // only: the read engine refuses both instead of running something else.
+  coll::Options one_sided;
+  one_sided.transfer = coll::Transfer::OneSidedFence;
+  coll::Options auto_mode;
+  auto_mode.overlap = coll::OverlapMode::Auto;
+  for (const coll::Options& o : {one_sided, auto_mode}) {
+    Cluster cluster;
+    auto file = cluster.storage().create("rt", pfs::Integrity::Store);
+    EXPECT_THROW(cluster.run([&](tpio::smpi::Mpi& mpi) {
+                   coll::FileView v = block_view(mpi.rank(), 512);
+                   std::vector<std::byte> out(512);
+                   coll::collective_read(mpi, *file, v, out, o);
+                 }),
+                 tpio::Error)
+        << coll::to_string(o.transfer) << " " << coll::to_string(o.overlap);
+  }
 }
 
 TEST(CollectiveReadMisc, UnwrittenRegionsReadZero) {

@@ -5,6 +5,7 @@
 #include <vector>
 
 #include "core/engine.hpp"
+#include "core/read_engine.hpp"
 #include "core/trace.hpp"
 #include "test_rig.hpp"
 
@@ -16,8 +17,11 @@ using tpio::test::fill_view;
 
 namespace {
 
+/// Traces of one collective write, or with `read` of one collective read
+/// of the same views (from a file never written: reads return zeros).
 std::vector<coll::Trace> traced_run(coll::OverlapMode mode, bool hier = false,
-                                    int nodes = 4, int ppn = 2) {
+                                    int nodes = 4, int ppn = 2,
+                                    bool read = false) {
   tpio::test::ClusterSpec cs;
   cs.nodes = nodes;
   cs.ppn = ppn;
@@ -34,7 +38,12 @@ std::vector<coll::Trace> traced_run(coll::OverlapMode mode, bool hier = false,
     o.overlap = mode;
     o.hierarchical = hier;
     o.trace = &traces[static_cast<std::size_t>(mpi.rank())];
-    coll::collective_write(mpi, *file, v, data, o);
+    if (read) {
+      std::vector<std::byte> out(data.size());
+      coll::collective_read(mpi, *file, v, out, o);
+    } else {
+      coll::collective_write(mpi, *file, v, data, o);
+    }
   });
   return traces;
 }
@@ -129,28 +138,31 @@ TEST(Trace, WriteEventsOnlyOnAggregatorRanks) {
 TEST(Trace, WriteWaitCyclesMatchTheirWriteInits) {
   // Every write_wait must be labeled with the cycle of the write it waits
   // on (recorded at write_init time), under each asynchronous-write
-  // scheduler — not with the slot's most recent shuffle cycle.
-  for (coll::OverlapMode mode :
-       {coll::OverlapMode::Write, coll::OverlapMode::WriteComm,
-        coll::OverlapMode::WriteComm2}) {
-    const auto traces = traced_run(mode);
-    for (std::size_t r = 0; r < traces.size(); ++r) {
-      std::vector<int> inits;
-      std::vector<int> waits;
-      for (const auto& e : traces[r].events()) {
-        if (std::string(e.name) == "write_init") inits.push_back(e.cycle);
-        if (std::string(e.name) == "write_wait") waits.push_back(e.cycle);
+  // scheduler — not with the slot's most recent shuffle cycle. The read
+  // engine's read_wait must carry its read_init's cycle the same way,
+  // under read-ahead, read-comm and read-comm-2.
+  for (const bool read : {false, true}) {
+    const std::string init = read ? "read_init" : "write_init";
+    const std::string wait = read ? "read_wait" : "write_wait";
+    for (coll::OverlapMode mode :
+         {coll::OverlapMode::Write, coll::OverlapMode::WriteComm,
+          coll::OverlapMode::WriteComm2}) {
+      const auto traces = traced_run(mode, false, 4, 2, read);
+      for (std::size_t r = 0; r < traces.size(); ++r) {
+        std::vector<int> inits = event_cycles(traces[r], init);
+        const std::vector<int> waits = event_cycles(traces[r], wait);
+        if (r % 2 == 1) {
+          EXPECT_TRUE(inits.empty() && waits.empty()) << "rank " << r;
+          continue;
+        }
+        EXPECT_FALSE(inits.empty()) << "rank " << r << " " << init;
+        // One wait per init, covering exactly the same cycles. Waits are
+        // posted in cycle order by every scheduler, so compare directly.
+        std::sort(inits.begin(), inits.end());
+        EXPECT_EQ(waits, inits)
+            << "rank " << r << " mode " << coll::to_string(mode) << " "
+            << wait;
       }
-      if (r % 2 == 1) {
-        EXPECT_TRUE(inits.empty() && waits.empty()) << "rank " << r;
-        continue;
-      }
-      EXPECT_FALSE(inits.empty()) << "rank " << r;
-      // One wait per init, covering exactly the same cycles. Waits are
-      // posted in cycle order by every scheduler, so compare directly.
-      std::sort(inits.begin(), inits.end());
-      EXPECT_EQ(waits, inits)
-          << "rank " << r << " mode " << coll::to_string(mode);
     }
   }
 }

@@ -18,9 +18,10 @@
 //   (e) the reverse of (c) — every `--flag` in a section whose `## `
 //       heading names tpio_sim or tpio_sweep, and every flag on a
 //       code-block line that invokes either tool, must be a flag the CLIs
-//       accept; every `Options::<name>` in the docs must name a field of
-//       coll::Options. A renamed or deleted knob can never linger in the
-//       manual, and
+//       accept; every `Options::<name>` in the docs, and every backticked
+//       name in the first column of the HANDBOOK's `| field | meaning |`
+//       table, must name a field of coll::Options. A renamed or deleted
+//       knob can never linger in the manual, and
 //   (f) API references — every `Mpi::X`, `Plan::X`, `PlanSkeleton::X`,
 //       `PlanCache::X`, `Engine::X`, `ReadEngine::X` and `Conductor::X`
 //       in the docs must name an identifier declared in that class's
@@ -211,6 +212,30 @@ std::string cli_doc_text(const std::string& doc) {
   return out;
 }
 
+// Backticked names in the first column of the `| field | meaning |` table
+// in `doc` (HANDBOOK §4, the coll::Options surface).
+std::vector<std::string> field_table_names(const std::string& doc) {
+  std::vector<std::string> out;
+  std::istringstream in(doc);
+  std::string line;
+  bool in_table = false;
+  while (std::getline(in, line)) {
+    if (!in_table) {
+      in_table = line.rfind("| field | meaning |", 0) == 0;
+      continue;
+    }
+    if (line.rfind('|', 0) != 0) break;  // first line after the table
+    const std::string cell = line.substr(1, line.find('|', 1) - 1);
+    for (std::size_t open = cell.find('`'); open != std::string::npos;) {
+      const std::size_t close = cell.find('`', open + 1);
+      if (close == std::string::npos) break;
+      out.push_back(cell.substr(open + 1, close - open - 1));
+      open = cell.find('`', close + 1);
+    }
+  }
+  return out;
+}
+
 // Names `X` of every `<scope>::X` reference in `text` whose scope is not
 // the tail of a longer name (`ReadEngine::x` is no `Engine::x`).
 std::set<std::string> scoped_refs(const std::string& text,
@@ -357,6 +382,14 @@ int main(int argc, char** argv) {
 
   // (e) Docs may name only flags the CLIs accept and existing Options
   // fields.
+  for (const std::string& name :
+       field_table_names(slurp(repo / "docs/HANDBOOK.md"))) {
+    if (std::find(fields.begin(), fields.end(), name) == fields.end()) {
+      std::cerr << "docs/HANDBOOK.md: `" << name
+                << "` in the Options table is not a coll::Options field\n";
+      ++broken;
+    }
+  }
   for (const fs::path& doc : docs) {
     const std::string text = slurp(doc);
     const std::string rel = doc.lexically_relative(repo).string();

@@ -2,8 +2,7 @@
 // experiments — the tool an I/O engineer points at a cluster profile and a
 // workload shape before committing to MCA parameters.
 //
-//   tpio_sim --platform crill --workload tile1m --procs 100 \
-//            --overlap write-comm-2 --reps 5 --verify
+//   tpio_sim --platform crill --workload tile1m --procs 100 --reps 5 --verify
 
 #include <cstdio>
 #include <string>
