@@ -407,6 +407,15 @@ std::string check_cli(const CliConfig& cfg) {
            " exceeds the " + std::to_string(spec.nprocs) +
            " processes of the run";
   }
+  // Every sub-communicator elects its aggregators from its own ranks; the
+  // smallest holds floor(P / k). tpio_sim rechecks once auto k resolves.
+  const int smallest = spec.nprocs / std::max(opt.sub_comm_count, 1);
+  if (opt.num_aggregators > smallest) {
+    return "--aggregators " + std::to_string(opt.num_aggregators) +
+           " exceeds the " + std::to_string(smallest) + " processes of " +
+           (opt.sub_comm_count > 1 ? "the smallest sub-communicator"
+                                   : "the run");
+  }
   if (opt.local_aggregators > ppn) {
     return "--local-aggs " + std::to_string(opt.local_aggregators) +
            " exceeds the platform's " + std::to_string(ppn) +
@@ -418,9 +427,9 @@ std::string check_cli(const CliConfig& cfg) {
     // degenerates to Spread picks. Placement is round-robin over nodes, so
     // the per-node capacity is ceil(A / nodes); auto aggregator count
     // (--aggregators 0) guarantees only one.
-    const int a = std::min(opt.num_aggregators, spec.nprocs);
-    const int per_node =
-        opt.num_aggregators == 0 ? 1 : (a + nodes - 1) / nodes;
+    const int per_node = opt.num_aggregators == 0
+                             ? 1
+                             : (opt.num_aggregators + nodes - 1) / nodes;
     if (opt.local_aggregators > per_node) {
       return "--leader superset with --local-aggs " +
              std::to_string(opt.local_aggregators) + " exceeds the " +

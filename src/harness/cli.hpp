@@ -62,7 +62,8 @@ CliConfig parse_cli(const std::vector<std::string>& args);
 /// `cfg.tenants` same-shape copies of it share the machine. Rejects what
 /// would otherwise abort inside the run or be silently clamped —
 /// straggler targets beyond the storage targets of one job's nodes, more
-/// sub-communicators than processes, more local aggregators than
+/// sub-communicators than processes, more aggregators than the processes
+/// of the smallest sub-communicator, more local aggregators than
 /// processes per node, superset lane leaders without an aggregator each,
 /// an arrival trace whose length is not the tenant count. Returns an
 /// empty string when the configuration runs, else a message naming the

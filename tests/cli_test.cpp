@@ -160,6 +160,18 @@ TEST(Cli, CheckRejectsRunsThatWouldAbortOrBeClamped) {
   rejects(c, "--local-aggs");
   c.spec.options.local_aggregators = 10;
   EXPECT_EQ(xp::check_cli(c), "");
+
+  // Aggregators are elected from the ranks of each sub-communicator, the
+  // smallest of which holds floor(procs / k) of them.
+  rejects(parse({"--platform", "ibex", "--workload", "ior", "--procs", "12",
+                 "--aggregators", "100"}),
+          "--aggregators");
+  rejects(parse({"--procs", "16", "--sub-comms", "4", "--aggregators", "8"}),
+          "--aggregators");
+  EXPECT_EQ(parse({"--procs", "12", "--aggregators", "12"}).error, "");
+  EXPECT_EQ(
+      parse({"--procs", "16", "--sub-comms", "4", "--aggregators", "4"}).error,
+      "");
 }
 
 TEST(Cli, AutoOverlapFlags) {

@@ -60,8 +60,8 @@ TEST(Scale, MetadataExchangeSmokeAt4096Ranks) {
   // summary table alone come to 32 B x 4096^2 = 512 MiB here (this run
   // peaked at 578 MiB while every rank kept one), against about 115 MiB
   // with the one shared table. The wall-time ceiling only guards against
-  // hangs. The tracked host numbers live in BENCH_PERF.json
-  // (tools/bench_report, `metadata` section).
+  // hangs. Host time at 8192 ranks is tracked by the repository
+  // benchmark's scale8192 workload (bench/e2e, records in BENCH_PERF.json).
   xp::RunSpec spec;
   spec.platform = xp::scaled(xp::ibex());
   spec.workload = wl::make_ior(16 * sim::KiB);

@@ -127,6 +127,11 @@ int main(int argc, char** argv) {
       std::fprintf(stderr, "error: %s\n", e.what());
       return 1;
     }
+    const std::string error = xp::check_cli(resolved);
+    if (!error.empty()) {
+      std::fprintf(stderr, "error: %s\n", error.c_str());
+      return 2;
+    }
   }
   const xp::CliConfig& run_cfg = resolved;
 
@@ -139,22 +144,26 @@ int main(int argc, char** argv) {
     }
   }
 
-  // execute_series asserts post-run verification; with injected faults a
-  // give-up legitimately leaves a hole — report that as a clean error.
-  xp::Series series;
+  // The reps of execute_series, without its abort on a failed verify: an
+  // I/O give-up legitimately leaves a hole, which the report ends with.
+  std::vector<xp::RunResult> runs;
   try {
-    series = xp::execute_series(run_cfg.spec, run_cfg.reps,
-                                run_cfg.seed_base);
+    xp::RunSpec spec = run_cfg.spec;
+    for (int rep = 0; rep < run_cfg.reps; ++rep) {
+      spec.seed = sim::Rng::derive_seed(run_cfg.seed_base,
+                                        static_cast<std::uint64_t>(rep));
+      runs.push_back(xp::execute(spec));
+    }
   } catch (const tpio::Error& e) {
     std::fprintf(stderr, "error: %s\n", e.what());
     return 1;
   }
 
   sim::Summary times;
-  for (const auto& r : series.runs) {
+  for (const auto& r : runs) {
     times.add(sim::to_millis(r.makespan));
   }
-  const auto& first = series.runs.front();
+  const auto& first = runs.front();
   std::printf("geometry: %d aggregators, %d cycles, %s total\n",
               first.aggregators, first.cycles,
               sim::format_bytes(first.bytes).c_str());
@@ -190,16 +199,16 @@ int main(int argc, char** argv) {
   }
   if (tpio::pfs::FaultModel(cfg.spec.platform.pfs.faults).enabled()) {
     coll::FaultStats fs;
-    for (const auto& r : series.runs) fs += r.faults;
+    for (const auto& r : runs) fs += r.faults;
     std::printf("faults: %d retries, %d giveups, %d degraded cycles "
                 "(all reps; backoff %.3f ms total)\n",
                 fs.retries, fs.giveups, fs.degraded_cycles,
                 [&] {
                   sim::Duration b = 0;
-                  for (const auto& r : series.runs) b += r.rank_sum.backoff;
+                  for (const auto& r : runs) b += r.rank_sum.backoff;
                   return sim::to_millis(b);
                 }());
-    for (const auto& r : series.runs) {
+    for (const auto& r : runs) {
       if (!r.io_error.empty()) {
         std::printf("io error: %s\n", r.io_error.c_str());
         break;
@@ -213,6 +222,12 @@ int main(int argc, char** argv) {
                                     (times.min() * 1e-3))
                   .c_str());
   if (cfg.spec.verify) {
+    for (const auto& r : runs) {
+      if (!r.verify_error.empty()) {
+        std::printf("verify error: %s\n", r.verify_error.c_str());
+        return 1;
+      }
+    }
     std::puts("verification: OK (all repetitions byte-exact)");
   }
   return 0;
