@@ -1,11 +1,13 @@
 // Micro-benchmarks of the simulation substrate itself (google-benchmark):
 // host-side throughput of the deterministic conductor, the simulated MPI
-// point-to-point path, collectives, RMA, and the storage model. These
-// bound the wall-clock cost of the paper-reproduction sweeps and act as
-// regression guards for the simulator's hot paths.
+// point-to-point path, collectives, RMA, and the storage model (writes,
+// Digest recording, verify). These bound the wall-clock cost of the
+// paper-reproduction sweeps and act as regression guards for the
+// simulator's hot paths.
 
 #include <benchmark/benchmark.h>
 
+#include <string>
 #include <vector>
 
 #include "mpi/mpi.hpp"
@@ -13,11 +15,13 @@
 #include "pfs/pfs.hpp"
 #include "sched/conductor.hpp"
 #include "sched/sync.hpp"
+#include "workloads/workloads.hpp"
 
 namespace sim = tpio::sim;
 namespace net = tpio::net;
 namespace smpi = tpio::smpi;
 namespace pfs = tpio::pfs;
+namespace wl = tpio::wl;
 
 namespace {
 
@@ -196,6 +200,35 @@ void BM_PfsDigestRecording(benchmark::State& state) {
   state.SetBytesProcessed(state.iterations() * static_cast<std::int64_t>(bytes));
 }
 BENCHMARK(BM_PfsDigestRecording);
+
+/// verify() of an 8 MiB file against the workload content, written once
+/// before timing. Arg 0 = Store (memcmp per block), 1 = Digest (hash per
+/// piece).
+void BM_PfsVerify(benchmark::State& state) {
+  const bool store = state.range(0) == 0;
+  const std::size_t bytes = 8 << 20;
+  pfs::PfsParams p;
+  p.stripe_size = 1 << 20;
+  pfs::StorageSystem sys(p, nullptr);
+  auto f = sys.create("bench", store ? pfs::Integrity::Store
+                                     : pfs::Integrity::Digest);
+  std::vector<std::byte> data(bytes);
+  wl::expected_byte(0, data);
+  sim::Conductor c(1);
+  c.run([&](sim::RankCtx& ctx) { f->write_at(ctx, 0, 0, data); });
+  for (auto _ : state) {
+    std::string err = f->verify(wl::expected_byte);
+    benchmark::DoNotOptimize(err);
+    if (!err.empty()) {
+      state.SkipWithError(err.c_str());
+      break;
+    }
+  }
+  state.SetBytesProcessed(state.iterations() *
+                          static_cast<std::int64_t>(bytes));
+  state.SetLabel(store ? "store" : "digest");
+}
+BENCHMARK(BM_PfsVerify)->Arg(0)->Arg(1);
 
 }  // namespace
 

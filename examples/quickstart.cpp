@@ -8,6 +8,7 @@
 //   ./build/examples/quickstart
 
 #include <cstdio>
+#include <span>
 #include <vector>
 
 #include "core/engine.hpp"
@@ -25,8 +26,13 @@ namespace coll = tpio::coll;
 
 namespace {
 
-std::byte content(std::uint64_t file_offset) {
-  return static_cast<std::byte>((file_offset * 37 + file_offset / 1000) & 0xFF);
+/// What the file should hold at [offset, offset + out.size()): the ranks
+/// fill their buffers with it and verify() checks the file against it.
+void content(std::uint64_t offset, std::span<std::byte> out) {
+  for (std::size_t i = 0; i < out.size(); ++i) {
+    const std::uint64_t o = offset + i;
+    out[i] = static_cast<std::byte>((o * 37 + o / 1000) & 0xFF);
+  }
 }
 
 }  // namespace
@@ -57,9 +63,7 @@ int main() {
     view.extents.push_back(
         coll::Extent{static_cast<std::uint64_t>(mpi.rank()) * block, block});
     std::vector<std::byte> data(block);
-    for (std::uint64_t i = 0; i < block; ++i) {
-      data[i] = content(view.extents[0].offset + i);
-    }
+    content(view.extents[0].offset, data);
 
     coll::Options options;            // OMPIO-flavoured defaults
     options.cb_size = 4 * sim::MiB;   // collective buffer

@@ -53,8 +53,8 @@ Engine::Engine(smpi::Mpi& mpi, pfs::File& file, const Plan& plan,
       io_(mpi, file, plan, opt_, timings, kWriteDirection) {
   TPIO_CHECK(data_.size() == plan.view(mpi.rank()).total_bytes(),
              "local buffer size does not match the file view");
-  // Timing-only mode must never meet a content-recording file: the digest
-  // would be computed over unmaterialized bytes.
+  // Timing-only mode must never meet a content-recording file: it would
+  // store (Store) or hash (Digest) bytes that were never materialized.
   TPIO_CHECK(opt_.materialize || file_.integrity() == pfs::Integrity::None,
              "Options::materialize == false requires Integrity::None");
   my_agg_ = plan_.agg_index(mpi_.rank());

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <memory>
+#include <span>
 
 #include "net/topology.hpp"
 #include "sched/conductor.hpp"
@@ -72,7 +73,7 @@ namespace {
 /// regions riddled with other groups' bytes; its subfile instead packs
 /// the group's data gap-free in global-offset order — the layout real
 /// subfiling stacks produce (data subfiles plus an index recovering the
-/// logical placement). to_global() is that index.
+/// logical placement). content() reads through that index.
 struct SubfileMap {
   std::vector<std::uint64_t> start;  // global start per segment, sorted
   std::vector<std::uint64_t> len;    // segment length
@@ -89,13 +90,23 @@ struct SubfileMap {
     return cum[i] + (off - start[i]);
   }
 
-  /// Subfile offset -> global file offset (inverse of to_local).
-  std::uint64_t to_global(std::uint64_t off) const {
+  /// Expected content of subfile bytes [off, off + out.size()): the
+  /// workload content at the global offsets they map back to, one run per
+  /// segment crossed.
+  void content(std::uint64_t off, std::span<std::byte> out) const {
     const auto it = std::upper_bound(cum.begin(), cum.end(), off);
     TPIO_CHECK(it != cum.begin(), "subfile offset below zero segment");
-    const auto i = static_cast<std::size_t>(it - cum.begin()) - 1;
-    TPIO_CHECK(off - cum[i] < len[i], "subfile offset past the last byte");
-    return start[i] + (off - cum[i]);
+    auto i = static_cast<std::size_t>(it - cum.begin()) - 1;
+    for (std::size_t done = 0; done < out.size(); ++i) {
+      TPIO_CHECK(i < len.size() && off - cum[i] < len[i],
+                 "subfile offset past the last byte");
+      const std::uint64_t in = off - cum[i];
+      const auto n = static_cast<std::size_t>(
+          std::min<std::uint64_t>(len[i] - in, out.size() - done));
+      wl::expected_byte(start[i] + in, out.subspan(done, n));
+      done += n;
+      off += n;
+    }
   }
 };
 
@@ -397,10 +408,11 @@ MultiRunResult execute_multi(const MultiRunSpec& spec, bool with_baselines) {
         // the subfile index that recovers the logical placement.
         const SubfileMap& map = maps[static_cast<std::size_t>(first + g)];
         r.verify_error =
-            map.active() ? f.verify([&map](std::uint64_t o) {
-              return wl::expected_byte(map.to_global(o));
-            })
-                         : f.verify(wl::expected_byte);
+            map.active()
+                ? f.verify([&map](std::uint64_t o, std::span<std::byte> out) {
+                    map.content(o, out);
+                  })
+                : f.verify(wl::expected_byte);
         if (!r.verify_error.empty() && k > 1) {
           r.verify_error = f.name() + ": " + r.verify_error;
         }

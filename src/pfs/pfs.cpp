@@ -135,6 +135,60 @@ std::shared_ptr<File> StorageSystem::create(std::string name,
 // Content recording / verification
 // ---------------------------------------------------------------------------
 
+namespace {
+
+/// Bytes of expected content verify() generates per call to the content
+/// function. A multiple of 32, so a piece hashed in blocks of it gets the
+/// same hash as when hashed at once.
+constexpr std::uint64_t kVerifyBlock = 64 * 1024;
+
+/// The hash of one Digest piece: four lanes over 8-byte words. Each step,
+/// h = (h ^ w) * K then h ^= h >> 32, is a bijection of the lane for a fixed
+/// word and of the word for a fixed lane, and the lanes are folded the same
+/// way, so changing any one byte always changes the hash. Every update()
+/// but the last must pass a multiple of 32 bytes.
+class PieceHash {
+ public:
+  void update(std::span<const std::byte> b) {
+    std::size_t i = 0;
+    for (; i + 32 <= b.size(); i += 32) step(b.data() + i);
+    if (i < b.size()) {
+      std::byte tail[32] = {};
+      std::memcpy(tail, b.data() + i, b.size() - i);
+      step(tail);
+    }
+    len_ += b.size();
+  }
+
+  std::uint64_t finish() const {
+    std::uint64_t h = round(len_, 0);
+    for (std::uint64_t l : lane_) h = round(h, l);
+    // SplitMix64 finalizer.
+    h = (h ^ (h >> 30)) * 0xbf58476d1ce4e5b9ULL;
+    h = (h ^ (h >> 27)) * 0x94d049bb133111ebULL;
+    return h ^ (h >> 31);
+  }
+
+ private:
+  static std::uint64_t round(std::uint64_t h, std::uint64_t w) {
+    h = (h ^ w) * 0x9e3779b97f4a7c15ULL;
+    return h ^ (h >> 32);
+  }
+
+  void step(const std::byte* p) {
+    for (std::size_t j = 0; j < 4; ++j) {
+      std::uint64_t w = 0;
+      std::memcpy(&w, p + 8 * j, sizeof w);
+      lane_[j] = round(lane_[j], w);
+    }
+  }
+
+  std::uint64_t lane_[4] = {1, 2, 3, 4};
+  std::uint64_t len_ = 0;
+};
+
+}  // namespace
+
 std::uint64_t File::stripe_size() const {
   return striping_.stripe_unit > 0 ? striping_.stripe_unit
                                    : sys_->params_.stripe_size;
@@ -151,21 +205,10 @@ int File::target_of(std::uint64_t stripe_idx) const {
       nt);
 }
 
-std::uint64_t File::mix(std::uint64_t offset, std::byte value) {
-  // SplitMix64 finalizer over (offset, value); summed commutatively per
-  // chunk, so write order does not matter while any misplaced, missing or
-  // corrupted byte changes the digest.
-  std::uint64_t z = offset * 0x9e3779b97f4a7c15ULL +
-                    (static_cast<std::uint64_t>(value) + 1) * 0xff51afd7ed558ccdULL;
-  z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ULL;
-  z = (z ^ (z >> 27)) * 0x94d049bb133111ebULL;
-  return z ^ (z >> 31);
-}
-
 void File::record(std::uint64_t offset, std::span<const std::byte> data,
                   sim::Time visible_at) {
   // Submission accounting is immediate — the storage system has accepted
-  // the bytes — but the *content* only becomes observable once the write
+  // the bytes — but Store content only becomes observable once the write
   // completes on the virtual timeline.
   size_ = std::max(size_, offset + data.size());
   if (!data.empty()) min_offset_ = std::min(min_offset_, offset);
@@ -173,55 +216,39 @@ void File::record(std::uint64_t offset, std::span<const std::byte> data,
   sys_->bytes_written_ += data.size();
   if (integrity_ == Integrity::None || data.empty()) return;
 
-  PendingWrite w;
-  w.visible_at = visible_at;
-  w.offset = offset;
-  w.length = data.size();
   if (integrity_ == Integrity::Store) {
-    w.bytes.assign(data.begin(), data.end());
-  } else {
-    // Digest mode: fold each chunk's contribution now (the caller may
-    // overwrite its buffer after submission) and retain only the deltas.
-    const std::uint64_t ss = stripe_size();
-    std::uint64_t pos = offset;
-    std::size_t consumed = 0;
-    while (consumed < data.size()) {
-      const std::uint64_t in_chunk = pos % ss;
-      const std::uint64_t n =
-          std::min<std::uint64_t>(ss - in_chunk, data.size() - consumed);
-      std::uint64_t delta = 0;
-      for (std::uint64_t i = 0; i < n; ++i) {
-        delta += mix(pos + i, data[consumed + i]);
-      }
-      w.deltas.push_back(delta);
-      pos += n;
-      consumed += static_cast<std::size_t>(n);
-    }
+    pending_.push_back(
+        PendingWrite{visible_at, offset, {data.begin(), data.end()}});
+    return;
   }
-  pending_.push_back(std::move(w));
+  // Digest mode: hash each piece now (the caller may overwrite its buffer
+  // after submission) and keep only the hash.
+  const std::uint64_t ss = stripe_size();
+  std::size_t consumed = 0;
+  while (consumed < data.size()) {
+    const std::uint64_t pos = offset + consumed;
+    const std::uint64_t n =
+        std::min<std::uint64_t>(ss - pos % ss, data.size() - consumed);
+    PieceHash h;
+    h.update(data.subspan(consumed, n));
+    chunks_[pos / ss].pieces.push_back(Piece{pos, n, h.finish()});
+    consumed += n;
+  }
 }
 
 void File::apply_content(const PendingWrite& w) {
   const std::uint64_t ss = stripe_size();
-  std::uint64_t pos = w.offset;
-  std::uint64_t left = w.length;
   std::size_t consumed = 0;
-  std::size_t delta_idx = 0;
-  while (left > 0) {
-    const std::uint64_t chunk_idx = pos / ss;
+  while (consumed < w.bytes.size()) {
+    const std::uint64_t pos = w.offset + consumed;
     const std::uint64_t in_chunk = pos % ss;
-    const std::uint64_t n = std::min(ss - in_chunk, left);
-    Chunk& c = chunks_[chunk_idx];
+    const std::uint64_t n =
+        std::min<std::uint64_t>(ss - in_chunk, w.bytes.size() - consumed);
+    Chunk& c = chunks_[pos / ss];
+    if (c.bytes.empty()) c.bytes.resize(ss);
+    std::memcpy(c.bytes.data() + in_chunk, w.bytes.data() + consumed, n);
     c.written += n;
-    if (integrity_ == Integrity::Store) {
-      if (c.bytes.empty()) c.bytes.resize(ss);
-      std::memcpy(c.bytes.data() + in_chunk, w.bytes.data() + consumed, n);
-    } else {
-      c.digest += w.deltas[delta_idx++];
-    }
-    pos += n;
-    left -= n;
-    consumed += static_cast<std::size_t>(n);
+    consumed += n;
   }
 }
 
@@ -263,7 +290,8 @@ std::vector<std::byte> File::read_back(std::uint64_t offset,
 }
 
 std::string File::verify(
-    const std::function<std::byte(std::uint64_t)>& expected) const {
+    const std::function<void(std::uint64_t, std::span<std::byte>)>& expected)
+    const {
   TPIO_CHECK(integrity_ != Integrity::None,
              "verify requires Store or Digest integrity");
   // Post-run inspection: every scheduled write has logically completed.
@@ -280,6 +308,18 @@ std::string File::verify(
   }
   const std::uint64_t ss = stripe_size();
   const std::uint64_t nchunks = (size_ + ss - 1) / ss;
+  // Expected content is generated kVerifyBlock bytes at a time, so the
+  // scratch stays small and in cache whatever the stripe unit.
+  std::vector<std::byte> want(kVerifyBlock);
+  auto block = [&](std::uint64_t o, std::uint64_t end) {
+    const auto w = std::span(want).first(
+        static_cast<std::size_t>(std::min<std::uint64_t>(kVerifyBlock, end - o)));
+    expected(o, w);
+    return w;
+  };
+  auto range = [](std::uint64_t a, std::uint64_t b) {
+    return "bytes [" + std::to_string(a) + ", " + std::to_string(b) + ")";
+  };
   for (std::uint64_t ci = base / ss; ci < nchunks; ++ci) {
     auto it = chunks_.find(ci);
     const std::uint64_t lo = std::max(base, ci * ss);
@@ -288,22 +328,54 @@ std::string File::verify(
       return "chunk " + std::to_string(ci) + " never written";
     }
     const Chunk& c = it->second;
-    if (c.written != hi - lo) {
-      return "chunk " + std::to_string(ci) + " has " +
-             std::to_string(c.written) + " bytes, expected " +
-             std::to_string(hi - lo);
-    }
     if (integrity_ == Integrity::Store) {
-      for (std::uint64_t o = lo; o < hi; ++o) {
-        if (c.bytes[o - ci * ss] != expected(o)) {
-          return "byte mismatch at offset " + std::to_string(o);
+      if (c.written != hi - lo) {
+        return "chunk " + std::to_string(ci) + " has " +
+               std::to_string(c.written) + " bytes, expected " +
+               std::to_string(hi - lo);
+      }
+      for (std::uint64_t o = lo; o < hi; o += kVerifyBlock) {
+        const auto w = block(o, hi);
+        const std::byte* got = c.bytes.data() + (o - ci * ss);
+        if (std::memcmp(got, w.data(), w.size()) != 0) {
+          const auto at = std::mismatch(w.begin(), w.end(), got).first;
+          return "byte mismatch at offset " +
+                 std::to_string(o + static_cast<std::uint64_t>(at - w.begin()));
         }
       }
-    } else {
-      std::uint64_t want = 0;
-      for (std::uint64_t o = lo; o < hi; ++o) want += mix(o, expected(o));
-      if (c.digest != want) {
-        return "digest mismatch in chunk " + std::to_string(ci);
+      continue;
+    }
+    // Digest: sorted by offset, the pieces must tile [lo, hi) exactly once;
+    // then each piece's hash must match that of its expected bytes.
+    std::vector<Piece> pieces = c.pieces;
+    std::sort(pieces.begin(), pieces.end(),
+              [](const Piece& a, const Piece& b) { return a.offset < b.offset; });
+    std::uint64_t at = lo;
+    for (const Piece& p : pieces) {
+      if (p.offset > at) {
+        return "chunk " + std::to_string(ci) + ": " + range(at, p.offset) +
+               " never written";
+      }
+      if (p.offset < at) {
+        return "chunk " + std::to_string(ci) + ": " +
+               range(p.offset, std::min(at, p.offset + p.length)) +
+               " written more than once";
+      }
+      at += p.length;
+    }
+    if (at != hi) {
+      return "chunk " + std::to_string(ci) + ": " + range(at, hi) +
+             " never written";
+    }
+    for (const Piece& p : pieces) {
+      const std::uint64_t end = p.offset + p.length;
+      PieceHash h;
+      for (std::uint64_t o = p.offset; o < end; o += kVerifyBlock) {
+        h.update(block(o, end));
+      }
+      if (h.finish() != p.hash) {
+        return "digest mismatch in chunk " + std::to_string(ci) + " at " +
+               range(p.offset, end);
       }
     }
   }

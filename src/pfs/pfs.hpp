@@ -24,9 +24,9 @@ namespace tpio::pfs {
 enum class Integrity {
   /// Keep every byte (read_back works). For tests and small examples.
   Store,
-  /// Keep an order-independent fingerprint + byte count per stripe chunk.
-  /// Verifies exactly-once writes byte-for-byte without storing data —
-  /// the mode benchmark sweeps use.
+  /// Keep one 64-bit hash per written piece (one write's part of one stripe
+  /// chunk) instead of the bytes. Verifies exactly-once writes and every
+  /// byte's content without storing data — the mode benchmark sweeps use.
   Digest,
   /// Keep nothing but timing. For the largest sweeps.
   None,
@@ -370,16 +370,17 @@ class File {
   /// Store mode only: copy out a region; unwritten bytes read as zero.
   std::vector<std::byte> read_back(std::uint64_t offset, std::uint64_t len) const;
 
-  /// Store/Digest modes: check that the region [0, size) was written
-  /// exactly once and that every byte equals `expected(offset)`.
-  /// Returns an empty string on success, else a human-readable mismatch.
-  /// A write that gave up after exhausting its retries leaves a hole that
-  /// this reports.
-  std::string verify(const std::function<std::byte(std::uint64_t)>& expected) const;
-
-  /// Order-independent fingerprint of one (offset, value) pair — exposed so
-  /// workloads can compute expected digests without materializing data.
-  static std::uint64_t mix(std::uint64_t offset, std::byte value);
+  /// Store/Digest modes: check that the region [base_offset, size) was
+  /// written exactly once and that every byte equals the expected content.
+  /// `expected(offset, out)` fills `out` with the bytes that belong at
+  /// [offset, offset + out.size()); verify asks for runs of up to 64 KiB.
+  /// Returns an empty string on success, else a human-readable mismatch:
+  /// the first wrong offset (Store) or the byte range of the first piece
+  /// whose hash differs (Digest). A write that gave up after exhausting its
+  /// retries leaves a hole that this reports.
+  std::string verify(
+      const std::function<void(std::uint64_t, std::span<std::byte>)>& expected)
+      const;
 
  private:
   friend class StorageSystem;
@@ -398,24 +399,30 @@ class File {
   /// target_offset). With no overrides this is stripe_idx % num_targets.
   int target_of(std::uint64_t stripe_idx) const;
 
-  struct Chunk {
-    std::vector<std::byte> bytes;   // Store mode
-    std::uint64_t digest = 0;       // Digest mode (commutative sum of mix())
-    std::uint64_t written = 0;      // bytes accepted into this chunk
+  /// Digest mode: one write's part of one stripe chunk, hashed at
+  /// submission.
+  struct Piece {
+    std::uint64_t offset = 0;
+    std::uint64_t length = 0;
+    std::uint64_t hash = 0;
   };
 
-  /// Content handed to the storage system but not yet durable: snapshotted
-  /// at submission (the caller may reuse its buffer immediately, like
-  /// aio_write), applied to chunks_ only once the virtual clock passes the
-  /// write's completion — a read issued before then sees the old contents.
+  struct Chunk {
+    std::vector<std::byte> bytes;   // Store mode
+    std::uint64_t written = 0;      // Store mode: bytes accepted
+    std::vector<Piece> pieces;      // Digest mode, in submission order
+  };
+
+  /// Store mode: content handed to the storage system but not yet durable,
+  /// snapshotted at submission (the caller may reuse its buffer
+  /// immediately, like aio_write) and applied to chunks_ only once the
+  /// virtual clock passes the write's completion — a read issued before
+  /// then sees the old contents. Digest content is never read back, so
+  /// Digest pieces go to their chunks at submission.
   struct PendingWrite {
     sim::Time visible_at = 0;       // write completion time
     std::uint64_t offset = 0;
-    std::uint64_t length = 0;
-    std::vector<std::byte> bytes;   // Store mode: submission-time snapshot
-    // Digest mode: per-chunk digest deltas precomputed at submission (in
-    // chunk order), so no byte copy is retained.
-    std::vector<std::uint64_t> deltas;
+    std::vector<std::byte> bytes;   // submission-time snapshot
   };
 
   /// Record content + compute service completion. Under the baton. A
@@ -424,8 +431,9 @@ class File {
   sim::Time schedule_write(sim::RankCtx& ctx, int node, std::uint64_t offset,
                            std::span<const std::byte> data, bool async,
                            int attempt, IoStatus& status);
-  /// Account the write immediately (size, byte counters) and queue its
-  /// content to become visible at `visible_at`.
+  /// Account the write immediately (size, byte counters), hash its pieces
+  /// (Digest) or queue its content to become visible at `visible_at`
+  /// (Store).
   void record(std::uint64_t offset, std::span<const std::byte> data,
               sim::Time visible_at);
   /// Apply every pending write with visible_at <= `upto` to chunks_.
@@ -442,7 +450,7 @@ class File {
   std::uint64_t bytes_accepted_ = 0;
   std::uint64_t min_offset_ = UINT64_MAX;
   std::unordered_map<std::uint64_t, Chunk> chunks_;  // by chunk index
-  std::vector<PendingWrite> pending_;  // submission order
+  std::vector<PendingWrite> pending_;  // Store mode, submission order
 };
 
 }  // namespace tpio::pfs

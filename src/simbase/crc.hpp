@@ -8,10 +8,9 @@ namespace tpio::sim {
 
 /// CRC-64 (ECMA-182 polynomial, reflected), table-driven.
 ///
-/// The parallel file system's "sink" mode keeps one CRC per stripe chunk
-/// instead of the data itself, so benchmark runs writing many gigabytes of
-/// virtual data can still be verified byte-for-byte against a workload
-/// generator's expected pattern without storing the bytes.
+/// A checksum of bytes read back from a file, so that tests can compare
+/// the contents of two runs without keeping both copies. (Digest files do
+/// not use it: they keep their own per-piece hash, see pfs.cpp.)
 std::uint64_t crc64(std::uint64_t seed, std::span<const std::byte> data);
 
 inline std::uint64_t crc64(std::span<const std::byte> data) {

@@ -1,6 +1,9 @@
 #include "workloads/workloads.hpp"
 
+#include <algorithm>
+#include <array>
 #include <cmath>
+#include <cstring>
 
 #include "simbase/error.hpp"
 #include "simbase/units.hpp"
@@ -24,9 +27,37 @@ std::pair<int, int> grid_dims(int P) {
   return {gx, P / gx};
 }
 
-std::byte expected_byte(std::uint64_t offset) {
-  // Non-periodic in offset; see pfs tests for why the o/977 term matters.
-  return static_cast<std::byte>((offset * 131 + offset / 977 + 5) & 0xFF);
+namespace {
+
+/// Ramp[i] = 131·i mod 256, long enough for any start in [0, 256) plus one
+/// whole segment. 131 is odd, hence invertible mod 256 (131·43 = 1 mod 256):
+/// the progression b, b + 131, b + 2·131, ... is the ramp read from
+/// k = 43·b mod 256 on, so each segment of content is one memcpy.
+constexpr auto kRamp = [] {
+  std::array<std::uint8_t, 255 + Content::kSegment> r{};
+  for (std::size_t i = 0; i < r.size(); ++i) {
+    r[i] = static_cast<std::uint8_t>(131 * i);
+  }
+  return r;
+}();
+
+}  // namespace
+
+void Content::operator()(std::uint64_t offset,
+                         std::span<std::byte> out) const {
+  std::uint64_t seg = offset / kSegment;
+  std::uint64_t o = offset;
+  std::size_t done = 0;
+  while (done < out.size()) {
+    const auto n = static_cast<std::size_t>(std::min<std::uint64_t>(
+        out.size() - done, (seg + 1) * kSegment - o));
+    const auto base = static_cast<std::uint8_t>(o * 131 + seg + 5);
+    const auto k = static_cast<std::uint8_t>(base * 43);
+    std::memcpy(out.data() + done, kRamp.data() + k, n);
+    done += n;
+    o += n;
+    ++seg;
+  }
 }
 
 void fill_into(const coll::FileView& view, std::span<std::byte> data) {
@@ -34,19 +65,8 @@ void fill_into(const coll::FileView& view, std::span<std::byte> data) {
              "fill_into buffer size does not match the view");
   std::size_t pos = 0;
   for (const coll::Extent& e : view.extents) {
-    // Incremental form of expected_byte(): one division per extent instead
-    // of one per byte (this fill dominates large benchmark runs otherwise).
-    std::uint64_t mul = e.offset * 131;
-    std::uint64_t div = e.offset / 977;
-    std::uint64_t rem = e.offset % 977;
-    for (std::uint64_t i = 0; i < e.length; ++i) {
-      data[pos++] = static_cast<std::byte>((mul + div + 5) & 0xFF);
-      mul += 131;
-      if (++rem == 977) {
-        rem = 0;
-        ++div;
-      }
-    }
+    expected_byte(e.offset, data.subspan(pos, e.length));
+    pos += e.length;
   }
 }
 

@@ -1,5 +1,6 @@
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <span>
 #include <string>
@@ -63,10 +64,27 @@ Spec make_flash(int nvars, int blocks_per_proc, std::uint64_t block_bytes);
 /// matching the paper's setup.
 std::pair<int, int> grid_dims(int P);
 
-/// Deterministic expected content of the output file at `offset` — the
-/// global ground truth every workload's data is generated from, so any
-/// shuffle/placement error is detectable at verification.
-std::byte expected_byte(std::uint64_t offset);
+/// Deterministic expected content of the output file — the global ground
+/// truth every workload's data is generated from, so any shuffle/placement
+/// error is detectable at verification. Byte o is
+/// (131·o + floor(o / 977) + 5) mod 256: non-periodic in o, and within one
+/// 977-byte segment an arithmetic progression of step 131.
+struct Content {
+  static constexpr std::uint64_t kSegment = 977;
+
+  /// The byte at `offset` — the reference formula.
+  constexpr std::byte operator()(std::uint64_t offset) const {
+    return static_cast<std::byte>((offset * 131 + offset / kSegment + 5) &
+                                  0xFF);
+  }
+  /// Run form: the bytes of [offset, offset + out.size()) into `out`, equal
+  /// byte for byte to the per-byte form, with one division per call and one
+  /// memcpy per segment instead of a division per byte.
+  void operator()(std::uint64_t offset, std::span<std::byte> out) const;
+};
+
+/// The workload content; passes as is to pfs::File::verify.
+inline constexpr Content expected_byte{};
 
 /// Materialize the local send buffer for `view` (extent bytes in order).
 std::vector<std::byte> fill_local(const coll::FileView& view);

@@ -17,6 +17,7 @@
 #include "harness/sweep.hpp"
 #include "simbase/crc.hpp"
 #include "test_rig.hpp"
+#include "workloads/workloads.hpp"
 
 namespace coll = tpio::coll;
 namespace pfs = tpio::pfs;
@@ -24,8 +25,8 @@ namespace sim = tpio::sim;
 namespace xp = tpio::xp;
 using tpio::test::Cluster;
 using tpio::test::ClusterSpec;
-using tpio::test::file_byte;
-using tpio::test::fill_view;
+using tpio::wl::expected_byte;
+using tpio::wl::fill_local;
 
 namespace {
 
@@ -88,7 +89,7 @@ RunOut run_once(const ClusterSpec& cs,
   cluster.run([&](tpio::smpi::Mpi& mpi) {
     const auto r = static_cast<std::size_t>(mpi.rank());
     const auto& view = views[r];
-    const auto data = fill_view(view);
+    const auto data = fill_local(view);
     if (policy == nullptr) {
       results[r] = coll::collective_write(mpi, *file, view, data, o);
       return;
@@ -100,7 +101,7 @@ RunOut run_once(const ClusterSpec& cs,
     engine.run();
     results[r].autotune = engine.auto_decision();
   });
-  EXPECT_EQ(file->verify(file_byte), "")
+  EXPECT_EQ(file->verify(expected_byte), "")
       << "overlap=" << coll::to_string(o.overlap)
       << " transfer=" << coll::to_string(o.transfer)
       << " hier=" << o.hierarchical;

@@ -14,14 +14,15 @@
 #include "core/read_engine.hpp"
 #include "simbase/rng.hpp"
 #include "test_rig.hpp"
+#include "workloads/workloads.hpp"
 
 namespace coll = tpio::coll;
 namespace pfs = tpio::pfs;
 namespace sim = tpio::sim;
 using tpio::test::Cluster;
 using tpio::test::ClusterSpec;
-using tpio::test::file_byte;
-using tpio::test::fill_view;
+using tpio::wl::expected_byte;
+using tpio::wl::fill_local;
 
 namespace {
 
@@ -92,10 +93,10 @@ TEST_P(EngineFuzz, RandomViewsAllOptionCombos) {
     auto file = cluster.storage().create("fuzz", pfs::Integrity::Store);
     cluster.run([&](tpio::smpi::Mpi& mpi) {
       const auto& view = views[static_cast<std::size_t>(mpi.rank())];
-      const auto data = fill_view(view);
+      const auto data = fill_local(view);
       coll::collective_write(mpi, *file, view, data, o);
     });
-    ASSERT_EQ(file->verify(file_byte), "")
+    ASSERT_EQ(file->verify(expected_byte), "")
         << "seed=" << seed << " combo=" << combo
         << " overlap=" << coll::to_string(o.overlap)
         << " transfer=" << coll::to_string(o.transfer)
@@ -115,14 +116,14 @@ TEST_P(EngineFuzz, HoleyViewsExtentsLandExactly) {
   auto file = cluster.storage().create("fuzz", pfs::Integrity::Store);
   cluster.run([&](tpio::smpi::Mpi& mpi) {
     const auto& view = views[static_cast<std::size_t>(mpi.rank())];
-    const auto data = fill_view(view);
+    const auto data = fill_local(view);
     coll::collective_write(mpi, *file, view, data, o);
   });
   for (const auto& view : views) {
     for (const auto& e : view.extents) {
       const auto got = file->read_back(e.offset, e.length);
       for (std::uint64_t i = 0; i < e.length; ++i) {
-        ASSERT_EQ(got[i], file_byte(e.offset + i))
+        ASSERT_EQ(got[i], expected_byte(e.offset + i))
             << "seed=" << seed << " offset=" << e.offset + i;
       }
     }
@@ -142,7 +143,7 @@ TEST_P(EngineFuzz, WriteThenReadRoundTrip) {
   auto file = cluster.storage().create("fuzz", pfs::Integrity::Store);
   cluster.run([&](tpio::smpi::Mpi& mpi) {
     const auto& view = views[static_cast<std::size_t>(mpi.rank())];
-    const auto data = fill_view(view);
+    const auto data = fill_local(view);
     coll::collective_write(mpi, *file, view, data, wopt);
     mpi.barrier();
     std::vector<std::byte> out(view.total_bytes());
@@ -162,7 +163,7 @@ TEST_P(EngineFuzz, DeterministicUnderFuzz) {
     auto file = cluster.storage().create("fuzz", pfs::Integrity::None);
     cluster.run([&](tpio::smpi::Mpi& mpi) {
       const auto& view = views[static_cast<std::size_t>(mpi.rank())];
-      const auto data = fill_view(view);
+      const auto data = fill_local(view);
       coll::collective_write(mpi, *file, view, data, o);
     });
     return cluster.conductor().makespan();
@@ -207,10 +208,10 @@ TEST_P(EngineFuzz, HierarchicalRandomTopologiesByteExact) {
     auto file = cluster.storage().create("fuzz", pfs::Integrity::Store);
     cluster.run([&](tpio::smpi::Mpi& mpi) {
       const auto& view = views[static_cast<std::size_t>(mpi.rank())];
-      const auto data = fill_view(view);
+      const auto data = fill_local(view);
       coll::collective_write(mpi, *file, view, data, o);
     });
-    ASSERT_EQ(file->verify(file_byte), "")
+    ASSERT_EQ(file->verify(expected_byte), "")
         << "seed=" << seed << " nodes=" << cs.nodes << " ppn=" << cs.ppn
         << " ranks=" << cs.ranks << " overlap=" << coll::to_string(o.overlap)
         << " transfer=" << coll::to_string(o.transfer)

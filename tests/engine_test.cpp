@@ -6,14 +6,15 @@
 #include "core/engine.hpp"
 #include "simbase/error.hpp"
 #include "test_rig.hpp"
+#include "workloads/workloads.hpp"
 
 namespace coll = tpio::coll;
 namespace pfs = tpio::pfs;
 namespace sim = tpio::sim;
 using tpio::test::Cluster;
 using tpio::test::ClusterSpec;
-using tpio::test::file_byte;
-using tpio::test::fill_view;
+using tpio::wl::expected_byte;
+using tpio::wl::fill_local;
 
 namespace {
 
@@ -83,11 +84,11 @@ void run_and_verify(
       static_cast<std::size_t>(cluster.nprocs()));
   cluster.run([&](tpio::smpi::Mpi& mpi) {
     const coll::FileView view = make_view(mpi.rank(), mpi.size());
-    const auto data = fill_view(view);
+    const auto data = fill_local(view);
     results[static_cast<std::size_t>(mpi.rank())] =
         coll::collective_write(mpi, *file, view, data, opt);
   });
-  ASSERT_EQ(file->verify(file_byte), "");
+  ASSERT_EQ(file->verify(expected_byte), "");
   // Every rank reports the same global geometry.
   for (const auto& r : results) {
     EXPECT_EQ(r.cycles, results[0].cycles);
@@ -205,7 +206,7 @@ TEST_P(CollectiveWrite, DeterministicMakespan) {
     auto file = cluster.storage().create("out", pfs::Integrity::None);
     cluster.run([&](tpio::smpi::Mpi& mpi) {
       const auto view = strided_view(mpi.rank(), mpi.size(), 768, 10);
-      const auto data = fill_view(view);
+      const auto data = fill_local(view);
       coll::collective_write(mpi, *file, view, data,
                              base_options(GetParam()));
     });
@@ -272,7 +273,7 @@ TEST(CollectiveWriteMisc, MoreAggregatorsThanStripesTrimsCleanly) {
       static_cast<std::size_t>(cluster.nprocs()));
   cluster.run([&](tpio::smpi::Mpi& mpi) {
     const auto view = block_view(mpi.rank(), mpi.size(), 512);
-    const auto data = fill_view(view);
+    const auto data = fill_local(view);
     coll::Options o;
     o.cb_size = 16384;
     o.num_aggregators = 4;
@@ -280,7 +281,7 @@ TEST(CollectiveWriteMisc, MoreAggregatorsThanStripesTrimsCleanly) {
     results[static_cast<std::size_t>(mpi.rank())] =
         coll::collective_write(mpi, *file, view, data, o);
   });
-  ASSERT_EQ(file->verify(file_byte), "");
+  ASSERT_EQ(file->verify(expected_byte), "");
   for (const auto& r : results) {
     EXPECT_EQ(r.aggregators, 1);
     EXPECT_EQ(r.bytes_global, 4096u);
@@ -293,7 +294,7 @@ TEST(CollectiveWriteMisc, TimingsAccountedAndTotalCovers) {
   std::vector<coll::Result> results(static_cast<std::size_t>(cluster.nprocs()));
   cluster.run([&](tpio::smpi::Mpi& mpi) {
     const auto view = block_view(mpi.rank(), mpi.size(), 30'000);
-    const auto data = fill_view(view);
+    const auto data = fill_local(view);
     coll::Options o;
     o.cb_size = 16384;
     o.overlap = coll::OverlapMode::None;
@@ -330,7 +331,7 @@ TEST(CollectiveWriteMisc, GatherBucketAccountedInHierarchicalRuns) {
   std::vector<coll::Result> results(static_cast<std::size_t>(cluster.nprocs()));
   cluster.run([&](tpio::smpi::Mpi& mpi) {
     const auto view = block_view(mpi.rank(), mpi.size(), 30'000);
-    const auto data = fill_view(view);
+    const auto data = fill_local(view);
     coll::Options o;
     o.cb_size = 16384;
     o.overlap = coll::OverlapMode::WriteComm2;
@@ -363,11 +364,11 @@ TEST(CollectiveWriteMisc, TwoConsecutiveCollectivesSameFileRegionsDisjoint) {
           static_cast<std::uint64_t>(round) * half +
               static_cast<std::uint64_t>(mpi.rank()) * 10'000,
           10'000});
-      const auto data = fill_view(v);
+      const auto data = fill_local(v);
       coll::collective_write(mpi, *file, v, data, o);
     }
   });
-  EXPECT_EQ(file->verify(file_byte), "");
+  EXPECT_EQ(file->verify(expected_byte), "");
   EXPECT_EQ(file->size(), 2 * half);
 }
 
@@ -377,7 +378,7 @@ TEST(CollectiveWriteMisc, ExclusiveLockSlowerThanShared) {
     auto file = cluster.storage().create("out", pfs::Integrity::None);
     cluster.run([&](tpio::smpi::Mpi& mpi) {
       const auto view = block_view(mpi.rank(), mpi.size(), 40'000);
-      const auto data = fill_view(view);
+      const auto data = fill_local(view);
       coll::Options o;
       o.cb_size = 32768;
       o.transfer = coll::Transfer::OneSidedLock;

@@ -9,14 +9,15 @@
 #include "core/engine.hpp"
 #include "simbase/error.hpp"
 #include "test_rig.hpp"
+#include "workloads/workloads.hpp"
 
 namespace coll = tpio::coll;
 namespace pfs = tpio::pfs;
 namespace sim = tpio::sim;
 using tpio::test::Cluster;
 using tpio::test::ClusterSpec;
-using tpio::test::file_byte;
-using tpio::test::fill_view;
+using tpio::wl::expected_byte;
+using tpio::wl::fill_local;
 
 namespace {
 
@@ -40,7 +41,7 @@ void drive(Cluster& cluster, const coll::Options& opt, std::uint64_t block,
   auto file = cluster.storage().create("wb", integrity);
   cluster.run([&](tpio::smpi::Mpi& mpi) {
     const coll::FileView view = block_view(mpi.rank(), block);
-    const auto data = fill_view(view);
+    const auto data = fill_local(view);
     auto blobs = mpi.allgatherv(view.serialize());
     std::vector<coll::FileView> views;
     for (const auto& b : blobs) views.push_back(coll::FileView::deserialize(b));
@@ -61,7 +62,7 @@ TEST(EngineWhitebox, ManualPhaseSequenceWritesCorrectly) {
   const std::uint64_t block = 6000;
   cluster.run([&](tpio::smpi::Mpi& mpi) {
     const coll::FileView view = block_view(mpi.rank(), block);
-    const auto data = fill_view(view);
+    const auto data = fill_local(view);
     auto blobs = mpi.allgatherv(view.serialize());
     std::vector<coll::FileView> views;
     for (const auto& b : blobs) views.push_back(coll::FileView::deserialize(b));
@@ -76,7 +77,7 @@ TEST(EngineWhitebox, ManualPhaseSequenceWritesCorrectly) {
       engine.write_blocking(c, c % 2);
     }
   });
-  EXPECT_EQ(file->verify(file_byte), "");
+  EXPECT_EQ(file->verify(expected_byte), "");
 }
 
 TEST(EngineWhitebox, ShuffleIntoPendingWriteThrows) {

@@ -16,6 +16,7 @@
 #include "harness/platform.hpp"
 #include "harness/runner.hpp"
 #include "test_rig.hpp"
+#include "workloads/workloads.hpp"
 
 namespace coll = tpio::coll;
 namespace pfs = tpio::pfs;
@@ -24,8 +25,8 @@ namespace xp = tpio::xp;
 namespace wl = tpio::wl;
 using tpio::test::Cluster;
 using tpio::test::ClusterSpec;
-using tpio::test::file_byte;
-using tpio::test::fill_view;
+using tpio::wl::expected_byte;
+using tpio::wl::fill_local;
 
 namespace {
 
@@ -72,7 +73,7 @@ WriteOutcome run_faulty_write(const pfs::FaultParams& faults,
       static_cast<std::size_t>(cluster.nprocs()));
   cluster.run([&](tpio::smpi::Mpi& mpi) {
     const coll::FileView view = block_view(mpi.rank(), n);
-    const auto data = fill_view(view);
+    const auto data = fill_local(view);
     results[static_cast<std::size_t>(mpi.rank())] =
         coll::collective_write(mpi, *file, view, data, opt);
   });
@@ -82,7 +83,7 @@ WriteOutcome run_faulty_write(const pfs::FaultParams& faults,
     if (!r.io_error.empty()) out.io_errors.push_back(r.io_error);
   }
   out.bytes_written = file->bytes_written();
-  out.verify_error = file->verify(file_byte);
+  out.verify_error = file->verify(expected_byte);
   out.makespan = cluster.conductor().makespan();
   return out;
 }
@@ -389,7 +390,7 @@ TEST(ReadResilience, RetriedReadsReturnCorrectBytes) {
   std::vector<coll::Result> reads(static_cast<std::size_t>(cluster.nprocs()));
   cluster.run([&](tpio::smpi::Mpi& mpi) {
     const coll::FileView view = block_view(mpi.rank(), 20'000);
-    const auto data = fill_view(view);
+    const auto data = fill_local(view);
     coll::Options opt;
     opt.cb_size = 8192;
     coll::collective_write(mpi, *file, view, data, opt);
@@ -428,7 +429,7 @@ TEST(ReadResilience, ReadGiveUpPropagates) {
           static_cast<std::size_t>(cluster.nprocs()));
       cluster.run([&](tpio::smpi::Mpi& mpi) {
         const coll::FileView view = block_view(mpi.rank(), 20'000);
-        const auto data = fill_view(view);
+        const auto data = fill_local(view);
         coll::Options opt;
         opt.cb_size = 8192;
         coll::collective_write(mpi, *file, view, data, opt);
@@ -442,7 +443,7 @@ TEST(ReadResilience, ReadGiveUpPropagates) {
       });
       const std::string where = std::string(coll::to_string(mode)) +
                                 " max_retries=" + std::to_string(max_retries);
-      EXPECT_EQ(file->verify(file_byte), "") << where;  // writes unaffected
+      EXPECT_EQ(file->verify(expected_byte), "") << where;  // writes unaffected
       coll::FaultStats total;
       sim::Duration backoff = 0;
       int with_error = 0;
@@ -498,7 +499,7 @@ TEST(DegradedMode, StragglerTriggersBlockingDrainWithTraceEvents) {
       static_cast<std::size_t>(cluster.nprocs()));
   cluster.run([&](tpio::smpi::Mpi& mpi) {
     const coll::FileView view = block_view(mpi.rank(), kPerRank);
-    const auto data = fill_view(view);
+    const auto data = fill_local(view);
     coll::Options o = degrade;
     o.trace = &traces[static_cast<std::size_t>(mpi.rank())];
     results[static_cast<std::size_t>(mpi.rank())] =
@@ -506,7 +507,7 @@ TEST(DegradedMode, StragglerTriggersBlockingDrainWithTraceEvents) {
   });
 
   // The blocking drain still lands every byte.
-  EXPECT_EQ(file->verify(file_byte), "");
+  EXPECT_EQ(file->verify(expected_byte), "");
 
   coll::FaultStats total;
   int degrade_events = 0, degraded_cycle_events = 0;
@@ -566,7 +567,7 @@ TEST(DegradedMode, StragglingReadsDrainBlocking) {
     cluster.run([&](tpio::smpi::Mpi& mpi) {
       const auto r = static_cast<std::size_t>(mpi.rank());
       const coll::FileView view = block_view(mpi.rank(), kPerRank);
-      const auto data = fill_view(view);
+      const auto data = fill_local(view);
       coll::Options wopt;
       wopt.cb_size = ropt.cb_size;
       coll::collective_write(mpi, *file, view, data, wopt);
@@ -624,11 +625,11 @@ TEST(BackoffAccounting, RetriesChargeTheBackoffBucket) {
       static_cast<std::size_t>(cluster.nprocs()));
   cluster.run([&](tpio::smpi::Mpi& mpi) {
     const coll::FileView view = block_view(mpi.rank(), 32768);
-    const auto data = fill_view(view);
+    const auto data = fill_local(view);
     results[static_cast<std::size_t>(mpi.rank())] =
         coll::collective_write(mpi, *file, view, data, opt);
   });
-  EXPECT_EQ(file->verify(file_byte), "");
+  EXPECT_EQ(file->verify(expected_byte), "");
 
   sim::Duration backoff = 0;
   int retries = 0;

@@ -12,14 +12,15 @@
 #include "simbase/crc.hpp"
 #include "simbase/rng.hpp"
 #include "test_rig.hpp"
+#include "workloads/workloads.hpp"
 
 namespace coll = tpio::coll;
 namespace pfs = tpio::pfs;
 namespace sim = tpio::sim;
 using tpio::test::Cluster;
 using tpio::test::ClusterSpec;
-using tpio::test::file_byte;
-using tpio::test::fill_view;
+using tpio::wl::expected_byte;
+using tpio::wl::fill_local;
 
 namespace {
 
@@ -81,10 +82,10 @@ RunOut run_once(const ClusterSpec& cs,
   auto file = cluster.storage().create("diff", pfs::Integrity::Store);
   cluster.run([&](tpio::smpi::Mpi& mpi) {
     const auto& view = views[static_cast<std::size_t>(mpi.rank())];
-    const auto data = fill_view(view);
+    const auto data = fill_local(view);
     coll::collective_write(mpi, *file, view, data, o);
   });
-  EXPECT_EQ(file->verify(file_byte), "")
+  EXPECT_EQ(file->verify(expected_byte), "")
       << "hier=" << o.hierarchical << " overlap=" << coll::to_string(o.overlap)
       << " transfer=" << coll::to_string(o.transfer);
   RunOut out;

@@ -25,6 +25,7 @@
 #include "simbase/crc.hpp"
 #include "simbase/rng.hpp"
 #include "test_rig.hpp"
+#include "workloads/workloads.hpp"
 
 namespace coll = tpio::coll;
 namespace net = tpio::net;
@@ -34,8 +35,8 @@ namespace wl = tpio::wl;
 namespace xp = tpio::xp;
 using tpio::test::Cluster;
 using tpio::test::ClusterSpec;
-using tpio::test::file_byte;
-using tpio::test::fill_view;
+using tpio::wl::expected_byte;
+using tpio::wl::fill_local;
 
 namespace {
 
@@ -96,10 +97,10 @@ RunOut run_once(const ClusterSpec& cs,
   auto file = cluster.storage().create("lanes", pfs::Integrity::Store);
   cluster.run([&](tpio::smpi::Mpi& mpi) {
     const auto& view = views[static_cast<std::size_t>(mpi.rank())];
-    const auto data = fill_view(view);
+    const auto data = fill_local(view);
     coll::collective_write(mpi, *file, view, data, o);
   });
-  EXPECT_EQ(file->verify(file_byte), "")
+  EXPECT_EQ(file->verify(expected_byte), "")
       << "co=" << o.local_aggregators
       << " leader=" << coll::to_string(o.leader_policy)
       << " overlap=" << coll::to_string(o.overlap)
@@ -384,7 +385,7 @@ TEST(PipelinedLanes, SuccessiveLaneLayoutsOnOneMachine) {
     auto second = cluster.storage().create("b", pfs::Integrity::Store);
     cluster.run([&](tpio::smpi::Mpi& mpi) {
       const auto& view = views[static_cast<std::size_t>(mpi.rank())];
-      const auto data = fill_view(view);
+      const auto data = fill_local(view);
       coll::Options o;
       o.cb_size = 8192;
       o.hierarchical = true;
@@ -393,8 +394,8 @@ TEST(PipelinedLanes, SuccessiveLaneLayoutsOnOneMachine) {
       o.local_aggregators = co_b;
       coll::collective_write(mpi, *second, view, data, o);
     });
-    EXPECT_EQ(first->verify(file_byte), "") << "co " << co_a;
-    EXPECT_EQ(second->verify(file_byte), "") << "co " << co_a << " -> " << co_b;
+    EXPECT_EQ(first->verify(expected_byte), "") << "co " << co_a;
+    EXPECT_EQ(second->verify(expected_byte), "") << "co " << co_a << " -> " << co_b;
   }
 }
 

@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <functional>
+#include <span>
 #include <vector>
 
 #include "pfs/pfs.hpp"
@@ -24,13 +25,17 @@ pfs::PfsParams fast_params() {
   return p;
 }
 
-std::byte pat(std::uint64_t o) {
-  return static_cast<std::byte>((o * 29 + o / 700 + 3) & 0xFF);
+/// Content of [off, off + out.size()), the run form verify() takes.
+void pat(std::uint64_t off, std::span<std::byte> out) {
+  for (std::size_t i = 0; i < out.size(); ++i) {
+    const std::uint64_t o = off + i;
+    out[i] = static_cast<std::byte>((o * 29 + o / 700 + 3) & 0xFF);
+  }
 }
 
 std::vector<std::byte> region(std::uint64_t off, std::uint64_t len) {
   std::vector<std::byte> v(len);
-  for (std::uint64_t i = 0; i < len; ++i) v[i] = pat(off + i);
+  pat(off, v);
   return v;
 }
 

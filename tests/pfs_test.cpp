@@ -1,6 +1,9 @@
 #include <gtest/gtest.h>
 
+#include <cstdio>
 #include <functional>
+#include <span>
+#include <string>
 #include <utility>
 #include <vector>
 
@@ -25,16 +28,45 @@ pfs::PfsParams fast_params() {
   return p;
 }
 
-std::byte expected_byte(std::uint64_t o) {
-  // Non-periodic in o (the o/1000 term breaks any power-of-two period), so
-  // misplaced blocks can never alias to the right content.
-  return static_cast<std::byte>((o * 31 + o / 1000 + 7) & 0xFF);
+/// Expected content of [off, off + out.size()), the run form verify()
+/// takes. Non-periodic in the offset (the o/1000 term breaks any
+/// power-of-two period), so misplaced blocks can never alias to the right
+/// content.
+void content(std::uint64_t off, std::span<std::byte> out) {
+  for (std::size_t i = 0; i < out.size(); ++i) {
+    const std::uint64_t o = off + i;
+    out[i] = static_cast<std::byte>((o * 31 + o / 1000 + 7) & 0xFF);
+  }
 }
 
 std::vector<std::byte> make_region(std::uint64_t off, std::uint64_t len) {
   std::vector<std::byte> v(len);
-  for (std::uint64_t i = 0; i < len; ++i) v[i] = expected_byte(off + i);
+  content(off, v);
   return v;
+}
+
+/// The integrity modes that keep content: verify() must catch the same
+/// faults in both.
+constexpr pfs::Integrity kContentModes[] = {pfs::Integrity::Store,
+                                            pfs::Integrity::Digest};
+
+const char* name(pfs::Integrity mode) {
+  return mode == pfs::Integrity::Store ? "store" : "digest";
+}
+
+/// True when a verify() message locates byte `at`: by its offset (Store's
+/// "byte mismatch at offset N") or by a byte range "[a, b)" holding it
+/// (Digest's piece).
+bool locates(const std::string& err, std::uint64_t at) {
+  if (const auto p = err.find("offset "); p != std::string::npos) {
+    return std::stoull(err.substr(p + 7)) == at;
+  }
+  unsigned long long a = 0;
+  unsigned long long b = 0;
+  const auto p = err.find('[');
+  return p != std::string::npos &&
+         std::sscanf(err.c_str() + p, "[%llu, %llu)", &a, &b) == 2 &&
+         a <= at && at < b;
 }
 
 /// Run `fn(ctx)` on a single simulated rank.
@@ -63,7 +95,7 @@ TEST(Pfs, StoreModeScatteredWrites) {
     // Write out of order, unaligned, spanning chunk boundaries.
     f->write_at(ctx, 0, 3000, make_region(3000, 2000));
     f->write_at(ctx, 0, 0, make_region(0, 3000));
-    EXPECT_EQ(f->verify(expected_byte), "");
+    EXPECT_EQ(f->verify(content), "");
   });
 }
 
@@ -73,30 +105,36 @@ TEST(Pfs, DigestModeVerifiesWithoutStoringBytes) {
   solo([&](sim::RankCtx& ctx) {
     f->write_at(ctx, 0, 4096, make_region(4096, 4096));
     f->write_at(ctx, 0, 0, make_region(0, 4096));
-    EXPECT_EQ(f->verify(expected_byte), "");
+    EXPECT_EQ(f->verify(content), "");
   });
 }
 
 TEST(Pfs, DigestModeDetectsCorruption) {
-  pfs::StorageSystem sys(fast_params(), nullptr);
-  auto f = sys.create("t", pfs::Integrity::Digest);
-  solo([&](sim::RankCtx& ctx) {
-    auto data = make_region(0, 2048);
-    data[777] ^= std::byte{0x1};
-    f->write_at(ctx, 0, 0, data);
-    EXPECT_NE(f->verify(expected_byte), "");
-  });
+  for (pfs::Integrity mode : kContentModes) {
+    pfs::StorageSystem sys(fast_params(), nullptr);
+    auto f = sys.create("t", mode);
+    solo([&](sim::RankCtx& ctx) {
+      auto data = make_region(0, 2048);
+      data[777] ^= std::byte{0x1};
+      f->write_at(ctx, 0, 0, data);
+      const std::string err = f->verify(content);
+      EXPECT_NE(err, "") << name(mode);
+      EXPECT_TRUE(locates(err, 777)) << name(mode) << ": " << err;
+    });
+  }
 }
 
 TEST(Pfs, DigestModeDetectsMisplacedBytes) {
-  pfs::StorageSystem sys(fast_params(), nullptr);
-  auto f = sys.create("t", pfs::Integrity::Digest);
-  solo([&](sim::RankCtx& ctx) {
-    // Swap two regions: same bytes, wrong offsets.
-    f->write_at(ctx, 0, 0, make_region(1024, 1024));
-    f->write_at(ctx, 0, 1024, make_region(0, 1024));
-    EXPECT_NE(f->verify(expected_byte), "");
-  });
+  for (pfs::Integrity mode : kContentModes) {
+    pfs::StorageSystem sys(fast_params(), nullptr);
+    auto f = sys.create("t", mode);
+    solo([&](sim::RankCtx& ctx) {
+      // Swap two regions: same bytes, wrong offsets.
+      f->write_at(ctx, 0, 0, make_region(1024, 1024));
+      f->write_at(ctx, 0, 1024, make_region(0, 1024));
+      EXPECT_NE(f->verify(content), "") << name(mode);
+    });
+  }
 }
 
 TEST(Pfs, VerifyDetectsHoles) {
@@ -105,18 +143,31 @@ TEST(Pfs, VerifyDetectsHoles) {
   solo([&](sim::RankCtx& ctx) {
     f->write_at(ctx, 0, 0, make_region(0, 1000));
     f->write_at(ctx, 0, 2000, make_region(2000, 1000));  // gap [1000,2000)
-    EXPECT_NE(f->verify(expected_byte), "");
+    EXPECT_NE(f->verify(content), "");
   });
 }
 
 TEST(Pfs, VerifyDetectsDoubleWrites) {
-  pfs::StorageSystem sys(fast_params(), nullptr);
-  auto f = sys.create("t", pfs::Integrity::Digest);
-  solo([&](sim::RankCtx& ctx) {
-    f->write_at(ctx, 0, 0, make_region(0, 1000));
-    f->write_at(ctx, 0, 0, make_region(0, 1000));
-    EXPECT_NE(f->verify(expected_byte), "");
-  });
+  // Each case is a list of (offset, length) writes. The second writes
+  // [0, 256) twice and [256, 512) never, inside the 1 KiB chunk 0: every
+  // byte count (file, chunk, extent) is right, so only the content or the
+  // piece bookkeeping can tell.
+  using Writes = std::vector<std::pair<std::uint64_t, std::uint64_t>>;
+  const Writes cases[] = {{{0, 1000}, {0, 1000}},
+                          {{0, 256}, {0, 256}, {512, 512}}};
+  for (const Writes& writes : cases) {
+    for (pfs::Integrity mode : kContentModes) {
+      pfs::StorageSystem sys(fast_params(), nullptr);
+      auto f = sys.create("t", mode);
+      solo([&](sim::RankCtx& ctx) {
+        for (const auto& [off, len] : writes) {
+          f->write_at(ctx, 0, off, make_region(off, len));
+        }
+        EXPECT_NE(f->verify(content), "")
+            << name(mode) << ", " << writes.size() << " writes";
+      });
+    }
+  }
 }
 
 TEST(Pfs, NoneModeRejectsVerification) {
@@ -125,7 +176,7 @@ TEST(Pfs, NoneModeRejectsVerification) {
   solo([&](sim::RankCtx& ctx) {
     f->write_at(ctx, 0, 0, make_region(0, 512));
     EXPECT_EQ(f->size(), 512u);
-    EXPECT_THROW((void)f->verify(expected_byte), tpio::Error);
+    EXPECT_THROW((void)f->verify(content), tpio::Error);
     EXPECT_THROW((void)f->read_back(0, 1), tpio::Error);
   });
 }
@@ -184,7 +235,7 @@ TEST(Pfs, AsyncWriteReturnsImmediatelyCompletesLater) {
     ctx.advance(5'000);  // overlap with "computation"
     f->wait(ctx, op);
     EXPECT_EQ(ctx.now(), scheduled);
-    EXPECT_EQ(f->verify(expected_byte), "");
+    EXPECT_EQ(f->verify(content), "");
   });
 }
 
@@ -249,7 +300,7 @@ TEST(Pfs, ConcurrentAggregatorsShareTargets) {
   });
   // One target serves 16 KiB total: the later finisher sees ~16384ns.
   EXPECT_GE(std::max(done[0], done[1]), 16'000);
-  EXPECT_EQ(f->verify(expected_byte), "");
+  EXPECT_EQ(f->verify(content), "");
 }
 
 TEST(Pfs, NoiseDeterministicPerSeed) {

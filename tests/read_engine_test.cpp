@@ -6,14 +6,15 @@
 #include "core/read_engine.hpp"
 #include "simbase/error.hpp"
 #include "test_rig.hpp"
+#include "workloads/workloads.hpp"
 
 namespace coll = tpio::coll;
 namespace pfs = tpio::pfs;
 namespace sim = tpio::sim;
 using tpio::test::Cluster;
 using tpio::test::ClusterSpec;
-using tpio::test::file_byte;
-using tpio::test::fill_view;
+using tpio::wl::expected_byte;
+using tpio::wl::fill_local;
 
 namespace {
 
@@ -35,7 +36,7 @@ coll::FileView strided_view(int rank, int P, std::uint64_t piece, int rows) {
   return v;
 }
 
-/// Pre-populate a file with file_byte() content via a collective write,
+/// Pre-populate a file with expected_byte() content via a collective write,
 /// then collectively read it back with the given options and check every
 /// rank got exactly its view's bytes.
 void write_then_read(
@@ -44,7 +45,7 @@ void write_then_read(
   auto file = cluster.storage().create("rt", pfs::Integrity::Store);
   cluster.run([&](tpio::smpi::Mpi& mpi) {
     const coll::FileView view = make_view(mpi.rank(), mpi.size());
-    const auto data = fill_view(view);
+    const auto data = fill_local(view);
     coll::Options wopt;
     wopt.cb_size = read_opt.cb_size;
     coll::collective_write(mpi, *file, view, data, wopt);
@@ -109,7 +110,7 @@ TEST_P(CollectiveRead, DeterministicMakespan) {
     auto file = cluster.storage().create("rt", pfs::Integrity::Store);
     cluster.run([&](tpio::smpi::Mpi& mpi) {
       const auto view = strided_view(mpi.rank(), mpi.size(), 768, 10);
-      const auto data = fill_view(view);
+      const auto data = fill_local(view);
       coll::Options wopt;
       wopt.cb_size = 16384;
       coll::collective_write(mpi, *file, view, data, wopt);
@@ -182,7 +183,7 @@ TEST(CollectiveReadMisc, ReadAheadOverlapsScatter) {
     auto file = cluster.storage().create("rt", pfs::Integrity::Store);
     cluster.run([&](tpio::smpi::Mpi& mpi) {
       const auto view = block_view(mpi.rank(), 30'000);
-      const auto data = fill_view(view);
+      const auto data = fill_local(view);
       coll::Options wopt;
       wopt.cb_size = 8192;
       coll::collective_write(mpi, *file, view, data, wopt);
@@ -205,7 +206,7 @@ TEST(CollectiveReadMisc, WriteReadCycleTagsDoNotCollide) {
     o.cb_size = 8192;
     for (int round = 0; round < 3; ++round) {
       const auto view = block_view(mpi.rank(), 5000);
-      const auto data = fill_view(view);
+      const auto data = fill_local(view);
       auto& f = round % 2 == 0 ? *f1 : *f2;
       coll::collective_write(mpi, f, view, data, o);
       std::vector<std::byte> out(view.total_bytes());

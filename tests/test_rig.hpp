@@ -5,7 +5,6 @@
 
 #include <functional>
 #include <memory>
-#include <vector>
 
 #include "core/engine.hpp"
 #include "mpi/mpi.hpp"
@@ -67,22 +66,5 @@ class Cluster {
   smpi::Machine machine_;
   pfs::StorageSystem storage_;
 };
-
-/// Deterministic content for file offset `o` (non-periodic).
-inline std::byte file_byte(std::uint64_t o) {
-  return static_cast<std::byte>((o * 131 + o / 977 + 5) & 0xFF);
-}
-
-/// Build the local buffer for a view, filled with file_byte() content.
-inline std::vector<std::byte> fill_view(const coll::FileView& v) {
-  std::vector<std::byte> data(v.total_bytes());
-  std::size_t pos = 0;
-  for (const coll::Extent& e : v.extents) {
-    for (std::uint64_t i = 0; i < e.length; ++i) {
-      data[pos++] = file_byte(e.offset + i);
-    }
-  }
-  return data;
-}
 
 }  // namespace tpio::test

@@ -8,12 +8,13 @@
 #include "core/read_engine.hpp"
 #include "core/trace.hpp"
 #include "test_rig.hpp"
+#include "workloads/workloads.hpp"
 
 namespace coll = tpio::coll;
 namespace pfs = tpio::pfs;
 namespace sim = tpio::sim;
 using tpio::test::Cluster;
-using tpio::test::fill_view;
+using tpio::wl::fill_local;
 
 namespace {
 
@@ -32,7 +33,7 @@ std::vector<coll::Trace> traced_run(coll::OverlapMode mode, bool hier = false,
     coll::FileView v;
     v.extents.push_back(
         coll::Extent{static_cast<std::uint64_t>(mpi.rank()) * 20'000, 20'000});
-    const auto data = fill_view(v);
+    const auto data = fill_local(v);
     coll::Options o;
     o.cb_size = 16384;
     o.overlap = mode;
@@ -238,7 +239,7 @@ TEST(Trace, NullTraceIsFreeOfEvents) {
     coll::FileView v;
     v.extents.push_back(
         coll::Extent{static_cast<std::uint64_t>(mpi.rank()) * 4096, 4096});
-    const auto data = fill_view(v);
+    const auto data = fill_local(v);
     coll::Options o;  // trace == nullptr
     coll::collective_write(mpi, *file, v, data, o);
   });

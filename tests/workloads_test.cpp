@@ -1,6 +1,10 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdint>
 #include <map>
+#include <span>
+#include <vector>
 
 #include "workloads/workloads.hpp"
 
@@ -112,6 +116,34 @@ TEST(FillLocal, MatchesExpectedBytes) {
   for (const auto& e : v.extents) {
     for (std::uint64_t i = 0; i < e.length; ++i) {
       ASSERT_EQ(data[pos++], wl::expected_byte(e.offset + i));
+    }
+  }
+}
+
+TEST(Content, RunFormMatchesPerByteForm) {
+  // Starts across two whole 977-byte segments and then some, and around
+  // 2^40; lengths around 32 bytes and around one segment, and one that
+  // spans three segments.
+  std::vector<std::uint64_t> starts;
+  for (std::uint64_t o = 0; o < 2 * 977 + 64; ++o) starts.push_back(o);
+  const std::uint64_t far = std::uint64_t{1} << 40;
+  for (std::uint64_t o = far - 977; o < far + 977 + 64; ++o) {
+    starts.push_back(o);
+  }
+  const std::size_t lengths[] = {0, 1, 31, 32, 33, 976, 977, 978, 2000};
+  std::vector<std::byte> run(2000);
+  std::vector<std::byte> ref(2000);
+  for (const std::uint64_t start : starts) {
+    for (const std::size_t len : lengths) {
+      const std::span<std::byte> out(run.data(), len);
+      wl::expected_byte(start, out);
+      for (std::size_t i = 0; i < len; ++i) {
+        ref[i] = wl::expected_byte(start + i);
+      }
+      const auto bad = std::mismatch(out.begin(), out.end(), ref.begin());
+      ASSERT_EQ(bad.first, out.end())
+          << "start " << start << " length " << len << ": byte "
+          << (bad.first - out.begin()) << " differs";
     }
   }
 }
