@@ -3,7 +3,9 @@
 // point-to-point path, collectives, RMA, and the storage model (writes,
 // Digest recording, verify). These bound the wall-clock cost of the
 // paper-reproduction sweeps and act as regression guards for the
-// simulator's hot paths.
+// simulator's hot paths. The incast and RMA epochs run with payloads on
+// and off (a timing-only job's size-only Machine), so the host cost of
+// copying a message's bytes is the difference of the two rows.
 
 #include <benchmark/benchmark.h>
 
@@ -112,13 +114,15 @@ void BM_MpiEagerPingPong(benchmark::State& state) {
 }
 BENCHMARK(BM_MpiEagerPingPong)->Arg(1024)->Arg(64 * 1024);
 
+/// Arg 0: senders; arg 1: payloads (1) or message sizes only (0).
 void BM_MpiIncast(benchmark::State& state) {
   const int senders = static_cast<int>(state.range(0));
+  const bool payloads = state.range(1) != 0;
   const std::size_t bytes = 64 * 1024;
   for (auto _ : state) {
     net::Topology topo{senders + 1, 1};
     net::Fabric fabric(topo, flat_fabric());
-    smpi::Machine machine(fabric, smpi::MpiParams{});
+    smpi::Machine machine(fabric, smpi::MpiParams{}, payloads);
     sim::Conductor c(senders + 1);
     c.run([&](sim::RankCtx& ctx) {
       smpi::Mpi mpi(machine, ctx);
@@ -138,17 +142,22 @@ void BM_MpiIncast(benchmark::State& state) {
   }
   state.SetBytesProcessed(state.iterations() * senders *
                           static_cast<std::int64_t>(bytes));
+  state.SetItemsProcessed(state.iterations() * senders);
 }
-BENCHMARK(BM_MpiIncast)->Arg(16)->Arg(64);
+BENCHMARK(BM_MpiIncast)
+    ->ArgNames({"senders", "payloads"})
+    ->ArgsProduct({{16, 64}, {1, 0}});
 
+/// Arg 0: ranks; arg 1: payloads (1) or message sizes only (0).
 void BM_RmaFencePutEpochs(benchmark::State& state) {
   const int n = static_cast<int>(state.range(0));
+  const bool payloads = state.range(1) != 0;
   const std::size_t bytes = 16 * 1024;
   const int epochs = 10;
   for (auto _ : state) {
     net::Topology topo{n, 1};
     net::Fabric fabric(topo, flat_fabric());
-    smpi::Machine machine(fabric, smpi::MpiParams{});
+    smpi::Machine machine(fabric, smpi::MpiParams{}, payloads);
     sim::Conductor c(n);
     c.run([&](sim::RankCtx& ctx) {
       smpi::Mpi mpi(machine, ctx);
@@ -166,7 +175,9 @@ void BM_RmaFencePutEpochs(benchmark::State& state) {
   }
   state.SetItemsProcessed(state.iterations() * epochs * (n - 1));
 }
-BENCHMARK(BM_RmaFencePutEpochs)->Arg(16);
+BENCHMARK(BM_RmaFencePutEpochs)
+    ->ArgNames({"ranks", "payloads"})
+    ->ArgsProduct({{16}, {1, 0}});
 
 void BM_PfsStripedWrite(benchmark::State& state) {
   const auto bytes = static_cast<std::size_t>(state.range(0));

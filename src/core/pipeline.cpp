@@ -9,6 +9,11 @@ FileStage::FileStage(smpi::Mpi& mpi, pfs::File& file, const Plan& plan,
                      const Options& opt, PhaseTimings& timings,
                      const FileDirection& dir)
     : mpi_(mpi), file_(file), plan_(plan), opt_(opt), t_(timings), dir_(dir) {
+  // Materialized contents must travel through the shuffle: on a size-only
+  // Machine a verified run would check bytes that never moved.
+  TPIO_CHECK(!opt_.materialize || mpi_.machine().payloads(),
+             "Options::materialize == true requires a Machine built with "
+             "payloads (this one carries message sizes only)");
   my_agg_ = plan_.agg_index(mpi_.rank());
   node_ = mpi_.machine().fabric().topology().node_of(mpi_.rank());
 }

@@ -184,9 +184,12 @@ struct Options {
   // ----- host-side performance (no effect on the virtual timeline) ----------
   /// false elides every payload memcpy on the host (pack, unpack, gather,
   /// PFS content snapshots) while still advancing the virtual clock by the
-  /// same pack costs and byte counts. Every RunResult field is bit-identical
-  /// either way; only the simulated file's *contents* become meaningless, so
-  /// this must stay true whenever the file records content (digest/store
+  /// same pack costs and byte counts. The runner also builds the job's
+  /// smpi::Machine from it, so a timing-only job's point-to-point messages
+  /// and puts carry sizes and no bytes; true on a Machine built without
+  /// payloads is refused. Every RunResult field is bit-identical either
+  /// way; only the simulated file's *contents* become meaningless, so this
+  /// must stay true whenever the file records content (digest/store
   /// integrity, i.e. spec.verify). The runner sets this from RunSpec::verify;
   /// it is excluded from autotune workload signatures and plan-cache keys.
   bool materialize = true;

@@ -282,8 +282,10 @@ MultiRunResult execute_multi(const MultiRunSpec& spec, bool with_baselines) {
     views.push_back(std::make_unique<net::Fabric>(
         parent, net::Topology::sub_view(tt, g.base, g.count),
         offsets[static_cast<std::size_t>(t)] + tt.node_of(g.base)));
-    machines.push_back(std::make_unique<smpi::Machine>(*views.back(),
-                                                       plat.mpi));
+    // A timing-only job's MPI carries message sizes, not bytes.
+    const bool payloads = eff[static_cast<std::size_t>(t)].materialize;
+    machines.push_back(
+        std::make_unique<smpi::Machine>(*views.back(), plat.mpi, payloads));
     // Billing class: one dense id per (tenant, subgroup) — for all-k=1 runs
     // the flat index equals the tenant index, so QoS lanes, stats and
     // fault-oracle inputs are unchanged. Subfiles inherit their tenant's

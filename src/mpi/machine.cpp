@@ -11,9 +11,10 @@ namespace tpio::smpi {
 using detail::ceil_log2;
 using detail::kControlBytes;
 
-Machine::Machine(net::Fabric& fabric, const MpiParams& params)
+Machine::Machine(net::Fabric& fabric, const MpiParams& params, bool payloads)
     : fabric_(&fabric),
       params_(params),
+      payloads_(payloads),
       endpoints_(static_cast<std::size_t>(fabric.topology().nprocs())),
       barrier_sync_(fabric.topology().nprocs()),
       win_sync_(fabric.topology().nprocs()) {}
@@ -32,7 +33,7 @@ sim::Time Machine::finish_rendezvous(const Message& msg, int dst,
                                      std::span<std::byte> buf,
                                      sim::Time match_time) {
   TPIO_CHECK(msg.rendezvous, "finish_rendezvous on eager message");
-  TPIO_CHECK(buf.size() >= msg.rndv_data.size(),
+  TPIO_CHECK(buf.size() >= msg.bytes,
              "receive buffer smaller than rendezvous message");
   // The target's MPI engine processes the RTS no earlier than both the RTS
   // arrival and the match instant, then returns a clear-to-send.
@@ -44,8 +45,8 @@ sim::Time Machine::finish_rendezvous(const Message& msg, int dst,
   // CPU is charged for the bytes.
   const sim::Time depart = std::max(cts_arrival, msg.sender_post);
   const sim::Time data_arrival =
-      fabric_->transfer(msg.src, dst, msg.rndv_data.size(), depart);
-  std::memcpy(buf.data(), msg.rndv_data.data(), msg.rndv_data.size());
+      fabric_->transfer(msg.src, dst, msg.bytes, depart);
+  if (payloads_) std::memcpy(buf.data(), msg.rndv_data, msg.bytes);
   return data_arrival;
 }
 
@@ -82,7 +83,7 @@ Request Mpi::isend(int dst, Tag tag, std::span<const std::byte> data) {
       if (it != ep.posted.end()) {
         TPIO_CHECK(it->buf.size() >= data.size(),
                    "receive buffer smaller than incoming message");
-        std::memcpy(it->buf.data(), data.data(), data.size());
+        if (m.payloads_) std::memcpy(it->buf.data(), data.data(), data.size());
         ctx_->complete(*it->done, arrival + m.params_.recv_overhead);
         ep.posted.erase(it);
       } else {
@@ -90,7 +91,8 @@ Request Mpi::isend(int dst, Tag tag, std::span<const std::byte> data) {
         msg.src = rank();
         msg.tag = tag;
         msg.rendezvous = false;
-        msg.payload.assign(data.begin(), data.end());
+        msg.bytes = data.size();
+        if (m.payloads_) msg.payload.assign(data.begin(), data.end());
         msg.arrival = arrival;
         ep.unexpected.push_back(std::move(msg));
       }
@@ -107,7 +109,8 @@ Request Mpi::isend(int dst, Tag tag, std::span<const std::byte> data) {
     msg.src = rank();
     msg.tag = tag;
     msg.rendezvous = true;
-    msg.rndv_data = data;
+    msg.bytes = data.size();
+    msg.rndv_data = data.data();
     msg.arrival = rts_arrival;
     msg.sender_post = ctx_->now();
     msg.send_done = done;
@@ -156,9 +159,9 @@ Request Mpi::irecv(int src, Tag tag, std::span<std::byte> buf) {
     }
 
     if (!it->rendezvous) {
-      TPIO_CHECK(buf.size() >= it->payload.size(),
+      TPIO_CHECK(buf.size() >= it->bytes,
                  "receive buffer smaller than incoming message");
-      std::memcpy(buf.data(), it->payload.data(), it->payload.size());
+      if (m.payloads_) std::memcpy(buf.data(), it->payload.data(), it->bytes);
       const sim::Time t = std::max(ctx_->now(), it->arrival);
       ctx_->complete(*done, t + m.params_.recv_overhead);
     } else {

@@ -13,6 +13,7 @@
 #include "sched/conductor.hpp"
 #include "sched/sync.hpp"
 #include "sched/timeline.hpp"
+#include "simbase/bufpool.hpp"
 #include "simbase/time.hpp"
 
 namespace tpio::smpi {
@@ -225,13 +226,24 @@ class Mpi {
 /// Shared state of the simulated MPI job: message queues, collective
 /// staging, window registry. Create once per simulation, before the
 /// conductor runs; thereafter all mutation happens under the baton.
+///
+/// `payloads` says whether the job's point-to-point and one-sided traffic
+/// carries bytes. A size-only Machine (false) serves timing-only jobs: it
+/// never reads a send or put buffer, never writes a receive buffer, copies
+/// no unexpected eager message and leaves window memory unzeroed and
+/// unwritten. Every size check, tag match, NIC reservation and completion
+/// time is the same in both modes. The data-carrying collectives
+/// (allgather, bcast, ...) move their bytes either way: they carry the
+/// metadata plans are built from.
 class Machine {
  public:
-  Machine(net::Fabric& fabric, const MpiParams& params);
+  Machine(net::Fabric& fabric, const MpiParams& params, bool payloads = true);
 
   int size() const { return fabric_->topology().nprocs(); }
   const MpiParams& params() const { return params_; }
   net::Fabric& fabric() { return *fabric_; }
+  /// Whether messages and puts carry bytes (see the class comment).
+  bool payloads() const { return payloads_; }
 
   /// ceil(log2 P) * collective_hop, the synchronizing-collective cost model.
   sim::Duration sync_collective_cost(int parties) const;
@@ -244,10 +256,11 @@ class Machine {
     int src = 0;
     Tag tag = 0;
     bool rendezvous = false;
-    std::vector<std::byte> payload;   // eager: captured at send time
+    std::uint64_t bytes = 0;          // message size, either protocol
+    std::vector<std::byte> payload;   // eager with payloads: captured at send
     sim::Time arrival = 0;            // eager: payload arrival; rndv: RTS arrival
     // Rendezvous bookkeeping (valid when rendezvous == true):
-    std::span<const std::byte> rndv_data;  // sender buffer (valid until matched)
+    const std::byte* rndv_data = nullptr;  // sender buffer (valid until matched)
     sim::Time sender_post = 0;             // when the sender posted
     sim::EventPtr send_done;               // sender's request event
   };
@@ -280,6 +293,7 @@ class Machine {
 
   net::Fabric* fabric_;
   MpiParams params_;
+  bool payloads_;
   std::vector<Endpoint> endpoints_;
 
   // Collective machinery (single job-wide communicator).
@@ -322,10 +336,14 @@ class Machine {
 
 /// One-sided communication window (see Mpi::win_allocate).
 ///
-/// Exposure memory lives per rank inside the window; puts copy bytes
-/// immediately (host side) while virtual visibility is deferred to the
-/// synchronization call, matching the access pattern of the two-phase
-/// shuffle where targets only read after fence/barrier.
+/// Exposure memory lives per rank inside the window, checked out of
+/// sim::BufferPool and recycled when the window dies. With payloads it is
+/// zero-filled at allocation, and puts copy bytes immediately (host side)
+/// while virtual visibility is deferred to the synchronization call,
+/// matching the access pattern of the two-phase shuffle where targets only
+/// read after fence/barrier. On a size-only Machine the memory is neither
+/// zeroed nor written: puts check their bounds and cost their time, and
+/// copy nothing.
 class Window {
  public:
   /// This rank's exposed memory.
@@ -343,7 +361,7 @@ class Window {
     sim::EventPtr granted;
   };
   struct TargetState {
-    std::vector<std::byte> mem;
+    sim::BufferPool::Buffer mem;
     sim::Timeline lock_agent;  // serializes lock/unlock request handling
     // Active-target epoch tracking: latest put arrival this epoch.
     sim::Time epoch_last_arrival = 0;

@@ -18,7 +18,7 @@ Window::Window(Machine& m)
       fence_sync_(m.size()) {}
 
 std::span<std::byte> Window::local(int rank) {
-  return targets_[static_cast<std::size_t>(rank)].mem;
+  return targets_[static_cast<std::size_t>(rank)].mem.span();
 }
 
 std::size_t Window::local_size(int rank) const {
@@ -34,7 +34,10 @@ std::shared_ptr<Window> Mpi::win_allocate(std::size_t local_bytes) {
   std::shared_ptr<Window> win = ctx_->act([&] {
     Machine::WinCreateSlot& slot = m.win_create_;
     if (!slot.win) slot.win = std::shared_ptr<Window>(new Window(m));
-    slot.win->targets_[static_cast<std::size_t>(rank())].mem.resize(local_bytes);
+    // Zeroed when puts land bytes: a verified run writes the gaps no put
+    // covers to the file. A size-only window is never touched.
+    slot.win->targets_[static_cast<std::size_t>(rank())].mem =
+        sim::BufferPool::local().acquire(local_bytes, /*zeroed=*/m.payloads_);
     std::shared_ptr<Window> w = slot.win;
     slot.arrived += 1;
     if (slot.arrived == P) slot = Machine::WinCreateSlot{};
@@ -59,7 +62,9 @@ void Mpi::put(Window& win, int target, std::size_t target_offset,
     // The NIC moves the bytes; no CPU at the target, no matching anywhere.
     const sim::Time arrival =
         m.fabric_->transfer(rank(), target, data.size(), ctx_->now());
-    std::memcpy(t.mem.data() + target_offset, data.data(), data.size());
+    if (m.payloads_) {
+      std::memcpy(t.mem.data() + target_offset, data.data(), data.size());
+    }
     t.epoch_last_arrival = std::max(t.epoch_last_arrival, arrival);
     auto& mine = win.origin_put_arrival_[static_cast<std::size_t>(rank())]
                                         [static_cast<std::size_t>(target)];

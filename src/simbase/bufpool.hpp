@@ -9,7 +9,8 @@
 namespace tpio::sim {
 
 /// Size-classed recycling allocator for the simulation's transient byte
-/// buffers (collective sub-buffers, shuffle staging, per-rank payloads).
+/// buffers (collective sub-buffers, shuffle staging, per-rank payloads,
+/// RMA window memory).
 ///
 /// The hot path of a simulated collective write allocates the same buffer
 /// shapes every cycle and every run; a sweep re-pays malloc + page-fault +

@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <string>
 #include <tuple>
 #include <vector>
 
@@ -248,6 +249,76 @@ TEST(CollectiveWriteMisc, MismatchedBufferThrows) {
                  coll::collective_write(mpi, *file, v, data, coll::Options{});
                }),
                tpio::Error);
+}
+
+TEST(CollectiveWriteMisc, MaterializedWriteNeedsPayloadMachine) {
+  // On a Machine that carries message sizes only, a materialized write
+  // would record bytes the shuffle never moved. FileStage refuses it and
+  // names both sides of the mismatch.
+  for (const coll::Transfer transfer :
+       {coll::Transfer::TwoSided, coll::Transfer::OneSidedFence}) {
+    ClusterSpec spec;
+    spec.payloads = false;
+    Cluster cluster(spec);
+    auto file = cluster.storage().create("out", pfs::Integrity::Store);
+    coll::Options opt;
+    opt.transfer = transfer;
+    try {
+      cluster.run([&](tpio::smpi::Mpi& mpi) {
+        const coll::FileView v = block_view(mpi.rank(), mpi.size(), 4096);
+        const auto data = fill_local(v);
+        coll::collective_write(mpi, *file, v, data, opt);
+      });
+      ADD_FAILURE() << coll::to_string(transfer) << ": expected a throw";
+    } catch (const tpio::Error& e) {
+      const std::string msg = e.what();
+      EXPECT_NE(msg.find("Options::materialize == true"), std::string::npos)
+          << msg;
+      EXPECT_NE(msg.find("payloads"), std::string::npos) << msg;
+    }
+  }
+}
+
+TEST(CollectiveWriteMisc, TimingOnlyWriteNeedsIntegrityNone) {
+  // A timing-only write materializes no bytes, so a file that stores
+  // (Store) or hashes (Digest) its content refuses it.
+  for (const pfs::Integrity integrity :
+       {pfs::Integrity::Store, pfs::Integrity::Digest}) {
+    Cluster cluster;
+    auto file = cluster.storage().create("out", integrity);
+    coll::Options opt;
+    opt.materialize = false;
+    try {
+      cluster.run([&](tpio::smpi::Mpi& mpi) {
+        const coll::FileView v = block_view(mpi.rank(), mpi.size(), 4096);
+        std::vector<std::byte> data(v.total_bytes());
+        coll::collective_write(mpi, *file, v, data, opt);
+      });
+      ADD_FAILURE() << "integrity " << static_cast<int>(integrity)
+                    << ": expected a throw";
+    } catch (const tpio::Error& e) {
+      const std::string msg = e.what();
+      EXPECT_NE(msg.find("Options::materialize == false requires "
+                         "Integrity::None"),
+                std::string::npos)
+          << msg;
+    }
+  }
+  // The timing-only job itself: Integrity::None on a size-only Machine.
+  ClusterSpec spec;
+  spec.payloads = false;
+  Cluster cluster(spec);
+  auto file = cluster.storage().create("out", pfs::Integrity::None);
+  coll::Options opt;
+  opt.materialize = false;
+  cluster.run([&](tpio::smpi::Mpi& mpi) {
+    const coll::FileView v = block_view(mpi.rank(), mpi.size(), 4096);
+    std::vector<std::byte> data(v.total_bytes());
+    const coll::Result r = coll::collective_write(mpi, *file, v, data, opt);
+    EXPECT_EQ(r.bytes_global, 4096u * static_cast<unsigned>(mpi.size()));
+  });
+  EXPECT_EQ(file->bytes_written(),
+            4096u * static_cast<unsigned>(cluster.nprocs()));
 }
 
 TEST(CollectiveWriteMisc, EmptyJobCompletes) {

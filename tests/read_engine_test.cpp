@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <string>
 #include <vector>
 
 #include "core/engine.hpp"
@@ -153,6 +154,28 @@ TEST(CollectiveReadMisc, OneSidedScatterAndAutoRejected) {
                  }),
                  tpio::Error)
         << coll::to_string(o.transfer) << " " << coll::to_string(o.overlap);
+  }
+}
+
+TEST(CollectiveReadMisc, MaterializedReadNeedsPayloadMachine) {
+  // The read engine shares the write engine's FileStage, and with it the
+  // refusal to materialize bytes on a Machine that carries sizes only.
+  ClusterSpec spec;
+  spec.payloads = false;
+  Cluster cluster(spec);
+  auto file = cluster.storage().create("rt", pfs::Integrity::Store);
+  try {
+    cluster.run([&](tpio::smpi::Mpi& mpi) {
+      coll::FileView v = block_view(mpi.rank(), 512);
+      std::vector<std::byte> out(512);
+      coll::collective_read(mpi, *file, v, out, coll::Options{});
+    });
+    FAIL() << "expected the materialize/payloads mismatch to throw";
+  } catch (const tpio::Error& e) {
+    const std::string msg = e.what();
+    EXPECT_NE(msg.find("Options::materialize == true"), std::string::npos)
+        << msg;
+    EXPECT_NE(msg.find("payloads"), std::string::npos) << msg;
   }
 }
 

@@ -18,6 +18,7 @@ struct ClusterSpec {
   int nodes = 4;
   int ppn = 2;
   int ranks = 0;  // 0 = nodes * ppn; else a partially-filled last node
+  bool payloads = true;  // false: the Machine carries message sizes only
   net::FabricParams fabric;
   smpi::MpiParams mpi;
   pfs::PfsParams pfs;
@@ -42,7 +43,7 @@ class Cluster {
       : topo_{spec.nodes, spec.ppn, spec.ranks},
         fabric_(topo_, spec.fabric),
         conductor_(topo_.nprocs()),
-        machine_(fabric_, spec.mpi),
+        machine_(fabric_, spec.mpi, spec.payloads),
         storage_(spec.pfs, &fabric_) {}
 
   int nprocs() const { return topo_.nprocs(); }
