@@ -1,5 +1,6 @@
 // Micro-benchmarks of the simulation substrate itself (google-benchmark):
-// host-side throughput of the deterministic conductor, the simulated MPI
+// host-side throughput of the deterministic conductor (and the per-fiber
+// cost of starting a run on new and on recycled stacks), the simulated MPI
 // point-to-point path, collectives, RMA, and the storage model (writes,
 // Digest recording, verify). These bound the wall-clock cost of the
 // paper-reproduction sweeps and act as regression guards for the
@@ -9,6 +10,8 @@
 
 #include <benchmark/benchmark.h>
 
+#include <chrono>
+#include <cstdlib>
 #include <string>
 #include <vector>
 
@@ -69,6 +72,45 @@ void BM_ConductorEventChain(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * n);
 }
 BENCHMARK(BM_ConductorEventChain)->Arg(64)->Arg(256);
+
+/// Per-fiber host cost of a run: an empty program through two Conductor
+/// runs per iteration. The first run's stack size alternates between two
+/// values, so it unmaps the other size's parked stacks and its fibers map,
+/// guard and fault in new ones; the second run's fibers reuse the first
+/// run's stacks. The counters are host ns per rank of each.
+void BM_ConductorSpawn(benchmark::State& state) {
+  const int n = static_cast<int>(state.range(0));
+  const char* old = std::getenv("TPIO_FIBER_STACK_KB");
+  const std::string saved = old ? old : "";
+  using Clock = std::chrono::steady_clock;
+  Clock::duration first{}, recycled{};
+  bool flip = false;
+  for (auto _ : state) {
+    ::setenv("TPIO_FIBER_STACK_KB", flip ? "256" : "260", 1);
+    flip = !flip;
+    sim::Conductor a(n), b(n);
+    const auto t0 = Clock::now();
+    a.run([](sim::RankCtx&) {});
+    const auto t1 = Clock::now();
+    b.run([](sim::RankCtx&) {});
+    recycled += Clock::now() - t1;
+    first += t1 - t0;
+  }
+  if (old) {
+    ::setenv("TPIO_FIBER_STACK_KB", saved.c_str(), 1);
+  } else {
+    ::unsetenv("TPIO_FIBER_STACK_KB");
+  }
+  const auto per_rank = [&](Clock::duration d) {
+    return benchmark::Counter(
+        std::chrono::duration<double, std::nano>(d).count() / n,
+        benchmark::Counter::kAvgIterations);
+  };
+  state.counters["first_ns_per_rank"] = per_rank(first);
+  state.counters["recycled_ns_per_rank"] = per_rank(recycled);
+  state.SetItemsProcessed(state.iterations() * 2 * n);
+}
+BENCHMARK(BM_ConductorSpawn)->ArgName("ranks")->Arg(64)->Arg(8192);
 
 void BM_SyncPointRounds(benchmark::State& state) {
   const int n = static_cast<int>(state.range(0));

@@ -48,18 +48,21 @@ std::shared_ptr<const Plan> MetadataExchange::plan(std::uint64_t stripe_size,
     std::tie(want_b, want_e) =
         skel->lane_rank_range(topo.node_of(me), skel->lane_of(me));
   }
-  auto delivered = mpi_.sparse_allgatherv(view_.serialize(), want_b, want_e);
-  if (static_cast<int>(delivered.size()) == P) {
+  // Every rank holds the generation's one table and reads only the entries
+  // delivered to it.
+  const auto table =
+      mpi_.sparse_allgatherv_shared(view_.serialize(), want_b, want_e);
+  const bool own_outside = me < want_b || me >= want_e;
+  if (want_e - want_b + (own_outside ? 1 : 0) == P) {
     // Every view held (an aggregator): share one full plan per geometry
     // through the memoizing cache — bit-identical to a fresh construction.
-    std::vector<std::vector<std::byte>> blobs;
-    blobs.reserve(delivered.size());
-    for (auto& [r, b] : delivered) blobs.push_back(std::move(b));
-    return PlanCache::get_or_build(blobs, topo, stripe_size, opt);
+    return PlanCache::get_or_build(table, topo, stripe_size, opt);
   }
   std::vector<std::pair<int, FileView>> held;
-  held.reserve(delivered.size());
-  for (auto& [r, b] : delivered) held.emplace_back(r, FileView::deserialize(b));
+  smpi::Mpi::held_sources(me, want_b, want_e, [&](int r) {
+    held.emplace_back(
+        r, FileView::deserialize((*table)[static_cast<std::size_t>(r)]));
+  });
   return std::make_shared<const Plan>(std::move(skel), std::move(held));
 }
 

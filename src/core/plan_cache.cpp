@@ -15,14 +15,17 @@ namespace {
 std::atomic<std::uint64_t> g_lookups{0};
 std::atomic<std::uint64_t> g_hits{0};
 
-using SummaryTable = std::vector<std::vector<std::byte>>;
+/// One exchange generation's table of per-rank blobs (Mpi::BlobTable):
+/// ViewSummary bytes in stage 1, serialized views in stage 2.
+using BlobTable = std::vector<std::vector<std::byte>>;
 
-/// One live exchange generation's answer: the skeleton built for `table`
-/// under the Options `header`.
+/// One live exchange generation's answer: the skeleton or Plan built for
+/// `table` under the Options `header`.
+template <class T>
 struct TableMemo {
-  std::weak_ptr<const SummaryTable> table;
+  std::weak_ptr<const BlobTable> table;
   std::string header;
-  std::shared_ptr<const PlanSkeleton> skeleton;
+  std::shared_ptr<const T> value;
 };
 
 struct CacheState {
@@ -30,10 +33,11 @@ struct CacheState {
   std::unordered_map<std::string, std::shared_ptr<const Plan>> plans;
   std::unordered_map<std::string, std::shared_ptr<const PlanSkeleton>>
       skeletons;
-  // One entry per summary table still alive somewhere — a handful, one per
+  // One entry per exchange table still alive somewhere — a handful, one per
   // concurrently running collective; expired entries are pruned on every
-  // lookup.
-  std::vector<TableMemo> memo;
+  // lookup of their memo.
+  std::vector<TableMemo<PlanSkeleton>> skeleton_memo;
+  std::vector<TableMemo<Plan>> plan_memo;
   // Bound the footprint: past this many distinct geometries the cache is
   // simply cleared (in-use plans stay alive through their shared_ptrs).
   static constexpr std::size_t kMaxEntries = 256;
@@ -110,32 +114,26 @@ std::shared_ptr<const Plan> build(
   return std::make_shared<const Plan>(std::move(views), topo, stripe, opt);
 }
 
-}  // namespace
-
-std::shared_ptr<const Plan> PlanCache::get_or_build(
-    const std::vector<std::vector<std::byte>>& view_blobs,
-    const net::Topology& topo, std::uint64_t stripe_size, const Options& opt) {
-  g_lookups.fetch_add(1, std::memory_order_relaxed);
-  std::string key = make_key(view_blobs, topo, stripe_size, opt);
-  CacheState& s = state();
-  // The mutex is held across the build on purpose: concurrent ranks of one
-  // run present the same key, and one construction should serve them all.
-  std::lock_guard<std::mutex> lk(s.mu);
+/// Content-keyed Plan lookup-or-build; the caller holds `s.mu`. The mutex
+/// is held across the build on purpose: concurrent ranks of one run present
+/// the same key, and one construction should serve them all.
+std::shared_ptr<const Plan> plan_locked(
+    CacheState& s, const std::vector<std::vector<std::byte>>& blobs,
+    const net::Topology& topo, std::uint64_t stripe, const Options& opt) {
+  std::string key = make_key(blobs, topo, stripe, opt);
   auto it = s.plans.find(key);
   if (it != s.plans.end()) {
     g_hits.fetch_add(1, std::memory_order_relaxed);
     return it->second;
   }
   if (s.plans.size() >= CacheState::kMaxEntries) s.plans.clear();
-  auto plan = build(view_blobs, topo, stripe_size, opt);
+  auto plan = build(blobs, topo, stripe, opt);
   s.plans.emplace(std::move(key), plan);
   return plan;
 }
 
-namespace {
-
 /// Content-keyed skeleton lookup-or-build; the caller holds `s.mu` (held
-/// across the build on purpose, as in get_or_build).
+/// across the build on purpose, as in plan_locked).
 std::shared_ptr<const PlanSkeleton> skeleton_locked(
     CacheState& s, const std::vector<ViewSummary>& summaries,
     const net::Topology& topo, std::uint64_t stripe, const Options& opt) {
@@ -152,7 +150,7 @@ std::shared_ptr<const PlanSkeleton> skeleton_locked(
   return skel;
 }
 
-std::vector<ViewSummary> decode_summaries(const SummaryTable& table) {
+std::vector<ViewSummary> decode_summaries(const BlobTable& table) {
   std::vector<ViewSummary> out(table.size());
   for (std::size_t r = 0; r < table.size(); ++r) {
     TPIO_CHECK(table[r].size() == sizeof(ViewSummary),
@@ -162,7 +160,56 @@ std::vector<ViewSummary> decode_summaries(const SummaryTable& table) {
   return out;
 }
 
+/// The lookup both shared-table overloads make: the answer `memo` holds
+/// for this live table under this Options header, else `build(s)` (a
+/// content-key probe, run with the lock held), remembered for the rest of
+/// the table's generation.
+template <class T, class Build>
+std::shared_ptr<const T> memoized(std::vector<TableMemo<T>> CacheState::*memo,
+                                  const std::shared_ptr<const BlobTable>& table,
+                                  const net::Topology& topo,
+                                  std::uint64_t stripe, const Options& opt,
+                                  Build&& build) {
+  g_lookups.fetch_add(1, std::memory_order_relaxed);
+  std::string header;
+  append_header(header, topo, stripe, opt);
+  CacheState& s = state();
+  std::lock_guard<std::mutex> lk(s.mu);
+  std::vector<TableMemo<T>>& entries = s.*memo;
+  std::erase_if(entries,
+                [](const TableMemo<T>& m) { return m.table.expired(); });
+  for (const TableMemo<T>& m : entries) {
+    const bool same_table =
+        !m.table.owner_before(table) && !table.owner_before(m.table);
+    if (same_table && m.header == header) {
+      g_hits.fetch_add(1, std::memory_order_relaxed);
+      return m.value;
+    }
+  }
+  std::shared_ptr<const T> value = build(s);
+  entries.push_back(TableMemo<T>{table, std::move(header), value});
+  return value;
+}
+
 }  // namespace
+
+std::shared_ptr<const Plan> PlanCache::get_or_build(
+    const std::vector<std::vector<std::byte>>& view_blobs,
+    const net::Topology& topo, std::uint64_t stripe_size, const Options& opt) {
+  g_lookups.fetch_add(1, std::memory_order_relaxed);
+  CacheState& s = state();
+  std::lock_guard<std::mutex> lk(s.mu);
+  return plan_locked(s, view_blobs, topo, stripe_size, opt);
+}
+
+std::shared_ptr<const Plan> PlanCache::get_or_build(
+    const std::shared_ptr<const BlobTable>& view_table,
+    const net::Topology& topo, std::uint64_t stripe_size, const Options& opt) {
+  return memoized(&CacheState::plan_memo, view_table, topo, stripe_size, opt,
+                  [&](CacheState& s) {
+                    return plan_locked(s, *view_table, topo, stripe_size, opt);
+                  });
+}
 
 std::shared_ptr<const PlanSkeleton> PlanCache::get_or_build_skeleton(
     const std::vector<ViewSummary>& summaries, const net::Topology& topo,
@@ -174,28 +221,14 @@ std::shared_ptr<const PlanSkeleton> PlanCache::get_or_build_skeleton(
 }
 
 std::shared_ptr<const PlanSkeleton> PlanCache::get_or_build_skeleton(
-    const std::shared_ptr<const SummaryTable>& summary_table,
+    const std::shared_ptr<const BlobTable>& summary_table,
     const net::Topology& topo, std::uint64_t stripe_size,
     const Options& opt) {
-  g_lookups.fetch_add(1, std::memory_order_relaxed);
-  std::string header;
-  append_header(header, topo, stripe_size, opt);
-  CacheState& s = state();
-  std::lock_guard<std::mutex> lk(s.mu);
-  std::erase_if(s.memo,
-                [](const TableMemo& m) { return m.table.expired(); });
-  for (const TableMemo& m : s.memo) {
-    const bool same_table = !m.table.owner_before(summary_table) &&
-                            !summary_table.owner_before(m.table);
-    if (same_table && m.header == header) {
-      g_hits.fetch_add(1, std::memory_order_relaxed);
-      return m.skeleton;
-    }
-  }
-  auto skel = skeleton_locked(s, decode_summaries(*summary_table), topo,
-                              stripe_size, opt);
-  s.memo.push_back(TableMemo{summary_table, std::move(header), skel});
-  return skel;
+  return memoized(&CacheState::skeleton_memo, summary_table, topo,
+                  stripe_size, opt, [&](CacheState& s) {
+                    return skeleton_locked(s, decode_summaries(*summary_table),
+                                           topo, stripe_size, opt);
+                  });
 }
 
 PlanCache::Stats PlanCache::stats() {
@@ -213,7 +246,8 @@ void PlanCache::clear() {
   std::lock_guard<std::mutex> lk(s.mu);
   s.plans.clear();
   s.skeletons.clear();
-  s.memo.clear();
+  s.skeleton_memo.clear();
+  s.plan_memo.clear();
 }
 
 }  // namespace tpio::coll

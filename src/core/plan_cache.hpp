@@ -12,17 +12,18 @@ namespace tpio::coll {
 
 /// Process-wide memoization of collective-write/read Plans.
 ///
-/// Every rank of every run derives the same Plan from the exchanged views —
-/// P identical constructions per collective call, repeated again for every
-/// repetition and sweep point that shares the geometry. A Plan is immutable
-/// after construction (const accessors only, no payload), so one instance
-/// can safely back any number of concurrent engines; this cache hands out
-/// `shared_ptr<const Plan>` keyed by the full input material:
+/// Every aggregator of every run derives the same full Plan from the
+/// exchanged views — A identical constructions per collective call,
+/// repeated again for every repetition and sweep point that shares the
+/// geometry. A Plan is immutable after construction (const accessors only,
+/// no payload), so one instance can safely back any number of concurrent
+/// engines; this cache hands out `shared_ptr<const Plan>` keyed by the full
+/// input material:
 ///
 ///   (serialized views, topology, stripe size, plan-relevant Options)
 ///
-/// The key embeds the exact serialized view blobs every rank already holds
-/// after the metadata allgatherv, so two workloads collide only when they
+/// The key embeds the exact serialized view blobs an aggregator holds
+/// after the metadata exchange, so two workloads collide only when they
 /// are byte-identical — a hit returns a Plan bit-identical to the one the
 /// caller would have built. Options enter through the fields the Plan
 /// constructor reads: cb_size, the None-vs-split overlap geometry,
@@ -37,10 +38,29 @@ namespace tpio::coll {
 class PlanCache {
  public:
   /// Return the cached Plan for this key material, building (and caching)
-  /// it on a miss. `view_blobs[r]` is rank r's FileView::serialize() blob,
-  /// as produced by the metadata allgatherv.
+  /// it on a miss. `view_blobs[r]` is rank r's FileView::serialize() blob.
+  /// Each lookup builds and hashes the O(total blob bytes) key; the engines
+  /// use the shared-table overload below, which does so once per run.
   static std::shared_ptr<const Plan> get_or_build(
       const std::vector<std::vector<std::byte>>& view_blobs,
+      const net::Topology& topo, std::uint64_t stripe_size,
+      const Options& opt);
+
+  /// The same lookup over the shared view table one stage-2 exchange
+  /// generation hands every rank (Mpi::sparse_allgatherv_shared of each
+  /// rank's serialized view), made by the ranks that hold every view — the
+  /// aggregators. A memo keyed by that live table's identity plus the
+  /// Options header answers the A lookups of one run in O(1) each: only the
+  /// first aggregator builds, hashes and probes the content key above (so
+  /// hits across runs behave exactly as before); the other A - 1 get that
+  /// Plan back without touching the table. The memo holds the table through
+  /// a weak_ptr, so it never extends a generation's life and a recycled
+  /// address can never alias a dead table. Every other rank's Plan is a
+  /// thin wrapper (shared skeleton + the few views delivered to it), built
+  /// per rank and not cached: its held set differs per rank.
+  static std::shared_ptr<const Plan> get_or_build(
+      const std::shared_ptr<const std::vector<std::vector<std::byte>>>&
+          view_table,
       const net::Topology& topo, std::uint64_t stripe_size,
       const Options& opt);
 
@@ -49,23 +69,17 @@ class PlanCache {
   /// stripe / Options header, so the P ranks of a run trigger exactly one
   /// skeleton construction — but each lookup still builds and hashes the
   /// O(P) key; the engines use the shared-table overload below, which does
-  /// so once per run. Plans themselves are not cached on the sparse
-  /// path — each rank's Plan is a thin wrapper (shared skeleton + the few
-  /// views delivered to it) whose construction is cheap and whose held set
-  /// differs per rank.
+  /// so once per run.
   static std::shared_ptr<const PlanSkeleton> get_or_build_skeleton(
       const std::vector<ViewSummary>& summaries, const net::Topology& topo,
       std::uint64_t stripe_size, const Options& opt);
 
   /// The same lookup over the shared summary table one exchange generation
   /// hands every rank (Mpi::allgather_shared of each rank's ViewSummary
-  /// bytes). A memo keyed by that live table's identity plus the Options
-  /// header answers the P lookups of one run in O(1) each: only the first
-  /// rank decodes the table and builds, hashes and probes the content key
-  /// above (so hits across runs behave exactly as before); the other P - 1
-  /// get that skeleton back without touching the table. The memo holds the
-  /// table through a weak_ptr, so it never extends a generation's life and
-  /// a recycled address can never alias a dead table.
+  /// bytes), memoized per live table and Options header exactly like the
+  /// shared-table Plan lookup above: only the first of the P ranks decodes
+  /// the table and probes the content key; the other P - 1 get that
+  /// skeleton back in O(1) without touching the table.
   static std::shared_ptr<const PlanSkeleton> get_or_build_skeleton(
       const std::shared_ptr<const std::vector<std::vector<std::byte>>>&
           summary_table,
@@ -79,7 +93,7 @@ class PlanCache {
   };
   static Stats stats();
 
-  /// Drop every cached plan, skeleton and table memo (in-flight
+  /// Drop every cached plan, skeleton and both table memos (in-flight
   /// shared_ptrs stay valid).
   static void clear();
 };

@@ -234,23 +234,21 @@ std::vector<std::vector<std::byte>> Mpi::allgather(
   return *allgather_shared(mine);
 }
 
+std::shared_ptr<const Mpi::BlobTable> Mpi::sparse_allgatherv_shared(
+    std::span<const std::byte> mine, int want_begin, int want_end) {
+  TPIO_CHECK(0 <= want_begin && want_begin <= want_end && want_end <= size(),
+             "sparse_allgatherv: want interval out of range");
+  return exchange(mine, kSparse, /*root=*/-1, {want_begin, want_end});
+}
+
 std::vector<std::pair<int, std::vector<std::byte>>> Mpi::sparse_allgatherv(
     std::span<const std::byte> mine, int want_begin, int want_end) {
-  const int P = size();
-  TPIO_CHECK(0 <= want_begin && want_begin <= want_end && want_end <= P,
-             "sparse_allgatherv: want interval out of range");
-  auto table = exchange(mine, kSparse, /*root=*/-1, {want_begin, want_end});
+  const auto table = sparse_allgatherv_shared(mine, want_begin, want_end);
   std::vector<std::pair<int, std::vector<std::byte>>> out;
   out.reserve(static_cast<std::size_t>(want_end - want_begin) + 1);
-  const auto take = [&](int r) {
+  held_sources(rank(), want_begin, want_end, [&](int r) {
     out.emplace_back(r, (*table)[static_cast<std::size_t>(r)]);
-  };
-  // Ascending by source: this rank's own blob goes before, inside or after
-  // the wanted interval.
-  const int me = rank();
-  if (me < want_begin) take(me);
-  for (int r = want_begin; r < want_end; ++r) take(r);
-  if (me >= want_end) take(me);
+  });
   return out;
 }
 

@@ -156,12 +156,30 @@ class Mpi {
   std::vector<std::vector<std::byte>> allgather(std::span<const std::byte> mine);
   /// Targeted metadata delivery (sparse allgatherv): every rank contributes
   /// `mine` and names the half-open source interval [want_begin, want_end)
-  /// whose blobs it needs. Returns (source rank, blob) pairs ascending by
-  /// rank — always including this rank's own blob — visiting only the
-  /// wanted interval and this rank, never all P sources. The virtual cost
-  /// derives from the want topology all ranks declared.
+  /// whose blobs it needs; the virtual cost derives from the want topology
+  /// all ranks declared. Returns the generation's table itself, as
+  /// allgather_shared does: every rank receives the same immutable object,
+  /// so a P-rank exchange holds one P-entry table on the host. A rank may
+  /// read only the entries it was delivered, [want_begin, want_end) and
+  /// its own (see held_sources); the rest are other ranks' traffic.
+  std::shared_ptr<const BlobTable> sparse_allgatherv_shared(
+      std::span<const std::byte> mine, int want_begin, int want_end);
+  /// sparse_allgatherv_shared, with the delivered entries copied out: the
+  /// (source rank, blob) pairs of held_sources, ascending by rank (O(wanted)
+  /// host bytes per rank; the metadata phase uses the shared form).
   std::vector<std::pair<int, std::vector<std::byte>>> sparse_allgatherv(
       std::span<const std::byte> mine, int want_begin, int want_end);
+  /// The sources a sparse exchange delivers to `rank` with want interval
+  /// [want_begin, want_end), ascending: the interval plus `rank` itself,
+  /// which goes before, inside or after it. Calls `visit(source)` once
+  /// each; never visits all P sources.
+  template <class Visit>
+  static void held_sources(int rank, int want_begin, int want_end,
+                           Visit&& visit) {
+    if (rank < want_begin) visit(rank);
+    for (int r = want_begin; r < want_end; ++r) visit(r);
+    if (rank >= want_end) visit(rank);
+  }
 
   enum class ReduceOp { Max, Min, Sum };
   /// Reduce-scatter over one element per rank: every rank contributes

@@ -5,6 +5,8 @@
 
 #include <cstdint>
 #include <cstdlib>
+#include <mutex>
+#include <vector>
 
 #include "simbase/error.hpp"
 #include "simbase/sanitizers.hpp"
@@ -32,6 +34,62 @@ std::size_t page_size() {
   const long p = ::sysconf(_SC_PAGESIZE);
   return p > 0 ? static_cast<std::size_t>(p) : 4096;
 }
+
+/// Stack mappings (guard page included) of destroyed fibers, kept for the
+/// next fibers of the same size. A parked mapping keeps its guard page
+/// PROT_NONE and the stack pages its last fiber touched, so a recycled
+/// stack costs no mmap, mprotect, page fault or munmap. One pool serves the
+/// whole process behind a mutex: sweep workers run conductors on several
+/// threads. It holds one mapping size at a time: a request for another
+/// size (TPIO_FIBER_STACK_KB changed between runs) unmaps the parked ones
+/// before that size is mapped, so old stacks are never stranded.
+class StackPool {
+ public:
+  /// Enough for the stacks of one 8192-rank run; past it a dying fiber's
+  /// mapping is unmapped. Parked stacks hold address space (MAP_NORESERVE)
+  /// and only the pages their fibers touched, which the run that touched
+  /// them already held at its peak.
+  static constexpr std::size_t kMaxParked = 8192;
+
+  // Never destroyed: a fiber may die in a static destructor.
+  static StackPool& instance() {
+    static StackPool* pool = new StackPool;
+    return *pool;
+  }
+
+  /// A parked mapping of exactly `map_bytes`, or nullptr. Makes
+  /// `map_bytes` the size the pool keeps.
+  void* take(std::size_t map_bytes) {
+    std::lock_guard<std::mutex> lk(mu_);
+    if (map_bytes != map_bytes_) {
+      for (void* m : parked_) ::munmap(m, map_bytes_);
+      parked_.clear();
+      map_bytes_ = map_bytes;
+    }
+    if (parked_.empty()) return nullptr;
+    void* base = parked_.back();
+    parked_.pop_back();
+    return base;
+  }
+
+  /// Keep `base` for a later fiber, or unmap it when the pool is full or
+  /// keeps another size.
+  void park(void* base, std::size_t map_bytes) {
+    std::lock_guard<std::mutex> lk(mu_);
+    if (map_bytes == map_bytes_ && parked_.size() < kMaxParked) {
+      parked_.push_back(base);
+    } else {
+      ::munmap(base, map_bytes);
+    }
+  }
+
+ private:
+  StackPool() { parked_.reserve(kMaxParked); }  // park never allocates
+
+  std::mutex mu_;
+  std::size_t map_bytes_ = 0;  // size of every parked mapping
+  std::vector<void*> parked_;
+};
 
 }  // namespace
 
@@ -118,19 +176,22 @@ Fiber::Fiber(std::size_t stack_bytes, Entry entry, void* arg)
   const std::size_t page = page_size();
   stack_bytes_ = round_up(std::max(stack_bytes, page), page);
   map_bytes_ = stack_bytes_ + page;  // + guard page below the stack
-  void* m = ::mmap(nullptr, map_bytes_, PROT_READ | PROT_WRITE,
-                   MAP_PRIVATE | MAP_ANONYMOUS | MAP_NORESERVE | MAP_STACK,
-                   -1, 0);
-  TPIO_CHECK(m != MAP_FAILED, "fiber stack mmap failed");
-  TPIO_CHECK(::mprotect(m, page, PROT_NONE) == 0,
-             "fiber guard-page mprotect failed");
+  void* m = StackPool::instance().take(map_bytes_);
+  if (m == nullptr) {
+    m = ::mmap(nullptr, map_bytes_, PROT_READ | PROT_WRITE,
+               MAP_PRIVATE | MAP_ANONYMOUS | MAP_NORESERVE | MAP_STACK, -1,
+               0);
+    TPIO_CHECK(m != MAP_FAILED, "fiber stack mmap failed");
+    TPIO_CHECK(::mprotect(m, page, PROT_NONE) == 0,
+               "fiber guard-page mprotect failed");
+  }
   map_base_ = m;
   stack_lo_ = static_cast<char*>(m) + page;
 #ifdef TPIO_ASAN
-  // The mapping may reuse the address range of an earlier fiber's stack,
-  // whose frames that never returned (run_entry's final switch home, or a
-  // fiber destroyed while suspended) left their redzones poisoned in
-  // ASan's shadow; munmap does not clear it.
+  // A recycled stack, or a fresh mapping over the address range of an
+  // earlier fiber's stack, carries the redzones of frames that never
+  // returned (run_entry's final switch home, or a fiber destroyed while
+  // suspended) in ASan's shadow; neither parking nor munmap clears them.
   __asan_unpoison_memory_region(stack_lo_, stack_bytes_);
 #endif
 
@@ -181,7 +242,7 @@ Fiber::~Fiber() {
 #ifndef TPIO_FIBER_ASM_X86_64
   delete static_cast<UcPair*>(fiber_sp_);
 #endif
-  if (map_base_) ::munmap(map_base_, map_bytes_);
+  if (map_base_) StackPool::instance().park(map_base_, map_bytes_);
 }
 
 Fiber* Fiber::current() { return t_current; }

@@ -9,13 +9,21 @@ extern "C" void tpio_fiber_main(void* f);
 /// Minimal stackful coroutine ("fiber") for the conductor's cooperative
 /// rank scheduler.
 ///
-/// A fiber owns a private mmap'd stack (guard page below, MAP_NORESERVE so
-/// untouched pages cost no RSS) and a saved register context. `resume()`
-/// switches the calling host thread onto the fiber's stack until the fiber
-/// either calls `suspend()` or returns from its entry function; control
-/// then returns to the `resume()` caller. Switches are plain user-space
-/// register swaps — no futex, no scheduler handoff, no syscall — which is
-/// what lets one host thread multiplex thousands of simulated ranks.
+/// A fiber runs on a private mmap'd stack (guard page below, MAP_NORESERVE
+/// so untouched pages cost no RSS) with a saved register context. Stacks
+/// are recycled: a fiber takes a stack of its size that a destroyed fiber
+/// parked in a process-wide pool before it maps a new one, and parks its
+/// own when destroyed (up to a constant cap, else unmaps it). A recycled
+/// stack keeps its guard page and the pages its last fiber touched, so a
+/// run's fibers neither map, guard nor fault in again what the previous
+/// run's used.
+///
+/// `resume()` switches the calling host thread onto the fiber's stack until
+/// the fiber either calls `suspend()` or returns from its entry function;
+/// control then returns to the `resume()` caller. Switches are plain
+/// user-space register swaps — no futex, no scheduler handoff, no syscall —
+/// which is what lets one host thread multiplex thousands of simulated
+/// ranks.
 ///
 /// Threading: a fiber must always be resumed from the same host thread
 /// (the conductor drives all of a run's fibers from one thread; distinct

@@ -1,5 +1,10 @@
 #include <gtest/gtest.h>
+#include <sys/mman.h>
+#include <sys/wait.h>
+#include <unistd.h>
 
+#include <csignal>
+#include <cstdint>
 #include <cstdlib>
 #include <memory>
 #include <string>
@@ -14,6 +19,62 @@ using sim::Fiber;
 namespace {
 
 constexpr std::size_t kStack = 64 * 1024;
+
+std::uintptr_t page_bytes() {
+  return static_cast<std::uintptr_t>(::sysconf(_SC_PAGESIZE));
+}
+
+/// Top of the running fiber's stack, from a frame of its entry function:
+/// stacks end page aligned, and a shallow entry's frame lies in the top
+/// page.
+std::uintptr_t stack_top(const void* frame) {
+  const auto f = reinterpret_cast<std::uintptr_t>(frame);
+  return (f + page_bytes() - 1) / page_bytes() * page_bytes();
+}
+
+/// Fiber entry: stores the top of its stack through `arg`.
+void record_top(void* arg) {
+  *static_cast<std::uintptr_t*>(arg) = stack_top(__builtin_frame_address(0));
+}
+
+/// Recurses, writing to every frame, until a frame lies below `floor`.
+[[gnu::noinline]] void dig(std::uintptr_t floor) {
+  volatile char pad[512];
+  pad[0] = 1;
+  if (reinterpret_cast<std::uintptr_t>(__builtin_frame_address(0)) > floor) {
+    dig(floor);
+  }
+  pad[1] = pad[0];  // keeps the recursive call out of tail position
+}
+
+struct Overflow {
+  std::size_t stack_bytes = 0;
+  std::uintptr_t want_top = 0;  // nonzero: overflow only a stack with this top
+};
+
+/// Fiber entry that overflows its stack: it digs until a frame reaches the
+/// middle of the page below the stack. With a guard page there the fiber
+/// faults; without one it returns.
+void overflow(void* arg) {
+  const auto& o = *static_cast<const Overflow*>(arg);
+  const std::uintptr_t top = stack_top(__builtin_frame_address(0));
+  if (o.want_top != 0 && top != o.want_top) return;  // not the stack meant
+  dig(top - o.stack_bytes - page_bytes() / 2);
+}
+
+void run_overflow(Overflow o) {
+  Fiber f(o.stack_bytes, &overflow, &o);
+  f.resume();
+}
+
+/// The fault kills the child with SIGSEGV; a sanitizer's own handler may
+/// report it and exit non-zero instead.
+bool died_of_segv(int status) {
+#if defined(TPIO_ASAN) || defined(TPIO_TSAN)
+  if (WIFEXITED(status) && WEXITSTATUS(status) != 0) return true;
+#endif
+  return WIFSIGNALED(status) && WTERMSIG(status) == SIGSEGV;
+}
 
 }  // namespace
 
@@ -134,4 +195,33 @@ TEST(Fiber, DefaultStackRespectsEnvOverride) {
   } else {
     ::unsetenv("TPIO_FIBER_STACK_KB");
   }
+}
+
+TEST(Fiber, RecycledStackIsReused) {
+  // A stack size no other test uses, so nothing of it is parked yet.
+  constexpr std::size_t kSize = 72 * 1024;
+  std::uintptr_t first = 0;
+  { Fiber f(kSize, &record_top, &first); f.resume(); }
+  // Were the first stack unmapped, this same-size mapping would most
+  // likely take its address range; parked, it stays the next fiber's.
+  const std::size_t map_bytes = kSize + page_bytes();
+  void* squatter = ::mmap(nullptr, map_bytes, PROT_READ | PROT_WRITE,
+                          MAP_PRIVATE | MAP_ANONYMOUS | MAP_NORESERVE, -1, 0);
+  ASSERT_NE(squatter, MAP_FAILED);
+  std::uintptr_t second = 0;
+  { Fiber f(kSize, &record_top, &second); f.resume(); }
+  ::munmap(squatter, map_bytes);
+  EXPECT_NE(first, 0u);
+  EXPECT_EQ(second, first);
+}
+
+TEST(Fiber, GuardPageStopsOverflow) {
+  // An overflow faults in the guard page below a freshly mapped stack and
+  // below a recycled one. The body stops digging halfway into that page,
+  // so a stack that lost its guard would let the child exit cleanly.
+  constexpr std::size_t kSize = 80 * 1024;  // no other test uses it
+  EXPECT_EXIT(run_overflow(Overflow{kSize, 0}), died_of_segv, "");
+  std::uintptr_t parked = 0;
+  { Fiber f(kSize, &record_top, &parked); f.resume(); }
+  EXPECT_EXIT(run_overflow(Overflow{kSize, parked}), died_of_segv, "");
 }

@@ -573,6 +573,40 @@ TEST(MpiColl, AllgatherSharedHandsEveryRankTheSameTable) {
   for (int r = 1; r < P; ++r) EXPECT_EQ(seen[static_cast<std::size_t>(r)], seen[0]);
 }
 
+TEST(MpiColl, SparseSharedHandsEveryRankTheSameTable) {
+  // The sparse twin: one generation, one table object for every rank
+  // whatever it wanted, and the copy form returns exactly the wanted
+  // interval plus the caller's own blob from it, ascending by source.
+  constexpr int P = 6;
+  std::vector<const void*> seen(P, nullptr);
+  Rig rig(P);
+  rig.run([&](smpi::Mpi& mpi) {
+    const int me = mpi.rank();
+    const std::vector<std::byte> mine(static_cast<std::size_t>(me) + 1,
+                                      static_cast<std::byte>(0x40 + me));
+    // Rank 0 wants every source, rank 1 [2, 5) (its own blob below the
+    // interval), rank 5 [1, 3) (above it), the others nothing.
+    const int want_b = me == 1 ? 2 : me == 5 ? 1 : 0;
+    const int want_e = me == 0 ? P : me == 1 ? 5 : me == 5 ? 3 : 0;
+    const auto table = mpi.sparse_allgatherv_shared(mine, want_b, want_e);
+    seen[static_cast<std::size_t>(me)] = table.get();
+    ASSERT_EQ(table->size(), static_cast<std::size_t>(P));
+    std::vector<int> expect_src = {me};
+    if (me == 0) expect_src = {0, 1, 2, 3, 4, 5};
+    if (me == 1) expect_src = {1, 2, 3, 4};
+    if (me == 5) expect_src = {1, 2, 5};
+    std::vector<std::pair<int, std::vector<std::byte>>> expect;
+    for (int r : expect_src) {
+      expect.emplace_back(r, (*table)[static_cast<std::size_t>(r)]);
+      EXPECT_EQ(expect.back().second,
+                std::vector<std::byte>(static_cast<std::size_t>(r) + 1,
+                                       static_cast<std::byte>(0x40 + r)));
+    }
+    EXPECT_EQ(mpi.sparse_allgatherv(mine, want_b, want_e), expect);
+  });
+  for (int r = 1; r < P; ++r) EXPECT_EQ(seen[static_cast<std::size_t>(r)], seen[0]);
+}
+
 TEST(MpiColl, AllgatherSizeMismatchStillRejected) {
   // The equal-size check moved to deposit time; a rank contributing a
   // different size still fails the run with the historical message.

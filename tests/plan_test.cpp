@@ -37,13 +37,13 @@ std::vector<coll::FileView> block_views(int P, std::uint64_t n) {
   return v;
 }
 
-using SummaryTable = std::vector<std::vector<std::byte>>;
+using BlobTable = std::vector<std::vector<std::byte>>;
 
 /// The summary table one exchange generation hands every rank:
 /// views[r].summarize() as raw bytes, indexed by rank.
-std::shared_ptr<const SummaryTable> summary_table(
+std::shared_ptr<const BlobTable> summary_table(
     const std::vector<coll::FileView>& views) {
-  auto table = std::make_shared<SummaryTable>();
+  auto table = std::make_shared<BlobTable>();
   for (const coll::FileView& v : views) {
     const coll::ViewSummary s = v.summarize();
     const auto bytes = std::as_bytes(std::span(&s, 1));
@@ -52,11 +52,68 @@ std::shared_ptr<const SummaryTable> summary_table(
   return table;
 }
 
+/// The stage-2 table one exchange generation hands every rank:
+/// views[r].serialize(), indexed by rank.
+std::shared_ptr<const BlobTable> view_table(
+    const std::vector<coll::FileView>& views) {
+  auto table = std::make_shared<BlobTable>();
+  for (const coll::FileView& v : views) table->push_back(v.serialize());
+  return table;
+}
+
 /// Empties the plan cache around a test body.
 struct FreshPlanCache {
   FreshPlanCache() { coll::PlanCache::clear(); }
   ~FreshPlanCache() { coll::PlanCache::clear(); }
 };
+
+/// The two memoized shared-table lookups, stripe 0: a generation's summary
+/// table gives every rank its skeleton, its stage-2 view table gives every
+/// aggregator its full Plan. `table` builds a generation's table for
+/// `views`; `get` is the shared-table lookup; `by_content` is the same
+/// content-keyed lookup without a table.
+struct SkeletonMemo {
+  static constexpr const char* kName = "skeleton memo";
+  static auto table(const std::vector<coll::FileView>& views) {
+    return summary_table(views);
+  }
+  static auto get(const std::shared_ptr<const BlobTable>& table,
+                  const net::Topology& topo, const coll::Options& o) {
+    return coll::PlanCache::get_or_build_skeleton(table, topo, 0, o);
+  }
+  static auto by_content(const std::vector<coll::FileView>& views,
+                         const net::Topology& topo, const coll::Options& o) {
+    std::vector<coll::ViewSummary> summaries;
+    for (const coll::FileView& v : views) summaries.push_back(v.summarize());
+    return coll::PlanCache::get_or_build_skeleton(summaries, topo, 0, o);
+  }
+};
+struct PlanMemo {
+  static constexpr const char* kName = "plan memo";
+  static auto table(const std::vector<coll::FileView>& views) {
+    return view_table(views);
+  }
+  static auto get(const std::shared_ptr<const BlobTable>& table,
+                  const net::Topology& topo, const coll::Options& o) {
+    return coll::PlanCache::get_or_build(table, topo, 0, o);
+  }
+  static auto by_content(const std::vector<coll::FileView>& views,
+                         const net::Topology& topo, const coll::Options& o) {
+    return coll::PlanCache::get_or_build(*view_table(views), topo, 0, o);
+  }
+};
+
+/// Runs `body(memo)` for both memos, each on an empty cache.
+template <class Body>
+void for_each_memo(Body body) {
+  const auto one = [&](auto memo) {
+    SCOPED_TRACE(memo.kName);
+    FreshPlanCache fresh;
+    body(memo);
+  };
+  one(SkeletonMemo{});
+  one(PlanMemo{});
+}
 
 }  // namespace
 
@@ -441,78 +498,67 @@ TEST(Plan, PartialNodePlacementsVerifyByteExact) {
 
 TEST(PlanCache, SameSummaryTableSameSkeleton) {
   // Every rank of a generation presents the same table object: all of them
-  // get the one skeleton, each lookup counted as a hit after the first.
-  FreshPlanCache fresh;
-  net::Topology topo{4, 2};
-  const auto table = summary_table(block_views(8, 1000));
-  const auto before = coll::PlanCache::stats();
-  const auto a = coll::PlanCache::get_or_build_skeleton(table, topo, 0,
-                                                        opts(2000));
-  const auto b = coll::PlanCache::get_or_build_skeleton(table, topo, 0,
-                                                        opts(2000));
-  EXPECT_EQ(a.get(), b.get());
-  const auto after = coll::PlanCache::stats();
-  EXPECT_EQ(after.lookups - before.lookups, 2u);
-  EXPECT_EQ(after.hits - before.hits, 1u);
-  EXPECT_EQ(a->global_bytes(), 8000u);
+  // get the one skeleton, and every aggregator the one Plan, each lookup
+  // counted as a hit after the first.
+  for_each_memo([](auto memo) {
+    net::Topology topo{4, 2};
+    const auto table = memo.table(block_views(8, 1000));
+    const auto before = coll::PlanCache::stats();
+    const auto a = memo.get(table, topo, opts(2000));
+    const auto b = memo.get(table, topo, opts(2000));
+    EXPECT_EQ(a.get(), b.get());
+    const auto after = coll::PlanCache::stats();
+    EXPECT_EQ(after.lookups - before.lookups, 2u);
+    EXPECT_EQ(after.hits - before.hits, 1u);
+    EXPECT_EQ(a->global_bytes(), 8000u);
+  });
 }
 
 TEST(PlanCache, IdenticalTableOfANewGenerationHitsThroughContentKey) {
-  // A later run exchanging byte-identical summaries gets a fresh table
-  // object; the memo misses, the content key hits — as does the
-  // ViewSummary-vector overload the same key serves.
-  FreshPlanCache fresh;
-  net::Topology topo{4, 2};
-  const auto views = block_views(8, 1000);
-  const auto first = coll::PlanCache::get_or_build_skeleton(
-      summary_table(views), topo, 0, opts(2000));
-  const auto before = coll::PlanCache::stats();
-  const auto second = coll::PlanCache::get_or_build_skeleton(
-      summary_table(views), topo, 0, opts(2000));
-  EXPECT_EQ(first.get(), second.get());
-  EXPECT_EQ(coll::PlanCache::stats().hits - before.hits, 1u);
-
-  std::vector<coll::ViewSummary> summaries;
-  for (const coll::FileView& v : views) summaries.push_back(v.summarize());
-  EXPECT_EQ(coll::PlanCache::get_or_build_skeleton(summaries, topo, 0,
-                                                   opts(2000))
-                .get(),
-            first.get());
+  // A later run exchanging byte-identical tables gets a fresh table object;
+  // the memo misses, the content key hits — as does the table-less
+  // overload the same key serves.
+  for_each_memo([](auto memo) {
+    net::Topology topo{4, 2};
+    const auto views = block_views(8, 1000);
+    const auto first = memo.get(memo.table(views), topo, opts(2000));
+    const auto before = coll::PlanCache::stats();
+    const auto second = memo.get(memo.table(views), topo, opts(2000));
+    EXPECT_EQ(first.get(), second.get());
+    EXPECT_EQ(coll::PlanCache::stats().hits - before.hits, 1u);
+    EXPECT_EQ(memo.by_content(views, topo, opts(2000)).get(), first.get());
+  });
 }
 
 TEST(PlanCache, DifferentOptionsHeaderMisses) {
   // The same live table under different plan-relevant Options is a
-  // different skeleton.
-  FreshPlanCache fresh;
-  net::Topology topo{4, 2};
-  const auto table = summary_table(block_views(8, 1000));
-  const auto a = coll::PlanCache::get_or_build_skeleton(table, topo, 0,
-                                                        opts(2000));
-  coll::Options more = opts(2000);
-  more.num_aggregators = 4;
-  const auto b = coll::PlanCache::get_or_build_skeleton(table, topo, 0, more);
-  EXPECT_NE(a.get(), b.get());
-  EXPECT_EQ(b->num_aggregators(), 4);
-  const auto c = coll::PlanCache::get_or_build_skeleton(table, topo, 0,
-                                                        opts(500));
-  EXPECT_NE(a.get(), c.get());
-  EXPECT_NE(a->num_cycles(), c->num_cycles());
+  // different skeleton, and a different Plan.
+  for_each_memo([](auto memo) {
+    net::Topology topo{4, 2};
+    const auto table = memo.table(block_views(8, 1000));
+    const auto a = memo.get(table, topo, opts(2000));
+    coll::Options more = opts(2000);
+    more.num_aggregators = 4;
+    const auto b = memo.get(table, topo, more);
+    EXPECT_NE(a.get(), b.get());
+    EXPECT_EQ(b->num_aggregators(), 4);
+    const auto c = memo.get(table, topo, opts(500));
+    EXPECT_NE(a.get(), c.get());
+    EXPECT_NE(a->num_cycles(), c->num_cycles());
+  });
 }
 
 TEST(PlanCache, ClearedCacheBypassesTheMemo) {
-  FreshPlanCache fresh;
-  net::Topology topo{4, 2};
-  const auto table = summary_table(block_views(8, 1000));
-  const auto a = coll::PlanCache::get_or_build_skeleton(table, topo, 0,
-                                                        opts(2000));
-  // Cleared: the memo goes with the content cache.
-  coll::PlanCache::clear();
-  const auto d = coll::PlanCache::get_or_build_skeleton(table, topo, 0,
-                                                        opts(2000));
-  EXPECT_NE(a.get(), d.get());
-  EXPECT_EQ(coll::PlanCache::get_or_build_skeleton(table, topo, 0, opts(2000))
-                .get(),
-            d.get());
+  for_each_memo([](auto memo) {
+    net::Topology topo{4, 2};
+    const auto table = memo.table(block_views(8, 1000));
+    const auto a = memo.get(table, topo, opts(2000));
+    // Cleared: the memo goes with the content cache.
+    coll::PlanCache::clear();
+    const auto d = memo.get(table, topo, opts(2000));
+    EXPECT_NE(a.get(), d.get());
+    EXPECT_EQ(memo.get(table, topo, opts(2000)).get(), d.get());
+  });
 }
 
 // The two-stage metadata exchange plans from per-rank summaries: every
