@@ -53,7 +53,12 @@ Row breakdown(const xp::Platform& platform, int procs) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  const bool quick = argc > 1 && std::string(argv[1]) == "--quick";
+  const xp::BenchArgs args = xp::parse_bench_args(argc, argv);
+  if (!args.ok) {
+    std::fprintf(stderr, "usage: breakdown_comm_io [--quick]\n");
+    return 2;
+  }
+  const bool quick = args.quick;
 
   std::puts("== Communication vs. file-I/O breakdown (no-overlap, Tile 1M) ==");
   std::puts("Paper reference @576 procs: crill ~7% comm / 93% I/O;");

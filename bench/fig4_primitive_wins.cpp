@@ -48,7 +48,8 @@ int main(int argc, char** argv) {
   std::vector<xp::PrimitiveSeries> all;
   for (const auto& platform : {xp::crill(), xp::ibex()}) {
     auto sweep =
-        xp::run_primitive_sweep(platform, reps, 0xF164, quick, args.exec);
+        xp::run_primitive_sweep(platform, coll::Options{}, reps, 0xF164,
+                                quick, args.exec);
     all.insert(all.end(), sweep.begin(), sweep.end());
   }
 

@@ -133,25 +133,20 @@ int main(int argc, char** argv) {
   // -------------------------------------------------------------------------
   std::puts("\n== C. QoS disciplines, 3 tenants (tenant 0 write-comm-2, "
             "two NoOverlap neighbors, 0.5 ms arrivals) ==\n");
-  xp::MultiRunSpec mix;
-  {
-    xp::RunSpec measured = base_spec();
-    measured.options.overlap = coll::OverlapMode::WriteComm2;
-    xp::RunSpec neighbor = measured;
-    neighbor.options.overlap = coll::OverlapMode::None;
-    mix.tenants = {measured, neighbor, neighbor};
-    mix.arrival.model = xp::ArrivalModel::Fixed;
-    mix.arrival.gap = sim::milliseconds(0.5);
-    mix.seed = 29;
-  }
+  xp::RunSpec measured = base_spec();
+  measured.options.overlap = coll::OverlapMode::WriteComm2;
+  xp::ContentionConfig mix;
+  mix.neighbors = 2;
+  mix.arrival.model = xp::ArrivalModel::Fixed;
+  mix.arrival.gap = sim::milliseconds(0.5);
   xp::Table qos_table({"policy", "t0 turnaround(ms)", "t0 slowdown",
                        "t0 cross-wait(ms)", "peak queue", "makespan(ms)"});
   sim::Duration fifo_t0 = 0, prio_t0 = 0;
   for (pfs::QosPolicy p : {pfs::QosPolicy::Fifo, pfs::QosPolicy::FairShare,
                            pfs::QosPolicy::Priority}) {
-    xp::MultiRunSpec ms = mix;
-    ms.qos = p;
-    if (p == pfs::QosPolicy::Priority) ms.priorities = {1, 0, 0};
+    mix.qos = p;  // priority: tenant 0 rides the top class
+    xp::MultiRunSpec ms = xp::contended(measured, mix);
+    ms.seed = 29;
     const xp::MultiRunResult r = xp::execute_multi(ms, /*with_baselines=*/true);
     for (const auto& t : r.tenants) {
       if (!t.run.verify_error.empty()) {

@@ -40,7 +40,12 @@ std::string fmt_count(std::uint64_t n) { return std::to_string(n); }
 }  // namespace
 
 int main(int argc, char** argv) {
-  const bool quick = argc > 1 && std::string(argv[1]) == "--quick";
+  const xp::BenchArgs args = xp::parse_bench_args(argc, argv);
+  if (!args.ok) {
+    std::fprintf(stderr, "usage: fig_hier_shuffle [--quick]\n");
+    return 2;
+  }
+  const bool quick = args.quick;
   const xp::Platform plat = xp::scaled(xp::ibex());
 
   std::printf("== Two-level shuffle vs direct (ibex, write-comm-2, ppn=%d) ==\n",

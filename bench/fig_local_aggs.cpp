@@ -75,7 +75,12 @@ xp::RunResult run(const xp::Platform& plat, const wl::Spec& workload,
 }  // namespace
 
 int main(int argc, char** argv) {
-  const bool quick = argc > 1 && std::string(argv[1]) == "--quick";
+  const xp::BenchArgs args = xp::parse_bench_args(argc, argv);
+  if (!args.ok) {
+    std::fprintf(stderr, "usage: fig_local_aggs [--quick]\n");
+    return 2;
+  }
+  const bool quick = args.quick;
   const int nodes = quick ? 4 : 6;
   bool ok = true;
 

@@ -2,16 +2,14 @@
 
 #include <algorithm>
 #include <cstdio>
-#include <cstdlib>
-#include <fstream>
 #include <map>
 #include <mutex>
-#include <sstream>
 
 #include "core/plan.hpp"
 #include "mpi/mpi.hpp"
 #include "net/fabric.hpp"
 #include "simbase/error.hpp"
+#include "simbase/json.hpp"
 
 namespace tpio::coll {
 
@@ -132,63 +130,6 @@ std::mutex& cache_mutex() {
 
 constexpr const char* kMagic = "tpio-tuning-cache";
 
-/// Cursor over the cache JSON; each parse_* returns false on mismatch.
-struct Cursor {
-  const char* p;
-  const char* end;
-
-  void ws() {
-    while (p != end && (*p == ' ' || *p == '\n' || *p == '\r' || *p == '\t')) {
-      ++p;
-    }
-  }
-  bool lit(char c) {
-    ws();
-    if (p == end || *p != c) return false;
-    ++p;
-    return true;
-  }
-  bool str(std::string& out) {
-    ws();
-    if (p == end || *p != '"') return false;
-    ++p;
-    out.clear();
-    while (p != end && *p != '"') {
-      if (*p == '\\') {
-        ++p;
-        if (p == end) return false;
-        switch (*p) {
-          case '"': out += '"'; break;
-          case '\\': out += '\\'; break;
-          case 'n': out += '\n'; break;
-          case 't': out += '\t'; break;
-          default: return false;
-        }
-        ++p;
-      } else {
-        out += *p++;
-      }
-    }
-    if (p == end) return false;
-    ++p;
-    return true;
-  }
-};
-
-void json_string(std::string& out, const std::string& s) {
-  out += '"';
-  for (char c : s) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\t': out += "\\t"; break;
-      default: out += c;
-    }
-  }
-  out += '"';
-}
-
 bool mode_by_name(const std::string& name, OverlapMode& out) {
   for (OverlapMode m : {OverlapMode::None, OverlapMode::Comm,
                         OverlapMode::Write, OverlapMode::WriteComm,
@@ -206,73 +147,34 @@ bool mode_by_name(const std::string& name, OverlapMode& out) {
 bool load_entries(const std::string& path,
                   std::map<std::string, OverlapMode>& out) {
   out.clear();
-  std::ifstream in(path, std::ios::binary);
-  if (!in) return false;
-  std::stringstream ss;
-  ss << in.rdbuf();
-  const std::string text = ss.str();
-  Cursor c{text.data(), text.data() + text.size()};
-  std::string key;
+  std::string text;
+  if (!sim::json::read_file(path, text)) return false;
+  sim::json::Reader r(text);
   double version = 0.0;
-  if (!c.lit('{') || !c.str(key) || key != kMagic || !c.lit(':')) return false;
-  {
-    c.ws();
-    char* after = nullptr;
-    version = std::strtod(c.p, &after);
-    if (after == c.p || version != 1.0) return false;
-    c.p = after;
-  }
-  if (!c.lit(',') || !c.str(key) || key != "entries" || !c.lit(':') ||
-      !c.lit('{')) {
-    return false;
-  }
-  c.ws();
-  if (c.p != c.end && *c.p == '}') {
-    ++c.p;
-  } else {
-    for (;;) {
-      std::string value;
-      OverlapMode mode{};
-      if (!c.str(key) || !c.lit(':') || !c.str(value) ||
-          !mode_by_name(value, mode)) {
-        out.clear();
-        return false;
-      }
-      out[key] = mode;
-      if (c.lit(',')) continue;
-      if (c.lit('}')) break;
-      out.clear();
-      return false;
-    }
-  }
-  return c.lit('}');
+  const bool ok =
+      r.literal('{') && r.key(kMagic) && r.number(version) &&
+      version == 1.0 && r.literal(',') && r.key("entries") &&
+      r.object([&](const std::string& key) {
+        std::string value;
+        OverlapMode mode{};
+        if (!r.string(value) || !mode_by_name(value, mode)) return false;
+        out[key] = mode;
+        return true;
+      }) &&
+      r.literal('}');
+  if (!ok) out.clear();
+  return ok;
 }
 
 void save_entries(const std::string& path,
                   const std::map<std::string, OverlapMode>& entries) {
-  std::string text = "{\n  ";
-  json_string(text, kMagic);
-  text += ": 1,\n  ";
-  json_string(text, "entries");
-  text += ": {";
-  bool first = true;
+  std::vector<sim::json::Member> text;
   for (const auto& [key, mode] : entries) {
-    text += first ? "\n    " : ",\n    ";
-    first = false;
-    json_string(text, key);
-    text += ": ";
-    json_string(text, to_string(mode));
+    text.emplace_back(key, sim::json::quote(to_string(mode)));
   }
-  text += first ? "}\n}\n" : "\n  }\n}\n";
-
-  const std::string tmp = path + ".tmp";
-  {
-    std::ofstream out(tmp, std::ios::binary | std::ios::trunc);
-    TPIO_CHECK(static_cast<bool>(out), "cannot write tuning cache " + tmp);
-    out << text;
-  }
-  TPIO_CHECK(std::rename(tmp.c_str(), path.c_str()) == 0,
-             "cannot move tuning cache into place: " + path);
+  sim::json::write_file(
+      path, sim::json::document({{kMagic, "1"}}, "entries", text),
+      "tuning cache");
 }
 
 }  // namespace

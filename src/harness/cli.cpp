@@ -3,7 +3,10 @@
 #include <algorithm>
 #include <cerrno>
 #include <cmath>
+#include <cstdio>
 #include <cstdlib>
+#include <initializer_list>
+#include <utility>
 
 #include "harness/sweep.hpp"
 #include "net/topology.hpp"
@@ -11,61 +14,6 @@
 #include "simbase/units.hpp"
 
 namespace tpio::xp {
-
-namespace {
-
-wl::Spec workload_by_name(const std::string& name, std::uint64_t bytes,
-                          std::string& error) {
-  if (name == "ior") {
-    return wl::make_ior(bytes != 0 ? bytes : 2ull << 20);
-  }
-  if (name == "tile256") {
-    const std::uint64_t b = bytes != 0 ? bytes : 512ull << 10;
-    // 512-byte rows; derive the row count from the requested volume.
-    return wl::make_tile256(2, std::max(1, static_cast<int>(b / 512)));
-  }
-  if (name == "tile1m") {
-    const std::uint64_t b = bytes != 0 ? bytes : 2ull << 20;
-    return wl::make_tile1m(1, std::max(1, static_cast<int>(b >> 20)));
-  }
-  if (name == "flash") {
-    const std::uint64_t b = bytes != 0 ? bytes : 3ull << 19;  // 1.5 MiB
-    const auto per_var = std::max<std::uint64_t>(b / 24, 16 * 1024);
-    return wl::make_flash(24, std::max(1, static_cast<int>(per_var / (16 * 1024))),
-                          16 * 1024);
-  }
-  error = "unknown workload '" + name + "'";
-  return {};
-}
-
-bool parse_overlap(const std::string& v, coll::OverlapMode& out) {
-  if (v == "none") out = coll::OverlapMode::None;
-  else if (v == "comm") out = coll::OverlapMode::Comm;
-  else if (v == "write") out = coll::OverlapMode::Write;
-  else if (v == "write-comm") out = coll::OverlapMode::WriteComm;
-  else if (v == "write-comm-2") out = coll::OverlapMode::WriteComm2;
-  else if (v == "auto") out = coll::OverlapMode::Auto;
-  else return false;
-  return true;
-}
-
-bool parse_transfer(const std::string& v, coll::Transfer& out) {
-  if (v == "two-sided") out = coll::Transfer::TwoSided;
-  else if (v == "fence") out = coll::Transfer::OneSidedFence;
-  else if (v == "lock") out = coll::Transfer::OneSidedLock;
-  else return false;
-  return true;
-}
-
-bool parse_leader(const std::string& v, coll::LeaderPolicy& out) {
-  if (v == "lowest") out = coll::LeaderPolicy::Lowest;
-  else if (v == "spread") out = coll::LeaderPolicy::Spread;
-  else if (v == "superset") out = coll::LeaderPolicy::Superset;
-  else return false;
-  return true;
-}
-
-}  // namespace
 
 bool parse_int_arg(const std::string& s, long long lo, long long hi,
                    long long& out) {
@@ -91,6 +39,10 @@ bool parse_u64_arg(const std::string& s, std::uint64_t& out) {
   return true;
 }
 
+namespace {
+
+/// Same strictness as parse_int_arg for doubles: the whole string must
+/// parse, the value must be finite and in [lo, hi].
 bool parse_double_arg(const std::string& s, double lo, double hi,
                       double& out) {
   if (s.empty()) return false;
@@ -103,6 +55,9 @@ bool parse_double_arg(const std::string& s, double lo, double hi,
   return true;
 }
 
+/// An `--arrival` value: "fixed:GAP_MS" | "poisson:MEAN_MS" |
+/// "trace:MS,MS,..." (milliseconds of virtual time, >= 0). Returns false
+/// on malformed input, leaving `out` untouched.
 bool parse_arrival_arg(const std::string& s, ArrivalSpec& out) {
   const std::size_t colon = s.find(':');
   const std::string model = s.substr(0, colon);
@@ -137,252 +92,425 @@ bool parse_arrival_arg(const std::string& s, ArrivalSpec& out) {
   return true;
 }
 
-Platform platform_by_name(const std::string& name) {
-  if (name == "crill") return scaled(crill());
-  if (name == "ibex") return scaled(ibex());
-  if (name == "lustre") return scaled(lustre());
-  tpio::fail("unknown platform '" + name + "' (crill|ibex|lustre)");
+/// Thrown by a flag's rule on a value outside it: what the flag wants.
+struct Wants {
+  std::string what;
+};
+
+int integer(const std::string& v, long long lo, long long hi) {
+  long long out = 0;
+  if (!parse_int_arg(v, lo, hi, out)) {
+    throw Wants{"an integer in [" + std::to_string(lo) + ", " +
+                std::to_string(hi) + "]"};
+  }
+  return static_cast<int>(out);
 }
 
-std::string cli_usage() {
-  return
-      "tpio_sim - run one simulated collective-write experiment\n"
-      "\n"
-      "  --platform crill|ibex|lustre       cluster profile (default ibex)\n"
-      "  --workload ior|tile256|tile1m|flash  access pattern (default tile1m)\n"
-      "  --procs N                          MPI processes (default 64)\n"
-      "  --bytes-per-proc SIZE              per-process volume (e.g. 4M)\n"
-      "  --cb SIZE                          collective buffer (default 4M)\n"
-      "  --overlap none|comm|write|write-comm|write-comm-2|auto\n"
-      "  --transfer two-sided|fence|lock    shuffle primitive\n"
-      "  --aggregators N                    0 = automatic\n"
-      "  --probe-cycles N                   auto: probe cycles (default 4)\n"
-      "  --tuning-cache FILE                auto: persistent decision cache\n"
-      "  --hierarchical                     two-level (intra-node) shuffle\n"
-      "  --leader lowest|spread|superset    lane-leader policy (default\n"
-      "                                     lowest; superset puts leaders on\n"
-      "                                     the node's aggregators)\n"
-      "  --local-aggs N                     local aggregators (lanes) per\n"
-      "                                     node; N > 1 pipelines each\n"
-      "                                     lane's gather against its\n"
-      "                                     forwards (default 1)\n"
-      "  --reps N                           measurements (default 3)\n"
-      "  --seed N                           master seed (default 1)\n"
-      "  --verify                           check file contents\n"
-      "  --fault-rate R                     per-attempt write-failure prob.\n"
-      "  --fault-seed N                     fault-scenario seed (default 1)\n"
-      "  --fail-until N                     attempts 1..N-1 of every op fail\n"
-      "  --straggler F                      straggler service multiplier\n"
-      "  --straggler-targets N              targets that straggle (default 0)\n"
-      "  --straggler-after MS               virtual onset of the slowdown\n"
-      "  --max-retries N                    retry budget per op (default 4)\n"
-      "  --degrade F                        degraded-mode trigger ratio\n"
-      "  --tenants N                        run N copies on one shared PFS;\n"
-      "                                     tenant 0 is measured, the rest\n"
-      "                                     are NoOverlap background writers\n"
-      "  --arrival fixed:MS|poisson:MS|trace:MS,MS,...\n"
-      "                                     tenant arrival schedule (virtual\n"
-      "                                     milliseconds; default fixed:0)\n"
-      "  --qos fifo|fair|priority           shared-target queuing discipline\n"
-      "                                     (priority: tenant 0 on top)\n"
-      "  --sub-comms N|auto                 split ranks into N sub-\n"
-      "                                     communicators, one file each\n"
-      "                                     (subfiling; default 1 = shared\n"
-      "                                     file; auto = probe-driven)\n"
-      "  --stripe-unit SIZE                 per-(sub)file stripe unit\n"
-      "                                     override (default: platform)\n"
-      "  --stripe-factor N                  targets each (sub)file stripes\n"
-      "                                     over (default: all targets)\n"
-      "  --help\n";
+double number(const std::string& v, double lo, double hi) {
+  double out = 0.0;
+  if (!parse_double_arg(v, lo, hi, out)) {
+    char buf[64];
+    std::snprintf(buf, sizeof(buf), "a number in [%g, %g]", lo, hi);
+    throw Wants{buf};
+  }
+  return out;
 }
 
-CliConfig parse_cli(const std::vector<std::string>& args) {
+std::uint64_t unsigned_value(const std::string& v) {
+  std::uint64_t out = 0;
+  if (!parse_u64_arg(v, out)) throw Wants{"an unsigned integer"};
+  return out;
+}
+
+std::uint64_t byte_size(const std::string& v) {
+  std::uint64_t b = 0;
+  try {
+    b = sim::parse_bytes(v);
+  } catch (const tpio::Error&) {
+  }
+  if (b == 0) throw Wants{"a positive size (K/M/G suffixes)"};
+  return b;
+}
+
+template <class T>
+T pick(const std::string& v,
+       std::initializer_list<std::pair<const char*, T>> names) {
+  std::string all;
+  for (const auto& [name, value] : names) {
+    if (v == name) return value;
+    all += (all.empty() ? "" : "|") + std::string(name);
+  }
+  throw Wants{all};
+}
+
+Platform preset(const std::string& v) {
+  return pick<Platform (*)()>(
+      v, {{"crill", crill}, {"ibex", ibex}, {"lustre", lustre}})();
+}
+
+wl::Spec make_workload(wl::Kind kind, std::uint64_t bytes) {
+  switch (kind) {
+    case wl::Kind::Ior:
+      return wl::make_ior(bytes != 0 ? bytes : 2ull << 20);
+    case wl::Kind::Tile256: {
+      const std::uint64_t b = bytes != 0 ? bytes : 512ull << 10;
+      // 512-byte rows; derive the row count from the requested volume.
+      return wl::make_tile256(2, std::max(1, static_cast<int>(b / 512)));
+    }
+    case wl::Kind::Tile1M: {
+      const std::uint64_t b = bytes != 0 ? bytes : 2ull << 20;
+      return wl::make_tile1m(1, std::max(1, static_cast<int>(b >> 20)));
+    }
+    case wl::Kind::Flash: {
+      const std::uint64_t b = bytes != 0 ? bytes : 3ull << 19;  // 1.5 MiB
+      const auto per_var = std::max<std::uint64_t>(b / 24, 16 * 1024);
+      return wl::make_flash(
+          24, std::max(1, static_cast<int>(per_var / (16 * 1024))),
+          16 * 1024);
+    }
+  }
+  tpio::fail("unknown workload kind");
+}
+
+/// What one parse collects: the rules fill `cfg` and the fields below,
+/// which become the spec's platform, workload and fault knobs once the
+/// whole line has parsed.
+struct Line {
+  Tool tool = Tool::Sim;
   CliConfig cfg;
-  std::string platform = "ibex";
-  std::string workload = "tile1m";
+  Platform platform = ibex();
+  wl::Kind workload = wl::Kind::Tile1M;
   std::uint64_t bytes = 0;
-  // Fault knobs land on the platform's storage system, which is built only
-  // after the whole line parses — collect them here, apply at the end.
   pfs::FaultParams faults;
+};
+
+constexpr unsigned kSim = 1, kSweep = 2, kBench = 4;
+
+unsigned bit(Tool t) { return 1u << static_cast<unsigned>(t); }
+
+const char* tool_name(Tool t) {
+  switch (t) {
+    case Tool::Sim: return "tpio_sim";
+    case Tool::Sweep: return "tpio_sweep";
+    case Tool::Bench: return "bench-driver";
+  }
+  tpio::fail("unknown tool");
+}
+
+/// One flag: the tools that take it, its value in the usage text (null
+/// for a switch), its help text, and how its value lands in the line —
+/// throwing Wants when the value breaks the flag's rule.
+struct Flag {
+  const char* name;
+  unsigned tools;
+  const char* arg;
+  const char* help;
+  void (*set)(Line&, const std::string&);
+};
+
+using V = const std::string&;
+
+const Flag kFlags[] = {
+    {"--platform", kSim | kSweep, "crill|ibex|lustre",
+     "cluster profile (default ibex)",
+     [](Line& l, V v) { l.platform = preset(v); }},
+    {"--workload", kSim, "ior|tile256|tile1m|flash",
+     "access pattern (default tile1m)",
+     [](Line& l, V v) {
+       l.workload = pick<wl::Kind>(v, {{"ior", wl::Kind::Ior},
+                                       {"tile256", wl::Kind::Tile256},
+                                       {"tile1m", wl::Kind::Tile1M},
+                                       {"flash", wl::Kind::Flash}});
+     }},
+    {"--procs", kSim, "N", "MPI processes (default 64)",
+     [](Line& l, V v) { l.cfg.spec.nprocs = integer(v, 1, 1'000'000); }},
+    {"--bytes-per-proc", kSim, "SIZE", "per-process volume (e.g. 4M)",
+     [](Line& l, V v) { l.bytes = byte_size(v); }},
+    {"--cb", kSim, "SIZE", "collective buffer (default 4M)",
+     [](Line& l, V v) { l.cfg.spec.options.cb_size = byte_size(v); }},
+    {"--overlap", kSim, "none|comm|write|write-comm|write-comm-2|auto",
+     "scheduler (default write-comm-2)",
+     [](Line& l, V v) {
+       l.cfg.spec.options.overlap = pick<coll::OverlapMode>(
+           v, {{"none", coll::OverlapMode::None},
+               {"comm", coll::OverlapMode::Comm},
+               {"write", coll::OverlapMode::Write},
+               {"write-comm", coll::OverlapMode::WriteComm},
+               {"write-comm-2", coll::OverlapMode::WriteComm2},
+               {"auto", coll::OverlapMode::Auto}});
+     }},
+    {"--transfer", kSim, "two-sided|fence|lock", "shuffle primitive",
+     [](Line& l, V v) {
+       l.cfg.spec.options.transfer = pick<coll::Transfer>(
+           v, {{"two-sided", coll::Transfer::TwoSided},
+               {"fence", coll::Transfer::OneSidedFence},
+               {"lock", coll::Transfer::OneSidedLock}});
+     }},
+    {"--aggregators", kSim, "N", "0 = automatic",
+     [](Line& l, V v) {
+       l.cfg.spec.options.num_aggregators = integer(v, 0, 1'000'000);
+     }},
+    {"--probe-cycles", kSim, "N", "auto: probe cycles (default 4)",
+     [](Line& l, V v) {
+       l.cfg.spec.options.probe_cycles = integer(v, 1, 1'000'000);
+     }},
+    {"--tuning-cache", kSim, "FILE", "auto: persistent decision cache",
+     [](Line& l, V v) { l.cfg.spec.options.tuning_cache = v; }},
+    {"--hierarchical", kSim | kSweep, nullptr,
+     "two-level (intra-node) shuffle",
+     [](Line& l, V) { l.cfg.spec.options.hierarchical = true; }},
+    {"--leader", kSim | kSweep, "lowest|spread|superset",
+     "lane-leader policy (default\nlowest; superset puts leaders on\nthe "
+     "node's aggregators)",
+     [](Line& l, V v) {
+       l.cfg.spec.options.leader_policy = pick<coll::LeaderPolicy>(
+           v, {{"lowest", coll::LeaderPolicy::Lowest},
+               {"spread", coll::LeaderPolicy::Spread},
+               {"superset", coll::LeaderPolicy::Superset}});
+     }},
+    {"--local-aggs", kSim | kSweep, "N",
+     "local aggregators (lanes) per\nnode; N > 1 pipelines each\nlane's "
+     "gather against its\nforwards (default 1)",
+     [](Line& l, V v) {
+       l.cfg.spec.options.local_aggregators = integer(v, 1, 1'000'000);
+     }},
+    {"--reps", kSim | kSweep, "N", "measurements (default 3)",
+     [](Line& l, V v) { l.cfg.reps = integer(v, 1, 1'000'000); }},
+    {"--seed", kSim, "N", "master seed (default 1)",
+     [](Line& l, V v) { l.cfg.seed_base = unsigned_value(v); }},
+    {"--verify", kSim, nullptr, "check file contents",
+     [](Line& l, V) { l.cfg.spec.verify = true; }},
+    {"--fault-rate", kSim | kSweep, "R", "per-attempt write-failure prob.",
+     [](Line& l, V v) { l.faults.write_fail_rate = number(v, 0.0, 1.0); }},
+    {"--fault-seed", kSim | kSweep, "N", "fault-scenario seed (default 1)",
+     [](Line& l, V v) { l.faults.seed = unsigned_value(v); }},
+    {"--fail-until", kSim, "N", "attempts 1..N-1 of every op fail",
+     [](Line& l, V v) { l.faults.fail_until_attempt = integer(v, 1, 1'000); }},
+    {"--straggler", kSim | kSweep, "F", "straggler service multiplier",
+     [](Line& l, V v) { l.faults.straggler_factor = number(v, 1.0, 1e6); }},
+    {"--straggler-targets", kSim | kSweep, "N",
+     "targets that straggle (default 0)",
+     [](Line& l, V v) {
+       l.faults.straggler_targets = integer(v, 0, 1'000'000);
+     }},
+    {"--straggler-after", kSim, "MS", "virtual onset of the slowdown",
+     [](Line& l, V v) {
+       l.faults.straggler_after =
+           static_cast<sim::Time>(std::llround(number(v, 0.0, 1e12) * 1e6));
+     }},
+    {"--max-retries", kSim | kSweep, "N", "retry budget per op (default 4)",
+     [](Line& l, V v) {
+       l.cfg.spec.options.max_retries = integer(v, 0, 1'000);
+     }},
+    {"--degrade", kSim, "F", "degraded-mode trigger ratio",
+     [](Line& l, V v) {
+       l.cfg.spec.options.degrade_slowdown = number(v, 0.0, 1e6);
+     }},
+    {"--tenants", kSim | kSweep, "N",
+     "run N copies on one shared PFS;\ntenant 0 is measured, the rest\nare "
+     "NoOverlap background writers",
+     [](Line& l, V v) { l.cfg.tenants = integer(v, 1, 64); }},
+    {"--arrival", kSim | kSweep, "fixed:MS|poisson:MS|trace:MS,MS,...",
+     "tenant arrival schedule (virtual\nmilliseconds; default fixed:0)",
+     [](Line& l, V v) {
+       if (!parse_arrival_arg(v, l.cfg.arrival)) {
+         throw Wants{"fixed:MS|poisson:MS|trace:MS,MS,..."};
+       }
+     }},
+    {"--qos", kSim | kSweep, "fifo|fair|priority",
+     "shared-target queuing discipline\n(priority: tenant 0 on top)",
+     [](Line& l, V v) {
+       try {
+         l.cfg.qos = pfs::parse_qos(v);
+       } catch (const tpio::Error&) {
+         throw Wants{"fifo|fair|priority"};
+       }
+     }},
+    {"--sub-comms", kSim | kSweep, "N|auto",
+     "split ranks into N sub-\ncommunicators, one file each\n(subfiling; "
+     "default 1 = shared\nfile; auto = probe-driven,\ntpio_sim only)",
+     [](Line& l, V v) {
+       if (v != "auto") {
+         l.cfg.spec.options.sub_comm_count = integer(v, 1, 1'000'000);
+       } else if (l.tool == Tool::Sim) {
+         l.cfg.spec.options.sub_comm_count = 0;  // resolved by the tool
+       } else {
+         tpio::fail("tpio_sweep does not take --sub-comms auto: a grid "
+                    "cannot resolve k per cell, give a count");
+       }
+     }},
+    {"--stripe-unit", kSim | kSweep, "SIZE",
+     "per-(sub)file stripe unit\noverride (default: platform)",
+     [](Line& l, V v) {
+       l.cfg.spec.options.subfile_stripe_unit = byte_size(v);
+     }},
+    {"--stripe-factor", kSim | kSweep, "N",
+     "targets each (sub)file stripes\nover (default: all targets)",
+     [](Line& l, V v) {
+       l.cfg.spec.options.subfile_stripe_factor = integer(v, 1, 1'000'000);
+     }},
+    {"--primitives", kSweep, nullptr,
+     "Fig. 4 grid: the shuffle\nprimitives under write-comm-2",
+     [](Line& l, V) { l.cfg.primitives = true; }},
+    {"--auto", kSweep, nullptr, "add the adaptive scheduler as a\nsixth column",
+     [](Line& l, V) { l.cfg.include_auto = true; }},
+    {"--quick", kSweep | kBench, nullptr, "reduced grid",
+     [](Line& l, V) { l.cfg.quick = true; }},
+    {"--jobs", kSweep | kBench, "N",
+     "worker threads (default 0 = all\ncores; 1 = serial)",
+     [](Line& l, V v) { l.cfg.exec.jobs = integer(v, 0, 10'000); }},
+    {"--resume", kSweep, "FILE",
+     "checkpoint finished grid points\nto FILE; a rerun skips them",
+     [](Line& l, V v) { l.cfg.exec.checkpoint = v; }},
+    {"--progress", kSweep | kBench, nullptr, "live progress on stderr",
+     [](Line& l, V) { l.cfg.exec.progress = true; }},
+    {"--paper-scale", kBench, nullptr,
+     "unscaled geometry: presets\nverbatim, the paper's process\ncounts, "
+     "32 MiB collective buffer",
+     [](Line& l, V) { l.cfg.paper_scale = true; }},
+    {"--help", kSim, nullptr, "print this text",
+     [](Line& l, V) { l.cfg.quick_help = true; }},
+};
+
+const Flag* find_flag(const std::string& name) {
+  for (const Flag& f : kFlags) {
+    if (name == f.name) return &f;
+  }
+  return nullptr;
+}
+
+/// "tpio_sim", "tpio_sweep and bench-driver", ... for a tool mask.
+std::string owners(unsigned tools) {
+  std::string out;
+  for (Tool t : {Tool::Sim, Tool::Sweep, Tool::Bench}) {
+    if ((tools & bit(t)) == 0) continue;
+    out += (out.empty() ? "" : " and ") + std::string(tool_name(t));
+  }
+  return out;
+}
+
+/// tpio_sweep's checks: the flag combinations its grids lack, then
+/// check_cli on every cell as it will run — the scaled platform at each
+/// process count of the grid.
+std::string check_sweep(const CliConfig& cfg) {
+  if (cfg.primitives && cfg.tenants > 1) {
+    return "--primitives and --tenants cannot be combined (the contended "
+           "sweep covers the overlap grid)";
+  }
+  if (cfg.include_auto && (cfg.primitives || cfg.tenants > 1)) {
+    return "--auto adds a column to the idle overlap grid only; it cannot "
+           "be combined with --primitives or --tenants";
+  }
+  for (const int procs : paper_proc_counts(cfg.quick)) {
+    CliConfig cell = cfg;
+    cell.spec.platform = scaled(cfg.spec.platform);
+    cell.spec.nprocs = procs;
+    std::string error = check_cli(cell);
+    if (!error.empty()) return error;
+  }
+  return {};
+}
+
+}  // namespace
+
+Platform platform_by_name(const std::string& name) {
+  try {
+    return scaled(preset(name));
+  } catch (const Wants& w) {
+    tpio::fail("unknown platform '" + name + "' (" + w.what + ")");
+  }
+}
+
+std::vector<std::string> cli_flags(Tool tool) {
+  std::vector<std::string> out;
+  for (const Flag& f : kFlags) {
+    if ((f.tools & bit(tool)) != 0) out.push_back(f.name);
+  }
+  std::sort(out.begin(), out.end());
+  return out;
+}
+
+std::string cli_usage(Tool tool) {
+  static const char* const kTitle[] = {
+      "tpio_sim - run one simulated collective-write experiment",
+      "tpio_sweep - run the paper's sweep grid on one platform and print "
+      "CSV",
+      "bench-driver flags"};
+  // Help text starts at this column, on the next line when the flag and
+  // its value reach it.
+  constexpr std::size_t kColumn = 37;
+  const std::string indent(kColumn, ' ');
+  std::string out =
+      std::string(kTitle[static_cast<std::size_t>(tool)]) + "\n\n";
+  for (const Flag& f : kFlags) {
+    if ((f.tools & bit(tool)) == 0) continue;
+    std::string line = std::string("  ") + f.name;
+    if (f.arg != nullptr) line += std::string(" ") + f.arg;
+    line += line.size() < kColumn ? std::string(kColumn - line.size(), ' ')
+                                  : "\n" + indent;
+    for (const char* c = f.help; *c != '\0'; ++c) {
+      line += *c;
+      if (*c == '\n') line += indent;
+    }
+    out += line + "\n";
+  }
+  return out;
+}
+
+CliConfig parse_cli(const std::vector<std::string>& args, Tool tool) {
+  Line l;
+  l.tool = tool;
+  CliConfig& cfg = l.cfg;
   cfg.spec.nprocs = 64;
   cfg.spec.options.cb_size = kCbSize;
 
-  auto need_value = [&](std::size_t i) -> bool {
-    if (i + 1 >= args.size()) {
-      cfg.error = "flag " + args[i] + " needs a value";
-      return false;
-    }
-    return true;
-  };
-  // Strict numeric parsing: rejects zero/negative counts, trailing
-  // garbage, and overflowing values with a message naming the flag.
-  auto int_flag = [&](const std::string& flag, const std::string& v,
-                      long long lo, long long hi) -> long long {
-    long long out = 0;
-    if (!parse_int_arg(v, lo, hi, out)) {
-      cfg.error = flag + " wants an integer in [" + std::to_string(lo) +
-                  ", " + std::to_string(hi) + "], got '" + v + "'";
-    }
-    return out;
-  };
-  auto bytes_flag = [&](const std::string& flag,
-                        const std::string& v) -> std::uint64_t {
-    const std::uint64_t b = sim::parse_bytes(v);  // throws on malformed
-    if (b == 0) cfg.error = flag + " wants a positive size, got '" + v + "'";
-    return b;
-  };
-  auto double_flag = [&](const std::string& flag, const std::string& v,
-                         double lo, double hi) -> double {
-    double out = lo;
-    if (!parse_double_arg(v, lo, hi, out)) {
-      cfg.error = flag + " wants a number in [" + std::to_string(lo) + ", " +
-                  std::to_string(hi) + "], got '" + v + "'";
-    }
-    return out;
-  };
-
   for (std::size_t i = 0; i < args.size(); ++i) {
-    const std::string& a = args[i];
-    try {
-      if (a == "--help" || a == "-h") {
-        cfg.quick_help = true;
+    const std::string a = args[i] == "-h" ? "--help" : args[i];
+    const Flag* f = find_flag(a);
+    if (f == nullptr) {
+      cfg.error = "unknown flag '" + a + "'";
+      return cfg;
+    }
+    if ((f->tools & bit(tool)) == 0) {
+      cfg.error = a + " is not a " + tool_name(tool) + " flag (it is a " +
+                  owners(f->tools) + " flag)";
+      return cfg;
+    }
+    std::string v;
+    if (f->arg != nullptr) {
+      if (i + 1 >= args.size()) {
+        cfg.error = "flag " + a + " needs a value";
         return cfg;
-      } else if (a == "--platform") {
-        if (!need_value(i)) return cfg;
-        platform = args[++i];
-      } else if (a == "--workload") {
-        if (!need_value(i)) return cfg;
-        workload = args[++i];
-      } else if (a == "--procs") {
-        if (!need_value(i)) return cfg;
-        cfg.spec.nprocs =
-            static_cast<int>(int_flag(a, args[++i], 1, 1'000'000));
-      } else if (a == "--bytes-per-proc") {
-        if (!need_value(i)) return cfg;
-        bytes = bytes_flag(a, args[++i]);
-      } else if (a == "--cb") {
-        if (!need_value(i)) return cfg;
-        cfg.spec.options.cb_size = bytes_flag(a, args[++i]);
-      } else if (a == "--overlap") {
-        if (!need_value(i)) return cfg;
-        if (!parse_overlap(args[++i], cfg.spec.options.overlap)) {
-          cfg.error = "unknown overlap mode '" + args[i] + "'";
-        }
-      } else if (a == "--transfer") {
-        if (!need_value(i)) return cfg;
-        if (!parse_transfer(args[++i], cfg.spec.options.transfer)) {
-          cfg.error = "unknown transfer '" + args[i] + "'";
-        }
-      } else if (a == "--aggregators") {
-        if (!need_value(i)) return cfg;
-        cfg.spec.options.num_aggregators =
-            static_cast<int>(int_flag(a, args[++i], 0, 1'000'000));
-      } else if (a == "--probe-cycles") {
-        if (!need_value(i)) return cfg;
-        cfg.spec.options.probe_cycles =
-            static_cast<int>(int_flag(a, args[++i], 1, 1'000'000));
-      } else if (a == "--tuning-cache") {
-        if (!need_value(i)) return cfg;
-        cfg.spec.options.tuning_cache = args[++i];
-      } else if (a == "--hierarchical") {
-        cfg.spec.options.hierarchical = true;
-      } else if (a == "--leader") {
-        if (!need_value(i)) return cfg;
-        if (!parse_leader(args[++i], cfg.spec.options.leader_policy)) {
-          cfg.error = "unknown leader policy '" + args[i] + "'";
-        }
-      } else if (a == "--local-aggs") {
-        if (!need_value(i)) return cfg;
-        cfg.spec.options.local_aggregators =
-            static_cast<int>(int_flag(a, args[++i], 1, 1'000'000));
-      } else if (a == "--reps") {
-        if (!need_value(i)) return cfg;
-        cfg.reps = static_cast<int>(int_flag(a, args[++i], 1, 1'000'000));
-      } else if (a == "--seed") {
-        if (!need_value(i)) return cfg;
-        if (!parse_u64_arg(args[++i], cfg.seed_base)) {
-          cfg.error = "--seed wants an unsigned integer, got '" + args[i] + "'";
-        }
-      } else if (a == "--verify") {
-        cfg.spec.verify = true;
-      } else if (a == "--fault-rate") {
-        if (!need_value(i)) return cfg;
-        faults.write_fail_rate = double_flag(a, args[++i], 0.0, 1.0);
-      } else if (a == "--fault-seed") {
-        if (!need_value(i)) return cfg;
-        if (!parse_u64_arg(args[++i], faults.seed)) {
-          cfg.error =
-              "--fault-seed wants an unsigned integer, got '" + args[i] + "'";
-        }
-      } else if (a == "--fail-until") {
-        if (!need_value(i)) return cfg;
-        faults.fail_until_attempt =
-            static_cast<int>(int_flag(a, args[++i], 1, 1'000));
-      } else if (a == "--straggler") {
-        if (!need_value(i)) return cfg;
-        faults.straggler_factor = double_flag(a, args[++i], 1.0, 1e6);
-      } else if (a == "--straggler-targets") {
-        if (!need_value(i)) return cfg;
-        faults.straggler_targets =
-            static_cast<int>(int_flag(a, args[++i], 0, 1'000'000));
-      } else if (a == "--straggler-after") {
-        if (!need_value(i)) return cfg;
-        const double ms = double_flag(a, args[++i], 0.0, 1e12);
-        faults.straggler_after =
-            static_cast<sim::Time>(std::llround(ms * 1e6));
-      } else if (a == "--max-retries") {
-        if (!need_value(i)) return cfg;
-        cfg.spec.options.max_retries =
-            static_cast<int>(int_flag(a, args[++i], 0, 1'000));
-      } else if (a == "--degrade") {
-        if (!need_value(i)) return cfg;
-        cfg.spec.options.degrade_slowdown =
-            double_flag(a, args[++i], 0.0, 1e6);
-      } else if (a == "--tenants") {
-        if (!need_value(i)) return cfg;
-        cfg.tenants = static_cast<int>(int_flag(a, args[++i], 1, 64));
-      } else if (a == "--arrival") {
-        if (!need_value(i)) return cfg;
-        if (!parse_arrival_arg(args[++i], cfg.arrival)) {
-          cfg.error = "--arrival wants fixed:MS|poisson:MS|trace:MS,MS,..., "
-                      "got '" + args[i] + "'";
-        }
-      } else if (a == "--qos") {
-        if (!need_value(i)) return cfg;
-        cfg.qos = pfs::parse_qos(args[++i]);  // throws -> caught below
-      } else if (a == "--sub-comms") {
-        if (!need_value(i)) return cfg;
-        const std::string v = args[++i];
-        if (v == "auto") {
-          cfg.spec.options.sub_comm_count = 0;  // resolved by the tool
-        } else {
-          cfg.spec.options.sub_comm_count =
-              static_cast<int>(int_flag(a, v, 1, 1'000'000));
-        }
-      } else if (a == "--stripe-unit") {
-        if (!need_value(i)) return cfg;
-        cfg.spec.options.subfile_stripe_unit = bytes_flag(a, args[++i]);
-      } else if (a == "--stripe-factor") {
-        if (!need_value(i)) return cfg;
-        cfg.spec.options.subfile_stripe_factor =
-            static_cast<int>(int_flag(a, args[++i], 1, 1'000'000));
-      } else {
-        cfg.error = "unknown flag '" + a + "'";
       }
+      v = args[++i];
+    }
+    try {
+      f->set(l, v);
+    } catch (const Wants& w) {
+      cfg.error = a + " wants " + w.what + ", got '" + v + "'";
     } catch (const tpio::Error& e) {
       cfg.error = e.what();
     }
-    if (!cfg.error.empty()) return cfg;
+    if (!cfg.error.empty() || cfg.quick_help) return cfg;
   }
 
-  try {
-    cfg.spec.platform = platform_by_name(platform);
-    cfg.spec.platform.pfs.faults = faults;
-    cfg.spec.workload = workload_by_name(workload, bytes, cfg.error);
-  } catch (const tpio::Error& e) {
-    cfg.error = e.what();
+  // Fault knobs land on the platform's storage system, which exists only
+  // once the whole line has parsed.
+  switch (tool) {
+    case Tool::Sim:
+      cfg.spec.platform = scaled(l.platform);
+      cfg.spec.platform.pfs.faults = l.faults;
+      cfg.spec.workload = make_workload(l.workload, l.bytes);
+      cfg.error = check_cli(cfg);
+      break;
+    case Tool::Sweep:
+      cfg.spec.platform = l.platform;  // the sweep scales it per grid
+      cfg.spec.platform.pfs.faults = l.faults;
+      cfg.error = check_sweep(cfg);
+      break;
+    case Tool::Bench:
+      break;
   }
-  if (cfg.error.empty()) cfg.error = check_cli(cfg);
   return cfg;
 }
 

@@ -5,14 +5,12 @@
 #include <chrono>
 #include <condition_variable>
 #include <cstdio>
-#include <cstdlib>
-#include <fstream>
 #include <mutex>
 #include <set>
-#include <sstream>
 #include <thread>
 
 #include "simbase/error.hpp"
+#include "simbase/json.hpp"
 
 namespace tpio::xp {
 
@@ -23,89 +21,6 @@ using Clock = std::chrono::steady_clock;
 double seconds_since(Clock::time_point t0) {
   return std::chrono::duration<double>(Clock::now() - t0).count();
 }
-
-// ---------------------------------------------------------------------------
-// Minimal JSON (only the subset the checkpoint format needs)
-// ---------------------------------------------------------------------------
-
-void append_json_string(std::string& out, const std::string& s) {
-  out += '"';
-  for (char c : s) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\t': out += "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-          out += buf;
-        } else {
-          out += c;
-        }
-    }
-  }
-  out += '"';
-}
-
-/// Cursor over a JSON text; every parse_* returns false on mismatch.
-struct JsonCursor {
-  const char* p;
-  const char* end;
-
-  void skip_ws() {
-    while (p != end && (*p == ' ' || *p == '\n' || *p == '\r' || *p == '\t')) {
-      ++p;
-    }
-  }
-  bool literal(char c) {
-    skip_ws();
-    if (p == end || *p != c) return false;
-    ++p;
-    return true;
-  }
-  bool parse_string(std::string& out) {
-    skip_ws();
-    if (p == end || *p != '"') return false;
-    ++p;
-    out.clear();
-    while (p != end && *p != '"') {
-      if (*p == '\\') {
-        ++p;
-        if (p == end) return false;
-        switch (*p) {
-          case '"': out += '"'; break;
-          case '\\': out += '\\'; break;
-          case 'n': out += '\n'; break;
-          case 't': out += '\t'; break;
-          case 'u': {
-            if (end - p < 5) return false;
-            out += static_cast<char>(std::strtol(std::string(p + 1, p + 5).c_str(),
-                                                 nullptr, 16));
-            p += 4;
-            break;
-          }
-          default: return false;
-        }
-        ++p;
-      } else {
-        out += *p++;
-      }
-    }
-    if (p == end) return false;
-    ++p;  // closing quote
-    return true;
-  }
-  bool parse_number(double& out) {
-    skip_ws();
-    char* after = nullptr;
-    out = std::strtod(p, &after);
-    if (after == p) return false;
-    p = after;
-    return true;
-  }
-};
 
 }  // namespace
 
@@ -129,78 +44,37 @@ std::string grid_signature(const std::vector<SweepJob>& jobs) {
 
 bool checkpoint_load(const std::string& path, Checkpoint& out) {
   out = Checkpoint{};
-  std::ifstream in(path, std::ios::binary);
-  if (!in) return false;
-  std::stringstream ss;
-  ss << in.rdbuf();
-  const std::string text = ss.str();
-  JsonCursor c{text.data(), text.data() + text.size()};
-
-  std::string key;
-  if (!c.literal('{') || !c.parse_string(key) || key != "manifest" ||
-      !c.literal(':') || !c.parse_string(out.manifest) || !c.literal(',') ||
-      !c.parse_string(key) || key != "grid" || !c.literal(':') ||
-      !c.parse_string(out.grid) || !c.literal(',') ||
-      !c.parse_string(key) || key != "done" || !c.literal(':') ||
-      !c.literal('{')) {
-    out = Checkpoint{};
-    return false;
-  }
-  c.skip_ws();
-  if (c.p != c.end && *c.p == '}') {
-    ++c.p;
-  } else {
-    for (;;) {
-      double v = 0.0;
-      if (!c.parse_string(key) || !c.literal(':') || !c.parse_number(v)) {
-        out = Checkpoint{};
-        return false;
-      }
-      out.done[key] = v;
-      if (c.literal(',')) continue;
-      if (c.literal('}')) break;
-      out = Checkpoint{};
-      return false;
-    }
-  }
-  if (!c.literal('}')) {
-    out = Checkpoint{};
-    return false;
-  }
-  return true;
+  std::string text;
+  if (!sim::json::read_file(path, text)) return false;
+  sim::json::Reader r(text);
+  const bool ok =
+      r.literal('{') && r.key("manifest") && r.string(out.manifest) &&
+      r.literal(',') && r.key("grid") && r.string(out.grid) &&
+      r.literal(',') && r.key("done") &&
+      r.object([&](const std::string& key) {
+        double v = 0.0;
+        if (!r.number(v)) return false;
+        out.done[key] = v;
+        return true;
+      }) &&
+      r.literal('}');
+  if (!ok) out = Checkpoint{};
+  return ok;
 }
 
 void checkpoint_save(const std::string& path, const Checkpoint& cp) {
-  std::string text = "{\n  ";
-  append_json_string(text, "manifest");
-  text += ": ";
-  append_json_string(text, cp.manifest);
-  text += ",\n  ";
-  append_json_string(text, "grid");
-  text += ": ";
-  append_json_string(text, cp.grid);
-  text += ",\n  ";
-  append_json_string(text, "done");
-  text += ": {";
-  bool first = true;
+  std::vector<sim::json::Member> done;
   for (const auto& [key, value] : cp.done) {
-    text += first ? "\n    " : ",\n    ";
-    first = false;
-    append_json_string(text, key);
     char buf[40];
-    std::snprintf(buf, sizeof(buf), ": %.17g", value);
-    text += buf;
+    std::snprintf(buf, sizeof(buf), "%.17g", value);
+    done.emplace_back(key, buf);
   }
-  text += first ? "}\n}\n" : "\n  }\n}\n";
-
-  const std::string tmp = path + ".tmp";
-  {
-    std::ofstream out(tmp, std::ios::binary | std::ios::trunc);
-    TPIO_CHECK(static_cast<bool>(out), "cannot write checkpoint " + tmp);
-    out << text;
-  }
-  TPIO_CHECK(std::rename(tmp.c_str(), path.c_str()) == 0,
-             "cannot move checkpoint into place: " + path);
+  sim::json::write_file(
+      path,
+      sim::json::document({{"manifest", sim::json::quote(cp.manifest)},
+                           {"grid", sim::json::quote(cp.grid)}},
+                          "done", done),
+      "checkpoint");
 }
 
 int resolve_jobs(int jobs) {

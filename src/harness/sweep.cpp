@@ -1,12 +1,10 @@
 #include "harness/sweep.hpp"
 
 #include <algorithm>
-#include <cstdlib>
-#include <cstring>
 
 #include "harness/cli.hpp"
-
 #include "simbase/error.hpp"
+#include "simbase/rng.hpp"
 #include "simbase/units.hpp"
 
 namespace tpio::xp {
@@ -43,10 +41,6 @@ std::vector<SweepCase> paper_workloads() {
   };
 }
 
-std::vector<int> paper_proc_counts(bool quick) {
-  return paper_proc_counts(quick, /*paper_scale=*/false);
-}
-
 std::vector<int> paper_proc_counts(bool quick, bool paper_scale) {
   if (paper_scale) {
     // The published counts (kProcScale x the stand-ins below).
@@ -57,37 +51,17 @@ std::vector<int> paper_proc_counts(bool quick, bool paper_scale) {
   return {16, 36, 64, 100};
 }
 
-coll::OverlapMode OverlapSeries::winner() const {
-  TPIO_CHECK(!min_ms.empty(), "winner of empty series");
-  // Auto is a selector, not a competing algorithm: it never "wins" a
-  // series (Table I counts the paper's five fixed schedulers).
-  auto competes = [](coll::OverlapMode m) {
-    return m != coll::OverlapMode::Auto;
-  };
-  const auto begin = min_ms.begin();
-  auto best = min_ms.end();
-  for (auto it = begin; it != min_ms.end(); ++it) {
-    if (!competes(it->first)) continue;
-    if (best == min_ms.end() || it->second < best->second) best = it;
-  }
-  TPIO_CHECK(best != min_ms.end(), "winner needs a fixed-scheduler entry");
-  // Exact ties go to the NoOverlap baseline explicitly (an overlap
-  // algorithm must strictly beat it to count as a win); remaining ties
-  // resolve in enum order. Relying on std::map iteration order alone
-  // would bias the win counts silently.
-  const auto base = min_ms.find(coll::OverlapMode::None);
-  if (base != min_ms.end() && base->second <= best->second) {
-    return coll::OverlapMode::None;
-  }
-  return best->first;
-}
-
-double OverlapSeries::improvement(coll::OverlapMode mode) const {
-  const double base = min_ms.at(coll::OverlapMode::None);
-  return (base - min_ms.at(mode)) / base;
-}
-
 namespace {
+
+// The baseline column is each enum's first value.
+static_assert(coll::OverlapMode{} == coll::OverlapMode::None &&
+              coll::Transfer{} == coll::Transfer::TwoSided);
+
+bool competes(coll::OverlapMode m) { return m != coll::OverlapMode::Auto; }
+bool competes(coll::Transfer) { return true; }
+
+void set_column(coll::Options& o, coll::OverlapMode m) { o.overlap = m; }
+void set_column(coll::Options& o, coll::Transfer t) { o.transfer = t; }
 
 /// A stable, checkpoint-friendly identifier for one grid point.
 std::string job_key(const SweepCase& c, int procs, const char* variant) {
@@ -131,149 +105,52 @@ std::string sweep_manifest(const char* sweep, const Platform& plat, int reps,
   return m;
 }
 
-}  // namespace
+/// One sweep grid: a series per (case, process count), a job per column.
+template <class Column>
+struct Grid {
+  Platform plat;  // as the jobs run
+  std::vector<SweepCase> cases = paper_workloads();
+  std::vector<int> procs;
+  std::vector<Column> columns;
+  coll::Options base;  // every job's options; its column sets one more
+  ContentionConfig tenancy{
+      .neighbors = 0, .arrival = {}, .qos = pfs::QosPolicy::Fifo};
+  std::uint64_t first_series = 0;  // seed slot of the first series
+  bool paired = false;             // the columns of a series share a seed
+};
 
-std::vector<OverlapSeries> run_overlap_sweep(const Platform& platform,
-                                             const coll::Options& base,
-                                             int reps, std::uint64_t seed,
-                                             bool quick,
-                                             const ExecOptions& exec,
-                                             bool include_auto,
-                                             bool paper_scale) {
-  const Platform plat = bench_platform(platform, paper_scale);
-  std::vector<coll::OverlapMode> modes = {
-      coll::OverlapMode::None, coll::OverlapMode::Comm,
-      coll::OverlapMode::Write, coll::OverlapMode::WriteComm,
-      coll::OverlapMode::WriteComm2};
-  if (include_auto) modes.push_back(coll::OverlapMode::Auto);
-
-  // Plan the whole (series x algorithm) grid up front: every job carries a
-  // seed derived from its grid position, so results are independent of both
-  // execution order and worker count.
-  std::vector<OverlapSeries> out;
+template <class Column>
+std::vector<SweepSeries<Column>> run_grid(const Grid<Column>& g, int reps,
+                                          std::uint64_t seed,
+                                          ExecOptions exec,
+                                          const std::string& manifest) {
+  // Plan the whole (series x column) grid up front: every job carries a
+  // seed derived from its grid position, so results are independent of
+  // both execution order and worker count.
+  std::vector<SweepSeries<Column>> out;
   std::vector<SweepJob> jobs;
-  std::vector<std::pair<std::size_t, coll::OverlapMode>> slot;  // per job
-  std::uint64_t series_id = 0;
-  for (const SweepCase& c : paper_workloads()) {
-    for (int procs : paper_proc_counts(quick, paper_scale)) {
-      OverlapSeries series;
-      series.platform = plat.name;
-      series.kind = c.kind;
-      series.size_label = c.size_label;
-      series.procs = procs;
-      for (coll::OverlapMode mode : modes) {
+  std::vector<std::pair<std::size_t, Column>> slot;  // per job
+  std::uint64_t series_id = g.first_series;
+  for (const SweepCase& c : g.cases) {
+    for (int procs : g.procs) {
+      for (Column col : g.columns) {
         RunSpec spec;
-        spec.platform = plat;
+        spec.platform = g.plat;
         spec.workload = c.workload;
         spec.nprocs = procs;
-        spec.options = base;
-        spec.options.cb_size = bench_cb_size(paper_scale);
-        spec.options.overlap = mode;
-        // Independent noise per (series, algorithm): real measurements of
-        // different code versions are separate runs on the machine.
+        spec.options = g.base;
+        set_column(spec.options, col);
+        // Independent noise per (series, column): real measurements of
+        // different code versions are separate runs on the machine. Paired
+        // columns share the write path's draws instead.
         const std::uint64_t job_seed = sim::Rng::derive_seed(
-            seed, series_id * 16 + static_cast<std::uint64_t>(mode));
-        jobs.push_back(SweepJob{job_key(c, procs, coll::to_string(mode)),
-                                [spec, reps, job_seed] {
-                                  const Series s =
-                                      execute_series(spec, reps, job_seed);
-                                  return sim::to_millis(s.min_makespan());
-                                }});
-        slot.emplace_back(out.size(), mode);
-      }
-      ++series_id;
-      out.push_back(std::move(series));
-    }
-  }
-
-  ExecOptions e = exec;
-  if (e.manifest.empty()) {
-    e.manifest = sweep_manifest("overlap", plat, reps, seed, quick, base,
-                                include_auto, paper_scale);
-  }
-  const std::vector<double> min_ms = run_jobs(jobs, e);
-  for (std::size_t i = 0; i < jobs.size(); ++i) {
-    out[slot[i].first].min_ms[slot[i].second] = min_ms[i];
-  }
-  return out;
-}
-
-std::vector<OverlapSeries> run_overlap_sweep(const Platform& platform,
-                                             int reps, std::uint64_t seed,
-                                             bool quick,
-                                             const ExecOptions& exec,
-                                             bool paper_scale) {
-  return run_overlap_sweep(platform, coll::Options{}, reps, seed, quick, exec,
-                           /*include_auto=*/false, paper_scale);
-}
-
-std::vector<OverlapSeries> run_overlap_sweep(const Platform& platform,
-                                             int reps, std::uint64_t seed,
-                                             bool quick) {
-  return run_overlap_sweep(platform, reps, seed, quick, ExecOptions{});
-}
-
-std::vector<OverlapSeries> run_contended_sweep(const Platform& platform,
-                                               const coll::Options& base,
-                                               const ContentionConfig& tenancy,
-                                               int reps, std::uint64_t seed,
-                                               bool quick,
-                                               const ExecOptions& exec) {
-  TPIO_CHECK(tenancy.neighbors >= 0, "neighbor count must be >= 0");
-  const Platform plat = scaled(platform);
-  const std::vector<coll::OverlapMode> modes = {
-      coll::OverlapMode::None, coll::OverlapMode::Comm,
-      coll::OverlapMode::Write, coll::OverlapMode::WriteComm,
-      coll::OverlapMode::WriteComm2};
-
-  std::vector<OverlapSeries> out;
-  std::vector<SweepJob> jobs;
-  std::vector<std::pair<std::size_t, coll::OverlapMode>> slot;  // per job
-  std::string tag;  // tenancy namespace of the checkpoint manifest
-  std::uint64_t series_id = 0x80000;
-  for (const SweepCase& c : paper_workloads()) {
-    for (int procs : paper_proc_counts(quick)) {
-      OverlapSeries series;
-      series.platform = plat.name;
-      series.kind = c.kind;
-      series.size_label = c.size_label;
-      series.procs = procs;
-      for (coll::OverlapMode mode : modes) {
-        RunSpec spec;
-        spec.platform = plat;
-        spec.workload = c.workload;
-        spec.nprocs = procs;
-        spec.options = base;
-        spec.options.cb_size = kCbSize;
-        spec.options.overlap = mode;
-
-        MultiRunSpec mspec;
-        mspec.tenants.push_back(spec);
-        for (int n = 0; n < tenancy.neighbors; ++n) {
-          RunSpec nb = tenancy.has_neighbor ? tenancy.neighbor : spec;
-          nb.platform = plat;  // tenants share one machine
-          if (!tenancy.has_neighbor) {
-            nb.options.overlap = coll::OverlapMode::None;
-          } else {
-            nb.options.cb_size = kCbSize;
-          }
-          mspec.tenants.push_back(nb);
-        }
-        mspec.arrival = tenancy.arrival;
-        mspec.qos = tenancy.qos;
-        mspec.weights = tenancy.weights;
-        mspec.priorities = tenancy.priorities;
-        if (tag.empty()) tag = tenancy_tag(mspec);
-
-        const std::uint64_t job_seed = sim::Rng::derive_seed(
-            seed, series_id * 16 + static_cast<std::uint64_t>(mode));
+            seed, g.paired ? series_id
+                           : series_id * 16 + static_cast<std::uint64_t>(col));
         jobs.push_back(SweepJob{
-            job_key(c, procs, coll::to_string(mode)), [mspec, reps, job_seed] {
-              // Series semantics mirror execute_series: min over reps of
-              // the measured tenant's turnaround, each rep on its own
-              // derived seed.
+            job_key(c, procs, coll::to_string(col)),
+            [system = contended(spec, g.tenancy), reps, job_seed] {
               sim::Duration best = 0;
-              MultiRunSpec ms = mspec;
+              MultiRunSpec ms = system;
               for (int i = 0; i < reps; ++i) {
                 ms.seed = sim::Rng::derive_seed(job_seed,
                                                 static_cast<std::uint64_t>(i));
@@ -287,44 +164,102 @@ std::vector<OverlapSeries> run_contended_sweep(const Platform& platform,
               }
               return sim::to_millis(best);
             }});
-        slot.emplace_back(out.size(), mode);
+        slot.emplace_back(out.size(), col);
       }
       ++series_id;
-      out.push_back(std::move(series));
+      out.push_back(
+          SweepSeries<Column>{g.plat.name, c.kind, c.size_label, procs, {}});
     }
   }
 
-  ExecOptions e = exec;
-  if (e.manifest.empty()) {
-    e.manifest = sweep_manifest("overlap", plat, reps, seed, quick, base,
-                                /*include_auto=*/false) +
-                 "|contended=1" + tag;
-  }
-  const std::vector<double> min_ms = run_jobs(jobs, e);
+  if (exec.manifest.empty()) exec.manifest = manifest;
+  const std::vector<double> min_ms = run_jobs(jobs, exec);
   for (std::size_t i = 0; i < jobs.size(); ++i) {
     out[slot[i].first].min_ms[slot[i].second] = min_ms[i];
   }
   return out;
 }
 
-coll::Transfer PrimitiveSeries::winner() const {
+const std::vector<coll::OverlapMode> kModes = {
+    coll::OverlapMode::None, coll::OverlapMode::Comm, coll::OverlapMode::Write,
+    coll::OverlapMode::WriteComm, coll::OverlapMode::WriteComm2};
+
+}  // namespace
+
+template <class Column>
+Column SweepSeries<Column>::winner() const {
   TPIO_CHECK(!min_ms.empty(), "winner of empty series");
-  auto best = min_ms.begin();
+  auto best = min_ms.end();
   for (auto it = min_ms.begin(); it != min_ms.end(); ++it) {
-    if (it->second < best->second) best = it;
+    if (!competes(it->first)) continue;
+    if (best == min_ms.end() || it->second < best->second) best = it;
   }
-  // Exact ties go to the two-sided baseline explicitly (Fig. 4 counts
-  // one-sided wins only when they strictly beat Isend/Irecv).
-  const auto base = min_ms.find(coll::Transfer::TwoSided);
-  if (base != min_ms.end() && base->second <= best->second) {
-    return coll::Transfer::TwoSided;
-  }
+  TPIO_CHECK(best != min_ms.end(), "winner needs a fixed-scheduler entry");
+  // Exact ties go to the baseline explicitly (a column must strictly beat
+  // it to count as a win); remaining ties resolve in enum order. Relying
+  // on std::map iteration order alone would bias the win counts silently.
+  const auto base = min_ms.find(Column{});
+  if (base != min_ms.end() && base->second <= best->second) return Column{};
   return best->first;
 }
 
-double PrimitiveSeries::improvement(coll::Transfer t) const {
-  const double base = min_ms.at(coll::Transfer::TwoSided);
-  return (base - min_ms.at(t)) / base;
+template <class Column>
+double SweepSeries<Column>::improvement(Column c) const {
+  const double base = min_ms.at(Column{});
+  return (base - min_ms.at(c)) / base;
+}
+
+template struct SweepSeries<coll::OverlapMode>;
+template struct SweepSeries<coll::Transfer>;
+
+std::vector<OverlapSeries> run_overlap_sweep(const Platform& platform,
+                                             const coll::Options& base,
+                                             int reps, std::uint64_t seed,
+                                             bool quick,
+                                             const ExecOptions& exec,
+                                             bool include_auto,
+                                             bool paper_scale) {
+  Grid<coll::OverlapMode> g;
+  g.plat = bench_platform(platform, paper_scale);
+  g.procs = paper_proc_counts(quick, paper_scale);
+  g.columns = kModes;
+  if (include_auto) g.columns.push_back(coll::OverlapMode::Auto);
+  g.base = base;
+  g.base.cb_size = bench_cb_size(paper_scale);
+  return run_grid(g, reps, seed, exec,
+                  sweep_manifest("overlap", g.plat, reps, seed, quick, base,
+                                 include_auto, paper_scale));
+}
+
+std::vector<OverlapSeries> run_overlap_sweep(const Platform& platform,
+                                             int reps, std::uint64_t seed,
+                                             bool quick,
+                                             const ExecOptions& exec,
+                                             bool paper_scale) {
+  return run_overlap_sweep(platform, coll::Options{}, reps, seed, quick, exec,
+                           /*include_auto=*/false, paper_scale);
+}
+
+std::vector<OverlapSeries> run_contended_sweep(const Platform& platform,
+                                               const coll::Options& base,
+                                               const ContentionConfig& tenancy,
+                                               int reps, std::uint64_t seed,
+                                               bool quick,
+                                               const ExecOptions& exec) {
+  Grid<coll::OverlapMode> g;
+  g.plat = scaled(platform);
+  g.procs = paper_proc_counts(quick);
+  g.columns = kModes;
+  g.base = base;
+  g.base.cb_size = kCbSize;
+  g.tenancy = tenancy;
+  g.first_series = 0x80000;
+  // The tag reads the tenancy shape only, never the jobs' specs.
+  return run_grid(g, reps, seed, exec,
+                  sweep_manifest("overlap", g.plat, reps, seed, quick, base,
+                                 /*include_auto=*/false) +
+                      "|contended=1" +
+                      tenancy_tag(contended(RunSpec{}, tenancy)));
 }
 
 std::vector<PrimitiveSeries> run_primitive_sweep(const Platform& platform,
@@ -332,96 +267,32 @@ std::vector<PrimitiveSeries> run_primitive_sweep(const Platform& platform,
                                                  int reps, std::uint64_t seed,
                                                  bool quick,
                                                  const ExecOptions& exec) {
-  const Platform plat = scaled(platform);
-  std::vector<PrimitiveSeries> out;
-  std::vector<SweepJob> jobs;
-  std::vector<std::pair<std::size_t, coll::Transfer>> slot;  // per job
-  std::uint64_t series_id = 0x40000;
-  for (const SweepCase& c : paper_workloads()) {
-    if (c.kind == wl::Kind::Flash) continue;  // paper Fig. 4: IOR + Tile only
-    for (int procs : paper_proc_counts(quick)) {
-      PrimitiveSeries series;
-      series.platform = plat.name;
-      series.kind = c.kind;
-      series.size_label = c.size_label;
-      series.procs = procs;
-      for (coll::Transfer t :
-           {coll::Transfer::TwoSided, coll::Transfer::OneSidedFence,
-            coll::Transfer::OneSidedLock}) {
-        RunSpec spec;
-        spec.platform = plat;
-        spec.workload = c.workload;
-        spec.nprocs = procs;
-        spec.options = base;
-        spec.options.cb_size = kCbSize;
-        spec.options.overlap = coll::OverlapMode::WriteComm2;
-        spec.options.transfer = t;
-        // Primitives share the identical write path, so the aio-quality
-        // and machine-noise draws are paired across them: the comparison
-        // isolates the shuffle implementation, as the paper's same-day
-        // back-to-back measurements effectively did.
-        const std::uint64_t job_seed = sim::Rng::derive_seed(seed, series_id);
-        jobs.push_back(SweepJob{job_key(c, procs, coll::to_string(t)),
-                                [spec, reps, job_seed] {
-                                  const Series s =
-                                      execute_series(spec, reps, job_seed);
-                                  return sim::to_millis(s.min_makespan());
-                                }});
-        slot.emplace_back(out.size(), t);
-      }
-      ++series_id;
-      out.push_back(std::move(series));
-    }
-  }
-
-  ExecOptions e = exec;
-  if (e.manifest.empty()) {
-    e.manifest = sweep_manifest("primitive", plat, reps, seed, quick, base,
-                                /*include_auto=*/false);
-  }
-  const std::vector<double> min_ms = run_jobs(jobs, e);
-  for (std::size_t i = 0; i < jobs.size(); ++i) {
-    out[slot[i].first].min_ms[slot[i].second] = min_ms[i];
-  }
-  return out;
-}
-
-std::vector<PrimitiveSeries> run_primitive_sweep(const Platform& platform,
-                                                 int reps, std::uint64_t seed,
-                                                 bool quick,
-                                                 const ExecOptions& exec) {
-  return run_primitive_sweep(platform, coll::Options{}, reps, seed, quick,
-                             exec);
-}
-
-std::vector<PrimitiveSeries> run_primitive_sweep(const Platform& platform,
-                                                 int reps, std::uint64_t seed,
-                                                 bool quick) {
-  return run_primitive_sweep(platform, reps, seed, quick, ExecOptions{});
+  Grid<coll::Transfer> g;
+  g.plat = scaled(platform);
+  // Paper Fig. 4: IOR and Tile only.
+  std::erase_if(g.cases,
+                [](const SweepCase& c) { return c.kind == wl::Kind::Flash; });
+  g.procs = paper_proc_counts(quick);
+  g.columns = {coll::Transfer::TwoSided, coll::Transfer::OneSidedFence,
+               coll::Transfer::OneSidedLock};
+  g.base = base;
+  g.base.cb_size = kCbSize;
+  g.base.overlap = coll::OverlapMode::WriteComm2;
+  g.first_series = 0x40000;
+  // Primitives share the identical write path, so the aio-quality and
+  // machine-noise draws are paired across them: the comparison isolates
+  // the shuffle implementation, as the paper's same-day back-to-back
+  // measurements effectively did.
+  g.paired = true;
+  return run_grid(g, reps, seed, exec,
+                  sweep_manifest("primitive", g.plat, reps, seed, quick, base,
+                                 /*include_auto=*/false));
 }
 
 BenchArgs parse_bench_args(int argc, char** argv) {
-  BenchArgs out;
-  for (int i = 1; i < argc; ++i) {
-    const char* a = argv[i];
-    if (std::strcmp(a, "--quick") == 0) {
-      out.quick = true;
-    } else if (std::strcmp(a, "--jobs") == 0 && i + 1 < argc) {
-      long long jobs = 0;
-      if (parse_int_arg(argv[++i], 0, 10'000, jobs)) {
-        out.exec.jobs = static_cast<int>(jobs);
-      } else {
-        out.ok = false;  // non-numeric / negative / absurd worker counts
-      }
-    } else if (std::strcmp(a, "--progress") == 0) {
-      out.exec.progress = true;
-    } else if (std::strcmp(a, "--paper-scale") == 0) {
-      out.paper_scale = true;
-    } else {
-      out.ok = false;
-    }
-  }
-  return out;
+  const CliConfig cfg = parse_cli(
+      std::vector<std::string>(argv + 1, argv + argc), Tool::Bench);
+  return {cfg.quick, cfg.paper_scale, cfg.exec, cfg.error.empty()};
 }
 
 }  // namespace tpio::xp

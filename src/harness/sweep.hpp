@@ -52,40 +52,44 @@ struct SweepCase {
 /// The paper's four benchmarks, two problem sizes each (section IV).
 std::vector<SweepCase> paper_workloads();
 
-/// Scaled stand-ins for the paper's process counts.
-std::vector<int> paper_proc_counts(bool quick);
 /// Process counts of one bench grid: the paper's published counts
 /// (64..400, with the fiber conductor comfortably past the 576-proc Fig. 1
 /// cells) at paper scale, the 1/kProcScale stand-ins otherwise.
-std::vector<int> paper_proc_counts(bool quick, bool paper_scale);
+std::vector<int> paper_proc_counts(bool quick, bool paper_scale = false);
 
 /// Result of one test *series*: a fixed (platform, workload, process
-/// count) measured `reps` times for every overlap algorithm; per-algorithm
-/// minima decide the winner, as in the paper's methodology.
-struct OverlapSeries {
+/// count) measured `reps` times for every column of the sweep (overlap
+/// algorithm or shuffle primitive); per-column minima decide the winner,
+/// as in the paper's methodology.
+template <class Column>
+struct SweepSeries {
   std::string platform;
   wl::Kind kind;
   std::string size_label;
   int procs = 0;
-  std::map<coll::OverlapMode, double> min_ms;
-  /// Fastest *fixed* scheduler of the series. OverlapMode::Auto entries
-  /// (present on six-column grids) are skipped — Auto is a selector, not a
-  /// competitor — and exact ties resolve to the NoOverlap baseline so an
-  /// overlap algorithm only counts as a Table I win when it strictly beats
-  /// it.
-  coll::OverlapMode winner() const;
-  /// (min_none - min_mode) / min_none; positive = mode faster.
-  double improvement(coll::OverlapMode mode) const;
+  std::map<Column, double> min_ms;
+  /// Fastest competing column. OverlapMode::Auto entries (present on
+  /// six-column grids) are skipped — Auto is a selector, not a competitor
+  /// — and exact ties resolve to the baseline (NoOverlap, two-sided), so
+  /// a column only counts as a Table I / Fig. 4 win when it strictly
+  /// beats it.
+  Column winner() const;
+  /// (min_baseline - min_c) / min_baseline; positive = c faster.
+  double improvement(Column c) const;
 };
+using OverlapSeries = SweepSeries<coll::OverlapMode>;
+using PrimitiveSeries = SweepSeries<coll::Transfer>;
 
 /// Run the full overlap-algorithm sweep on one platform.
 ///
-/// The sweep is planned as a flat grid of independent (series, mode) jobs —
-/// each with its seed derived up front from (seed, series, mode) — and
-/// executed by the parallel sweep executor (harness/executor.hpp). Results
-/// are merged back in grid order, so the returned tables are bit-identical
-/// for every `exec.jobs` value; `exec.jobs == 1` runs the historical serial
-/// path on the calling thread.
+/// Every sweep is planned as a flat grid of independent (series, column)
+/// jobs — each with its seed derived up front from (seed, series, column)
+/// — and executed by the parallel sweep executor (harness/executor.hpp).
+/// A job is the minimum over `reps` of tenant 0's turnaround from
+/// execute_multi, each rep on its own derived seed. Results are merged
+/// back in grid order, so the returned tables are bit-identical for every
+/// `exec.jobs` value; `exec.jobs == 1` runs the historical serial path on
+/// the calling thread.
 /// `paper_scale` runs the grid at the unscaled geometry: the platform
 /// preset verbatim, the paper's process counts, and the 32 MiB collective
 /// buffer. Checkpoints are namespaced separately from the scaled grid.
@@ -94,9 +98,6 @@ std::vector<OverlapSeries> run_overlap_sweep(const Platform& platform,
                                              bool quick,
                                              const ExecOptions& exec,
                                              bool paper_scale = false);
-std::vector<OverlapSeries> run_overlap_sweep(const Platform& platform,
-                                             int reps, std::uint64_t seed,
-                                             bool quick);
 /// Same sweep with caller-supplied base options (e.g. hierarchical mode);
 /// the grid still overrides cb_size and the overlap algorithm per job.
 /// With include_auto the grid gains a sixth column, OverlapMode::Auto,
@@ -111,34 +112,13 @@ std::vector<OverlapSeries> run_overlap_sweep(const Platform& platform,
                                              bool include_auto = false,
                                              bool paper_scale = false);
 
-/// Multi-tenant configuration of a contended sweep cell.
-struct ContentionConfig {
-  /// Background tenants sharing the system with the measured job.
-  int neighbors = 1;
-  /// Arrival schedule of all tenants (measured job is tenant 0).
-  ArrivalSpec arrival;
-  pfs::QosPolicy qos = pfs::QosPolicy::Fifo;
-  /// Optional per-tenant FairShare weights / priority classes
-  /// (size = neighbors + 1; empty = uniform).
-  std::vector<double> weights;
-  std::vector<int> priorities;
-  /// Optional explicit neighbor job. When unset (has_neighbor == false)
-  /// each neighbor clones the measured cell's workload and process count
-  /// with the NoOverlap scheduler — a steady same-shape background writer
-  /// hammering the same storage targets.
-  RunSpec neighbor;
-  bool has_neighbor = false;
-};
-
 /// The Table I overlap sweep under contention: every (series, algorithm)
-/// cell runs as tenant 0 of a shared system with `tenancy.neighbors`
-/// background jobs, and the recorded measurement is the *measured
-/// tenant's* minimum turnaround (completion - arrival) across reps. Same
-/// executor guarantees as run_overlap_sweep: the grid is planned up front
-/// with per-job derived seeds, so tables are bit-identical at any
-/// exec.jobs and on either conductor backend. Checkpoints are namespaced
-/// by the tenancy configuration (tenancy_tag) on top of the usual
-/// manifest, so contended results can never splice into idle-system ones.
+/// cell runs as tenant 0 of the system contended() shapes around it, and
+/// the recorded measurement is the *measured tenant's* minimum turnaround
+/// (completion - arrival) across reps. Same executor guarantees as
+/// run_overlap_sweep. Checkpoints are namespaced by the tenancy
+/// configuration (tenancy_tag) on top of the usual manifest, so contended
+/// results can never splice into idle-system ones.
 std::vector<OverlapSeries> run_contended_sweep(const Platform& platform,
                                                const coll::Options& base,
                                                const ContentionConfig& tenancy,
@@ -147,28 +127,9 @@ std::vector<OverlapSeries> run_contended_sweep(const Platform& platform,
                                                const ExecOptions& exec);
 
 /// Same sweep shape for the data-transfer-primitive study (Fig. 4):
-/// Write-Comm-2 scheduler, three shuffle primitives.
-struct PrimitiveSeries {
-  std::string platform;
-  wl::Kind kind;
-  std::string size_label;
-  int procs = 0;
-  std::map<coll::Transfer, double> min_ms;
-  /// Fastest primitive; exact ties resolve to the two-sided baseline
-  /// (Fig. 4 counts one-sided wins only when strictly faster).
-  coll::Transfer winner() const;
-  double improvement(coll::Transfer t) const;  // vs two-sided
-};
-
-std::vector<PrimitiveSeries> run_primitive_sweep(const Platform& platform,
-                                                 int reps, std::uint64_t seed,
-                                                 bool quick,
-                                                 const ExecOptions& exec);
-std::vector<PrimitiveSeries> run_primitive_sweep(const Platform& platform,
-                                                 int reps, std::uint64_t seed,
-                                                 bool quick);
-/// Primitive sweep with caller-supplied base options; the grid still
-/// overrides cb_size, the scheduler and the transfer primitive per job.
+/// Write-Comm-2 scheduler, three shuffle primitives, IOR and Tile cases;
+/// the grid still overrides cb_size, the scheduler and the transfer
+/// primitive per job.
 std::vector<PrimitiveSeries> run_primitive_sweep(const Platform& platform,
                                                  const coll::Options& base,
                                                  int reps, std::uint64_t seed,
@@ -182,7 +143,8 @@ std::vector<PrimitiveSeries> run_primitive_sweep(const Platform& platform,
 ///   --paper-scale  unscaled geometry: platform presets verbatim, the
 ///                  paper's process counts (incl. the 576-proc Fig. 1
 ///                  cells), 32 MiB collective buffer
-/// Unknown flags set ok = false (caller prints usage and exits).
+/// parse_cli holds their rules; a flag the drivers do not take, or a bad
+/// value, sets ok = false (caller prints usage and exits 2).
 struct BenchArgs {
   bool quick = false;
   bool paper_scale = false;

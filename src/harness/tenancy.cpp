@@ -453,6 +453,23 @@ MultiRunResult execute_multi(const MultiRunSpec& spec, bool with_baselines) {
   return out;
 }
 
+MultiRunSpec contended(const RunSpec& measured,
+                       const ContentionConfig& tenancy) {
+  TPIO_CHECK(tenancy.neighbors >= 0, "neighbor count must be >= 0");
+  MultiRunSpec ms;
+  ms.tenants.assign(static_cast<std::size_t>(tenancy.neighbors) + 1, measured);
+  for (std::size_t t = 1; t < ms.tenants.size(); ++t) {
+    ms.tenants[t].options.overlap = coll::OverlapMode::None;
+  }
+  ms.arrival = tenancy.arrival;
+  ms.qos = tenancy.qos;
+  if (tenancy.qos == pfs::QosPolicy::Priority) {
+    ms.priorities.assign(ms.tenants.size(), 0);
+    ms.priorities[0] = 1;
+  }
+  return ms;
+}
+
 std::string tenancy_tag(const MultiRunSpec& spec) {
   const bool trivial =
       spec.tenants.size() <= 1 && spec.qos == pfs::QosPolicy::Fifo &&

@@ -82,6 +82,24 @@ struct MultiRunResult {
 MultiRunResult execute_multi(const MultiRunSpec& spec,
                              bool with_baselines = false);
 
+/// The background load a measured job shares the system with.
+struct ContentionConfig {
+  /// Background tenants sharing the system with the measured job.
+  int neighbors = 1;
+  /// Arrival schedule of all tenants (measured job is tenant 0).
+  ArrivalSpec arrival;
+  pfs::QosPolicy qos = pfs::QosPolicy::Fifo;
+};
+
+/// The one tenancy rule of tpio_sim --tenants, the contended sweep and
+/// fig_contention: `measured` runs as tenant 0 and each neighbor clones it
+/// with the NoOverlap scheduler (a same-shape background writer hammering
+/// the same storage targets). Under QosPolicy::Priority tenant 0 rides
+/// the top class and the neighbors are best-effort. The caller sets the
+/// seed.
+MultiRunSpec contended(const RunSpec& measured,
+                       const ContentionConfig& tenancy);
+
 /// Compact textual fingerprint of the tenancy configuration (tenant count,
 /// arrivals, QoS, weights/priorities), empty for a default solo spec; used
 /// to namespace sweep-checkpoint manifests so contended results can never

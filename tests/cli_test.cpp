@@ -201,3 +201,121 @@ TEST(Cli, EndToEndTinyRun) {
   EXPECT_EQ(s.runs.size(), 2u);
   EXPECT_GT(s.min_makespan(), 0);
 }
+
+namespace {
+xp::CliConfig parse_as(xp::Tool tool, std::initializer_list<const char*> args) {
+  return xp::parse_cli(std::vector<std::string>(args.begin(), args.end()),
+                       tool);
+}
+}  // namespace
+
+TEST(Cli, EachToolTakesExactlyItsFlags) {
+  EXPECT_EQ(xp::cli_flags(xp::Tool::Sim),
+            (std::vector<std::string>{
+                "--aggregators", "--arrival", "--bytes-per-proc", "--cb",
+                "--degrade", "--fail-until", "--fault-rate", "--fault-seed",
+                "--help", "--hierarchical", "--leader", "--local-aggs",
+                "--max-retries", "--overlap", "--platform", "--probe-cycles",
+                "--procs", "--qos", "--reps", "--seed", "--straggler",
+                "--straggler-after", "--straggler-targets", "--stripe-factor",
+                "--stripe-unit", "--sub-comms", "--tenants", "--transfer",
+                "--tuning-cache", "--verify", "--workload"}));
+  EXPECT_EQ(xp::cli_flags(xp::Tool::Sweep),
+            (std::vector<std::string>{
+                "--arrival", "--auto", "--fault-rate", "--fault-seed",
+                "--hierarchical", "--jobs", "--leader", "--local-aggs",
+                "--max-retries", "--platform", "--primitives", "--progress",
+                "--qos", "--quick", "--reps", "--resume", "--straggler",
+                "--straggler-targets", "--stripe-factor", "--stripe-unit",
+                "--sub-comms", "--tenants"}));
+  EXPECT_EQ(xp::cli_flags(xp::Tool::Bench),
+            (std::vector<std::string>{"--jobs", "--paper-scale", "--progress",
+                                      "--quick"}));
+  EXPECT_FALSE(xp::cli_usage(xp::Tool::Sweep).empty());
+}
+
+TEST(Cli, FlagOfAnotherToolNamesFlagAndTool) {
+  const std::string sweep_only = parse({"--quick"}).error;
+  EXPECT_NE(sweep_only.find("--quick"), std::string::npos) << sweep_only;
+  EXPECT_NE(sweep_only.find("tpio_sim"), std::string::npos) << sweep_only;
+  EXPECT_NE(sweep_only.find("tpio_sweep"), std::string::npos) << sweep_only;
+
+  const std::string sim_only =
+      parse_as(xp::Tool::Sweep, {"--workload", "ior"}).error;
+  EXPECT_NE(sim_only.find("--workload"), std::string::npos) << sim_only;
+  EXPECT_NE(sim_only.find("tpio_sweep"), std::string::npos) << sim_only;
+  EXPECT_NE(sim_only.find("tpio_sim"), std::string::npos) << sim_only;
+
+  EXPECT_FALSE(parse_as(xp::Tool::Bench, {"--bogus"}).error.empty());
+  EXPECT_FALSE(parse_as(xp::Tool::Bench, {"--reps", "2"}).error.empty());
+}
+
+TEST(Cli, SharedFlagsRejectBadValuesAlikeInBothTools) {
+  for (const auto& [flag, value] :
+       std::vector<std::pair<const char*, const char*>>{
+           {"--reps", "0"},
+           {"--local-aggs", "x"},
+           {"--fault-rate", "2"},
+           {"--fault-seed", "-1"},
+           {"--straggler", "0.5"},
+           {"--max-retries", "1001"},
+           {"--tenants", "65"},
+           {"--arrival", "fixed"},
+           {"--qos", "wat"},
+           {"--leader", "wat"},
+           {"--platform", "summit"},
+           {"--sub-comms", "0"},
+           {"--stripe-unit", "0"},
+           {"--stripe-factor", "0"}}) {
+    const std::string sim = parse({flag, value}).error;
+    EXPECT_NE(sim.find(flag), std::string::npos) << sim;
+    EXPECT_EQ(sim, parse_as(xp::Tool::Sweep, {flag, value}).error);
+  }
+}
+
+TEST(Cli, SweepRejectsAutoSubComms) {
+  EXPECT_EQ(parse({"--sub-comms", "auto"}).spec.options.sub_comm_count, 0);
+  const std::string error =
+      parse_as(xp::Tool::Sweep, {"--sub-comms", "auto"}).error;
+  EXPECT_NE(error.find("--sub-comms auto"), std::string::npos) << error;
+  EXPECT_NE(error.find("tpio_sweep"), std::string::npos) << error;
+}
+
+TEST(Cli, SweepChecksEveryProcessCountOfItsGrid) {
+  // Both grids start at 16 processes, where tpio_sim's default of 64
+  // would accept 17 sub-communicators.
+  EXPECT_EQ(parse({"--sub-comms", "17"}).error, "");
+  for (const bool quick : {true, false}) {
+    const auto cfg = quick
+                         ? parse_as(xp::Tool::Sweep,
+                                    {"--quick", "--sub-comms", "17"})
+                         : parse_as(xp::Tool::Sweep, {"--sub-comms", "17"});
+    EXPECT_NE(cfg.error.find("exceeds the 16 processes"), std::string::npos)
+        << cfg.error;
+  }
+  EXPECT_EQ(parse_as(xp::Tool::Sweep, {"--quick", "--sub-comms", "16"}).error,
+            "");
+  // Scaled ibex runs 10 ranks per node at every process count.
+  EXPECT_NE(parse_as(xp::Tool::Sweep, {"--local-aggs", "11"})
+                .error.find("--local-aggs"),
+            std::string::npos);
+  // The sweep keeps the unscaled preset; each cell scales it.
+  const auto cfg = parse_as(
+      xp::Tool::Sweep, {"--platform", "crill", "--fault-rate", "0.2",
+                        "--jobs", "3", "--resume", "ck.json", "--tenants",
+                        "2", "--qos", "priority"});
+  ASSERT_EQ(cfg.error, "");
+  EXPECT_EQ(cfg.spec.platform.procs_per_node,
+            xp::crill().procs_per_node);
+  EXPECT_EQ(cfg.spec.platform.pfs.faults.write_fail_rate, 0.2);
+  EXPECT_EQ(cfg.exec.jobs, 3);
+  EXPECT_EQ(cfg.exec.checkpoint, "ck.json");
+  EXPECT_EQ(cfg.qos, tpio::pfs::QosPolicy::Priority);
+  // Grids that do not exist.
+  EXPECT_NE(parse_as(xp::Tool::Sweep, {"--primitives", "--tenants", "2"})
+                .error.find("--primitives"),
+            std::string::npos);
+  EXPECT_NE(parse_as(xp::Tool::Sweep, {"--auto", "--primitives"})
+                .error.find("--auto"),
+            std::string::npos);
+}

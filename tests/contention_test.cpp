@@ -187,4 +187,32 @@ TEST(ContendedSweep, TablesBitIdenticalAcrossWorkerCounts) {
   EXPECT_EQ(sweep_fp(a), sweep_fp(b));
 }
 
+TEST(ContendedSweep, PriorityPutsTheMeasuredTenantOnTop) {
+  // The contended sweep shares tpio_sim's tenancy rule: under strict
+  // priority tenant 0 rides the top class, so no cell may be slower than
+  // under FIFO, and queueing behind the neighbor must cost somewhere.
+  xp::ContentionConfig cfg;
+  cfg.neighbors = 1;
+  xp::ExecOptions exec;
+  exec.jobs = 4;
+  const auto fifo = xp::run_contended_sweep(xp::crill(), coll::Options{}, cfg,
+                                            /*reps=*/1, /*seed=*/5,
+                                            /*quick=*/true, exec);
+  cfg.qos = pfs::QosPolicy::Priority;
+  const auto prio = xp::run_contended_sweep(xp::crill(), coll::Options{}, cfg,
+                                            /*reps=*/1, /*seed=*/5,
+                                            /*quick=*/true, exec);
+  ASSERT_EQ(fifo.size(), prio.size());
+  int below = 0;
+  for (std::size_t i = 0; i < fifo.size(); ++i) {
+    for (const auto& [mode, ms] : fifo[i].min_ms) {
+      EXPECT_LE(prio[i].min_ms.at(mode), ms)
+          << wl::to_string(fifo[i].kind) << " " << fifo[i].size_label << " p"
+          << fifo[i].procs << " " << coll::to_string(mode);
+      if (prio[i].min_ms.at(mode) < ms) ++below;
+    }
+  }
+  EXPECT_GT(below, 0);
+}
+
 }  // namespace

@@ -104,7 +104,8 @@ TEST(Sweep, PrimitiveSeriesWinner) {
 TEST(Sweep, MiniOverlapSweepRuns) {
   // One tiny platform variant so the sweep machinery itself is covered.
   xp::Platform plat = xp::ibex();
-  const auto series = xp::run_overlap_sweep(plat, /*reps=*/1, 7, /*quick=*/true);
+  const auto series = xp::run_overlap_sweep(plat, /*reps=*/1, 7, /*quick=*/true,
+                                            xp::ExecOptions{});
   EXPECT_EQ(series.size(), 8u * 2u);  // 8 workloads x 2 quick proc counts
   for (const auto& s : series) {
     EXPECT_EQ(s.min_ms.size(), 5u);
@@ -120,7 +121,8 @@ TEST(Sweep, MiniOverlapSweepRuns) {
 TEST(Sweep, MiniPrimitiveSweepRuns) {
   xp::Platform plat = xp::crill();
   const auto series =
-      xp::run_primitive_sweep(plat, /*reps=*/1, 7, /*quick=*/true);
+      xp::run_primitive_sweep(plat, coll::Options{}, /*reps=*/1, 7,
+                              /*quick=*/true, xp::ExecOptions{});
   EXPECT_EQ(series.size(), 6u * 2u);  // flash excluded, 2 proc counts
   for (const auto& s : series) {
     EXPECT_EQ(s.min_ms.size(), 3u);
@@ -130,8 +132,8 @@ TEST(Sweep, MiniPrimitiveSweepRuns) {
 
 TEST(Sweep, SweepDeterministicForSeed) {
   xp::Platform plat = xp::ibex();
-  const auto a = xp::run_overlap_sweep(plat, 1, 11, true);
-  const auto b = xp::run_overlap_sweep(plat, 1, 11, true);
+  const auto a = xp::run_overlap_sweep(plat, 1, 11, true, xp::ExecOptions{});
+  const auto b = xp::run_overlap_sweep(plat, 1, 11, true, xp::ExecOptions{});
   ASSERT_EQ(a.size(), b.size());
   for (std::size_t i = 0; i < a.size(); ++i) {
     EXPECT_EQ(a[i].min_ms, b[i].min_ms);
@@ -147,8 +149,10 @@ TEST(Sweep, ParallelExecutionBitIdenticalToSerial) {
   serial.jobs = 1;
   xp::ExecOptions parallel;
   parallel.jobs = 4;
-  const auto a = xp::run_primitive_sweep(plat, 1, 42, true, serial);
-  const auto b = xp::run_primitive_sweep(plat, 1, 42, true, parallel);
+  const auto a =
+      xp::run_primitive_sweep(plat, coll::Options{}, 1, 42, true, serial);
+  const auto b =
+      xp::run_primitive_sweep(plat, coll::Options{}, 1, 42, true, parallel);
   ASSERT_EQ(a.size(), b.size());
   for (std::size_t i = 0; i < a.size(); ++i) {
     EXPECT_EQ(a[i].min_ms, b[i].min_ms);
@@ -165,11 +169,13 @@ TEST(Sweep, ResumeFromCheckpointReproducesTable) {
   xp::ExecOptions e;
   e.jobs = 2;
   e.checkpoint = path;
-  const auto a = xp::run_primitive_sweep(xp::crill(), 1, 99, true, e);
+  const auto a =
+      xp::run_primitive_sweep(xp::crill(), coll::Options{}, 1, 99, true, e);
   // The rerun restores every job from the checkpoint file (the default
   // manifest encodes platform/seed/reps/quick, so the grids match) and
   // must reproduce the identical table.
-  const auto b = xp::run_primitive_sweep(xp::crill(), 1, 99, true, e);
+  const auto b =
+      xp::run_primitive_sweep(xp::crill(), coll::Options{}, 1, 99, true, e);
   ASSERT_EQ(a.size(), b.size());
   for (std::size_t i = 0; i < a.size(); ++i) {
     EXPECT_EQ(a[i].min_ms, b[i].min_ms);

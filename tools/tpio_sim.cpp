@@ -21,24 +21,14 @@ namespace coll = tpio::coll;
 
 namespace {
 
-// --tenants N: the measured spec runs as tenant 0 of a shared system with
-// N-1 same-shape NoOverlap background writers. Reports the measured
-// tenant's turnaround across reps plus its interference accounting; the
-// first rep also runs each tenant solo to report slowdown factors.
+// --tenants N: the measured spec runs as tenant 0 of the system
+// xp::contended builds with N-1 neighbors. Reports the measured tenant's
+// turnaround across reps plus its interference accounting; the first rep
+// also runs each tenant solo to report slowdown factors.
 int run_multi(const xp::CliConfig& cfg) {
-  xp::MultiRunSpec ms;
-  ms.tenants.assign(static_cast<std::size_t>(cfg.tenants), cfg.spec);
-  for (int t = 1; t < cfg.tenants; ++t) {
-    ms.tenants[static_cast<std::size_t>(t)].options.overlap =
-        coll::OverlapMode::None;
-  }
-  ms.arrival = cfg.arrival;
-  ms.qos = cfg.qos;
-  if (cfg.qos == tpio::pfs::QosPolicy::Priority) {
-    // The measured tenant rides the top class; neighbors are best-effort.
-    ms.priorities.assign(static_cast<std::size_t>(cfg.tenants), 0);
-    ms.priorities[0] = 1;
-  }
+  xp::MultiRunSpec ms = xp::contended(
+      cfg.spec,
+      {.neighbors = cfg.tenants - 1, .arrival = cfg.arrival, .qos = cfg.qos});
 
   std::printf("tenants=%d arrival=%s qos=%s (tenant 0 measured, %d "
               "no-overlap background writer%s)\n",
