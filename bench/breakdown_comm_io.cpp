@@ -53,9 +53,10 @@ Row breakdown(const xp::Platform& platform, int procs) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  const xp::BenchArgs args = xp::parse_bench_args(argc, argv);
-  if (!args.ok) {
-    std::fprintf(stderr, "usage: breakdown_comm_io [--quick]\n");
+  const xp::BenchArgs args = xp::parse_bench_args(argc, argv, {"--quick"});
+  if (!args.error.empty()) {
+    std::fprintf(stderr, "error: %s\nusage: breakdown_comm_io [--quick]\n",
+                 args.error.c_str());
     return 2;
   }
   const bool quick = args.quick;

@@ -31,11 +31,13 @@ constexpr coll::OverlapMode kModes[] = {
 }  // namespace
 
 int main(int argc, char** argv) {
-  const xp::BenchArgs args = xp::parse_bench_args(argc, argv);
-  if (!args.ok) {
+  const xp::BenchArgs args = xp::parse_bench_args(
+      argc, argv, {"--quick", "--jobs", "--progress", "--paper-scale"});
+  if (!args.error.empty()) {
     std::fprintf(stderr,
-                 "usage: fig1_tile1m_exectime [--quick] [--jobs N] "
-                 "[--progress] [--paper-scale]\n");
+                 "error: %s\nusage: fig1_tile1m_exectime [--quick] "
+                 "[--jobs N] [--progress] [--paper-scale]\n",
+                 args.error.c_str());
     return 2;
   }
   const bool quick = args.quick;

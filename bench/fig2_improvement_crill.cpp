@@ -20,12 +20,13 @@ namespace sim = tpio::sim;
 
 int run_improvement_figure(const xp::Platform& platform, const char* figure,
                            const char* paper_note, int argc, char** argv) {
-  const xp::BenchArgs args = xp::parse_bench_args(argc, argv);
-  if (!args.ok) {
+  const xp::BenchArgs args = xp::parse_bench_args(
+      argc, argv, {"--quick", "--jobs", "--progress", "--paper-scale"});
+  if (!args.error.empty()) {
     std::fprintf(stderr,
-                 "usage: %s [--quick] [--jobs N] [--progress] "
+                 "error: %s\nusage: %s [--quick] [--jobs N] [--progress] "
                  "[--paper-scale]\n",
-                 argv[0]);
+                 args.error.c_str(), argv[0]);
     return 2;
   }
   const bool quick = args.quick;

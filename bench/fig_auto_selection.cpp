@@ -37,11 +37,13 @@ constexpr coll::OverlapMode kFixed[] = {
 }  // namespace
 
 int main(int argc, char** argv) {
-  const xp::BenchArgs args = xp::parse_bench_args(argc, argv);
-  if (!args.ok) {
+  const xp::BenchArgs args = xp::parse_bench_args(
+      argc, argv, {"--quick", "--jobs", "--progress"});
+  if (!args.error.empty()) {
     std::fprintf(stderr,
-                 "usage: fig_auto_selection [--quick] [--jobs N] "
-                 "[--progress]\n");
+                 "error: %s\nusage: fig_auto_selection [--quick] "
+                 "[--jobs N] [--progress]\n",
+                 args.error.c_str());
     return 2;
   }
   // The acceptance grid is the quick one either way. Six repetitions even

@@ -100,9 +100,10 @@ std::string fmt3(double v) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  const xp::BenchArgs args = xp::parse_bench_args(argc, argv);
-  if (!args.ok) {
-    std::fprintf(stderr, "usage: fig_fault_resilience [--quick]\n");
+  const xp::BenchArgs args = xp::parse_bench_args(argc, argv, {"--quick"});
+  if (!args.error.empty()) {
+    std::fprintf(stderr, "error: %s\nusage: fig_fault_resilience [--quick]\n",
+                 args.error.c_str());
     return 2;
   }
   const int reps = args.quick ? 2 : 3;

@@ -40,9 +40,10 @@ std::string fmt_count(std::uint64_t n) { return std::to_string(n); }
 }  // namespace
 
 int main(int argc, char** argv) {
-  const xp::BenchArgs args = xp::parse_bench_args(argc, argv);
-  if (!args.ok) {
-    std::fprintf(stderr, "usage: fig_hier_shuffle [--quick]\n");
+  const xp::BenchArgs args = xp::parse_bench_args(argc, argv, {"--quick"});
+  if (!args.error.empty()) {
+    std::fprintf(stderr, "error: %s\nusage: fig_hier_shuffle [--quick]\n",
+                 args.error.c_str());
     return 2;
   }
   const bool quick = args.quick;

@@ -75,9 +75,10 @@ xp::RunResult run(const xp::Platform& plat, const wl::Spec& workload,
 }  // namespace
 
 int main(int argc, char** argv) {
-  const xp::BenchArgs args = xp::parse_bench_args(argc, argv);
-  if (!args.ok) {
-    std::fprintf(stderr, "usage: fig_local_aggs [--quick]\n");
+  const xp::BenchArgs args = xp::parse_bench_args(argc, argv, {"--quick"});
+  if (!args.error.empty()) {
+    std::fprintf(stderr, "error: %s\nusage: fig_local_aggs [--quick]\n",
+                 args.error.c_str());
     return 2;
   }
   const bool quick = args.quick;

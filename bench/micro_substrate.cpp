@@ -1,8 +1,9 @@
 // Micro-benchmarks of the simulation substrate itself (google-benchmark):
 // host-side throughput of the deterministic conductor (and the per-fiber
 // cost of starting a run on new and on recycled stacks), the simulated MPI
-// point-to-point path, collectives, RMA, and the storage model (writes,
-// Digest recording, verify). These bound the wall-clock cost of the
+// point-to-point path, collectives, RMA, the storage model (writes,
+// Digest recording, verify), and the shuffle's per-message piece query.
+// These bound the wall-clock cost of the
 // paper-reproduction sweeps and act as regression guards for the
 // simulator's hot paths. The incast and RMA epochs run with payloads on
 // and off (a timing-only job's size-only Machine), so the host cost of
@@ -15,6 +16,7 @@
 #include <string>
 #include <vector>
 
+#include "core/plan.hpp"
 #include "mpi/mpi.hpp"
 #include "net/fabric.hpp"
 #include "pfs/pfs.hpp"
@@ -22,6 +24,7 @@
 #include "sched/sync.hpp"
 #include "workloads/workloads.hpp"
 
+namespace coll = tpio::coll;
 namespace sim = tpio::sim;
 namespace net = tpio::net;
 namespace smpi = tpio::smpi;
@@ -282,6 +285,33 @@ void BM_PfsVerify(benchmark::State& state) {
   state.SetLabel(store ? "store" : "digest");
 }
 BENCHMARK(BM_PfsVerify)->Arg(0)->Arg(1);
+
+/// One piece query (Plan::segments_in) plus its count and byte total, the
+/// shuffle's bookkeeping per message, over a rank view of `extents`
+/// strided extents. The window covers the middle half of the view, so at
+/// 2048 extents it holds about a thousand pieces; the query stays two
+/// binary searches and O(1) reads of the view's prefix sums.
+void BM_PlanPieces(benchmark::State& state) {
+  const auto n = static_cast<std::uint64_t>(state.range(0));
+  constexpr std::uint64_t kStride = 4096, kLength = 3072;
+  std::vector<coll::FileView> views(1);
+  for (std::uint64_t i = 0; i < n; ++i) {
+    views[0].extents.push_back(coll::Extent{i * kStride, kLength});
+  }
+  coll::Options o;
+  o.cb_size = 1 << 20;
+  const coll::Plan plan(views, net::Topology{1, 1}, 0, o);
+  const std::uint64_t span = n * kStride;
+  std::uint64_t k = 0;
+  for (auto _ : state) {
+    const std::uint64_t lo = span / 4 + (k++ % 64) * 16;
+    const coll::SegmentRange pieces = plan.segments_in(0, lo, lo + span / 2);
+    benchmark::DoNotOptimize(pieces.size());
+    benchmark::DoNotOptimize(pieces.bytes());
+  }
+  state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_PlanPieces)->ArgName("extents")->Arg(1)->Arg(2048);
 
 }  // namespace
 

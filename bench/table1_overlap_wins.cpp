@@ -33,11 +33,13 @@ constexpr coll::OverlapMode kModes[] = {
 }  // namespace
 
 int main(int argc, char** argv) {
-  const xp::BenchArgs args = xp::parse_bench_args(argc, argv);
-  if (!args.ok) {
+  const xp::BenchArgs args = xp::parse_bench_args(
+      argc, argv, {"--quick", "--jobs", "--progress"});
+  if (!args.error.empty()) {
     std::fprintf(stderr,
-                 "usage: table1_overlap_wins [--quick] [--jobs N] "
-                 "[--progress]\n");
+                 "error: %s\nusage: table1_overlap_wins [--quick] "
+                 "[--jobs N] [--progress]\n",
+                 args.error.c_str());
     return 2;
   }
   const bool quick = args.quick;

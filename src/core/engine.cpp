@@ -4,6 +4,8 @@
 #include <cmath>
 #include <cstring>
 #include <span>
+#include <utility>
+#include <variant>
 
 #include "core/autotune.hpp"
 #include "core/io_path.hpp"
@@ -65,6 +67,14 @@ Engine::Engine(smpi::Mpi& mpi, pfs::File& file, const Plan& plan,
     const auto [first, last] = plan_.lane_rank_range(node_, lane_);
     lane_first_ = first;
     lane_last_ = last;
+    int a0 = plan_.num_aggregators(), a1 = 0;
+    for (int m = first; m < last; ++m) {
+      const auto [b, e] = plan_.aggs_of(m);
+      if (b == e) continue;
+      a0 = std::min(a0, b);
+      a1 = std::max(a1, e);
+    }
+    if (a0 < a1) lane_aggs_ = {a0, a1};
   }
 
   const int nslots = num_slots(opt_.overlap);
@@ -102,14 +112,6 @@ std::span<std::byte> Engine::cb_span(int slot) {
 // Shuffle phase
 // ---------------------------------------------------------------------------
 
-std::vector<Segment> Engine::incoming_segments(int src, std::uint64_t lo,
-                                               std::uint64_t hi) const {
-  if (!plan_.hierarchical()) return plan_.segments_in(src, lo, hi);
-  // `src` is a lane leader; its message carries its lane's coalesced union.
-  return plan_.lane_segments_in(plan_.topology().node_of(src),
-                                plan_.lane_of(src), lo, hi);
-}
-
 void Engine::leader_gather(int cycle, int slot) {
   if (!plan_.hierarchical()) return;
   Slot& s = slots_[slot];
@@ -120,53 +122,55 @@ void Engine::leader_gather(int cycle, int slot) {
   if (lane_last_ - lane_first_ <= 1) return;  // degenerate: direct path
 
   const int me = mpi_.rank();
-  const int A = plan_.num_aggregators();
 
-  // Pieces of member `m`, in the (aggregator, file-offset) pack order.
-  auto pieces_of = [&](int m) {
-    std::vector<Segment> out;
-    for (int a = 0; a < A; ++a) {
+  // Member `m`'s pieces of this cycle in the (aggregator, file-offset) pack
+  // order: one non-empty range per aggregator its data may reach.
+  const auto for_pieces = [&](int m, auto&& fn) {
+    const auto [a0, a1] = plan_.aggs_of(m);
+    for (int a = a0; a < a1; ++a) {
       const Plan::Range r = plan_.cycle_range(a, cycle);
-      for (const Segment& g : plan_.segments_in(m, r.begin, r.end)) {
-        out.push_back(g);
-      }
+      const SegmentRange pieces = plan_.segments_in(m, r.begin, r.end);
+      if (!pieces.empty()) fn(pieces);
     }
-    return out;
   };
 
   if (!is_leader_) {
     // Member: pack own pieces and hand them to the leader. The blocking
-    // wait models the copy into node-shared staging; a single contiguous
-    // piece goes zero-copy (the wait keeps the user buffer safe).
-    const auto pieces = pieces_of(me);
-    if (pieces.empty()) return;
+    // wait models the copy into node-shared staging. Each range is one
+    // local run; when the runs also line up back to back (always so for
+    // one range) the message is a slice of the user buffer, sent in place
+    // (the wait keeps it safe).
+    std::size_t count = 0;
+    std::uint64_t start = 0, total = 0;
+    bool one_run = true;
+    for_pieces(me, [&](const SegmentRange& g) {
+      if (count == 0) start = g.local_offset();
+      one_run = one_run && g.local_offset() == start + total;
+      count += g.size();
+      total += g.bytes();
+    });
+    if (count == 0) return;
     std::span<const std::byte> payload;
     sim::BufferPool::Buffer buf;
-    const segcopy::LocalRun run = segcopy::local_run(pieces);
-    if (run.ok) {
-      // Every piece lines up contiguously in the user buffer (always so
-      // for one piece): the message is a slice of it, sent in place.
-      payload = data_.subspan(run.local_offset, run.total);
+    if (one_run) {
+      payload = data_.subspan(start, total);
     } else {
-      std::uint64_t total = 0;
-      for (const Segment& g : pieces) total += g.length;
       buf = sim::BufferPool::local().acquire(total, /*zeroed=*/false);
       if (opt_.materialize) {
         std::uint64_t pos = 0;
-        segcopy::for_local_runs(
-            pieces, [&](std::size_t, std::size_t, std::uint64_t off,
-                        std::uint64_t len) {
-              std::memcpy(buf.data() + pos, data_.data() + off, len);
-              pos += len;
-            });
+        for_pieces(me, [&](const SegmentRange& g) {
+          std::memcpy(buf.data() + pos, data_.data() + g.local_offset(),
+                      g.bytes());
+          pos += g.bytes();
+        });
       }
       payload = buf.span();
     }
-    if (pieces.size() > 1) {
+    if (count > 1) {
       // Pack CPU is charged from the piece count regardless of how many
       // host copies actually moved the bytes.
       timed(mpi_.ctx(), t_.pack, [&] {
-        mpi_.ctx().advance(pack_cost(pieces.size(), payload.size()));
+        mpi_.ctx().advance(pack_cost(count, payload.size()));
       });
     }
     timed(mpi_.ctx(), t_.gather, [&] {
@@ -181,11 +185,11 @@ void Engine::leader_gather(int cycle, int slot) {
   // the lane's coalesced cycle segments, file-ordered within each
   // aggregator slice. Only leaders compute it (it reads every lane
   // member's view, which the sparse metadata exchange delivers to leaders
-  // alone); members pack against pieces_of(me), whose positions the leader
+  // alone); members pack in for_pieces order, whose positions the leader
   // re-derives when unpacking, so no gather metadata is exchanged.
   std::vector<Segment> layout;  // local_offset = position in stage
   std::uint64_t stage_bytes = 0;
-  for (int a = 0; a < A; ++a) {
+  for (int a = lane_aggs_.first; a < lane_aggs_.second; ++a) {
     const Plan::Range r = plan_.cycle_range(a, cycle);
     const auto segs = plan_.lane_segments_in(node_, lane_, r.begin, r.end);
     for (Segment g : segs) {
@@ -212,6 +216,16 @@ void Engine::leader_gather(int cycle, int slot) {
                "gather piece straddles node layout");
     return it->local_offset + (piece.file_offset - it->file_offset);
   };
+  // Copy one range's pieces from `src` (packed back to back) into the
+  // stage. File-contiguous pieces are also contiguous in the packed source
+  // and in the stage layout, so each run collapses into one copy.
+  auto unpack = [&](const SegmentRange& g, const std::byte* src) {
+    segcopy::for_file_runs(g, [&](std::size_t first, std::size_t,
+                                  std::uint64_t, std::uint64_t len) {
+      std::memcpy(s.stage.data() + stage_pos(g[first]), src, len);
+      src += len;
+    });
+  };
 
   // Receive every member's packed pieces, scatter them (and our own) into
   // the merged staging buffer.
@@ -226,10 +240,7 @@ void Engine::leader_gather(int cycle, int slot) {
   for (int m = lane_first_; m < lane_last_; ++m) {
     if (m == me) continue;
     std::uint64_t n = 0;
-    for (int a = 0; a < A; ++a) {
-      const Plan::Range r = plan_.cycle_range(a, cycle);
-      n += plan_.bytes_in(m, r.begin, r.end);
-    }
+    for_pieces(m, [&](const SegmentRange& g) { n += g.bytes(); });
     if (n == 0) continue;
     bufs.emplace_back(m,
                       sim::BufferPool::local().acquire(n, /*zeroed=*/false));
@@ -238,45 +249,90 @@ void Engine::leader_gather(int cycle, int slot) {
           mpi_.irecv(m, gather_tag(cycle, lane_), bufs.back().second.span()));
     });
   }
-  const auto own = pieces_of(me);
+  std::size_t own_segs = 0;
   std::uint64_t own_bytes = 0;
-  for (const Segment& g : own) own_bytes += g.length;
-  if (opt_.materialize) {
-    // File-contiguous pieces are also contiguous in the user buffer and in
-    // the stage layout, so each run collapses into one copy.
-    segcopy::for_file_runs(
-        own, [&](std::size_t first, std::size_t, std::uint64_t,
-                 std::uint64_t len) {
-          std::memcpy(s.stage.data() + stage_pos(own[first]),
-                      data_.data() + own[first].local_offset, len);
-        });
-  }
+  for_pieces(me, [&](const SegmentRange& g) {
+    if (opt_.materialize) unpack(g, data_.data() + g.local_offset());
+    own_segs += g.size();
+    own_bytes += g.bytes();
+  });
   if (own_bytes > 0) {
     timed(mpi_.ctx(), t_.pack,
-          [&] { mpi_.ctx().advance(pack_cost(own.size(), own_bytes)); });
+          [&] { mpi_.ctx().advance(pack_cost(own_segs, own_bytes)); });
   }
   timed(mpi_.ctx(), t_.gather, [&] { mpi_.waitall(reqs); });
   std::size_t nsegs = 0;
   std::uint64_t bytes = 0;
-  for (const auto& [m, buf] : bufs) {
-    const auto pieces = pieces_of(m);
+  for (const auto& member : bufs) {
+    const sim::BufferPool::Buffer& buf = member.second;
     std::uint64_t pos = 0;
-    segcopy::for_file_runs(
-        pieces, [&](std::size_t first, std::size_t, std::uint64_t,
-                    std::uint64_t len) {
-          if (opt_.materialize) {
-            std::memcpy(s.stage.data() + stage_pos(pieces[first]),
-                        buf.data() + pos, len);
-          }
-          pos += len;
-        });
+    for_pieces(member.first, [&](const SegmentRange& g) {
+      if (opt_.materialize) unpack(g, buf.data() + pos);
+      pos += g.bytes();
+      nsegs += g.size();
+    });
     TPIO_CHECK(pos == buf.size(), "gather unpack size mismatch");
-    nsegs += pieces.size();
     bytes += pos;
   }
   if (bytes > 0) {
     timed(mpi_.ctx(), t_.pack,
           [&] { mpi_.ctx().advance(pack_cost(nsegs, bytes)); });
+  }
+}
+
+void Engine::post_receives(int cycle, int slot) {
+  // Aggregator side: one receive per contributing source — a rank on
+  // the direct path, a (node, lane) leader under hierarchy — posted in
+  // ascending source order. Plan::sources_of lists every rank that can
+  // hold pieces of this domain, so the walk costs one range query per
+  // candidate, not one per rank of the job. A source whose contribution
+  // is one contiguous piece lands directly at its final position in the
+  // collective buffer (no staging, no unpack) — the common case for
+  // contiguous workloads like IOR; multi-segment contributions go
+  // through a staging buffer and are scattered at shuffle_wait, paying
+  // CPU per segment and per byte.
+  Slot& s = slots_[slot];
+  const auto tag = static_cast<smpi::Tag>(cycle);
+  const Plan::Range r = plan_.cycle_range(my_agg_, cycle);
+  std::span<std::byte> cb = cb_span(slot);
+  const std::span<const int> sources = plan_.sources_of(my_agg_);
+  s.sh.reqs.reserve(sources.size());
+  s.sh.recv_bufs.reserve(sources.size());
+  const auto post_recv = [&](int src, auto pieces) {
+    if (pieces.empty()) return;
+    std::span<std::byte> dest;
+    if (pieces.size() == 1) {
+      const Segment g = pieces[0];
+      dest = cb.subspan(g.file_offset - r.begin, g.length);
+    } else {
+      RecvStage st;
+      st.buf = sim::BufferPool::local().acquire(
+          segcopy::total_bytes(pieces), /*zeroed=*/false);
+      st.pieces = std::move(pieces);  // scattered at shuffle_wait
+      s.sh.recv_bufs.push_back(std::move(st));
+      dest = s.sh.recv_bufs.back().buf.span();
+    }
+    timed(mpi_.ctx(), t_.shuffle,
+          [&] { s.sh.reqs.push_back(mpi_.irecv(src, tag, dest)); });
+  };
+  if (plan_.hierarchical()) {
+    // A lane is a run of consecutive ranks, so the ascending sources
+    // meet each contributing lane once, in (node, lane) order; its
+    // leader sends the lane's coalesced union.
+    const net::Topology& topo = plan_.topology();
+    std::pair<int, int> prev{-1, -1};
+    for (const int src : sources) {
+      const std::pair<int, int> lane{topo.node_of(src), plan_.lane_of(src)};
+      if (lane == prev) continue;
+      prev = lane;
+      post_recv(plan_.lane_leader(lane.first, lane.second),
+                plan_.lane_segments_in(lane.first, lane.second, r.begin,
+                                       r.end));
+    }
+  } else {
+    for (const int src : sources) {
+      post_recv(src, plan_.segments_in(src, r.begin, r.end));
+    }
   }
 }
 
@@ -293,6 +349,9 @@ void Engine::shuffle_init(int cycle, int slot) {
 
   const int me = mpi_.rank();
   const auto tag = static_cast<smpi::Tag>(cycle);
+  // The aggregators this rank's own pieces may reach (Plan::aggs_of); the
+  // direct paths below visit only these, in ascending order.
+  const auto [my_a0, my_a1] = plan_.aggs_of(me);
 
   if (opt_.transfer == Transfer::TwoSided) {
     // Per-cycle metadata synchronization (vulcan exchanges offsets/counts
@@ -311,54 +370,8 @@ void Engine::shuffle_init(int cycle, int slot) {
     } else {
       timed(mpi_.ctx(), t_.sync, [&] { mpi_.barrier(); });
     }
-    // Aggregator side: one receive per contributing source — every rank on
-    // the direct path, one per (node, lane) under hierarchy. A source whose
-    // contribution is one contiguous piece lands directly at its final
-    // position in the collective buffer (no staging, no unpack) — the
-    // common case for contiguous workloads like IOR; multi-segment
-    // contributions go through a staging buffer and are scattered at
-    // shuffle_wait, paying CPU per segment and per byte.
-    if (my_agg_ >= 0) {
-      const Plan::Range r = plan_.cycle_range(my_agg_, cycle);
-      std::span<std::byte> cb = cb_span(slot);
-      const int nodes = plan_.topology().nodes;
-      int nsrc = mpi_.size();
-      if (plan_.hierarchical()) {
-        nsrc = 0;
-        for (int n = 0; n < nodes; ++n) nsrc += plan_.lanes(n);
-      }
-      s.sh.reqs.reserve(static_cast<std::size_t>(nsrc) +
-                        static_cast<std::size_t>(plan_.num_aggregators()));
-      s.sh.recv_bufs.reserve(static_cast<std::size_t>(nsrc));
-      const auto post_recv = [&](int src) {
-        auto segs = incoming_segments(src, r.begin, r.end);
-        if (segs.empty()) return;
-        std::span<std::byte> dest;
-        if (segs.size() == 1) {
-          dest = cb.subspan(segs[0].file_offset - r.begin, segs[0].length);
-        } else {
-          std::uint64_t n = 0;
-          for (const Segment& g : segs) n += g.length;
-          RecvStage st;
-          st.src = src;
-          st.buf = sim::BufferPool::local().acquire(n, /*zeroed=*/false);
-          st.segs = std::move(segs);  // reused by shuffle_wait's scatter
-          s.sh.recv_bufs.push_back(std::move(st));
-          dest = s.sh.recv_bufs.back().buf.span();
-        }
-        timed(mpi_.ctx(), t_.shuffle,
-              [&] { s.sh.reqs.push_back(mpi_.irecv(src, tag, dest)); });
-      };
-      if (plan_.hierarchical()) {
-        for (int n = 0; n < nodes; ++n) {
-          for (int l = 0; l < plan_.lanes(n); ++l) {
-            post_recv(plan_.lane_leader(n, l));
-          }
-        }
-      } else {
-        for (int i = 0; i < nsrc; ++i) post_recv(i);
-      }
-    }
+    // Aggregator side: one receive per contributing source.
+    if (my_agg_ >= 0) post_receives(cycle, slot);
     if (lane_last_ - lane_first_ > 1) {
       // Hierarchical forward: the lane leader sends one contiguous slice of
       // the staging buffer per destination aggregator, zero-copy (the slice
@@ -369,7 +382,7 @@ void Engine::shuffle_init(int cycle, int slot) {
       if (is_leader_) {
         s.fwd_begin = mpi_.ctx().now();
         std::uint64_t base = 0;
-        for (int a = 0; a < plan_.num_aggregators(); ++a) {
+        for (int a = lane_aggs_.first; a < lane_aggs_.second; ++a) {
           const Plan::Range r = plan_.cycle_range(a, cycle);
           const std::uint64_t n =
               plan_.lane_bytes_in(node_, lane_, r.begin, r.end);
@@ -385,24 +398,20 @@ void Engine::shuffle_init(int cycle, int slot) {
       }
       return;
     }
-    // Sender side (direct path; also hierarchical single-member nodes):
-    // the pieces of a cycle range form one contiguous local run (see
-    // segcopy.hpp), so the message is a slice of the user buffer, sent in
-    // place and untouched until this slot's shuffle_wait. The pack CPU of a
-    // multi-segment message is still charged on the virtual timeline.
-    const int A = plan_.num_aggregators();
-    if (my_agg_ < 0) s.sh.reqs.reserve(static_cast<std::size_t>(A));
-    for (int a = 0; a < A; ++a) {
+    // Sender side (direct path; also hierarchical single-member lanes):
+    // the pieces of a cycle range form one contiguous local run
+    // (SegmentRange), so the message is a slice of the user buffer, sent
+    // in place and untouched until this slot's shuffle_wait. The pack CPU
+    // of a multi-segment message is still charged on the virtual timeline.
+    for (int a = my_a0; a < my_a1; ++a) {
       const Plan::Range r = plan_.cycle_range(a, cycle);
-      const auto segs = plan_.segments_in(me, r.begin, r.end);
-      if (segs.empty()) continue;
-      const segcopy::LocalRun run = segcopy::local_run(segs);
-      TPIO_CHECK(run.ok, "a cycle range's pieces must form one local run");
+      const SegmentRange pieces = plan_.segments_in(me, r.begin, r.end);
+      if (pieces.empty()) continue;
       const std::span<const std::byte> payload =
-          data_.subspan(run.local_offset, run.total);
-      if (segs.size() > 1) {
+          data_.subspan(pieces.local_offset(), pieces.bytes());
+      if (pieces.size() > 1) {
         timed(mpi_.ctx(), t_.pack, [&] {
-          mpi_.ctx().advance(pack_cost(segs.size(), run.total));
+          mpi_.ctx().advance(pack_cost(pieces.size(), payload.size()));
         });
       }
       timed(mpi_.ctx(), t_.shuffle, [&] {
@@ -434,7 +443,7 @@ void Engine::shuffle_init(int cycle, int slot) {
     // to measure).
     if (!is_leader_) return;
     std::uint64_t base = 0;
-    for (int a = 0; a < plan_.num_aggregators(); ++a) {
+    for (int a = lane_aggs_.first; a < lane_aggs_.second; ++a) {
       const Plan::Range r = plan_.cycle_range(a, cycle);
       const auto segs = plan_.lane_segments_in(node_, lane_, r.begin, r.end);
       if (segs.empty()) continue;
@@ -458,17 +467,17 @@ void Engine::shuffle_init(int cycle, int slot) {
     return;
   }
 
-  for (int a = 0; a < plan_.num_aggregators(); ++a) {
+  for (int a = my_a0; a < my_a1; ++a) {
     const Plan::Range r = plan_.cycle_range(a, cycle);
-    const auto segs = plan_.segments_in(me, r.begin, r.end);
-    if (segs.empty()) continue;
+    const SegmentRange pieces = plan_.segments_in(me, r.begin, r.end);
+    if (pieces.empty()) continue;
     const int target = plan_.agg_rank(a);
     if (opt_.transfer == Transfer::OneSidedLock) {
       timed(mpi_.ctx(), t_.sync,
             [&] { mpi_.win_lock(*s.win, target, opt_.lock_type); });
     }
     timed(mpi_.ctx(), t_.shuffle, [&] {
-      for (const Segment& g : segs) {
+      for (const Segment& g : pieces) {
         // Each contiguous piece goes straight to its final position in the
         // target's sub-buffer: origin-side placement, no target CPU.
         mpi_.ctx().advance(kSegmentCpu);
@@ -515,26 +524,30 @@ void Engine::shuffle_wait(int slot) {
       if (my_agg_ >= 0 && !s.sh.recv_bufs.empty()) {
         // Scatter staged multi-segment messages into the collective buffer
         // at their final offsets (single-segment sources already landed in
-        // place), one copy per file-contiguous run. The segment layouts
-        // were computed (and stored) at shuffle_init.
+        // place), one copy per file-contiguous run. The piece layouts were
+        // stored at shuffle_init; the unpack CPU is charged from their
+        // counts, and only a materialized run walks them.
         const Plan::Range r = plan_.cycle_range(my_agg_, s.sh.cycle);
         std::span<std::byte> cb = cb_span(slot);
         std::size_t nsegs = 0;
         std::uint64_t bytes = 0;
         for (const RecvStage& st : s.sh.recv_bufs) {
-          std::uint64_t pos = 0;
-          segcopy::for_file_runs(
-              st.segs, [&](std::size_t, std::size_t, std::uint64_t off,
-                           std::uint64_t len) {
-                if (opt_.materialize) {
-                  std::memcpy(cb.data() + (off - r.begin), st.buf.data() + pos,
-                              len);
-                }
-                pos += len;
-              });
-          TPIO_CHECK(pos == st.buf.size(), "unpack size mismatch");
-          nsegs += st.segs.size();
-          bytes += pos;
+          std::visit(
+              [&](const auto& pieces) {
+                nsegs += pieces.size();
+                if (!opt_.materialize) return;
+                std::uint64_t pos = 0;
+                segcopy::for_file_runs(
+                    pieces, [&](std::size_t, std::size_t, std::uint64_t off,
+                                std::uint64_t len) {
+                      std::memcpy(cb.data() + (off - r.begin),
+                                  st.buf.data() + pos, len);
+                      pos += len;
+                    });
+                TPIO_CHECK(pos == st.buf.size(), "unpack size mismatch");
+              },
+              st.pieces);
+          bytes += st.buf.size();
         }
         timed(mpi_.ctx(), t_.pack,
               [&] { mpi_.ctx().advance(pack_cost(nsegs, bytes)); });

@@ -2,6 +2,9 @@
 
 #include <memory>
 #include <span>
+#include <utility>
+#include <variant>
+#include <vector>
 
 #include "core/autotune.hpp"
 #include "core/pipeline.hpp"
@@ -67,13 +70,13 @@ class Engine {
   sim::Duration forward_blocked() const { return fwd_blocked_; }
 
  private:
-  /// One staged multi-segment receive: the source, its pooled landing
-  /// buffer, and the segment layout it will be scattered with at
-  /// shuffle_wait (computed once at shuffle_init instead of twice).
+  /// One staged multi-segment receive: its pooled landing buffer and the
+  /// piece layout it is scattered with at shuffle_wait — a range of the
+  /// source's view on the direct path, the source lane's merged union
+  /// under hierarchy (computed once, at shuffle_init).
   struct RecvStage {
-    int src = -1;
     sim::BufferPool::Buffer buf;
-    std::vector<Segment> segs;
+    std::variant<SegmentRange, std::vector<Segment>> pieces;
   };
   struct ShuffleState {
     int cycle = -1;
@@ -110,11 +113,10 @@ class Engine {
   };
 
   std::span<std::byte> cb_span(int slot);
-  /// Segment layout of the message an aggregator receives from `src` for
-  /// [lo, hi): per-rank segments on the direct path, the source lane's
-  /// coalesced union under hierarchy.
-  std::vector<Segment> incoming_segments(int src, std::uint64_t lo,
-                                         std::uint64_t hi) const;
+  /// shuffle_init's two-sided aggregator side: post this cycle's receives
+  /// into `slot`. Kept out of shuffle_init so that every sender's fiber
+  /// does not carry the receive side's locals on its stack.
+  void post_receives(int cycle, int slot);
 
   /// Run cycles [first, num_cycles) under the fixed scheduler `m`.
   /// `first` > 0 is the Auto continuation.
@@ -139,6 +141,10 @@ class Engine {
   bool is_leader_ = false;
   int lane_ = 0;                        // this rank's lane within its node
   int lane_first_ = 0, lane_last_ = 0;  // this lane's rank range
+  // Aggregators [first, second) this lane's members may send to: the hull
+  // of their Plan::aggs_of intervals, which a leader gathers and forwards
+  // over.
+  std::pair<int, int> lane_aggs_{0, 0};
   // Pipelined-overlap inputs (host-side counters, zero virtual cost):
   // summed forward lifetimes and the portion the leader spent blocked.
   sim::Duration fwd_lifetime_ = 0;

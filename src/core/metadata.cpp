@@ -35,7 +35,7 @@ std::shared_ptr<const Plan> MetadataExchange::plan(std::uint64_t stripe_size,
   summaries_.reset();
 
   // Stage 2: targeted delivery of the full view blobs. Aggregators plan
-  // over every source (their incoming_segments walk all views); lane
+  // over every source (any rank may be among their sources_of); lane
   // leaders of a two-level plan additionally unpack their members' gather
   // pieces, so they pull their lane's rank interval; everyone else keeps
   // only its own view.

@@ -92,6 +92,39 @@ PlanSkeleton::PlanSkeleton(std::span<const ViewSummary> summaries,
     domains_.pop_back();
   }
 
+  // Domain-overlap index. The surviving domains tile [range_begin,
+  // range_end) in order, so the aggregators overlapping a rank's extent
+  // span form one interval, found by two binary searches. Inverting the
+  // intervals in ascending rank order lists each aggregator's sources
+  // ascending; the table holds sum over ranks of |aggs_of(r)| entries.
+  aggs_of_.assign(static_cast<std::size_t>(P), {0, 0});
+  src_begin_.assign(domains_.size() + 1, 0);
+  for (int r = 0; r < P; ++r) {
+    const ViewSummary& s = summaries[static_cast<std::size_t>(r)];
+    if (s.total_bytes == 0) continue;
+    const auto first = std::partition_point(
+        domains_.begin(), domains_.end(),
+        [&](const Range& d) { return d.end <= s.first_offset; });
+    const auto last = std::partition_point(
+        first, domains_.end(),
+        [&](const Range& d) { return d.begin < s.last_end; });
+    const auto a0 = static_cast<int>(first - domains_.begin());
+    const auto a1 = static_cast<int>(last - domains_.begin());
+    aggs_of_[static_cast<std::size_t>(r)] = {a0, a1};
+    for (int a = a0; a < a1; ++a) ++src_begin_[static_cast<std::size_t>(a) + 1];
+  }
+  for (std::size_t a = 1; a < src_begin_.size(); ++a) {
+    src_begin_[a] += src_begin_[a - 1];
+  }
+  src_ranks_.resize(src_begin_.back());
+  std::vector<std::size_t> fill(src_begin_.begin(), src_begin_.end() - 1);
+  for (int r = 0; r < P; ++r) {
+    const auto [a0, a1] = aggs_of_[static_cast<std::size_t>(r)];
+    for (int a = a0; a < a1; ++a) {
+      src_ranks_[fill[static_cast<std::size_t>(a)]++] = r;
+    }
+  }
+
   // Lane geometry and leader election for the two-level shuffle. Each
   // node's members split into L = min(local_aggregators, members)
   // contiguous lanes, each electing one leader per leader_policy; co = 1
@@ -281,32 +314,29 @@ std::size_t Plan::held_slot(int r) const {
   return static_cast<std::size_t>(it - held_ranks_.begin());
 }
 
-std::vector<Segment> Plan::segments_in(int r, std::uint64_t lo,
-                                       std::uint64_t hi) const {
-  std::vector<Segment> out;
-  if (lo >= hi) return out;
+SegmentRange Plan::segments_in(int r, std::uint64_t lo,
+                              std::uint64_t hi) const {
+  if (lo >= hi) return {};
   const std::size_t slot = held_slot(r);
   const auto& exts = views_[slot].extents;
-  const auto& prefix = prefix_[slot];
-  // First extent whose end is past lo.
-  auto it = std::lower_bound(
-      exts.begin(), exts.end(), lo,
-      [](const Extent& e, std::uint64_t v) { return e.end() <= v; });
-  for (; it != exts.end() && it->offset < hi; ++it) {
-    const std::uint64_t s = std::max(it->offset, lo);
-    const std::uint64_t e = std::min(it->end(), hi);
-    if (s >= e) continue;
-    const auto idx = static_cast<std::size_t>(it - exts.begin());
-    out.push_back(Segment{s, prefix[idx] + (s - it->offset), e - s});
-  }
-  return out;
+  // First extent ending past lo, and first extent starting at or past hi.
+  const auto first = std::partition_point(
+      exts.begin(), exts.end(), [&](const Extent& e) { return e.end() <= lo; });
+  const auto last = std::partition_point(
+      first, exts.end(), [&](const Extent& e) { return e.offset < hi; });
+  return SegmentRange(exts.data(), prefix_[slot].data(),
+                      static_cast<std::size_t>(first - exts.begin()),
+                      static_cast<std::size_t>(last - exts.begin()), lo, hi);
 }
 
 std::vector<Segment> Plan::lane_segments_in(int node, int lane,
                                             std::uint64_t lo,
                                             std::uint64_t hi) const {
   const auto [first, last] = lane_rank_range(node, lane);
-  if (last - first == 1) return segments_in(first, lo, hi);
+  if (last - first == 1) {
+    const SegmentRange own = segments_in(first, lo, hi);
+    return std::vector<Segment>(own.begin(), own.end());
+  }
   std::vector<Segment> all;
   for (int m = first; m < last; ++m) {
     for (const Segment& g : segments_in(m, lo, hi)) all.push_back(g);
@@ -338,25 +368,9 @@ std::vector<Segment> Plan::lane_segments_in(int node, int lane,
 std::uint64_t Plan::lane_bytes_in(int node, int lane, std::uint64_t lo,
                                   std::uint64_t hi) const {
   const auto [first, last] = lane_rank_range(node, lane);
-  if (last - first == 1) return bytes_in(first, lo, hi);
+  if (last - first == 1) return segments_in(first, lo, hi).bytes();
   std::uint64_t n = 0;
   for (const Segment& g : lane_segments_in(node, lane, lo, hi)) n += g.length;
-  return n;
-}
-
-std::uint64_t Plan::bytes_in(int r, std::uint64_t lo, std::uint64_t hi) const {
-  if (lo >= hi) return 0;
-  const std::size_t slot = held_slot(r);
-  const auto& exts = views_[slot].extents;
-  auto it = std::lower_bound(
-      exts.begin(), exts.end(), lo,
-      [](const Extent& e, std::uint64_t v) { return e.end() <= v; });
-  std::uint64_t n = 0;
-  for (; it != exts.end() && it->offset < hi; ++it) {
-    const std::uint64_t s = std::max(it->offset, lo);
-    const std::uint64_t e = std::min(it->end(), hi);
-    if (s < e) n += e - s;
-  }
   return n;
 }
 

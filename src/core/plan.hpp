@@ -1,6 +1,9 @@
 #pragma once
 
+#include <algorithm>
+#include <cstddef>
 #include <cstdint>
+#include <iterator>
 #include <memory>
 #include <span>
 #include <utility>
@@ -16,6 +19,79 @@ struct Segment {
   std::uint64_t file_offset = 0;   // absolute offset in the file
   std::uint64_t local_offset = 0;  // offset into the rank's local buffer
   std::uint64_t length = 0;
+};
+
+/// The pieces of one rank's view inside a file range [lo, hi): the
+/// interval [i0, i1) of its sorted extents that the range touches, each
+/// extent clipped to the range. Consecutive extents sit back to back in
+/// the rank's local buffer, so the pieces always form ONE contiguous local
+/// run: the count, the byte total and where the run starts are O(1) reads
+/// of the view's prefix sums. Iterating yields Segments by value and
+/// allocates nothing. Points into the Plan that made it; valid while that
+/// Plan lives.
+class SegmentRange {
+ public:
+  SegmentRange() = default;
+
+  std::size_t size() const { return i1_ - i0_; }
+  bool empty() const { return i0_ == i1_; }
+  /// Start of the pieces' run in the local buffer.
+  std::uint64_t local_offset() const {
+    return empty() ? 0 : local_begin(i0_, std::max(ext_[i0_].offset, lo_));
+  }
+  /// Sum of the piece lengths: the length of the local run.
+  std::uint64_t bytes() const {
+    if (empty()) return 0;
+    const Extent& last = ext_[i1_ - 1];
+    return local_begin(i1_ - 1, std::min(last.end(), hi_)) - local_offset();
+  }
+  /// Piece `k` (k < size()): extent i0 + k clipped to [lo, hi).
+  Segment operator[](std::size_t k) const {
+    const std::size_t i = i0_ + k;
+    const std::uint64_t s = std::max(ext_[i].offset, lo_);
+    return Segment{s, local_begin(i, s), std::min(ext_[i].end(), hi_) - s};
+  }
+  Segment front() const { return (*this)[0]; }
+  Segment back() const { return (*this)[size() - 1]; }
+
+  class iterator {
+   public:
+    using iterator_category = std::input_iterator_tag;
+    using value_type = Segment;
+    using difference_type = std::ptrdiff_t;
+    using pointer = void;
+    using reference = Segment;
+
+    Segment operator*() const { return (*r_)[k_]; }
+    iterator& operator++() {
+      ++k_;
+      return *this;
+    }
+    bool operator==(const iterator&) const = default;
+
+   private:
+    friend class SegmentRange;
+    iterator(const SegmentRange* r, std::size_t k) : r_(r), k_(k) {}
+    const SegmentRange* r_ = nullptr;
+    std::size_t k_ = 0;
+  };
+  iterator begin() const { return {this, 0}; }
+  iterator end() const { return {this, size()}; }
+
+ private:
+  friend class Plan;
+  SegmentRange(const Extent* ext, const std::uint64_t* prefix, std::size_t i0,
+               std::size_t i1, std::uint64_t lo, std::uint64_t hi)
+      : ext_(ext), prefix_(prefix), i0_(i0), i1_(i1), lo_(lo), hi_(hi) {}
+  /// Local-buffer position of file offset `at` inside extent `i`.
+  std::uint64_t local_begin(std::size_t i, std::uint64_t at) const {
+    return prefix_[i] + (at - ext_[i].offset);
+  }
+
+  const Extent* ext_ = nullptr;
+  const std::uint64_t* prefix_ = nullptr;  // local start of each extent
+  std::size_t i0_ = 0, i1_ = 0;
+  std::uint64_t lo_ = 0, hi_ = 0;
 };
 
 /// Everything about a collective write's geometry that is derivable from
@@ -52,6 +128,21 @@ class PlanSkeleton {
   };
   Range domain(int a) const { return domains_[static_cast<std::size_t>(a)]; }
   Range cycle_range(int a, int c) const;
+
+  // ----- domain-overlap index (from the summaries' extent spans) ---------
+  /// Aggregator indices [first, second) whose domains overlap rank `rank`'s
+  /// span [first_offset, last_end); empty for an empty view. A superset of
+  /// the aggregators that receive from the rank: the span may hold holes.
+  std::pair<int, int> aggs_of(int rank) const {
+    return aggs_of_[static_cast<std::size_t>(rank)];
+  }
+  /// The ranks whose aggs_of interval holds aggregator `a`, ascending —
+  /// every rank with pieces in one of `a`'s cycle ranges, and maybe more.
+  std::span<const int> sources_of(int a) const {
+    const auto i = static_cast<std::size_t>(a);
+    return std::span<const int>(src_ranks_).subspan(
+        src_begin_[i], src_begin_[i + 1] - src_begin_[i]);
+  }
 
   /// Whether the two-level shuffle runs: Options::hierarchical is set and
   /// at least one node holds two or more ranks. With one rank per node
@@ -91,6 +182,11 @@ class PlanSkeleton {
   std::vector<Range> domains_;       // per aggregator index
   std::vector<int> agg_ranks_;       // per aggregator index
   std::vector<int> agg_index_of_rank_;
+  std::vector<std::pair<int, int>> aggs_of_;  // per rank
+  // sources_of as a CSR table: aggregator a's ranks are
+  // src_ranks_[src_begin_[a], src_begin_[a + 1]).
+  std::vector<std::size_t> src_begin_;
+  std::vector<int> src_ranks_;
   std::uint64_t range_begin_ = 0;
   std::uint64_t range_end_ = 0;
   std::uint64_t global_bytes_ = 0;
@@ -139,13 +235,16 @@ class Plan {
   /// The slice of domain `a` processed in cycle `c`.
   Range cycle_range(int a, int c) const { return skel_->cycle_range(a, c); }
 
-  /// Segments of rank `r`'s view that fall in [lo, hi), with local offsets.
-  /// Requires rank `r`'s view to be held.
-  std::vector<Segment> segments_in(int r, std::uint64_t lo,
-                                   std::uint64_t hi) const;
-  /// Total bytes of rank `r`'s view inside [lo, hi) (cheaper than
-  /// materializing the segments). Requires rank `r`'s view to be held.
-  std::uint64_t bytes_in(int r, std::uint64_t lo, std::uint64_t hi) const;
+  /// The pieces of rank `r`'s view that fall in [lo, hi), with local
+  /// offsets: two binary searches, no allocation. Requires rank `r`'s view
+  /// to be held.
+  SegmentRange segments_in(int r, std::uint64_t lo, std::uint64_t hi) const;
+
+  /// Domain-overlap index (PlanSkeleton::aggs_of / sources_of): which
+  /// aggregators a rank may send to, which ranks an aggregator may hear
+  /// from. Answered from the skeleton on every rank.
+  std::pair<int, int> aggs_of(int r) const { return skel_->aggs_of(r); }
+  std::span<const int> sources_of(int a) const { return skel_->sources_of(a); }
 
   // ----- two-level (hierarchical) routing ---------------------------------
   /// Whether the two-level shuffle runs (PlanSkeleton::hierarchical).
@@ -174,9 +273,9 @@ class Plan {
   /// message lane `lane`'s leader forwards: coalesced (touching or
   /// overlapping pieces merged), ordered by file offset, with
   /// `local_offset` re-purposed as the position inside the merged message.
-  /// A single-member lane returns segments_in(member) verbatim, so it
-  /// sends exactly what the direct path would. Requires the lane members'
-  /// views.
+  /// A single-member lane returns segments_in(member)'s pieces verbatim,
+  /// so it sends exactly what the direct path would. Requires the lane
+  /// members' views.
   std::vector<Segment> lane_segments_in(int node, int lane, std::uint64_t lo,
                                         std::uint64_t hi) const;
   /// Bytes of the merged lane message for [lo, hi).

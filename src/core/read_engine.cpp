@@ -98,26 +98,29 @@ void ReadEngine::scatter_init(int cycle, int slot) {
   s.sc.pending = true;
   const int me = mpi_.rank();
   const smpi::Tag tag = scatter_tag(cycle);
-  const int A = plan_.num_aggregators();
-  s.sc.reqs.reserve(static_cast<std::size_t>(A) +
-                    (my_agg_ >= 0 ? static_cast<std::size_t>(mpi_.size()) : 0));
+  // The domain-overlap index bounds both walks: the aggregators this
+  // rank's pieces may come from, and the ranks an aggregator may scatter
+  // to (Plan::aggs_of / sources_of), each visited in ascending order.
+  const auto [a0, a1] = plan_.aggs_of(me);
+  const std::span<const int> dsts =
+      my_agg_ >= 0 ? plan_.sources_of(my_agg_) : std::span<const int>{};
+  s.sc.reqs.reserve(static_cast<std::size_t>(a1 - a0) + dsts.size());
 
   // Receive side first (pre-post): one message per aggregator that holds
   // pieces of this rank's view in this cycle. The pieces of a cycle range
-  // form one contiguous local run (segcopy.hpp), so the message lands
+  // form one contiguous local run (SegmentRange), so the message lands
   // straight in the output buffer; the unpack CPU of a multi-segment
   // message is still charged at scatter_wait.
-  for (int a = 0; a < A; ++a) {
+  for (int a = a0; a < a1; ++a) {
     const Plan::Range r = plan_.cycle_range(a, cycle);
-    const auto segs = plan_.segments_in(me, r.begin, r.end);
-    if (segs.empty()) continue;
-    const segcopy::LocalRun run = segcopy::local_run(segs);
-    TPIO_CHECK(run.ok, "a cycle range's pieces must form one local run");
-    if (segs.size() > 1) {
-      s.sc.unpack_segs += segs.size();
-      s.sc.unpack_bytes += run.total;
+    const SegmentRange pieces = plan_.segments_in(me, r.begin, r.end);
+    if (pieces.empty()) continue;
+    const std::span<std::byte> dest =
+        out_.subspan(pieces.local_offset(), pieces.bytes());
+    if (pieces.size() > 1) {
+      s.sc.unpack_segs += pieces.size();
+      s.sc.unpack_bytes += dest.size();
     }
-    const std::span<std::byte> dest = out_.subspan(run.local_offset, run.total);
     timed(mpi_.ctx(), t_.shuffle, [&] {
       s.sc.reqs.push_back(mpi_.irecv(plan_.agg_rank(a), tag, dest));
     });
@@ -125,36 +128,33 @@ void ReadEngine::scatter_init(int cycle, int slot) {
 
   // Send side (aggregators): each destination's pieces, gathered from the
   // collective buffer; destinations whose pieces are contiguous in the
-  // file go zero-copy (a slice of the sub-buffer), scattered ones are
-  // packed with one copy per file-contiguous run.
+  // file (first piece to last spans exactly their bytes) go zero-copy (a
+  // slice of the sub-buffer), scattered ones are packed with one copy per
+  // file-contiguous run.
   if (my_agg_ >= 0) {
     const Plan::Range r = plan_.cycle_range(my_agg_, cycle);
     std::span<std::byte> cb = s.cb.span();
-    s.sc.send_bufs.reserve(static_cast<std::size_t>(mpi_.size()));
-    for (int dst = 0; dst < mpi_.size(); ++dst) {
-      const auto segs = plan_.segments_in(dst, r.begin, r.end);
-      if (segs.empty()) continue;
-      std::uint64_t total = segs[0].length;
-      bool file_run = true;
-      for (std::size_t i = 1; i < segs.size(); ++i) {
-        total += segs[i].length;
-        file_run = file_run && segs[i].file_offset == segs[i - 1].file_offset +
-                                                          segs[i - 1].length;
-      }
+    s.sc.send_bufs.reserve(dsts.size());
+    for (const int dst : dsts) {
+      const SegmentRange pieces = plan_.segments_in(dst, r.begin, r.end);
+      if (pieces.empty()) continue;
+      const std::uint64_t total = pieces.bytes();
+      const std::uint64_t first = pieces.front().file_offset;
+      const Segment last = pieces.back();
       std::span<const std::byte> payload;
-      if (file_run) {
+      if (last.file_offset + last.length - first == total) {
         // The message is a contiguous slice of the sub-buffer (always so
         // for one piece); the slice is stable until this slot's
         // scatter_wait.
-        payload = cb.subspan(segs[0].file_offset - r.begin, total);
+        payload = cb.subspan(first - r.begin, total);
       } else {
         sim::BufferPool::Buffer buf =
             sim::BufferPool::local().acquire(total, /*zeroed=*/false);
         if (opt_.materialize) {
           std::uint64_t pos = 0;
           segcopy::for_file_runs(
-              segs, [&](std::size_t, std::size_t, std::uint64_t off,
-                        std::uint64_t len) {
+              pieces, [&](std::size_t, std::size_t, std::uint64_t off,
+                          std::uint64_t len) {
                 std::memcpy(buf.data() + pos, cb.data() + (off - r.begin),
                             len);
                 pos += len;
@@ -163,9 +163,9 @@ void ReadEngine::scatter_init(int cycle, int slot) {
         s.sc.send_bufs.push_back(std::move(buf));
         payload = s.sc.send_bufs.back().span();
       }
-      if (segs.size() > 1) {
+      if (pieces.size() > 1) {
         timed(mpi_.ctx(), t_.pack,
-              [&] { mpi_.ctx().advance(pack_cost(segs.size(), total)); });
+              [&] { mpi_.ctx().advance(pack_cost(pieces.size(), total)); });
       }
       timed(mpi_.ctx(), t_.shuffle,
             [&] { s.sc.reqs.push_back(mpi_.isend(dst, tag, payload)); });

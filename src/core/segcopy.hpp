@@ -8,89 +8,56 @@
 
 namespace tpio::coll::segcopy {
 
-/// Host-side memcpy coalescing over Plan segment lists. Two structural
-/// facts make this safe:
+/// Host-side memcpy coalescing over a message's pieces. Two structural
+/// facts make the engines' copies cheap:
 ///
-///  * `Plan::segments_in(r, lo, hi)` walks a rank's sorted extents without
-///    skipping, so the returned segments always occupy ONE contiguous run
-///    of the rank's local buffer (each segment's local end equals the next
-///    segment's local start). A multi-segment pack from the local buffer
-///    is therefore a single copy — or no copy at all, when the packed
-///    bytes can be sent as a span of the source.
+///  * `Plan::segments_in(r, lo, hi)` returns the extents of rank r's view
+///    that the range touches, without skipping, so its pieces always
+///    occupy ONE contiguous run of the rank's local buffer; the
+///    SegmentRange reports that run's start and length in O(1). A message
+///    built from one range is therefore a slice of the local buffer, sent
+///    or received in place with no pack at all; only the virtual pack cost
+///    is charged, from the piece count.
 ///
-///  * Within such a list, consecutive segments may additionally be
-///    contiguous *in the file*; the per-segment copies into/out of a
-///    collective buffer then collapse into one memcpy per file-contiguous
-///    run.
+///  * Within one message, consecutive pieces may additionally be
+///    contiguous *in the file*; the per-piece copies into/out of a
+///    collective buffer or a lane leader's stage then collapse into one
+///    memcpy per file-contiguous run (for_file_runs).
 ///
 /// Coalescing only changes how many host memcpys move the same bytes; the
-/// virtual-timeline pack cost is still charged from the original segment
-/// count by the callers.
+/// virtual-timeline pack cost is still charged from the original piece
+/// count by the callers. Timing-only runs copy nothing and so never walk
+/// the pieces: counts and byte totals come from the range.
 
-/// One contiguous run of a rank's local buffer covering a whole segment
-/// list. `ok` always holds for the segments_in output of one range (the
-/// shuffle paths check it); pieces gathered across several aggregators'
-/// ranges need not be contiguous, so the gather keeps a packing path.
-struct LocalRun {
-  bool ok = false;
-  std::uint64_t local_offset = 0;  // run start in the local buffer
-  std::uint64_t total = 0;         // run length, == sum of segment lengths
-};
-
-inline LocalRun local_run(std::span<const Segment> segs) {
-  LocalRun run;
-  if (segs.empty()) {
-    run.ok = true;
-    return run;
-  }
-  run.local_offset = segs.front().local_offset;
-  std::uint64_t next = run.local_offset;
-  for (const Segment& s : segs) {
-    if (s.local_offset != next) return run;  // ok == false
-    next += s.length;
-  }
-  run.ok = true;
-  run.total = next - run.local_offset;
-  return run;
+/// Byte total of a message's pieces: O(1) for a range of one view, a sum
+/// over a lane's merged segment list.
+inline std::uint64_t total_bytes(const SegmentRange& pieces) {
+  return pieces.bytes();
+}
+inline std::uint64_t total_bytes(std::span<const Segment> pieces) {
+  std::uint64_t n = 0;
+  for (const Segment& g : pieces) n += g.length;
+  return n;
 }
 
 /// Invoke `fn(first, count, file_offset, length)` once per file-contiguous
-/// run of `segs`: `first`/`count` delimit the run's segments, and
-/// [file_offset, file_offset + length) is the file region they jointly
-/// cover.
-template <class Fn>
-void for_file_runs(std::span<const Segment> segs, Fn&& fn) {
+/// run of `segs` (a SegmentRange or a Segment list): `first`/`count`
+/// delimit the run's pieces, and [file_offset, file_offset + length) is
+/// the file region they jointly cover.
+template <class Segs, class Fn>
+void for_file_runs(const Segs& segs, Fn&& fn) {
+  const std::size_t n = segs.size();
   std::size_t i = 0;
-  while (i < segs.size()) {
+  while (i < n) {
+    const Segment head = segs[i];
+    std::uint64_t end = head.file_offset + head.length;
     std::size_t j = i + 1;
-    std::uint64_t len = segs[i].length;
-    while (j < segs.size() &&
-           segs[j].file_offset == segs[j - 1].file_offset + segs[j - 1].length) {
-      len += segs[j].length;
-      ++j;
+    for (; j < n; ++j) {
+      const Segment g = segs[j];
+      if (g.file_offset != end) break;
+      end += g.length;
     }
-    fn(i, j - i, segs[i].file_offset, len);
-    i = j;
-  }
-}
-
-/// Invoke `fn(first, count, local_offset, length)` once per run of `segs`
-/// that is contiguous in the *local* buffer — the right grouping when the
-/// source is the rank's own data and the destination is sequential (pack).
-/// Per the segments_in contiguity property, the segments of one cycle
-/// range always collapse into a single run here.
-template <class Fn>
-void for_local_runs(std::span<const Segment> segs, Fn&& fn) {
-  std::size_t i = 0;
-  while (i < segs.size()) {
-    std::size_t j = i + 1;
-    std::uint64_t len = segs[i].length;
-    while (j < segs.size() &&
-           segs[j].local_offset == segs[j - 1].local_offset + segs[j - 1].length) {
-      len += segs[j].length;
-      ++j;
-    }
-    fn(i, j - i, segs[i].local_offset, len);
+    fn(i, j - i, head.file_offset, end - head.file_offset);
     i = j;
   }
 }

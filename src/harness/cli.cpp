@@ -368,7 +368,7 @@ const Flag kFlags[] = {
      "unscaled geometry: presets\nverbatim, the paper's process\ncounts, "
      "32 MiB collective buffer",
      [](Line& l, V) { l.cfg.paper_scale = true; }},
-    {"--help", kSim, nullptr, "print this text",
+    {"--help", kSim | kSweep, nullptr, "print this text",
      [](Line& l, V) { l.cfg.quick_help = true; }},
 };
 

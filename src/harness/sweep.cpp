@@ -289,10 +289,24 @@ std::vector<PrimitiveSeries> run_primitive_sweep(const Platform& platform,
                                  /*include_auto=*/false));
 }
 
-BenchArgs parse_bench_args(int argc, char** argv) {
-  const CliConfig cfg = parse_cli(
-      std::vector<std::string>(argv + 1, argv + argc), Tool::Bench);
-  return {cfg.quick, cfg.paper_scale, cfg.exec, cfg.error.empty()};
+BenchArgs parse_bench_args(int argc, char** argv,
+                           std::initializer_list<std::string_view> takes) {
+  const std::vector<std::string> args(argv + 1, argv + argc);
+  const CliConfig cfg = parse_cli(args, Tool::Bench);
+  BenchArgs out{cfg.quick, cfg.paper_scale, cfg.exec, cfg.error};
+  // After a clean parse every word that names a flag is one (no value
+  // spells a flag name); refuse those this driver would silently ignore.
+  const std::vector<std::string> known = cli_flags(Tool::Bench);
+  for (const std::string& a : args) {
+    if (!out.error.empty()) break;
+    if (std::find(known.begin(), known.end(), a) != known.end() &&
+        std::find(takes.begin(), takes.end(), a) == takes.end()) {
+      const std::string_view self(argv[0]);
+      out.error = std::string(self.substr(self.find_last_of('/') + 1)) +
+                  " does not take " + a;
+    }
+  }
+  return out;
 }
 
 }  // namespace tpio::xp

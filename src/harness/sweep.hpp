@@ -1,8 +1,10 @@
 #pragma once
 
 #include <cstdint>
+#include <initializer_list>
 #include <map>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "harness/executor.hpp"
@@ -136,21 +138,24 @@ std::vector<PrimitiveSeries> run_primitive_sweep(const Platform& platform,
                                                  bool quick,
                                                  const ExecOptions& exec);
 
-/// Command-line flags shared by the paper-reproduction bench drivers:
+/// Command-line flags of the paper-reproduction bench drivers:
 ///   --quick        reduced grid / fewer reps
 ///   --jobs N       worker threads (0 = hardware concurrency, 1 = serial)
 ///   --progress     live sweep progress on stderr
 ///   --paper-scale  unscaled geometry: platform presets verbatim, the
 ///                  paper's process counts (incl. the 576-proc Fig. 1
 ///                  cells), 32 MiB collective buffer
-/// parse_cli holds their rules; a flag the drivers do not take, or a bad
-/// value, sets ok = false (caller prints usage and exits 2).
+/// parse_cli holds their rules; each driver passes the subset it honours
+/// as `takes`. A flag outside that subset, a flag no driver takes, or a
+/// bad value sets `error`, naming the flag (the caller prints it with its
+/// usage and exits 2).
 struct BenchArgs {
   bool quick = false;
   bool paper_scale = false;
   ExecOptions exec;
-  bool ok = true;
+  std::string error;  // non-empty: the command line is refused
 };
-BenchArgs parse_bench_args(int argc, char** argv);
+BenchArgs parse_bench_args(int argc, char** argv,
+                           std::initializer_list<std::string_view> takes);
 
 }  // namespace tpio::xp

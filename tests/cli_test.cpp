@@ -1,6 +1,9 @@
 #include <gtest/gtest.h>
 
+#include <string_view>
+
 #include "harness/cli.hpp"
+#include "harness/sweep.hpp"
 #include "simbase/error.hpp"
 #include "simbase/units.hpp"
 
@@ -223,15 +226,49 @@ TEST(Cli, EachToolTakesExactlyItsFlags) {
   EXPECT_EQ(xp::cli_flags(xp::Tool::Sweep),
             (std::vector<std::string>{
                 "--arrival", "--auto", "--fault-rate", "--fault-seed",
-                "--hierarchical", "--jobs", "--leader", "--local-aggs",
-                "--max-retries", "--platform", "--primitives", "--progress",
-                "--qos", "--quick", "--reps", "--resume", "--straggler",
-                "--straggler-targets", "--stripe-factor", "--stripe-unit",
-                "--sub-comms", "--tenants"}));
+                "--help", "--hierarchical", "--jobs", "--leader",
+                "--local-aggs", "--max-retries", "--platform", "--primitives",
+                "--progress", "--qos", "--quick", "--reps", "--resume",
+                "--straggler", "--straggler-targets", "--stripe-factor",
+                "--stripe-unit", "--sub-comms", "--tenants"}));
   EXPECT_EQ(xp::cli_flags(xp::Tool::Bench),
             (std::vector<std::string>{"--jobs", "--paper-scale", "--progress",
                                       "--quick"}));
   EXPECT_FALSE(xp::cli_usage(xp::Tool::Sweep).empty());
+  EXPECT_TRUE(parse_as(xp::Tool::Sweep, {"--help"}).quick_help);
+}
+
+// A bench driver takes only the flags it reads: the others are refused by
+// name instead of running the driver's default grid.
+TEST(Cli, BenchDriverRefusesFlagsItDoesNotRead) {
+  const auto bench = [](std::vector<std::string> words,
+                        std::initializer_list<std::string_view> takes) {
+    std::vector<char*> argv;
+    for (std::string& w : words) argv.push_back(w.data());
+    return xp::parse_bench_args(static_cast<int>(argv.size()), argv.data(),
+                                takes);
+  };
+  EXPECT_EQ(bench({"build/bench/breakdown_comm_io", "--quick",
+                   "--paper-scale", "--jobs", "7"},
+                  {"--quick"})
+                .error,
+            "breakdown_comm_io does not take --paper-scale");
+  EXPECT_EQ(bench({"fig", "--jobs", "7"}, {"--quick"}).error,
+            "fig does not take --jobs");
+
+  const auto taken = bench({"fig", "--quick", "--jobs", "7", "--progress"},
+                           {"--quick", "--jobs", "--progress"});
+  EXPECT_EQ(taken.error, "");
+  EXPECT_TRUE(taken.quick);
+  EXPECT_FALSE(taken.paper_scale);
+  EXPECT_EQ(taken.exec.jobs, 7);
+  EXPECT_TRUE(taken.exec.progress);
+
+  // A flag no driver takes and a bad value still fail in the parser.
+  EXPECT_NE(bench({"fig", "--reps", "2"}, {"--quick"}).error.find("--reps"),
+            std::string::npos);
+  EXPECT_NE(bench({"fig", "--jobs", "-3"}, {"--jobs"}).error.find("--jobs"),
+            std::string::npos);
 }
 
 TEST(Cli, FlagOfAnotherToolNamesFlagAndTool) {

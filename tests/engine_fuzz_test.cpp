@@ -265,7 +265,8 @@ TEST_P(EngineFuzz, HierarchicalLeaderAndSegmentProperties) {
           // (single-member nodes pass segments through verbatim).
           std::vector<coll::Segment> expect;
           if (last - first == 1) {
-            expect = plan.segments_in(first, r.begin, r.end);
+            const auto own = plan.segments_in(first, r.begin, r.end);
+            expect.assign(own.begin(), own.end());
           } else {
             std::vector<coll::Segment> all;
             for (int m = first; m < last; ++m) {

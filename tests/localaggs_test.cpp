@@ -256,7 +256,7 @@ TEST(LaneBytes, LanesConserveNodePayload) {
         const auto [first, last] = plan.node_rank_range(n);
         std::uint64_t member_bytes = 0;
         for (int r = first; r < last; ++r) {
-          member_bytes += plan.bytes_in(r, lo, hi);
+          member_bytes += plan.segments_in(r, lo, hi).bytes();
         }
         std::uint64_t lane_bytes = 0;
         for (int l = 0; l < plan.lanes(n); ++l) {

@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <functional>
 #include <memory>
 #include <span>
 
@@ -319,10 +321,47 @@ TEST(Plan, SegmentsRespectLocalOffsets) {
   EXPECT_EQ(segs[1].local_offset, 50u);
   EXPECT_EQ(segs[1].length, 50u);
 
-  EXPECT_EQ(plan.bytes_in(0, 120, 350), 80u);
-  EXPECT_EQ(plan.bytes_in(0, 0, 100), 0u);
-  EXPECT_EQ(plan.bytes_in(0, 0, 1000), 150u);
+  EXPECT_EQ(plan.segments_in(0, 120, 350).bytes(), 80u);
+  EXPECT_EQ(plan.segments_in(0, 0, 100).bytes(), 0u);
+  EXPECT_EQ(plan.segments_in(0, 0, 1000).bytes(), 150u);
   EXPECT_TRUE(plan.segments_in(0, 150, 300).empty());
+  EXPECT_TRUE(plan.segments_in(0, 350, 120).empty());  // inverted window
+
+  // The pieces are one local run: it starts at the first piece's local
+  // offset and its length is the byte total; iteration yields them in
+  // order, each starting where the previous one ends.
+  EXPECT_EQ(segs.local_offset(), 20u);
+  EXPECT_EQ(segs.front().file_offset, 120u);
+  EXPECT_EQ(segs.back().file_offset, 300u);
+  std::uint64_t next = segs.local_offset();
+  for (const coll::Segment& piece : segs) {
+    EXPECT_EQ(piece.local_offset, next);
+    next += piece.length;
+  }
+  EXPECT_EQ(next, segs.local_offset() + segs.bytes());
+}
+
+TEST(Plan, OverlapIndexListsEachAggregatorsSources) {
+  // Four 100-byte blocks over two aggregators: rank 1's block straddles
+  // the domain boundary at 150, so both aggregators list it; rank 2 holds
+  // nothing and is nobody's source.
+  net::Topology topo{4, 1};
+  std::vector<coll::FileView> views(4);
+  views[0].extents = {{0, 100}};
+  views[1].extents = {{100, 100}};
+  views[3].extents = {{200, 100}};
+  coll::Options o = opts(1 << 20);
+  o.num_aggregators = 2;
+  coll::Plan plan(views, topo, 0, o);
+  ASSERT_EQ(plan.domain(0).end, 150u);
+  EXPECT_EQ(plan.aggs_of(0), (std::pair<int, int>{0, 1}));
+  EXPECT_EQ(plan.aggs_of(1), (std::pair<int, int>{0, 2}));
+  EXPECT_EQ(plan.aggs_of(2), (std::pair<int, int>{0, 0}));
+  EXPECT_EQ(plan.aggs_of(3), (std::pair<int, int>{1, 2}));
+  const auto s0 = plan.sources_of(0);
+  const auto s1 = plan.sources_of(1);
+  EXPECT_EQ(std::vector<int>(s0.begin(), s0.end()), (std::vector<int>{0, 1}));
+  EXPECT_EQ(std::vector<int>(s1.begin(), s1.end()), (std::vector<int>{1, 3}));
 }
 
 TEST(Plan, LeaderPolicies) {
@@ -417,7 +456,8 @@ TEST(Plan, SingleMemberNodePassesSegmentsThrough) {
     EXPECT_EQ(node[i].local_offset, direct[i].local_offset);
     EXPECT_EQ(node[i].length, direct[i].length);
   }
-  EXPECT_EQ(plan.lane_bytes_in(0, 0, 120, 350), plan.bytes_in(0, 120, 350));
+  EXPECT_EQ(plan.lane_bytes_in(0, 0, 120, 350),
+            plan.segments_in(0, 120, 350).bytes());
 }
 
 TEST(Plan, EmptyJob) {
@@ -494,6 +534,178 @@ TEST(Plan, PartialNodePlacementsVerifyByteExact) {
   const xp::RunResult q = xp::execute(ibex);
   EXPECT_EQ(q.aggregators, 16);
   EXPECT_EQ(q.verify_error, "");
+}
+
+// ---------------------------------------------------------------------------
+// Piece queries and the domain-overlap index against brute force
+// ---------------------------------------------------------------------------
+
+namespace {
+
+/// Rank view `v` clipped extent by extent to [lo, hi), with local offsets:
+/// the reference every SegmentRange must equal element for element.
+std::vector<coll::Segment> clip_each_extent(const coll::FileView& v,
+                                            std::uint64_t lo,
+                                            std::uint64_t hi) {
+  std::vector<coll::Segment> out;
+  std::uint64_t local = 0;
+  for (const coll::Extent& e : v.extents) {
+    const std::uint64_t s = std::max(e.offset, lo);
+    const std::uint64_t t = std::min(e.end(), hi);
+    if (s < t) out.push_back(coll::Segment{s, local + (s - e.offset), t - s});
+    local += e.length;
+  }
+  return out;
+}
+
+/// `P` random views over one shared file: each rank holds no extent (one
+/// in five), one, or up to 8, 64 or 2048; owners interleave along the
+/// file, and a zero gap makes neighbours touch (file-contiguous pieces of
+/// one rank and runs that cross owners).
+std::vector<coll::FileView> random_job(sim::Rng& rng, int P) {
+  static constexpr std::uint64_t kMaxExtents[] = {1, 8, 64, 2048};
+  std::vector<int> owners;
+  for (int r = 0; r < P; ++r) {
+    if (rng.next_below(5) == 0) continue;
+    const std::uint64_t n = 1 + rng.next_below(kMaxExtents[rng.next_below(4)]);
+    owners.insert(owners.end(), n, r);
+  }
+  for (std::size_t i = owners.size(); i > 1; --i) {
+    std::swap(owners[i - 1], owners[rng.next_below(i)]);
+  }
+  std::vector<coll::FileView> views(static_cast<std::size_t>(P));
+  std::uint64_t pos = rng.next_below(10'000);
+  for (const int r : owners) {
+    const std::uint64_t len = 1 + rng.next_below(3'000);
+    views[static_cast<std::size_t>(r)].extents.push_back(
+        coll::Extent{pos, len});
+    pos += len + (rng.next_below(3) == 0 ? 0 : rng.next_below(2'000));
+  }
+  return views;
+}
+
+}  // namespace
+
+TEST(PieceQueries, MatchPerExtentClippingAndTheIndexDropsNothing) {
+  sim::Rng rng(0x5E6);
+  for (int trial = 0; trial < 24; ++trial) {
+    SCOPED_TRACE("trial " + std::to_string(trial));
+    // Partial last nodes, and (every third trial) a sub-communicator
+    // whose ranks start mid-node.
+    const int ppn = 1 + static_cast<int>(rng.next_below(4));
+    const int nodes = 1 + static_cast<int>(rng.next_below(6));
+    const int missing =
+        static_cast<int>(rng.next_below(static_cast<std::uint64_t>(ppn)));
+    const net::Topology world{nodes, ppn, nodes * ppn - missing};
+    net::Topology topo = world;
+    if (trial % 3 == 2 && world.nprocs() > 1) {
+      const int base = 1 + static_cast<int>(rng.next_below(
+                               static_cast<std::uint64_t>(world.nprocs() - 1)));
+      topo = net::Topology::sub_view(world, base, world.nprocs() - base);
+    }
+    const int P = topo.nprocs();
+    const auto views = random_job(rng, P);
+    coll::Options o = opts(4096 + rng.next_below(200'000),
+                           trial % 2 == 0 ? coll::OverlapMode::None
+                                          : coll::OverlapMode::WriteComm2);
+    o.num_aggregators =
+        static_cast<int>(rng.next_below(static_cast<std::uint64_t>(P) + 1));
+    o.stripe_align = trial % 4 == 1;
+    const coll::Plan plan(views, topo, 64 * sim::KiB, o);
+    std::vector<coll::ViewSummary> summaries;
+    for (const auto& v : views) summaries.push_back(v.summarize());
+    const coll::PlanSkeleton skel(summaries, topo, 64 * sim::KiB, o);
+    const int A = plan.num_aggregators();
+
+    // Piece queries: every cycle range and random windows, some inverted
+    // or past the file's end.
+    std::vector<std::pair<std::uint64_t, std::uint64_t>> windows;
+    for (int a = 0; a < A; ++a) {
+      for (int c = 0; c < plan.num_cycles(); ++c) {
+        const auto r = plan.cycle_range(a, c);
+        windows.emplace_back(r.begin, r.end);
+      }
+    }
+    const std::uint64_t end = plan.range_end() + 100;
+    for (int k = 0; k < 16; ++k) {
+      windows.emplace_back(rng.next_below(end), rng.next_below(end));
+    }
+    for (int r = 0; r < P; ++r) {
+      const coll::FileView& v = views[static_cast<std::size_t>(r)];
+      for (const auto& [lo, hi] : windows) {
+        const coll::SegmentRange got = plan.segments_in(r, lo, hi);
+        const auto want = clip_each_extent(v, lo, hi);
+        ASSERT_EQ(got.size(), want.size()) << "rank " << r << " [" << lo
+                                           << ", " << hi << ")";
+        std::uint64_t sum = 0;
+        std::size_t k = 0;
+        for (const coll::Segment& g : got) {
+          EXPECT_EQ(g.file_offset, want[k].file_offset);
+          EXPECT_EQ(g.local_offset, want[k].local_offset);
+          EXPECT_EQ(g.length, want[k].length);
+          sum += g.length;
+          ++k;
+        }
+        EXPECT_EQ(k, want.size());
+        EXPECT_EQ(got.bytes(), sum);
+        EXPECT_EQ(got.empty(), want.empty());
+        if (!want.empty()) {
+          EXPECT_EQ(got.local_offset(), want.front().local_offset);
+          // One contiguous local run, ending where the last piece ends.
+          EXPECT_EQ(got.local_offset() + got.bytes(),
+                    want.back().local_offset + want.back().length);
+        }
+      }
+    }
+
+    // The index: the skeleton from summaries agrees with the full plan,
+    // sources are strictly ascending and exactly the inverse of aggs_of,
+    // and no (rank, aggregator, cycle) with pieces falls outside it.
+    ASSERT_EQ(skel.num_aggregators(), A);
+    for (int r = 0; r < P; ++r) {
+      EXPECT_EQ(skel.aggs_of(r), plan.aggs_of(r)) << r;
+    }
+    for (int a = 0; a < A; ++a) {
+      const auto src = plan.sources_of(a);
+      const auto skel_src = skel.sources_of(a);
+      EXPECT_TRUE(std::equal(src.begin(), src.end(), skel_src.begin(),
+                             skel_src.end()))
+          << a;
+      EXPECT_TRUE(std::adjacent_find(src.begin(), src.end(),
+                                     std::greater_equal<int>()) == src.end())
+          << "sources of " << a << " not strictly ascending";
+      for (int r = 0; r < P; ++r) {
+        const auto [a0, a1] = plan.aggs_of(r);
+        const bool listed = std::binary_search(src.begin(), src.end(), r);
+        EXPECT_EQ(listed, a0 <= a && a < a1) << "rank " << r << " agg " << a;
+        for (int c = 0; c < plan.num_cycles(); ++c) {
+          const auto cr = plan.cycle_range(a, c);
+          if (clip_each_extent(views[static_cast<std::size_t>(r)], cr.begin,
+                               cr.end)
+                  .empty()) {
+            continue;
+          }
+          EXPECT_TRUE(listed) << "rank " << r << " has pieces for agg " << a
+                              << " cycle " << c << " but is not its source";
+        }
+      }
+    }
+
+    // A partial plan (one held view on a shared skeleton) answers the
+    // same pieces as the full one.
+    const int r =
+        static_cast<int>(rng.next_below(static_cast<std::uint64_t>(P)));
+    std::vector<std::pair<int, coll::FileView>> held;
+    held.emplace_back(r, views[static_cast<std::size_t>(r)]);
+    const coll::Plan partial(plan.skeleton_ptr(), std::move(held));
+    for (const auto& [lo, hi] : windows) {
+      const auto a = partial.segments_in(r, lo, hi);
+      const auto b = plan.segments_in(r, lo, hi);
+      EXPECT_EQ(a.size(), b.size());
+      EXPECT_EQ(a.bytes(), b.bytes());
+      EXPECT_EQ(a.local_offset(), b.local_offset());
+    }
+  }
 }
 
 TEST(PlanCache, SameSummaryTableSameSkeleton) {

@@ -55,6 +55,10 @@ void print_csv(const char* column,
 int main(int argc, char** argv) {
   const xp::CliConfig cfg = xp::parse_cli(
       std::vector<std::string>(argv + 1, argv + argc), xp::Tool::Sweep);
+  if (cfg.quick_help) {
+    std::fputs(xp::cli_usage(xp::Tool::Sweep).c_str(), stdout);
+    return 0;
+  }
   if (!cfg.error.empty()) {
     std::fprintf(stderr, "error: %s\n\n%s", cfg.error.c_str(),
                  xp::cli_usage(xp::Tool::Sweep).c_str());
