@@ -2,7 +2,8 @@
 // host-side throughput of the deterministic conductor (and the per-fiber
 // cost of starting a run on new and on recycled stacks), the simulated MPI
 // point-to-point path, collectives, RMA, the storage model (writes,
-// Digest recording, verify), and the shuffle's per-message piece query.
+// Digest recording, verify), one metadata exchange's plan builds, and the
+// shuffle's per-message piece query.
 // These bound the wall-clock cost of the
 // paper-reproduction sweeps and act as regression guards for the
 // simulator's hot paths. The incast and RMA epochs run with payloads on
@@ -13,10 +14,13 @@
 
 #include <chrono>
 #include <cstdlib>
+#include <memory>
+#include <span>
 #include <string>
 #include <vector>
 
 #include "core/plan.hpp"
+#include "core/plan_cache.hpp"
 #include "mpi/mpi.hpp"
 #include "net/fabric.hpp"
 #include "pfs/pfs.hpp"
@@ -285,6 +289,39 @@ void BM_PfsVerify(benchmark::State& state) {
   state.SetLabel(store ? "store" : "digest");
 }
 BENCHMARK(BM_PfsVerify)->Arg(0)->Arg(1);
+
+/// One metadata exchange's plan builds: the skeleton its ranks share, from
+/// the table of every rank's ViewSummary, and its aggregators' Plan, that
+/// skeleton plus every view of the table of serialized views. PlanCache
+/// memoizes both per live table, so the cache is cleared each iteration to
+/// make every lookup a build. Tile I/O 1M views (two extents per rank) on
+/// 48-rank nodes; 576 ranks is the paper's Fig. 1 cell.
+void BM_MetadataPlan(benchmark::State& state) {
+  const int P = static_cast<int>(state.range(0));
+  const net::Topology topo = net::Topology::fit(P, 48);
+  const wl::Spec spec = wl::make_tile1m(1, 2);
+  auto summaries = std::make_shared<smpi::Mpi::BlobTable>();
+  auto views = std::make_shared<smpi::Mpi::BlobTable>();
+  for (int r = 0; r < P; ++r) {
+    const coll::FileView v = spec.view(r, P);
+    const coll::ViewSummary s = v.summarize();
+    const auto bytes = std::as_bytes(std::span(&s, 1));
+    summaries->emplace_back(bytes.begin(), bytes.end());
+    views->push_back(v.serialize());
+  }
+  coll::Options o;
+  o.cb_size = 1 << 20;
+  for (auto _ : state) {
+    coll::PlanCache::clear();
+    const auto skel =
+        coll::PlanCache::get_or_build_skeleton(summaries, topo, 1 << 20, o);
+    const auto plan = coll::PlanCache::get_or_build(views, skel);
+    benchmark::DoNotOptimize(plan->num_cycles());
+  }
+  coll::PlanCache::clear();
+  state.SetItemsProcessed(state.iterations() * P);
+}
+BENCHMARK(BM_MetadataPlan)->ArgName("ranks")->Arg(64)->Arg(576)->Arg(8192);
 
 /// One piece query (Plan::segments_in) plus its count and byte total, the
 /// shuffle's bookkeeping per message, over a rank view of `extents`

@@ -54,9 +54,9 @@ std::shared_ptr<const Plan> MetadataExchange::plan(std::uint64_t stripe_size,
       mpi_.sparse_allgatherv_shared(view_.serialize(), want_b, want_e);
   const bool own_outside = me < want_b || me >= want_e;
   if (want_e - want_b + (own_outside ? 1 : 0) == P) {
-    // Every view held (an aggregator): share one full plan per geometry
-    // through the memoizing cache — bit-identical to a fresh construction.
-    return PlanCache::get_or_build(table, topo, stripe_size, opt);
+    // Every view held (an aggregator): the exchange's skeleton plus every
+    // view, built once and shared by all of the exchange's aggregators.
+    return PlanCache::get_or_build(table, skel);
   }
   std::vector<std::pair<int, FileView>> held;
   smpi::Mpi::held_sources(me, want_b, want_e, [&](int r) {

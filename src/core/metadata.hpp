@@ -18,8 +18,10 @@ namespace tpio::coll {
 ///
 /// Per-rank host work is O(1) in P outside the stage-2 blobs a rank
 /// actually pulls: every rank holds the generation's one shared summary
-/// table (never a copy of it) and receives the one skeleton PlanCache
-/// built for that table.
+/// table (never a copy of it). Each exchange builds one skeleton, from that
+/// table, and one aggregator Plan, from that skeleton and its stage-2 view
+/// table (PlanCache); every rank's Plan shares the skeleton, and nothing
+/// is kept once the exchange's tables die.
 class MetadataExchange {
  public:
   /// Stage 1: allgather this rank's 32-byte ViewSummary. Collective.

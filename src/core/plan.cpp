@@ -236,65 +236,61 @@ int PlanSkeleton::lane_of(int rank) const {
   return static_cast<int>(it - bounds.begin()) - 1;
 }
 
+Plan::Plan(std::shared_ptr<const PlanSkeleton> skeleton,
+           std::vector<std::pair<int, FileView>> held)
+    : skel_(std::move(skeleton)) {
+  TPIO_CHECK(skel_ != nullptr, "plan requires a skeleton");
+  const int P = skel_->topology().nprocs();
+  held_ranks_.reserve(held.size());
+  views_.reserve(held.size());
+  prefix_.reserve(held.size());
+  int prev = -1;
+  for (auto& [r, v] : held) {
+    TPIO_CHECK(r > prev, "held views must be ascending by rank");
+    TPIO_CHECK(r >= 0 && r < P, "held view rank outside the job");
+    v.validate();
+    std::vector<std::uint64_t>& prefix = prefix_.emplace_back();
+    prefix.reserve(v.extents.size());
+    std::uint64_t pos = 0;
+    for (const Extent& e : v.extents) {
+      prefix.push_back(pos);
+      pos += e.length;
+    }
+    held_ranks_.push_back(r);
+    views_.push_back(std::move(v));
+    prev = r;
+  }
+  dense_ = static_cast<int>(held_ranks_.size()) == P &&
+           (held_ranks_.empty() || held_ranks_.front() == 0);
+}
+
 namespace {
 
-std::vector<ViewSummary> summarize_all(const std::vector<FileView>& views) {
-  std::vector<ViewSummary> out;
-  out.reserve(views.size());
-  for (const FileView& v : views) out.push_back(v.summarize());
-  return out;
+/// The views-only constructor's held-views Plan: each view validated
+/// before its summary enters the skeleton, then held as rank r's.
+Plan hold_every_view(std::vector<FileView> views, const net::Topology& topo,
+                     std::uint64_t stripe_size, const Options& opt) {
+  TPIO_CHECK(static_cast<int>(views.size()) == topo.nprocs(),
+             "one view per rank required");
+  std::vector<ViewSummary> summaries;
+  summaries.reserve(views.size());
+  std::vector<std::pair<int, FileView>> held;
+  held.reserve(views.size());
+  for (std::size_t r = 0; r < views.size(); ++r) {
+    views[r].validate();
+    summaries.push_back(views[r].summarize());
+    held.emplace_back(static_cast<int>(r), std::move(views[r]));
+  }
+  return Plan(std::make_shared<const PlanSkeleton>(summaries, topo,
+                                                   stripe_size, opt),
+              std::move(held));
 }
 
 }  // namespace
 
 Plan::Plan(std::vector<FileView> views, const net::Topology& topo,
-           std::uint64_t stripe_size, const Options& opt) {
-  const int P = topo.nprocs();
-  TPIO_CHECK(static_cast<int>(views.size()) == P,
-             "one view per rank required");
-  for (const FileView& v : views) v.validate();
-  skel_ = std::make_shared<const PlanSkeleton>(summarize_all(views), topo,
-                                               stripe_size, opt);
-  views_ = std::move(views);
-  held_ranks_.reserve(static_cast<std::size_t>(P));
-  for (int r = 0; r < P; ++r) held_ranks_.push_back(r);
-  index_views();
-}
-
-Plan::Plan(std::shared_ptr<const PlanSkeleton> skeleton,
-           std::vector<std::pair<int, FileView>> held)
-    : skel_(std::move(skeleton)) {
-  TPIO_CHECK(skel_ != nullptr, "partial plan requires a skeleton");
-  held_ranks_.reserve(held.size());
-  views_.reserve(held.size());
-  int prev = -1;
-  for (auto& [r, v] : held) {
-    TPIO_CHECK(r > prev, "held views must be ascending by rank");
-    TPIO_CHECK(r >= 0 && r < skel_->topology().nprocs(),
-               "held view rank outside the job");
-    v.validate();
-    held_ranks_.push_back(r);
-    views_.push_back(std::move(v));
-    prev = r;
-  }
-  index_views();
-}
-
-void Plan::index_views() {
-  dense_ = static_cast<int>(held_ranks_.size()) ==
-               skel_->topology().nprocs() &&
-           (held_ranks_.empty() || held_ranks_.front() == 0);
-  prefix_.resize(views_.size());
-  for (std::size_t i = 0; i < views_.size(); ++i) {
-    std::uint64_t pos = 0;
-    prefix_[i].clear();
-    prefix_[i].reserve(views_[i].extents.size());
-    for (const Extent& e : views_[i].extents) {
-      prefix_[i].push_back(pos);
-      pos += e.length;
-    }
-  }
-}
+           std::uint64_t stripe_size, const Options& opt)
+    : Plan(hold_every_view(std::move(views), topo, stripe_size, opt)) {}
 
 bool Plan::holds_view(int r) const {
   if (dense_) return r >= 0 && r < static_cast<int>(held_ranks_.size());

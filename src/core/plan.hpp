@@ -196,25 +196,26 @@ class PlanSkeleton {
 
 /// The distribution plan of one collective write: a shared geometry
 /// skeleton plus the full views this rank actually holds. After the
-/// metadata exchange a plain sender holds only its own view, a lane leader
-/// its lane's views, and an aggregator all of them (the full constructor
-/// below, shared through PlanCache). Geometry queries are answered by the
-/// skeleton and are identical on every rank regardless of which views it
-/// holds; view queries (segments_in, view, ...) require the view to be
-/// held and fail loudly otherwise. Owns no payload.
+/// metadata exchange every rank's Plan shares that exchange's one
+/// skeleton: a plain sender holds only its own view, a lane leader its
+/// lane's views, and an aggregator all of them (one Plan per exchange,
+/// shared by its aggregators through PlanCache). Geometry queries are
+/// answered by the skeleton and are identical on every rank regardless of
+/// which views it holds; view queries (segments_in, view, ...) require the
+/// view to be held and fail loudly otherwise. Owns no payload.
 class Plan {
  public:
-  /// Full construction, the aggregators' path: `views[r]` is rank r's file
-  /// view. Builds the skeleton from the views' own summaries — the same
-  /// geometry as a skeleton built from the exchanged summaries — and holds
-  /// every view.
-  Plan(std::vector<FileView> views, const net::Topology& topo,
-       std::uint64_t stripe_size, const Options& opt);
-
-  /// Partial construction from a shared skeleton plus the (rank, view)
-  /// pairs delivered to this rank, ascending by rank.
+  /// The one construction path: a shared skeleton plus the (rank, view)
+  /// pairs delivered to this rank, ascending by rank. Validates each view.
   Plan(std::shared_ptr<const PlanSkeleton> skeleton,
        std::vector<std::pair<int, FileView>> held);
+
+  /// Every view held, `views[r]` rank r's, for callers without an exchange.
+  /// Validates each view, builds the skeleton from their summaries — the
+  /// geometry an exchange of these views derives — and delegates to the
+  /// held-views constructor.
+  Plan(std::vector<FileView> views, const net::Topology& topo,
+       std::uint64_t stripe_size, const Options& opt);
 
   int num_aggregators() const { return skel_->num_aggregators(); }
   int num_cycles() const { return skel_->num_cycles(); }
@@ -295,7 +296,6 @@ class Plan {
  private:
   /// Index into views_/prefix_ for a held rank; fails if not held.
   std::size_t held_slot(int r) const;
-  void index_views();
 
   std::shared_ptr<const PlanSkeleton> skel_;
   std::vector<int> held_ranks_;   // ascending; == [0, P) on a full plan

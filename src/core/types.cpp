@@ -39,17 +39,6 @@ std::vector<std::byte> FileView::serialize() const {
   return out;
 }
 
-std::uint64_t FileView::blob_total_bytes(const std::vector<std::byte>& blob) {
-  TPIO_CHECK(blob.size() % sizeof(Extent) == 0, "corrupt file-view blob");
-  std::uint64_t total = 0;
-  for (std::size_t off = 0; off < blob.size(); off += sizeof(Extent)) {
-    Extent e;
-    std::memcpy(&e, blob.data() + off, sizeof(Extent));
-    total += e.length;
-  }
-  return total;
-}
-
 FileView FileView::deserialize(const std::vector<std::byte>& blob) {
   TPIO_CHECK(blob.size() % sizeof(Extent) == 0, "corrupt file-view blob");
   FileView v;

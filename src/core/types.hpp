@@ -58,9 +58,6 @@ struct FileView {
   /// Serialize to/from bytes for the metadata exchange.
   std::vector<std::byte> serialize() const;
   static FileView deserialize(const std::vector<std::byte>& blob);
-
-  /// Sum of extent lengths of a serialized view, without deserializing.
-  static std::uint64_t blob_total_bytes(const std::vector<std::byte>& blob);
 };
 
 /// Which internal operations of the two-phase cycle pipeline overlap

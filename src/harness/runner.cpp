@@ -213,6 +213,4 @@ std::string fmt_ms(sim::Duration d) {
   return buf;
 }
 
-std::string fmt_bw(double bytes_per_s) { return sim::format_bandwidth(bytes_per_s); }
-
 }  // namespace tpio::xp

@@ -153,6 +153,5 @@ class Table {
 
 std::string fmt_pct(double fraction);     // "12.3%"
 std::string fmt_ms(sim::Duration d);      // "12.34"
-std::string fmt_bw(double bytes_per_s);   // "1.23 GiB/s"
 
 }  // namespace tpio::xp

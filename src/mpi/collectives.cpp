@@ -21,8 +21,8 @@ using detail::ceil_log2;
 // (arXiv:2006.13112): dissemination (Bruck-style) allgatherv in
 // ceil(log2 P) latency rounds with the volume bottleneck at the rank that
 // contributed least; binomial trees for the rooted collectives with the
-// volume charged at the root's NIC; recursive halving/doubling for
-// reduce_scatter and the butterfly allreduce built on it. Degenerate
+// volume charged at the root's NIC; recursive halving then its mirror
+// allgather for the butterfly allreduce. Degenerate
 // exchanges are free: P == 1 pays nothing, and empty contributions never
 // pay a volume term (transfer_time(0) == 0 by construction).
 
@@ -275,48 +275,38 @@ std::uint64_t reduce_fold(std::uint64_t a, std::uint64_t b,
 
 }  // namespace
 
-std::shared_ptr<const std::vector<std::uint64_t>> Mpi::reduce(
-    std::span<const std::uint64_t> elems, bool scatter, ReduceOp op) {
+std::uint64_t Mpi::allreduce(std::uint64_t v, ReduceOp op) {
   Machine& m = *machine_;
   const int P = size();
 
   struct Captured {
-    std::shared_ptr<std::vector<std::uint64_t>> accum;
+    std::shared_ptr<std::uint64_t> accum;
     sim::EventPtr release;
   };
   Captured cap = ctx_->act([&]() -> Captured {
     Machine::ReduceSlot& slot = m.reduce_;
     if (!slot.accum) {
-      slot.accum = std::make_shared<std::vector<std::uint64_t>>(
-          elems.size(), reduce_identity(op));
+      slot.accum = std::make_shared<std::uint64_t>(reduce_identity(op));
       slot.op = static_cast<int>(op);
-      slot.scatter = scatter;
     }
-    TPIO_CHECK(slot.accum->size() == elems.size() &&
-                   slot.op == static_cast<int>(op) &&
-                   slot.scatter == scatter,
+    TPIO_CHECK(slot.op == static_cast<int>(op),
                "mismatched reduce calls across ranks");
-    for (std::size_t i = 0; i < elems.size(); ++i) {
-      (*slot.accum)[i] = reduce_fold((*slot.accum)[i], elems[i], op);
-    }
+    *slot.accum = reduce_fold(*slot.accum, v, op);
     slot.arrived += 1;
     slot.max_clock = std::max(slot.max_clock, ctx_->now());
     Captured c{slot.accum, slot.release};
     if (slot.arrived == P) {
       sim::Duration cost = 0;
       if (P > 1) {
-        const auto n = static_cast<std::uint64_t>(elems.size()) *
-                       sizeof(std::uint64_t);
+        const std::uint64_t n = sizeof(std::uint64_t);
         const sim::Duration lat = m.fabric().params().inter_latency;
         const double bw = m.fabric().params().inter_bw;
         const auto log_p = static_cast<sim::Duration>(ceil_log2(P));
-        // Recursive halving moves (P-1)/P of the vector per rank in
-        // ceil(log2 P) rounds; the butterfly allreduce is a reduce_scatter
-        // followed by its mirror allgather — both terms doubled.
-        const auto rounds = scatter ? log_p : 2 * log_p;
-        const std::uint64_t vol = scatter ? n - n / static_cast<std::uint64_t>(P)
-                                          : 2 * (n - n / static_cast<std::uint64_t>(P));
-        cost = rounds * lat + sim::transfer_time(vol, bw) +
+        // Recursive halving moves (P-1)/P of the n-byte value per rank in
+        // ceil(log2 P) rounds, and its mirror allgather as much again.
+        cost = 2 * log_p * lat +
+               sim::transfer_time(2 * (n - n / static_cast<std::uint64_t>(P)),
+                                  bw) +
                m.sync_collective_cost(P);
       }
       ctx_->complete(*slot.release, slot.max_clock + cost);
@@ -325,19 +315,7 @@ std::shared_ptr<const std::vector<std::uint64_t>> Mpi::reduce(
     return c;
   });
   ctx_->wait_event(*cap.release, "mpi.reduce");
-  return cap.accum;
-}
-
-std::uint64_t Mpi::reduce_scatter(std::span<const std::uint64_t> elems,
-                                  ReduceOp op) {
-  TPIO_CHECK(elems.size() == static_cast<std::size_t>(size()),
-             "reduce_scatter: one element per rank required");
-  return (*reduce(elems, /*scatter=*/true, op))[static_cast<std::size_t>(
-      rank())];
-}
-
-std::uint64_t Mpi::allreduce(std::uint64_t v, ReduceOp op) {
-  return (*reduce({&v, 1}, /*scatter=*/false, op))[0];
+  return *cap.accum;
 }
 
 std::uint64_t Mpi::allreduce_max(std::uint64_t v) {

@@ -182,15 +182,10 @@ class Mpi {
   }
 
   enum class ReduceOp { Max, Min, Sum };
-  /// Reduce-scatter over one element per rank: every rank contributes
-  /// size() elements; rank r receives the op-reduction over all ranks of
-  /// their elems[r]. Recursive-halving cost (Jocksch et al.); the data
-  /// plane folds contributions into one shared accumulator, never
-  /// materializing per-rank blobs.
-  std::uint64_t reduce_scatter(std::span<const std::uint64_t> elems,
-                               ReduceOp op);
-  /// Butterfly allreduce (reduce_scatter + allgather cost shape) of one
-  /// scalar. O(1) host memory per rank.
+  /// Butterfly allreduce of one scalar: recursive halving then its mirror
+  /// allgather (Jocksch et al.). The data plane folds every contribution
+  /// into the generation's one shared accumulator; O(1) host memory per
+  /// rank.
   std::uint64_t allreduce(std::uint64_t v, ReduceOp op);
   std::uint64_t allreduce_max(std::uint64_t v);
   std::uint64_t allreduce_min(std::uint64_t v);
@@ -232,10 +227,6 @@ class Mpi {
   std::shared_ptr<const BlobTable> exchange(std::span<const std::byte> mine,
                                             int kind, int root,
                                             std::pair<int, int> want);
-  /// Shared reduce slot: fold `elems` element-wise into the generation's
-  /// accumulator; `scatter` selects the reduce_scatter vs allreduce cost.
-  std::shared_ptr<const std::vector<std::uint64_t>> reduce(
-      std::span<const std::uint64_t> elems, bool scatter, ReduceOp op);
 
   Machine* machine_;
   sim::RankCtx* ctx_;
@@ -336,9 +327,8 @@ class Machine {
   struct ReduceSlot {
     int arrived = 0;
     int op = -1;
-    bool scatter = false;
     sim::Time max_clock = 0;
-    std::shared_ptr<std::vector<std::uint64_t>> accum;
+    std::shared_ptr<std::uint64_t> accum;
     sim::EventPtr release = std::make_shared<sim::Event>();
   };
   ReduceSlot reduce_;

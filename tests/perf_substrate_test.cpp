@@ -102,8 +102,8 @@ TEST(PerfDiff, TimingOnlyMatchesMaterializedRun) {
 // The executor's thread pool must not perturb results through the pooling
 // layer: the conductors of concurrent runs release buffers into their
 // worker's thread-local pool and repopulate from the shared reservoir, and
-// plan memoization is shared across workers. jobs=1 vs jobs=8 must agree on
-// every fingerprint.
+// every worker's exchanges memoize their plans in the one PlanCache.
+// jobs=1 vs jobs=8 must agree on every fingerprint.
 TEST(PerfDiff, ExecutorJobsInvariantWithPoolingAndPlanCache) {
   const auto specs = diff_specs();
   auto grid = [&](int jobs) {
@@ -243,6 +243,9 @@ TEST(PlanCache, HitsOnIdenticalKeyMissesOnDifferentKey) {
   hier.hierarchical = true;
   const auto d = coll::PlanCache::get_or_build(blobs, topo, 1u << 17, hier);
   EXPECT_NE(a.get(), d.get());
+  // One slot, no library of past geometries: a's key builds afresh.
+  EXPECT_NE(coll::PlanCache::get_or_build(blobs, topo, 1u << 17, opt).get(),
+            a.get());
 }
 
 TEST(PlanCache, MaterializeFlagDoesNotEnterTheKey) {

@@ -5,10 +5,14 @@
 #include <memory>
 #include <span>
 
+#include "core/metadata.hpp"
 #include "core/plan.hpp"
 #include "core/plan_cache.hpp"
 #include "harness/runner.hpp"
 #include "harness/sweep.hpp"
+#include "mpi/mpi.hpp"
+#include "net/fabric.hpp"
+#include "sched/conductor.hpp"
 #include "simbase/error.hpp"
 #include "simbase/rng.hpp"
 #include "simbase/units.hpp"
@@ -16,6 +20,7 @@
 namespace coll = tpio::coll;
 namespace net = tpio::net;
 namespace sim = tpio::sim;
+namespace smpi = tpio::smpi;
 namespace wl = tpio::wl;
 namespace xp = tpio::xp;
 
@@ -68,54 +73,6 @@ struct FreshPlanCache {
   FreshPlanCache() { coll::PlanCache::clear(); }
   ~FreshPlanCache() { coll::PlanCache::clear(); }
 };
-
-/// The two memoized shared-table lookups, stripe 0: a generation's summary
-/// table gives every rank its skeleton, its stage-2 view table gives every
-/// aggregator its full Plan. `table` builds a generation's table for
-/// `views`; `get` is the shared-table lookup; `by_content` is the same
-/// content-keyed lookup without a table.
-struct SkeletonMemo {
-  static constexpr const char* kName = "skeleton memo";
-  static auto table(const std::vector<coll::FileView>& views) {
-    return summary_table(views);
-  }
-  static auto get(const std::shared_ptr<const BlobTable>& table,
-                  const net::Topology& topo, const coll::Options& o) {
-    return coll::PlanCache::get_or_build_skeleton(table, topo, 0, o);
-  }
-  static auto by_content(const std::vector<coll::FileView>& views,
-                         const net::Topology& topo, const coll::Options& o) {
-    std::vector<coll::ViewSummary> summaries;
-    for (const coll::FileView& v : views) summaries.push_back(v.summarize());
-    return coll::PlanCache::get_or_build_skeleton(summaries, topo, 0, o);
-  }
-};
-struct PlanMemo {
-  static constexpr const char* kName = "plan memo";
-  static auto table(const std::vector<coll::FileView>& views) {
-    return view_table(views);
-  }
-  static auto get(const std::shared_ptr<const BlobTable>& table,
-                  const net::Topology& topo, const coll::Options& o) {
-    return coll::PlanCache::get_or_build(table, topo, 0, o);
-  }
-  static auto by_content(const std::vector<coll::FileView>& views,
-                         const net::Topology& topo, const coll::Options& o) {
-    return coll::PlanCache::get_or_build(*view_table(views), topo, 0, o);
-  }
-};
-
-/// Runs `body(memo)` for both memos, each on an empty cache.
-template <class Body>
-void for_each_memo(Body body) {
-  const auto one = [&](auto memo) {
-    SCOPED_TRACE(memo.kName);
-    FreshPlanCache fresh;
-    body(memo);
-  };
-  one(SkeletonMemo{});
-  one(PlanMemo{});
-}
 
 }  // namespace
 
@@ -709,79 +666,123 @@ TEST(PieceQueries, MatchPerExtentClippingAndTheIndexDropsNothing) {
 }
 
 TEST(PlanCache, SameSummaryTableSameSkeleton) {
-  // Every rank of a generation presents the same table object: all of them
-  // get the one skeleton, and every aggregator the one Plan, each lookup
-  // counted as a hit after the first.
-  for_each_memo([](auto memo) {
-    net::Topology topo{4, 2};
-    const auto table = memo.table(block_views(8, 1000));
-    const auto before = coll::PlanCache::stats();
-    const auto a = memo.get(table, topo, opts(2000));
-    const auto b = memo.get(table, topo, opts(2000));
-    EXPECT_EQ(a.get(), b.get());
-    const auto after = coll::PlanCache::stats();
-    EXPECT_EQ(after.lookups - before.lookups, 2u);
-    EXPECT_EQ(after.hits - before.hits, 1u);
-    EXPECT_EQ(a->global_bytes(), 8000u);
-  });
+  // Every rank of a generation presents the same summary table object: all
+  // of them get the one skeleton, and every aggregator, presenting the
+  // generation's view table with that skeleton, the one Plan; each lookup
+  // after the first of its kind is a hit.
+  FreshPlanCache fresh;
+  net::Topology topo{4, 2};
+  const auto views = block_views(8, 1000);
+  const auto summaries = summary_table(views);
+  const auto table = view_table(views);
+  const auto before = coll::PlanCache::stats();
+  const auto a = coll::PlanCache::get_or_build_skeleton(summaries, topo, 0,
+                                                        opts(2000));
+  const auto b = coll::PlanCache::get_or_build_skeleton(summaries, topo, 0,
+                                                        opts(2000));
+  EXPECT_EQ(a.get(), b.get());
+  const auto p = coll::PlanCache::get_or_build(table, a);
+  const auto q = coll::PlanCache::get_or_build(table, b);
+  EXPECT_EQ(p.get(), q.get());
+  EXPECT_EQ(p->skeleton_ptr(), a);
+  const auto after = coll::PlanCache::stats();
+  EXPECT_EQ(after.lookups - before.lookups, 4u);
+  EXPECT_EQ(after.hits - before.hits, 2u);
+  EXPECT_EQ(p->global_bytes(), 8000u);
 }
 
-TEST(PlanCache, IdenticalTableOfANewGenerationHitsThroughContentKey) {
-  // A later run exchanging byte-identical tables gets a fresh table object;
-  // the memo misses, the content key hits — as does the table-less
-  // overload the same key serves.
-  for_each_memo([](auto memo) {
-    net::Topology topo{4, 2};
-    const auto views = block_views(8, 1000);
-    const auto first = memo.get(memo.table(views), topo, opts(2000));
+TEST(PlanCache, NewExchangeBuildsAfresh) {
+  // A later exchange of byte-identical tables hands its ranks new table
+  // objects: it gets its own skeleton and its own Plan, and neither memo
+  // outlives the tables it was built from.
+  FreshPlanCache fresh;
+  net::Topology topo{4, 2};
+  const auto views = block_views(8, 1000);
+  {
+    const auto summaries1 = summary_table(views);
+    const auto table1 = view_table(views);
+    const auto skel1 = coll::PlanCache::get_or_build_skeleton(
+        summaries1, topo, 0, opts(2000));
+    const auto plan1 = coll::PlanCache::get_or_build(table1, skel1);
+
+    const auto summaries2 = summary_table(views);
+    const auto table2 = view_table(views);
     const auto before = coll::PlanCache::stats();
-    const auto second = memo.get(memo.table(views), topo, opts(2000));
-    EXPECT_EQ(first.get(), second.get());
-    EXPECT_EQ(coll::PlanCache::stats().hits - before.hits, 1u);
-    EXPECT_EQ(memo.by_content(views, topo, opts(2000)).get(), first.get());
-  });
+    const auto skel2 = coll::PlanCache::get_or_build_skeleton(
+        summaries2, topo, 0, opts(2000));
+    const auto plan2 = coll::PlanCache::get_or_build(table2, skel2);
+    EXPECT_NE(skel1.get(), skel2.get());
+    EXPECT_NE(plan1.get(), plan2.get());
+    const auto after = coll::PlanCache::stats();
+    EXPECT_EQ(after.lookups - before.lookups, 2u);
+    EXPECT_EQ(after.hits - before.hits, 0u);
+    EXPECT_EQ(after.entries, 4u);
+  }
+  EXPECT_EQ(coll::PlanCache::stats().entries, 0u);
 }
 
 TEST(PlanCache, DifferentOptionsHeaderMisses) {
-  // The same live table under different plan-relevant Options is a
-  // different skeleton, and a different Plan.
-  for_each_memo([](auto memo) {
-    net::Topology topo{4, 2};
-    const auto table = memo.table(block_views(8, 1000));
-    const auto a = memo.get(table, topo, opts(2000));
-    coll::Options more = opts(2000);
-    more.num_aggregators = 4;
-    const auto b = memo.get(table, topo, more);
-    EXPECT_NE(a.get(), b.get());
-    EXPECT_EQ(b->num_aggregators(), 4);
-    const auto c = memo.get(table, topo, opts(500));
-    EXPECT_NE(a.get(), c.get());
-    EXPECT_NE(a->num_cycles(), c->num_cycles());
-  });
+  // The same live summary table under different plan-relevant Options is
+  // a different skeleton; the same view table over a different skeleton
+  // is a different Plan.
+  FreshPlanCache fresh;
+  net::Topology topo{4, 2};
+  const auto views = block_views(8, 1000);
+  const auto summaries = summary_table(views);
+  const auto table = view_table(views);
+  const auto a =
+      coll::PlanCache::get_or_build_skeleton(summaries, topo, 0, opts(2000));
+  coll::Options more = opts(2000);
+  more.num_aggregators = 4;
+  const auto b =
+      coll::PlanCache::get_or_build_skeleton(summaries, topo, 0, more);
+  EXPECT_NE(a.get(), b.get());
+  EXPECT_EQ(b->num_aggregators(), 4);
+  const auto c =
+      coll::PlanCache::get_or_build_skeleton(summaries, topo, 0, opts(500));
+  EXPECT_NE(a.get(), c.get());
+  EXPECT_NE(a->num_cycles(), c->num_cycles());
+  const auto pa = coll::PlanCache::get_or_build(table, a);
+  const auto pb = coll::PlanCache::get_or_build(table, b);
+  EXPECT_NE(pa.get(), pb.get());
+  EXPECT_EQ(pb->num_aggregators(), 4);
 }
 
 TEST(PlanCache, ClearedCacheBypassesTheMemo) {
-  for_each_memo([](auto memo) {
-    net::Topology topo{4, 2};
-    const auto table = memo.table(block_views(8, 1000));
-    const auto a = memo.get(table, topo, opts(2000));
-    // Cleared: the memo goes with the content cache.
-    coll::PlanCache::clear();
-    const auto d = memo.get(table, topo, opts(2000));
-    EXPECT_NE(a.get(), d.get());
-    EXPECT_EQ(memo.get(table, topo, opts(2000)).get(), d.get());
-  });
+  // Cleared: both memos go, so the same live tables build afresh and are
+  // memoized again.
+  FreshPlanCache fresh;
+  net::Topology topo{4, 2};
+  const auto views = block_views(8, 1000);
+  const auto summaries = summary_table(views);
+  const auto table = view_table(views);
+  const auto skel =
+      coll::PlanCache::get_or_build_skeleton(summaries, topo, 0, opts(2000));
+  const auto plan = coll::PlanCache::get_or_build(table, skel);
+  coll::PlanCache::clear();
+  const auto skel2 =
+      coll::PlanCache::get_or_build_skeleton(summaries, topo, 0, opts(2000));
+  EXPECT_NE(skel.get(), skel2.get());
+  EXPECT_EQ(coll::PlanCache::get_or_build_skeleton(summaries, topo, 0,
+                                                   opts(2000))
+                .get(),
+            skel2.get());
+  const auto plan2 = coll::PlanCache::get_or_build(table, skel);
+  EXPECT_NE(plan.get(), plan2.get());
+  EXPECT_EQ(coll::PlanCache::get_or_build(table, skel).get(), plan2.get());
 }
 
 // The two-stage metadata exchange plans from per-rank summaries: every
 // rank builds the skeleton from the exchanged ViewSummary table, while
 // aggregators also build the full Plan from every delivered view.
 TEST(MetadataDiff, SkeletonFromSummariesMatchesDensePlanGeometry) {
-  // PlanSkeleton sees 32 bytes per rank; the full Plan (the aggregators'
-  // path) sees every extent. Both must derive the same geometry —
-  // aggregator placement, domains, cycles, leaders — for random
-  // decompositions.
+  // PlanSkeleton sees 32 bytes per rank; the views-only Plan sees every
+  // extent; the aggregators' Plan (PlanCache over the exchange's view table
+  // and that skeleton) sees both. All three must derive the same geometry —
+  // aggregator placement, domains, cycles, lanes — for random
+  // decompositions, and both Plans the same pieces in any window.
   sim::Rng rng(0x5EED);
+  FreshPlanCache fresh;
   for (int trial = 0; trial < 20; ++trial) {
     const int ppn = 1 + static_cast<int>(rng.next_below(4));
     const int nodes = 2 + static_cast<int>(rng.next_below(7));
@@ -800,28 +801,118 @@ TEST(MetadataDiff, SkeletonFromSummariesMatchesDensePlanGeometry) {
     coll::Options opt;
     opt.cb_size = 1 << 20;
     opt.hierarchical = (trial % 2 == 1);
+    opt.local_aggregators = 1 + trial % 3;
     const std::uint64_t stripe = 128 * sim::KiB;
 
     std::vector<coll::ViewSummary> summaries;
     summaries.reserve(views.size());
     for (const auto& v : views) summaries.push_back(v.summarize());
-    const coll::PlanSkeleton skel(summaries, topo, stripe, opt);
+    const auto skel =
+        std::make_shared<const coll::PlanSkeleton>(summaries, topo, stripe, opt);
     const coll::Plan dense(views, topo, stripe, opt);
+    const auto shared = coll::PlanCache::get_or_build(view_table(views), skel);
+    ASSERT_EQ(&shared->skeleton(), skel.get()) << trial;
 
-    ASSERT_EQ(skel.num_aggregators(), dense.num_aggregators()) << trial;
-    EXPECT_EQ(skel.num_cycles(), dense.num_cycles()) << trial;
-    EXPECT_EQ(skel.sub_buffer_bytes(), dense.sub_buffer_bytes()) << trial;
-    EXPECT_EQ(skel.global_bytes(), dense.global_bytes()) << trial;
-    EXPECT_EQ(skel.range_begin(), dense.range_begin()) << trial;
-    EXPECT_EQ(skel.range_end(), dense.range_end()) << trial;
-    for (int a = 0; a < skel.num_aggregators(); ++a) {
-      EXPECT_EQ(skel.agg_rank(a), dense.agg_rank(a)) << trial;
-      EXPECT_EQ(skel.domain(a).begin, dense.domain(a).begin) << trial;
-      EXPECT_EQ(skel.domain(a).end, dense.domain(a).end) << trial;
+    ASSERT_EQ(skel->num_aggregators(), dense.num_aggregators()) << trial;
+    EXPECT_EQ(skel->num_cycles(), dense.num_cycles()) << trial;
+    EXPECT_EQ(skel->sub_buffer_bytes(), dense.sub_buffer_bytes()) << trial;
+    EXPECT_EQ(skel->global_bytes(), dense.global_bytes()) << trial;
+    EXPECT_EQ(skel->range_begin(), dense.range_begin()) << trial;
+    EXPECT_EQ(skel->range_end(), dense.range_end()) << trial;
+    for (int a = 0; a < skel->num_aggregators(); ++a) {
+      EXPECT_EQ(skel->agg_rank(a), dense.agg_rank(a)) << trial;
+      EXPECT_EQ(skel->domain(a).begin, dense.domain(a).begin) << trial;
+      EXPECT_EQ(skel->domain(a).end, dense.domain(a).end) << trial;
+      const auto s = skel->sources_of(a);
+      const auto d = dense.sources_of(a);
+      EXPECT_TRUE(std::equal(s.begin(), s.end(), d.begin(), d.end()))
+          << trial;
     }
     for (int r = 0; r < P; ++r) {
-      EXPECT_EQ(skel.is_aggregator(r), dense.is_aggregator(r)) << trial;
-      EXPECT_EQ(skel.agg_index(r), dense.agg_index(r)) << trial;
+      EXPECT_EQ(skel->is_aggregator(r), dense.is_aggregator(r)) << trial;
+      EXPECT_EQ(skel->agg_index(r), dense.agg_index(r)) << trial;
+      EXPECT_EQ(skel->aggs_of(r), dense.aggs_of(r)) << trial;
+      EXPECT_EQ(skel->leader_of(r), dense.leader_of(r)) << trial;
+      EXPECT_TRUE(shared->holds_view(r)) << trial;
+    }
+    EXPECT_EQ(skel->hierarchical(), dense.hierarchical()) << trial;
+    for (int n = 0; n < nodes; ++n) {
+      ASSERT_EQ(skel->lanes(n), dense.lanes(n)) << trial;
+      for (int l = 0; l < skel->lanes(n); ++l) {
+        EXPECT_EQ(skel->lane_rank_range(n, l), dense.lane_rank_range(n, l))
+            << trial;
+      }
+    }
+
+    const auto same = [](const coll::Segment& x, const coll::Segment& y) {
+      return x.file_offset == y.file_offset &&
+             x.local_offset == y.local_offset && x.length == y.length;
+    };
+    const std::uint64_t span = dense.range_end() - dense.range_begin();
+    for (int w = 0; w < 8; ++w) {
+      const std::uint64_t lo = dense.range_begin() + rng.next_below(span);
+      const std::uint64_t hi = lo + 1 + rng.next_below(span / 4 + 1);
+      for (int r = 0; r < P; ++r) {
+        const coll::SegmentRange a = shared->segments_in(r, lo, hi);
+        const coll::SegmentRange b = dense.segments_in(r, lo, hi);
+        ASSERT_EQ(a.size(), b.size()) << trial;
+        EXPECT_EQ(a.bytes(), b.bytes()) << trial;
+        EXPECT_EQ(a.local_offset(), b.local_offset()) << trial;
+        EXPECT_TRUE(std::equal(a.begin(), a.end(), b.begin(), b.end(), same))
+            << trial;
+      }
+      for (int n = 0; n < nodes; ++n) {
+        for (int l = 0; l < dense.lanes(n); ++l) {
+          const auto a = shared->lane_segments_in(n, l, lo, hi);
+          const auto b = dense.lane_segments_in(n, l, lo, hi);
+          EXPECT_TRUE(std::equal(a.begin(), a.end(), b.begin(), b.end(), same))
+              << trial;
+          EXPECT_EQ(shared->lane_bytes_in(n, l, lo, hi),
+                    dense.lane_bytes_in(n, l, lo, hi))
+              << trial;
+        }
+      }
     }
   }
+}
+
+TEST(Metadata, EveryRankSharesOneSkeleton) {
+  // One MetadataExchange on a 4 x 3 cluster, two-level with two lanes per
+  // node: plain senders, lane leaders and aggregators all plan over the
+  // exchange's one skeleton, and the aggregators share one Plan.
+  FreshPlanCache fresh;
+  const net::Topology topo{4, 3};
+  const int P = topo.nprocs();
+  net::Fabric fabric(topo, net::FabricParams{});
+  sim::Conductor conductor(P);
+  smpi::Machine machine(fabric, smpi::MpiParams{});
+  const auto views = block_views(P, 4096);
+  coll::Options opt = opts(8192, coll::OverlapMode::WriteComm2);
+  opt.num_aggregators = 2;
+  opt.hierarchical = true;
+  opt.local_aggregators = 2;
+  std::vector<std::shared_ptr<const coll::Plan>> plans(
+      static_cast<std::size_t>(P));
+  conductor.run([&](sim::RankCtx& ctx) {
+    smpi::Mpi mpi(machine, ctx);
+    const auto r = static_cast<std::size_t>(mpi.rank());
+    coll::MetadataExchange meta(mpi, views[r]);
+    plans[r] = meta.plan(0, opt, /*lane_routing=*/true);
+  });
+  const coll::PlanSkeleton* skel = &plans[0]->skeleton();
+  const coll::Plan* agg_plan = nullptr;
+  int aggregators = 0, leaders = 0;
+  for (int r = 0; r < P; ++r) {
+    const coll::Plan& plan = *plans[static_cast<std::size_t>(r)];
+    EXPECT_EQ(plan.skeleton_ptr().get(), skel) << "rank " << r;
+    if (plan.is_aggregator(r)) {
+      ++aggregators;
+      if (agg_plan == nullptr) agg_plan = &plan;
+      EXPECT_EQ(&plan, agg_plan) << "rank " << r;
+    } else if (plan.is_leader(r)) {
+      ++leaders;
+    }
+  }
+  EXPECT_EQ(aggregators, 2);
+  EXPECT_GT(leaders, 0);
 }

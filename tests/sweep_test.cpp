@@ -3,6 +3,7 @@
 #include <cstdio>
 #include <string>
 
+#include "core/plan_cache.hpp"
 #include "harness/sweep.hpp"
 #include "simbase/error.hpp"
 #include "simbase/units.hpp"
@@ -116,6 +117,26 @@ TEST(Sweep, MiniOverlapSweepRuns) {
     const double best = s.min_ms.at(s.winner());
     for (const auto& [mode, ms] : s.min_ms) EXPECT_GE(ms, best);
   }
+}
+
+TEST(Sweep, QuickSweepBuildsOncePerExchange) {
+  // Each run opens with one metadata exchange, which builds one skeleton
+  // for its ranks and one Plan for its aggregators, shares nothing with
+  // another run (two at a time here), and keeps neither once it ends.
+  coll::PlanCache::clear();
+  const coll::PlanCache::Stats before = coll::PlanCache::stats();
+  xp::ExecOptions exec;
+  exec.jobs = 2;
+  const auto series =
+      xp::run_overlap_sweep(xp::ibex(), /*reps=*/1, 23, /*quick=*/true, exec);
+  std::uint64_t runs = 0;
+  for (const auto& s : series) runs += s.min_ms.size();
+  ASSERT_EQ(runs, 80u);
+  const coll::PlanCache::Stats after = coll::PlanCache::stats();
+  const std::uint64_t builds =
+      (after.lookups - before.lookups) - (after.hits - before.hits);
+  EXPECT_EQ(builds, 2 * runs);
+  EXPECT_EQ(after.entries, 0u);
 }
 
 TEST(Sweep, MiniPrimitiveSweepRuns) {
