@@ -52,7 +52,10 @@ Engine::Engine(smpi::Mpi& mpi, pfs::File& file, const Plan& plan,
       opt_(opt),
       t_(timings),
       policy_(policy),
-      io_(mpi, file, plan, opt_, timings, kWriteDirection) {
+      io_(mpi, file, plan, opt_, timings, kWriteDirection),
+      staging_(payload_touched(opt, mpi.machine())
+                   ? sim::BufferPool::Contents::overwritten
+                   : sim::BufferPool::Contents::unread) {
   TPIO_CHECK(data_.size() == plan.view(mpi.rank()).total_bytes(),
              "local buffer size does not match the file view");
   // Timing-only mode must never meet a content-recording file: it would
@@ -86,8 +89,9 @@ Engine::Engine(smpi::Mpi& mpi, pfs::File& file, const Plan& plan,
       // range not covered by any incoming segment keep the sub-buffer's
       // prior bytes, which a fresh std::vector guaranteed to be zero.
       for (int s = 0; s < nslots; ++s) {
-        slots_[s].cb =
-            sim::BufferPool::local().acquire(sb, /*zeroed=*/opt_.materialize);
+        slots_[s].cb = sim::BufferPool::local().acquire(
+            sb, opt_.materialize ? sim::BufferPool::Contents::zeroed
+                                 : staging_);
       }
     }
   } else {
@@ -155,7 +159,7 @@ void Engine::leader_gather(int cycle, int slot) {
     if (one_run) {
       payload = data_.subspan(start, total);
     } else {
-      buf = sim::BufferPool::local().acquire(total, /*zeroed=*/false);
+      buf = sim::BufferPool::local().acquire(total, staging_);
       if (opt_.materialize) {
         std::uint64_t pos = 0;
         for_pieces(me, [&](const SegmentRange& g) {
@@ -232,7 +236,7 @@ void Engine::leader_gather(int cycle, int slot) {
   ScopedTraceEvent ev(opt_.trace, "leader_gather", cycle, mpi_.ctx());
   // The staging buffer is fully covered by the members' pieces, so it
   // needs no zeroing; pooled, recycled across cycles and runs.
-  s.stage = sim::BufferPool::local().acquire(stage_bytes, /*zeroed=*/false);
+  s.stage = sim::BufferPool::local().acquire(stage_bytes, staging_);
   std::vector<std::pair<int, sim::BufferPool::Buffer>> bufs;
   std::vector<smpi::Request> reqs;
   bufs.reserve(static_cast<std::size_t>(lane_last_ - lane_first_));
@@ -242,8 +246,7 @@ void Engine::leader_gather(int cycle, int slot) {
     std::uint64_t n = 0;
     for_pieces(m, [&](const SegmentRange& g) { n += g.bytes(); });
     if (n == 0) continue;
-    bufs.emplace_back(m,
-                      sim::BufferPool::local().acquire(n, /*zeroed=*/false));
+    bufs.emplace_back(m, sim::BufferPool::local().acquire(n, staging_));
     timed(mpi_.ctx(), t_.gather, [&] {
       reqs.push_back(
           mpi_.irecv(m, gather_tag(cycle, lane_), bufs.back().second.span()));
@@ -306,8 +309,8 @@ void Engine::post_receives(int cycle, int slot) {
       dest = cb.subspan(g.file_offset - r.begin, g.length);
     } else {
       RecvStage st;
-      st.buf = sim::BufferPool::local().acquire(
-          segcopy::total_bytes(pieces), /*zeroed=*/false);
+      st.buf = sim::BufferPool::local().acquire(segcopy::total_bytes(pieces),
+                                                staging_);
       st.pieces = std::move(pieces);  // scattered at shuffle_wait
       s.sh.recv_bufs.push_back(std::move(st));
       dest = s.sh.recv_bufs.back().buf.span();

@@ -133,6 +133,9 @@ class Engine {
   PhaseTimings& t_;
   AutoPolicy policy_;
   FileStage io_;  // the write phase; holds opt_ and t_ by reference
+  // How buffers the shuffle fills before reading are checked out:
+  // overwritten, or unread where nothing touches the payload.
+  const sim::BufferPool::Contents staging_;
   int my_agg_ = -1;  // aggregator index of this rank, or -1
   int node_ = 0;
   // Hierarchical-mode geometry (valid when plan_.hierarchical(); the
@@ -152,6 +155,14 @@ class Engine {
   AutoDecision auto_decision_;
   Slot slots_[2];
 };
+
+/// Whether anything touches a write's payload bytes: the engines copy them
+/// under Options::materialize, smpi when `machine` carries payloads. Where
+/// neither does, the rank's data buffer and every buffer the engine stages
+/// are checked out BufferPool::Contents::unread (DESIGN.md §5b).
+inline bool payload_touched(const Options& opt, const smpi::Machine& machine) {
+  return opt.materialize || machine.payloads();
+}
 
 /// Perform a collective write of `data` (laid out per `view`) into `file`,
 /// together with every other rank of the job. Collective: all ranks must

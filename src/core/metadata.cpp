@@ -58,10 +58,14 @@ std::shared_ptr<const Plan> MetadataExchange::plan(std::uint64_t stripe_size,
     // view, built once and shared by all of the exchange's aggregators.
     return PlanCache::get_or_build(table, skel);
   }
+  // This rank's own view is the one it holds (and collective_write or
+  // collective_read validated); only the others come out of the table.
   std::vector<std::pair<int, FileView>> held;
   smpi::Mpi::held_sources(me, want_b, want_e, [&](int r) {
     held.emplace_back(
-        r, FileView::deserialize((*table)[static_cast<std::size_t>(r)]));
+        r, r == me ? view_
+                   : FileView::deserialize(
+                         (*table)[static_cast<std::size_t>(r)]));
   });
   return std::make_shared<const Plan>(std::move(skel), std::move(held));
 }

@@ -248,7 +248,6 @@ Plan::Plan(std::shared_ptr<const PlanSkeleton> skeleton,
   for (auto& [r, v] : held) {
     TPIO_CHECK(r > prev, "held views must be ascending by rank");
     TPIO_CHECK(r >= 0 && r < P, "held view rank outside the job");
-    v.validate();
     std::vector<std::uint64_t>& prefix = prefix_.emplace_back();
     prefix.reserve(v.extents.size());
     std::uint64_t pos = 0;
@@ -267,7 +266,9 @@ Plan::Plan(std::shared_ptr<const PlanSkeleton> skeleton,
 namespace {
 
 /// The views-only constructor's held-views Plan: each view validated
-/// before its summary enters the skeleton, then held as rank r's.
+/// before its summary enters the skeleton, then held as rank r's. This is
+/// the only validation its views get; the held-views constructor does
+/// none.
 Plan hold_every_view(std::vector<FileView> views, const net::Topology& topo,
                      std::uint64_t stripe_size, const Options& opt) {
   TPIO_CHECK(static_cast<int>(views.size()) == topo.nprocs(),

@@ -206,14 +206,16 @@ class PlanSkeleton {
 class Plan {
  public:
   /// The one construction path: a shared skeleton plus the (rank, view)
-  /// pairs delivered to this rank, ascending by rank. Validates each view.
+  /// pairs delivered to this rank, ascending by rank. Does not validate
+  /// the views: a metadata exchange delivers views that collective_write
+  /// or collective_read validated on their owners before stage 2.
   Plan(std::shared_ptr<const PlanSkeleton> skeleton,
        std::vector<std::pair<int, FileView>> held);
 
   /// Every view held, `views[r]` rank r's, for callers without an exchange.
-  /// Validates each view, builds the skeleton from their summaries — the
-  /// geometry an exchange of these views derives — and delegates to the
-  /// held-views constructor.
+  /// Validates each view (nothing upstream did), builds the skeleton from
+  /// their summaries — the geometry an exchange of these views derives —
+  /// and delegates to the held-views constructor.
   Plan(std::vector<FileView> views, const net::Topology& topo,
        std::uint64_t stripe_size, const Options& opt);
 

@@ -58,7 +58,7 @@ ReadEngine::ReadEngine(smpi::Mpi& mpi, pfs::File& file, const Plan& plan,
       // (zero-fill plus stored-content overlay), so the pooled sub-buffer
       // needs no zeroing even with materialized contents.
       slots_[s].cb = sim::BufferPool::local().acquire(
-          plan_.sub_buffer_bytes(), /*zeroed=*/false);
+          plan_.sub_buffer_bytes(), sim::BufferPool::Contents::overwritten);
     }
   }
 }
@@ -148,8 +148,8 @@ void ReadEngine::scatter_init(int cycle, int slot) {
         // scatter_wait.
         payload = cb.subspan(first - r.begin, total);
       } else {
-        sim::BufferPool::Buffer buf =
-            sim::BufferPool::local().acquire(total, /*zeroed=*/false);
+        sim::BufferPool::Buffer buf = sim::BufferPool::local().acquire(
+            total, sim::BufferPool::Contents::overwritten);
         if (opt_.materialize) {
           std::uint64_t pos = 0;
           segcopy::for_file_runs(

@@ -41,10 +41,15 @@ std::vector<std::byte> FileView::serialize() const {
 
 FileView FileView::deserialize(const std::vector<std::byte>& blob) {
   TPIO_CHECK(blob.size() % sizeof(Extent) == 0, "corrupt file-view blob");
+  // One memcpy'd extent appended at a time: resize would zero every extent
+  // before the copy overwrote it.
   FileView v;
-  v.extents.resize(blob.size() / sizeof(Extent));
-  if (!blob.empty()) {
-    std::memcpy(v.extents.data(), blob.data(), blob.size());
+  const std::size_t n = blob.size() / sizeof(Extent);
+  v.extents.reserve(n);
+  for (std::size_t i = 0; i < n; ++i) {
+    Extent e;
+    std::memcpy(&e, blob.data() + i * sizeof(Extent), sizeof e);
+    v.extents.push_back(e);
   }
   return v;
 }

@@ -348,15 +348,18 @@ MultiRunResult execute_multi(const MultiRunSpec& spec, bool with_baselines) {
       // plan and shuffle only among themselves.
       const int trank = g.base + mpi.rank();
       coll::FileView view = ts.workload.view(trank, ts.nprocs);
+      const coll::Options& opt = eff[static_cast<std::size_t>(g.tenant)];
+      // Filled in full when materialized; unbacked when nothing touches
+      // the payload (coll::payload_touched).
       sim::BufferPool::Buffer data = sim::BufferPool::local().acquire(
-          view.total_bytes(), /*zeroed=*/false);
+          view.total_bytes(), coll::payload_touched(opt, mpi.machine())
+                                  ? sim::BufferPool::Contents::overwritten
+                                  : sim::BufferPool::Contents::unread);
       // Buffer content is the rank's *logical* data (global offsets);
       // compaction only relocates where it lands in the subfile, and a
       // monotonic map keeps the extent order, so the flattened buffer
       // layout is unchanged.
-      if (eff[static_cast<std::size_t>(g.tenant)].materialize) {
-        wl::fill_into(view, data.span());
-      }
+      if (opt.materialize) wl::fill_into(view, data.span());
       const SubfileMap& map = maps[static_cast<std::size_t>(gi)];
       if (map.active()) {
         for (coll::Extent& e : view.extents) e.offset = map.to_local(e.offset);
@@ -364,7 +367,7 @@ MultiRunResult execute_multi(const MultiRunSpec& spec, bool with_baselines) {
       results[static_cast<std::size_t>(g.tenant)]
              [static_cast<std::size_t>(trank)] = coll::collective_write(
                  mpi, *files[static_cast<std::size_t>(gi)], view, data.span(),
-                 eff[static_cast<std::size_t>(g.tenant)]);
+                 opt);
     });
   }
   conductor.run(programs);

@@ -35,9 +35,12 @@ std::shared_ptr<Window> Mpi::win_allocate(std::size_t local_bytes) {
     Machine::WinCreateSlot& slot = m.win_create_;
     if (!slot.win) slot.win = std::shared_ptr<Window>(new Window(m));
     // Zeroed when puts land bytes: a verified run writes the gaps no put
-    // covers to the file. A size-only window is never touched.
+    // covers to the file. smpi never touches a size-only window, but it
+    // stays backed: its owner may still write it.
     slot.win->targets_[static_cast<std::size_t>(rank())].mem =
-        sim::BufferPool::local().acquire(local_bytes, /*zeroed=*/m.payloads_);
+        sim::BufferPool::local().acquire(
+            local_bytes, m.payloads_ ? sim::BufferPool::Contents::zeroed
+                                     : sim::BufferPool::Contents::overwritten);
     std::shared_ptr<Window> w = slot.win;
     slot.arrived += 1;
     if (slot.arrived == P) slot = Machine::WinCreateSlot{};

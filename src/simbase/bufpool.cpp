@@ -1,10 +1,14 @@
 #include "simbase/bufpool.hpp"
 
+#include <algorithm>
 #include <atomic>
 #include <bit>
 #include <cstring>
 #include <mutex>
 
+#include <sys/mman.h>
+
+#include "simbase/error.hpp"
 #include "simbase/sanitizers.hpp"
 
 #if defined(__GLIBC__)
@@ -48,6 +52,34 @@ Reservoir& reservoir() {
   return *r;
 }
 
+/// The address range every unread checkout points into: PROT_NONE, so a
+/// touch faults, and MAP_NORESERVE, so it holds address space and no
+/// memory. A request larger than the current reservation maps a new one
+/// of the next power of two; the old one stays mapped, because unread
+/// handles may still point into it. Leaked on purpose, like the
+/// reservoir.
+struct UnreadReservation {
+  std::mutex mu;
+  std::byte* base = nullptr;
+  std::size_t bytes = 0;
+  static constexpr std::size_t kMinBytes = std::size_t{1} << 20;  // 1 MiB
+};
+
+std::byte* unread_span(std::size_t n) {
+  static UnreadReservation* r = new UnreadReservation;
+  std::lock_guard<std::mutex> lk(r->mu);
+  if (n > r->bytes) {
+    const std::size_t bytes =
+        std::bit_ceil(std::max(n, UnreadReservation::kMinBytes));
+    void* m = ::mmap(nullptr, bytes, PROT_NONE,
+                     MAP_PRIVATE | MAP_ANONYMOUS | MAP_NORESERVE, -1, 0);
+    TPIO_CHECK(m != MAP_FAILED, "unread buffer reservation mmap failed");
+    r->base = static_cast<std::byte*>(m);
+    r->bytes = bytes;
+  }
+  return r->base;
+}
+
 /// Pin glibc's allocator policy, once per process. By default glibc
 /// raises its mmap threshold to the largest block freed so far and trims
 /// the heap top as soon as twice that much is free there. A sweep frees
@@ -72,8 +104,10 @@ void pin_malloc_policy() {
 BufferPool::BufferPool() { pin_malloc_policy(); }
 
 void BufferPool::Buffer::reset() {
-  if (!mem_) return;
-  BufferPool::local().release(std::move(mem_), cap_);
+  if (cap_ > 0) {
+    BufferPool::local().release(std::unique_ptr<std::byte[]>(data_), cap_);
+  }
+  data_ = nullptr;
   cap_ = size_ = 0;
 }
 
@@ -102,52 +136,47 @@ void BufferPool::donate_all() {
   retained_bytes_ = 0;
 }
 
-BufferPool::Buffer BufferPool::acquire(std::size_t n, bool zeroed) {
+BufferPool::Buffer BufferPool::acquire(std::size_t n, Contents contents) {
   Buffer b;
   if (n == 0) return b;
   g_acquires.fetch_add(1, std::memory_order_relaxed);
+  b.size_ = n;
+  if (contents == Contents::unread) {
+    b.data_ = unread_span(n);
+    return b;
+  }
   const int k = class_of(n);
-  const std::size_t cap = std::size_t{1} << k;
-
   auto& list = free_[k];
   if (!list.empty()) {
-    b.mem_ = std::move(list.back().mem);
+    b.data_ = list.back().mem.release();
     b.cap_ = list.back().cap;
     list.pop_back();
     retained_bytes_ -= b.cap_;
     g_hits.fetch_add(1, std::memory_order_relaxed);
-#ifdef TPIO_ASAN
-    ASAN_UNPOISON_MEMORY_REGION(b.mem_.get(), b.cap_);
-#endif
-    if (zeroed) std::memset(b.mem_.get(), 0, n);
-    b.size_ = n;
-    return b;
-  }
-  {
+  } else {
     Reservoir& r = reservoir();
-    std::lock_guard<std::mutex> lk(r.mu);
+    std::unique_lock<std::mutex> lk(r.mu);
     if (!r.free_[k].empty()) {
-      b.mem_ = std::move(r.free_[k].back().mem);
+      b.data_ = r.free_[k].back().mem.release();
       b.cap_ = r.free_[k].back().cap;
       r.free_[k].pop_back();
       r.bytes -= b.cap_;
       g_reservoir_hits.fetch_add(1, std::memory_order_relaxed);
-#ifdef TPIO_ASAN
-      ASAN_UNPOISON_MEMORY_REGION(b.mem_.get(), b.cap_);
-#endif
-      if (zeroed) std::memset(b.mem_.get(), 0, n);
-      b.size_ = n;
-      return b;
+    } else {
+      lk.unlock();
+      // Fresh allocation. new std::byte[cap] default-initializes — no
+      // memset unless the caller asked for zeroed contents.
+      g_fresh.fetch_add(1, std::memory_order_relaxed);
+      const std::size_t cap = std::size_t{1} << k;
+      b.data_ = new std::byte[cap];
+      b.cap_ = cap;
     }
   }
-
-  // Fresh allocation. new std::byte[cap] default-initializes — no memset
-  // unless the caller asked for zeroed contents.
-  g_fresh.fetch_add(1, std::memory_order_relaxed);
-  b.mem_ = std::unique_ptr<std::byte[]>(new std::byte[cap]);
-  b.cap_ = cap;
-  if (zeroed) std::memset(b.mem_.get(), 0, n);
-  b.size_ = n;
+#ifdef TPIO_ASAN
+  // Parked storage was poisoned at release (fresh storage never was).
+  ASAN_UNPOISON_MEMORY_REGION(b.data_, b.cap_);
+#endif
+  if (contents == Contents::zeroed) std::memset(b.data_, 0, n);
   return b;
 }
 

@@ -4,13 +4,15 @@
 #include <cstdint>
 #include <memory>
 #include <span>
+#include <utility>
 #include <vector>
 
 namespace tpio::sim {
 
 /// Size-classed recycling allocator for the simulation's transient byte
 /// buffers (collective sub-buffers, shuffle staging, per-rank payloads,
-/// RMA window memory).
+/// RMA window memory), and the one unbacked span for such buffers that a
+/// run never touches.
 ///
 /// The hot path of a simulated collective write allocates the same buffer
 /// shapes every cycle and every run; a sweep re-pays malloc + page-fault +
@@ -40,29 +42,37 @@ namespace tpio::sim {
 /// in again (see bufpool.cpp).
 ///
 /// Bit-identity: recycling changes *where* a buffer's storage comes from,
-/// never what the simulation computes. `zeroed` acquisition reproduces the
+/// never what the simulation computes. `Contents::zeroed` reproduces the
 /// all-zero contents of a fresh std::vector for buffers whose bytes may be
-/// read before being fully written; non-zeroed acquisition is reserved for
-/// buffers that are completely overwritten (or never read at all —
-/// Options::materialize == false).
+/// read before being fully written; `overwritten` skips the memset for
+/// buffers that are completely written before any read. A buffer whose
+/// bytes nothing reads or writes (a timing-only run's payload) is checked
+/// out `unread`: a span into one process-wide PROT_NONE address
+/// reservation, so it costs no memory and any touch of it faults.
 class BufferPool {
  public:
+  /// What the caller does with a checked-out buffer's bytes.
+  enum class Contents {
+    zeroed,       // may read bytes it never wrote: all zero, as if fresh
+    overwritten,  // writes every byte before reading it: left as found
+    unread,       // never reads or writes one: unbacked, faults on touch
+  };
+
   /// RAII handle of one checked-out buffer. Movable, not copyable; the
   /// destructor returns the storage to the destroying thread's pool.
   class Buffer {
    public:
     Buffer() = default;
     Buffer(Buffer&& o) noexcept
-        : mem_(std::move(o.mem_)), cap_(o.cap_), size_(o.size_) {
-      o.cap_ = o.size_ = 0;
-    }
+        : data_(std::exchange(o.data_, nullptr)),
+          cap_(std::exchange(o.cap_, 0)),
+          size_(std::exchange(o.size_, 0)) {}
     Buffer& operator=(Buffer&& o) noexcept {
       if (this != &o) {
         reset();
-        mem_ = std::move(o.mem_);
-        cap_ = o.cap_;
-        size_ = o.size_;
-        o.cap_ = o.size_ = 0;
+        data_ = std::exchange(o.data_, nullptr);
+        cap_ = std::exchange(o.cap_, 0);
+        size_ = std::exchange(o.size_, 0);
       }
       return *this;
     }
@@ -70,20 +80,23 @@ class BufferPool {
     Buffer& operator=(const Buffer&) = delete;
     ~Buffer() { reset(); }
 
-    /// Return the storage to the pool now (no-op on an empty handle).
+    /// Return the storage to the pool now (no-op on an empty handle; an
+    /// unread handle owns none and just lets go of its span).
     void reset();
 
-    std::byte* data() { return mem_.get(); }
-    const std::byte* data() const { return mem_.get(); }
+    std::byte* data() { return data_; }
+    const std::byte* data() const { return data_; }
     std::size_t size() const { return size_; }
     bool empty() const { return size_ == 0; }
-    std::span<std::byte> span() { return {mem_.get(), size_}; }
-    std::span<const std::byte> span() const { return {mem_.get(), size_}; }
+    std::span<std::byte> span() { return {data_, size_}; }
+    std::span<const std::byte> span() const { return {data_, size_}; }
 
    private:
     friend class BufferPool;
-    std::unique_ptr<std::byte[]> mem_;
-    std::size_t cap_ = 0;   // class-rounded capacity
+    // Pooled storage this handle owns, of class-rounded capacity cap_; or,
+    // with cap_ == 0, a span of the unread reservation, which it does not.
+    std::byte* data_ = nullptr;
+    std::size_t cap_ = 0;
     std::size_t size_ = 0;  // requested size
   };
 
@@ -91,13 +104,21 @@ class BufferPool {
   static BufferPool& local();
 
   /// Check out a buffer of exactly `n` bytes (n == 0 yields an empty
-  /// handle). `zeroed` guarantees all-zero contents like a fresh
-  /// std::vector — required whenever any byte might be read before being
-  /// written; pass false for buffers that are fully overwritten or whose
-  /// contents are never consumed.
-  Buffer acquire(std::size_t n, bool zeroed);
+  /// handle) for the use `contents` names. A `zeroed` or `overwritten`
+  /// buffer is pooled storage. An `unread` one is a span of the one
+  /// process-wide reservation: every unread handle of a size it covers
+  /// aliases the same addresses, a larger request maps a larger
+  /// reservation, and no reservation is ever unmapped, so a live span
+  /// stays valid (and still faults on touch).
+  Buffer acquire(std::size_t n, Contents contents);
+  /// The two heap-backed uses as a flag: `zeroed` or `overwritten`.
+  Buffer acquire(std::size_t n, bool zeroed) {
+    return acquire(n, zeroed ? Contents::zeroed : Contents::overwritten);
+  }
 
   /// Process-wide counters (relaxed atomics; approximate under races).
+  /// `acquires` counts every non-empty checkout, unread ones included;
+  /// those alone are none of hits, reservoir_hits and fresh.
   struct Stats {
     std::uint64_t acquires = 0;   // non-empty acquisitions
     std::uint64_t hits = 0;       // served from a local free list

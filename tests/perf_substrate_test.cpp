@@ -4,11 +4,19 @@
 // on every RunResult field, and the pooled, memoized runs must not depend
 // on the executor's worker count, over a grid of specs chosen to hit every
 // engine path (tiny-segment tile, flash, hierarchical, one-sided, Auto,
-// fault injection). The golden suite (tests/golden/) pins the results
-// themselves. Unit tests of BufferPool and PlanCache follow.
+// fault injection). A timing-only run backs no payload buffer, and one
+// whose Machine carries payloads backs every buffer smpi copies into. The
+// golden suite (tests/golden/) pins the results themselves. Unit tests of
+// BufferPool and PlanCache follow.
 
 #include <gtest/gtest.h>
 
+#include <sys/mman.h>
+#include <sys/wait.h>
+
+#include <algorithm>
+#include <csignal>
+#include <cstdlib>
 #include <string>
 #include <thread>
 #include <utility>
@@ -18,12 +26,17 @@
 #include "harness/sweep.hpp"
 #include "simbase/bufpool.hpp"
 #include "simbase/sanitizers.hpp"
+#include "test_rig.hpp"
 
 namespace coll = tpio::coll;
 namespace net = tpio::net;
+namespace pfs = tpio::pfs;
 namespace sim = tpio::sim;
+namespace smpi = tpio::smpi;
 namespace wl = tpio::wl;
 namespace xp = tpio::xp;
+
+using Contents = sim::BufferPool::Contents;
 
 namespace {
 
@@ -134,9 +147,140 @@ TEST(PerfDiff, ExecutorJobsInvariantWithPoolingAndPlanCache) {
   }
 }
 
+// A timing-only job (no verify) neither copies payload bytes in the engine
+// nor carries them through its size-only Machine, so the rank data buffers
+// and every buffer the engine stages are unread checkouts: none may come
+// from a free list, the reservoir or the heap. Flat, hierarchical at
+// co = 4 and with two sub-communicators, on a tile layout whose cycles
+// carry multi-piece messages.
+TEST(PerfDiff, TimingOnlyRunBacksNoPayload) {
+  auto spec = [](int co, int k) {
+    xp::RunSpec s;
+    s.platform = xp::scaled(xp::ibex());
+    s.workload = wl::make_tile256(2, 2048);
+    s.nprocs = 20;
+    s.options.cb_size = xp::kCbSize;
+    s.options.overlap = coll::OverlapMode::WriteComm2;
+    s.options.hierarchical = co > 0;
+    s.options.local_aggregators = std::max(co, 1);
+    s.options.sub_comm_count = k;
+    s.seed = 5;
+    return s;
+  };
+  const std::pair<const char*, xp::RunSpec> cells[] = {
+      {"flat", spec(0, 1)},
+      {"hier-co4", spec(4, 1)},
+      {"sub-comms-2", spec(0, 2)}};
+  for (const auto& [name, s] : cells) {
+    sim::BufferPool::reset_stats();
+    const xp::RunResult r = xp::execute(s);
+    const sim::BufferPool::Stats st = sim::BufferPool::stats();
+    EXPECT_GT(r.cycles, 1) << name;
+    // Every rank's data buffer plus at least the aggregators' sub-buffers.
+    EXPECT_GT(st.acquires, static_cast<std::uint64_t>(s.nprocs)) << name;
+    EXPECT_EQ(st.hits + st.reservoir_hits + st.fresh, 0u) << name;
+  }
+}
+
+// bench/e2e's replica passes write with materialize = false on a Machine
+// that carries payloads: smpi copies every message into the aggregators'
+// sub-buffers and staging, which must therefore be backed even though the
+// engine copies nothing. A rule keyed on materialize alone faults here.
+TEST(PerfDiff, PayloadMachineBacksTimingOnlyStaging) {
+  for (const bool hier : {false, true}) {
+    tpio::test::ClusterSpec cs;
+    cs.nodes = 3;
+    cs.ppn = 4;
+    tpio::test::Cluster cluster(cs);
+    auto file = cluster.storage().create("replica", pfs::Integrity::None);
+    coll::Options o;
+    o.cb_size = 8192;
+    o.overlap = coll::OverlapMode::WriteComm2;
+    o.hierarchical = hier;
+    o.local_aggregators = hier ? 2 : 1;
+    o.materialize = false;
+    const wl::Spec w = wl::make_tile256(2, 64);
+    const int P = cluster.nprocs();
+    std::vector<coll::Result> res(static_cast<std::size_t>(P));
+    cluster.run([&](smpi::Mpi& mpi) {
+      const coll::FileView view = w.view(mpi.rank(), P);
+      const std::vector<std::byte> data(view.total_bytes());
+      res[static_cast<std::size_t>(mpi.rank())] =
+          coll::collective_write(mpi, *file, view, data, o);
+    });
+    EXPECT_GT(res[0].cycles, 1) << "hier=" << hier;
+    EXPECT_EQ(file->bytes_written(), res[0].bytes_global) << "hier=" << hier;
+  }
+}
+
 // ---------------------------------------------------------------------------
 // BufferPool unit tests
 // ---------------------------------------------------------------------------
+
+/// A touch of unbacked memory: SIGSEGV, or under a sanitizer its SEGV
+/// report and a non-zero exit (as in Fiber.GuardPageStopsOverflow).
+bool died_of_segv(int status) {
+#if defined(TPIO_ASAN) || defined(TPIO_TSAN)
+  if (WIFEXITED(status) && WEXITSTATUS(status) != 0) return true;
+#endif
+  return WIFSIGNALED(status) && WTERMSIG(status) == SIGSEGV;
+}
+
+TEST(BufferPool, UnreadCheckoutCountsButIsNeverFresh) {
+  sim::BufferPool::reset_stats();
+  sim::BufferPool& pool = sim::BufferPool::local();
+  sim::BufferPool::Buffer a = pool.acquire(5000, Contents::unread);
+  sim::BufferPool::Buffer b = pool.acquire(300, Contents::unread);
+  EXPECT_EQ(a.size(), 5000u);
+  EXPECT_EQ(b.size(), 300u);
+  EXPECT_NE(a.data(), nullptr);
+  EXPECT_EQ(a.data(), b.data());  // one reservation, aliased
+  const sim::BufferPool::Stats st = sim::BufferPool::stats();
+  EXPECT_EQ(st.acquires, 2u);
+  EXPECT_EQ(st.hits + st.reservoir_hits + st.fresh, 0u);
+  a.reset();
+  EXPECT_TRUE(a.empty());
+  EXPECT_EQ(a.data(), nullptr);
+  EXPECT_EQ(sim::BufferPool::stats().hits, 0u);  // nothing was parked
+}
+
+TEST(BufferPool, UnreadCheckoutsServeAnySizeOnAnyThread) {
+  // Sweep workers ask concurrently, each for growing sizes: every request
+  // gets a span of its size, and a span handed out before a larger
+  // reservation replaced its own stays mapped (still faulting on touch).
+  std::vector<std::thread> workers;
+  std::vector<std::vector<sim::BufferPool::Buffer>> held(4);
+  for (std::size_t t = 0; t < held.size(); ++t) {
+    workers.emplace_back([&held, t] {
+      for (std::size_t n = 1000 + t; n < (std::size_t{64} << 20); n *= 3) {
+        held[t].push_back(
+            sim::BufferPool::local().acquire(n, Contents::unread));
+        EXPECT_EQ(held[t].back().size(), n);
+        EXPECT_NE(held[t].back().data(), nullptr);
+      }
+    });
+  }
+  for (std::thread& w : workers) w.join();
+  // mincore fails with ENOMEM on an address no mapping covers.
+  unsigned char resident = 0;
+  for (const auto& list : held) {
+    for (const sim::BufferPool::Buffer& b : list) {
+      EXPECT_EQ(::mincore(const_cast<std::byte*>(b.data()), 1, &resident), 0);
+      EXPECT_EQ(resident & 1, 0) << "an unread span holds no memory";
+    }
+  }
+}
+
+TEST(BufferPool, TouchingAnUnreadCheckoutFaults) {
+  EXPECT_EXIT(
+      {
+        sim::BufferPool::Buffer b =
+            sim::BufferPool::local().acquire(4096, Contents::unread);
+        *static_cast<volatile std::byte*>(b.data() + 100) = std::byte{1};
+        std::_Exit(0);
+      },
+      died_of_segv, "");
+}
 
 TEST(BufferPool, RecyclesByClassAndTracksStats) {
   sim::BufferPool::drain_reservoir();

@@ -62,9 +62,11 @@ TEST(Scale, TileIoTableCellAt576Ranks) {
   EXPECT_EQ(xp::execute(spec).makespan, r.makespan);
   // The cell is timing-only, so its simulated MPI carries message sizes
   // and no bytes. It peaked at 246 MiB while smpi still copied every
-  // payload and zero-filled every window, at about 17 MiB after that, and
-  // at about 15 MiB since stage 2 of the metadata exchange shares one view
-  // table and fiber stacks are recycled: the ceiling fails if payload
+  // payload and zero-filled every window, at about 17 MiB after that, at
+  // about 15 MiB once stage 2 of the metadata exchange shared one view
+  // table and fiber stacks were recycled, at about 11 MiB while each rank
+  // still held a heap data buffer nothing read, and at about 8.5 MiB since
+  // timing-only payload buffers are unbacked: the ceiling fails if payload
   // traffic comes back.
   EXPECT_LT(peak_rss_mib(), kTileCellRssMiB)
       << "peak RSS after two 576-rank runs (MiB)";
@@ -77,9 +79,11 @@ TEST(Scale, MetadataExchangeSmokeAt4096Ranks) {
   // summary table alone come to 32 B x 4096^2 = 512 MiB here (this run
   // peaked at 578 MiB while every rank kept one), against 112 MiB with
   // the one shared table, about 51 MiB once its timing-only MPI carried
-  // message sizes instead of bytes, and about 48 MiB since its 16
-  // aggregators share one stage-2 view table instead of copying 4096
-  // blobs each. The wall-time ceiling only
+  // message sizes instead of bytes, about 48 MiB once its 16 aggregators
+  // shared one stage-2 view table instead of copying 4096 blobs each,
+  // about 47 MiB while each rank still held a 16 KiB heap data buffer
+  // nothing read, and about 31 MiB since timing-only payload buffers are
+  // unbacked. The wall-time ceiling only
   // guards against hangs. Host time at 8192 ranks is tracked by the
   // repository benchmark's scale8192 workload (bench/e2e, records in
   // BENCH_PERF.json).
