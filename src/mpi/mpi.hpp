@@ -281,9 +281,13 @@ class Machine {
     sim::EventPtr done;
   };
 
+  /// Both queues are FIFO: matching scans from the front and erases in
+  /// place, keeping order, because the scan order sets virtual time. They
+  /// are vectors because an empty vector allocates nothing, where a deque
+  /// allocates a map and a node up front, for every endpoint of the job.
   struct Endpoint {
-    std::deque<Message> unexpected;
-    std::deque<PostedRecv> posted;
+    std::vector<Message> unexpected;
+    std::vector<PostedRecv> posted;
     sim::Time unavailable_until = 0;
   };
 

@@ -252,17 +252,22 @@ void File::apply_content(const PendingWrite& w) {
   }
 }
 
-void File::flush_content(sim::Time upto) {
-  if (pending_.empty()) return;
-  std::vector<PendingWrite> keep;
-  for (PendingWrite& w : pending_) {
-    if (w.visible_at <= upto) {
-      apply_content(w);
+void File::flush_content(sim::Time upto, bool prefix_only) {
+  // Compacts pending_ in place: applied writes leave, the rest keep their
+  // submission order.
+  auto kept = pending_.begin();
+  for (auto it = pending_.begin(); it != pending_.end(); ++it) {
+    if (it->visible_at <= upto) {
+      apply_content(*it);
+    } else if (prefix_only) {
+      pending_.erase(pending_.begin(), it);
+      return;
     } else {
-      keep.push_back(std::move(w));
+      if (kept != it) *kept = std::move(*it);
+      ++kept;
     }
   }
-  pending_.swap(keep);
+  pending_.erase(kept, pending_.end());
 }
 
 std::vector<std::byte> File::read_back(std::uint64_t offset,
@@ -454,6 +459,15 @@ sim::Time File::schedule_write(sim::RankCtx& ctx, int node,
   // observable only at `done`, when the last chunk is durable. A faulted
   // attempt consumed its service but nothing became durable — it must not
   // be recorded, or verify() would double-count the retried region.
+  //
+  // Before it is queued, the leading run of pending writes durable by now
+  // goes to the chunks, so the file is held about once, not as chunks plus
+  // snapshots. That run precedes every other pending write in submission
+  // order and the next read would apply it first, so content stays what
+  // reads alone would make it. Applying every durable write would not: one
+  // that completed ahead of an earlier-submitted overlapping write would
+  // land first and lose to it at read_back.
+  flush_content(ctx.now(), /*prefix_only=*/true);
   if (status == IoStatus::Ok) record(offset, data, done);
   return done;
 }

@@ -413,12 +413,14 @@ class File {
     std::vector<Piece> pieces;      // Digest mode, in submission order
   };
 
-  /// Store mode: content handed to the storage system but not yet durable,
-  /// snapshotted at submission (the caller may reuse its buffer
-  /// immediately, like aio_write) and applied to chunks_ only once the
-  /// virtual clock passes the write's completion — a read issued before
-  /// then sees the old contents. Digest content is never read back, so
-  /// Digest pieces go to their chunks at submission.
+  /// Store mode: content handed to the storage system but not yet applied
+  /// to chunks_, snapshotted at submission (the caller may reuse its
+  /// buffer immediately, like aio_write). A read issued before the write's
+  /// completion sees the old contents; it applies every write durable by
+  /// its issue time. A later write's submission applies the leading run of
+  /// durable ones, so pending_ holds the writes still in flight and those
+  /// queued behind one. Digest content is never read back, so Digest
+  /// pieces go to their chunks at submission.
   struct PendingWrite {
     sim::Time visible_at = 0;       // write completion time
     std::uint64_t offset = 0;
@@ -436,8 +438,10 @@ class File {
   /// (Store).
   void record(std::uint64_t offset, std::span<const std::byte> data,
               sim::Time visible_at);
-  /// Apply every pending write with visible_at <= `upto` to chunks_.
-  void flush_content(sim::Time upto);
+  /// Apply the pending writes with visible_at <= `upto` to chunks_, in
+  /// submission order, and drop them from pending_. `prefix_only` stops at
+  /// the first write still in flight.
+  void flush_content(sim::Time upto, bool prefix_only = false);
   void apply_content(const PendingWrite& w);
 
   StorageSystem* sys_;

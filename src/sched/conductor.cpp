@@ -246,9 +246,9 @@ void Conductor::run(const std::vector<std::function<void(RankCtx&)>>& programs) 
                "conductor finished with a live fiber");
     st->fiber.reset();
   }
-  // The host thread outlives the run, so hand the run's freed buffers to
-  // the process-wide reservoir and enforce the thread's retention cap
-  // (see BufferPool::trim_local).
+  // The host thread outlives the run, so free the buffers the run parked
+  // in its pool: the next run may ask for other size classes, and reuses
+  // the pages through malloc either way (see BufferPool::trim_local).
   BufferPool::trim_local();
   if (first_error_) std::rethrow_exception(first_error_);
 }

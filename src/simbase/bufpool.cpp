@@ -21,7 +21,6 @@ namespace {
 
 std::atomic<std::uint64_t> g_acquires{0};
 std::atomic<std::uint64_t> g_hits{0};
-std::atomic<std::uint64_t> g_reservoir_hits{0};
 std::atomic<std::uint64_t> g_fresh{0};
 
 int class_of(std::size_t n) {
@@ -29,35 +28,12 @@ int class_of(std::size_t n) {
   return static_cast<int>(std::bit_width(n - 1));
 }
 
-/// Process-wide parking lot for buffers that spill past a thread's caps or
-/// outlive their thread (a sweep worker's pool donates its free lists when
-/// the worker exits; the conductor's host thread trims into it after every
-/// run). Leaked on purpose: the reservoir must outlive every thread_local
-/// pool destructor, and a static pointer keeps it reachable so leak
-/// checkers stay quiet.
-struct Reservoir {
-  std::mutex mu;
-  struct Node {
-    std::unique_ptr<std::byte[]> mem;
-    std::size_t cap = 0;
-  };
-  std::vector<Node> free_[48];
-  std::size_t bytes = 0;
-  // Cap the parked memory; beyond it donated buffers are simply freed.
-  static constexpr std::size_t kCapBytes = std::size_t{1} << 30;  // 1 GiB
-};
-
-Reservoir& reservoir() {
-  static Reservoir* r = new Reservoir;
-  return *r;
-}
-
 /// The address range every unread checkout points into: PROT_NONE, so a
 /// touch faults, and MAP_NORESERVE, so it holds address space and no
 /// memory. A request larger than the current reservation maps a new one
 /// of the next power of two; the old one stays mapped, because unread
-/// handles may still point into it. Leaked on purpose, like the
-/// reservoir.
+/// handles may still point into it. Leaked on purpose: a static pointer
+/// keeps it reachable, so leak checkers stay quiet.
 struct UnreadReservation {
   std::mutex mu;
   std::byte* base = nullptr;
@@ -88,7 +64,9 @@ std::byte* unread_span(std::size_t n) {
 /// incidental heap layout (a few long-lived small allocations above them
 /// block the trim); on the 576-rank paper cell that swings page faults and
 /// wall time by about a fifth. Blocks below 32 MiB come from the heap, and
-/// up to 1 GiB of free heap top is kept for reuse.
+/// up to 1 GiB of free heap top is kept for reuse: this is how a run's
+/// pool storage, freed at teardown, reaches the next run. glibc caps the
+/// threshold at 32 MiB, so larger buffers are mapped afresh each run.
 void pin_malloc_policy() {
 #if defined(__GLIBC__)
   static std::once_flag once;
@@ -116,26 +94,6 @@ BufferPool& BufferPool::local() {
   return pool;
 }
 
-BufferPool::~BufferPool() {
-  // Thread exit: park the free lists in the reservoir so other threads
-  // inherit the memory instead of re-allocating it.
-  donate_all();
-}
-
-void BufferPool::donate_all() {
-  Reservoir& r = reservoir();
-  std::lock_guard<std::mutex> lk(r.mu);
-  for (int k = 0; k < kClasses; ++k) {
-    for (Node& n : free_[k]) {
-      if (r.bytes + n.cap > Reservoir::kCapBytes) continue;  // overflow: free
-      r.bytes += n.cap;
-      r.free_[k].push_back(Reservoir::Node{std::move(n.mem), n.cap});
-    }
-    free_[k].clear();
-  }
-  retained_bytes_ = 0;
-}
-
 BufferPool::Buffer BufferPool::acquire(std::size_t n, Contents contents) {
   Buffer b;
   if (n == 0) return b;
@@ -154,23 +112,11 @@ BufferPool::Buffer BufferPool::acquire(std::size_t n, Contents contents) {
     retained_bytes_ -= b.cap_;
     g_hits.fetch_add(1, std::memory_order_relaxed);
   } else {
-    Reservoir& r = reservoir();
-    std::unique_lock<std::mutex> lk(r.mu);
-    if (!r.free_[k].empty()) {
-      b.data_ = r.free_[k].back().mem.release();
-      b.cap_ = r.free_[k].back().cap;
-      r.free_[k].pop_back();
-      r.bytes -= b.cap_;
-      g_reservoir_hits.fetch_add(1, std::memory_order_relaxed);
-    } else {
-      lk.unlock();
-      // Fresh allocation. new std::byte[cap] default-initializes — no
-      // memset unless the caller asked for zeroed contents.
-      g_fresh.fetch_add(1, std::memory_order_relaxed);
-      const std::size_t cap = std::size_t{1} << k;
-      b.data_ = new std::byte[cap];
-      b.cap_ = cap;
-    }
+    // Fresh allocation. new std::byte[cap] default-initializes — no
+    // memset unless the caller asked for zeroed contents.
+    g_fresh.fetch_add(1, std::memory_order_relaxed);
+    b.cap_ = std::size_t{1} << k;
+    b.data_ = new std::byte[b.cap_];
   }
 #ifdef TPIO_ASAN
   // Parked storage was poisoned at release (fresh storage never was).
@@ -188,17 +134,9 @@ void BufferPool::release(std::unique_ptr<std::byte[]> mem, std::size_t cap) {
   ASAN_POISON_MEMORY_REGION(mem.get(), cap);
 #endif
   auto& list = free_[k];
-  if (list.size() >= kMaxPerClass || retained_bytes_ + cap > cap_bytes_) {
-    // Local list full or thread over its retained-byte cap: park in the
-    // reservoir instead of keeping (or leaking growth into) local lists.
-    Reservoir& r = reservoir();
-    std::lock_guard<std::mutex> lk(r.mu);
-    if (r.bytes + cap <= Reservoir::kCapBytes) {
-      r.bytes += cap;
-      r.free_[k].push_back(Reservoir::Node{std::move(mem), cap});
-    }
-    return;  // over cap: unique_ptr frees on scope exit
-  }
+  // Class list full or thread over its retained-byte cap: the unique_ptr
+  // frees the storage on return.
+  if (list.size() >= kMaxPerClass || retained_bytes_ + cap > cap_bytes_) return;
   retained_bytes_ += cap;
   list.push_back(Node{std::move(mem), cap});
 }
@@ -214,13 +152,16 @@ std::size_t BufferPool::set_local_cap_bytes(std::size_t cap) {
   return prev;
 }
 
-void BufferPool::trim_local() { local().donate_all(); }
+void BufferPool::trim_local() {
+  BufferPool& p = local();
+  for (auto& list : p.free_) list.clear();
+  p.retained_bytes_ = 0;
+}
 
 BufferPool::Stats BufferPool::stats() {
   Stats s;
   s.acquires = g_acquires.load(std::memory_order_relaxed);
   s.hits = g_hits.load(std::memory_order_relaxed);
-  s.reservoir_hits = g_reservoir_hits.load(std::memory_order_relaxed);
   s.fresh = g_fresh.load(std::memory_order_relaxed);
   return s;
 }
@@ -228,15 +169,7 @@ BufferPool::Stats BufferPool::stats() {
 void BufferPool::reset_stats() {
   g_acquires.store(0, std::memory_order_relaxed);
   g_hits.store(0, std::memory_order_relaxed);
-  g_reservoir_hits.store(0, std::memory_order_relaxed);
   g_fresh.store(0, std::memory_order_relaxed);
-}
-
-void BufferPool::drain_reservoir() {
-  Reservoir& r = reservoir();
-  std::lock_guard<std::mutex> lk(r.mu);
-  for (auto& list : r.free_) list.clear();
-  r.bytes = 0;
 }
 
 }  // namespace tpio::sim

@@ -21,25 +21,23 @@ namespace tpio::sim {
 /// (power-of-two size classes, no lock on the common path) and takes them
 /// back when the RAII handle dies.
 ///
-/// Lifecycle: `local()` returns this thread's pool. A dying thread's pool
-/// donates its free lists to a process-wide reservoir (mutex-protected,
-/// byte-capped) from which other threads' pools repopulate their local
-/// lists. Rank programs run as fibers on the conductor's one host thread,
-/// which never dies mid-process — so the conductor calls `trim_local()` at
-/// run teardown, and long-lived threads are additionally bounded by a
-/// per-thread retained-byte cap enforced on every release (overflow spills
-/// straight to the reservoir). Buffers may be acquired on one thread and
-/// released on another — the release simply lands in the releasing
-/// thread's pool.
+/// Lifecycle: `local()` returns this thread's pool. Its free lists serve
+/// reuse within a run; no buffer is parked across runs. Rank programs run
+/// as fibers on the conductor's one host thread, which outlives the run,
+/// so the conductor calls `trim_local()` at run teardown and the lists'
+/// storage goes back to malloc, as a dying thread's does. A release past a
+/// class's count or the thread's retained-byte cap frees the storage too.
+/// Buffers may be acquired on one thread and released on another — the
+/// release simply lands in the releasing thread's pool.
 ///
-/// Under ASan, storage parked in a free list or the reservoir is poisoned
-/// until the next acquire() hands it out, so a use after Buffer::reset()
-/// is reported even though the storage stays allocated.
+/// Memory carries from one run to the next through malloc: the first pool
+/// of the process pins glibc's allocator policy so that freed blocks below
+/// 32 MiB stay in the heap, where the next run reuses their pages whatever
+/// size class it asks for (see bufpool.cpp).
 ///
-/// Memory past the pool's caps goes back to malloc. The first pool of the
-/// process pins glibc's allocator policy so that such memory stays in the
-/// heap for the next run instead of being returned to the OS and faulted
-/// in again (see bufpool.cpp).
+/// Under ASan, storage parked in a free list is poisoned until the next
+/// acquire() hands it out, so a use after Buffer::reset() is reported even
+/// though the storage stays allocated.
 ///
 /// Bit-identity: recycling changes *where* a buffer's storage comes from,
 /// never what the simulation computes. `Contents::zeroed` reproduces the
@@ -118,37 +116,30 @@ class BufferPool {
 
   /// Process-wide counters (relaxed atomics; approximate under races).
   /// `acquires` counts every non-empty checkout, unread ones included;
-  /// those alone are none of hits, reservoir_hits and fresh.
+  /// those alone are neither hits nor fresh.
   struct Stats {
     std::uint64_t acquires = 0;   // non-empty acquisitions
     std::uint64_t hits = 0;       // served from a local free list
-    std::uint64_t reservoir_hits = 0;  // served from the global reservoir
     std::uint64_t fresh = 0;      // heap allocations
   };
   static Stats stats();
   static void reset_stats();
 
-  /// Drop every buffer parked in the global reservoir (local lists are
-  /// unreachable from other threads and simply age out). For tests.
-  static void drain_reservoir();
-
   /// Bytes currently retained by the calling thread's free lists.
   static std::size_t local_retained_bytes();
 
-  /// Cap the calling thread's retained bytes; releases that would exceed
-  /// the cap spill to the global reservoir instead of being kept locally.
-  /// Returns the previous cap. Default kDefaultLocalCapBytes.
+  /// Cap the calling thread's retained bytes; a release that would exceed
+  /// the cap frees the storage instead of keeping it. Returns the previous
+  /// cap. Default kDefaultLocalCapBytes.
   static std::size_t set_local_cap_bytes(std::size_t cap);
 
-  /// Donate the calling thread's free lists to the global reservoir now —
-  /// what a dying thread's pool does implicitly. The conductor calls this
-  /// at run teardown.
+  /// Free the calling thread's free lists now — what a dying thread's pool
+  /// does implicitly. The conductor calls this at run teardown.
   static void trim_local();
 
   /// Default per-thread retained-byte cap (64 MiB): generous enough that
-  /// the steady-state working set of a sweep worker stays fully local,
-  /// small enough that a long-lived host thread cannot hoard unbounded
-  /// freed buffers across heterogeneous runs.
+  /// a run's per-cycle working set stays local, small enough that the
+  /// buffers one run frees early cannot pile up until its teardown.
   static constexpr std::size_t kDefaultLocalCapBytes = std::size_t{64} << 20;
 
   BufferPool(const BufferPool&) = delete;
@@ -156,17 +147,15 @@ class BufferPool {
 
  private:
   BufferPool();
-  ~BufferPool();  // donates remaining free lists to the global reservoir
 
   friend class Buffer;
   void release(std::unique_ptr<std::byte[]> mem, std::size_t cap);
-  void donate_all();  // move every local free list into the reservoir
 
   // Size classes are powers of two: class k holds buffers of capacity
   // 2^k. 48 classes cover anything a simulation can ask for.
   static constexpr int kClasses = 48;
   // Bound the per-thread cache: a class keeps at most this many buffers;
-  // overflow goes to the reservoir (which enforces a byte cap).
+  // a release past it frees the storage.
   static constexpr std::size_t kMaxPerClass = 16;
 
   struct Node {

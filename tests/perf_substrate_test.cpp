@@ -113,9 +113,9 @@ TEST(PerfDiff, TimingOnlyMatchesMaterializedRun) {
 }
 
 // The executor's thread pool must not perturb results through the pooling
-// layer: the conductors of concurrent runs release buffers into their
-// worker's thread-local pool and repopulate from the shared reservoir, and
-// every worker's exchanges memoize their plans in the one PlanCache.
+// layer: the conductors of concurrent runs check buffers out of and
+// release them into their worker's thread-local pool, and every worker's
+// exchanges memoize their plans in the one PlanCache.
 // jobs=1 vs jobs=8 must agree on every fingerprint.
 TEST(PerfDiff, ExecutorJobsInvariantWithPoolingAndPlanCache) {
   const auto specs = diff_specs();
@@ -150,7 +150,7 @@ TEST(PerfDiff, ExecutorJobsInvariantWithPoolingAndPlanCache) {
 // A timing-only job (no verify) neither copies payload bytes in the engine
 // nor carries them through its size-only Machine, so the rank data buffers
 // and every buffer the engine stages are unread checkouts: none may come
-// from a free list, the reservoir or the heap. Flat, hierarchical at
+// from a free list or the heap. Flat, hierarchical at
 // co = 4 and with two sub-communicators, on a tile layout whose cycles
 // carry multi-piece messages.
 TEST(PerfDiff, TimingOnlyRunBacksNoPayload) {
@@ -178,7 +178,7 @@ TEST(PerfDiff, TimingOnlyRunBacksNoPayload) {
     EXPECT_GT(r.cycles, 1) << name;
     // Every rank's data buffer plus at least the aggregators' sub-buffers.
     EXPECT_GT(st.acquires, static_cast<std::uint64_t>(s.nprocs)) << name;
-    EXPECT_EQ(st.hits + st.reservoir_hits + st.fresh, 0u) << name;
+    EXPECT_EQ(st.hits + st.fresh, 0u) << name;
   }
 }
 
@@ -237,7 +237,7 @@ TEST(BufferPool, UnreadCheckoutCountsButIsNeverFresh) {
   EXPECT_EQ(a.data(), b.data());  // one reservation, aliased
   const sim::BufferPool::Stats st = sim::BufferPool::stats();
   EXPECT_EQ(st.acquires, 2u);
-  EXPECT_EQ(st.hits + st.reservoir_hits + st.fresh, 0u);
+  EXPECT_EQ(st.hits + st.fresh, 0u);
   a.reset();
   EXPECT_TRUE(a.empty());
   EXPECT_EQ(a.data(), nullptr);
@@ -283,7 +283,6 @@ TEST(BufferPool, TouchingAnUnreadCheckoutFaults) {
 }
 
 TEST(BufferPool, RecyclesByClassAndTracksStats) {
-  sim::BufferPool::drain_reservoir();
   sim::BufferPool::reset_stats();
   auto& pool = sim::BufferPool::local();
   std::byte* first = nullptr;
@@ -328,21 +327,22 @@ TEST(BufferPool, EmptyAndMovedHandlesAreInert) {
   EXPECT_TRUE(b.empty());
 }
 
-TEST(BufferPool, DyingThreadDonatesToReservoir) {
-  sim::BufferPool::drain_reservoir();
+TEST(BufferPool, DyingThreadFreesItsLists) {
+  // A sweep worker's pool dies with its thread: what it parked goes back to
+  // malloc, and a new thread's first checkout of the class is fresh.
   std::thread([] {
-    // Populate the worker's local pool, then let the thread die: its free
-    // list must reach the reservoir, as an exiting sweep worker's does.
-    sim::BufferPool::local().acquire(1 << 16, false);
+    { auto b = sim::BufferPool::local().acquire(1 << 16, false); }
+    EXPECT_EQ(sim::BufferPool::local_retained_bytes(), std::size_t{1} << 16);
   }).join();
   sim::BufferPool::reset_stats();
   std::thread([] {
+    EXPECT_EQ(sim::BufferPool::local_retained_bytes(), 0u);
     sim::BufferPool::Buffer b = sim::BufferPool::local().acquire(1 << 16, false);
     EXPECT_EQ(b.size(), std::size_t{1} << 16);
   }).join();
   const sim::BufferPool::Stats st = sim::BufferPool::stats();
-  EXPECT_EQ(st.reservoir_hits, 1u) << "fresh thread should refill from the "
-                                      "reservoir, not the heap";
+  EXPECT_EQ(st.fresh, 1u) << "a new thread inherits no parked storage";
+  EXPECT_EQ(st.hits, 0u);
 }
 
 #ifdef TPIO_ASAN
@@ -442,10 +442,9 @@ TEST(PlanCache, ConcurrentLookupsShareOneConstruction) {
 
 TEST(BufferPool, PerThreadByteCapPinsPeakRetainedBytes) {
   // A long-lived thread (sweep worker, fiber-conductor host) releasing
-  // more than its cap must spill to the reservoir, not grow local lists
+  // more than its cap must free the excess, not grow local lists
   // unbounded. Run on a dedicated thread for a clean local pool.
   std::thread([] {
-    sim::BufferPool::drain_reservoir();
     const std::size_t kCap = 256 * 1024;
     const std::size_t prev = sim::BufferPool::set_local_cap_bytes(kCap);
     {
@@ -462,19 +461,20 @@ TEST(BufferPool, PerThreadByteCapPinsPeakRetainedBytes) {
   }).join();
 }
 
-TEST(BufferPool, TrimLocalDonatesToReservoir) {
-  // trim_local is what the fiber conductor calls at run teardown — the
-  // explicit replacement for the dying-rank-thread reservoir hook.
+TEST(BufferPool, TrimLocalFreesItsLists) {
+  // trim_local is what the fiber conductor calls at run teardown: the next
+  // run starts from an empty pool, and its first checkout of a class the
+  // last run parked is fresh.
   std::thread([] {
-    sim::BufferPool::drain_reservoir();
     { auto b = sim::BufferPool::local().acquire(1 << 15, false); }
     EXPECT_GT(sim::BufferPool::local_retained_bytes(), 0u);
     sim::BufferPool::trim_local();
     EXPECT_EQ(sim::BufferPool::local_retained_bytes(), 0u);
     sim::BufferPool::reset_stats();
     { auto b = sim::BufferPool::local().acquire(1 << 15, false); }
-    EXPECT_EQ(sim::BufferPool::stats().reservoir_hits, 1u)
-        << "trimmed buffers must be reachable through the reservoir";
+    const sim::BufferPool::Stats st = sim::BufferPool::stats();
+    EXPECT_EQ(st.fresh, 1u) << "trimmed storage must not be parked anywhere";
+    EXPECT_EQ(st.hits, 0u);
     sim::BufferPool::trim_local();
   }).join();
 }

@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <functional>
+#include <memory>
 #include <span>
 #include <vector>
 
@@ -42,6 +43,39 @@ std::vector<std::byte> region(std::uint64_t off, std::uint64_t len) {
 void solo(const std::function<void(sim::RankCtx&)>& fn) {
   sim::Conductor c(1);
   c.run(fn);
+}
+
+/// The second write of crossed_writes: [0, 1 KiB) of 0xBB.
+std::vector<std::byte> second_write() {
+  return std::vector<std::byte>(1024, std::byte{0xBB});
+}
+
+/// Two overlapping asynchronous writes that complete out of submission
+/// order: the first covers [0, 12 KiB) through a client channel slower
+/// than the targets, the second covers [0, 1 KiB) from another node and is
+/// durable first. `between` runs at the second's completion, while the
+/// first is still in flight.
+std::shared_ptr<pfs::File> crossed_writes(
+    pfs::StorageSystem& sys,
+    const std::function<void(sim::RankCtx&, pfs::File&)>& between) {
+  auto f = sys.create("t", pfs::Integrity::Store);
+  solo([&](sim::RankCtx& ctx) {
+    pfs::WriteOp first = f->iwrite_at(ctx, 0, 0, region(0, 12 * 1024));
+    pfs::WriteOp second = f->iwrite_at(ctx, 1, 0, second_write());
+    const sim::Time first_done = first.completion();
+    ASSERT_LT(second.completion(), first_done);
+    f->wait(ctx, second);
+    ASSERT_LT(ctx.now(), first_done);
+    between(ctx, *f);
+    f->wait(ctx, first);
+  });
+  return f;
+}
+
+pfs::PfsParams slow_client_params() {
+  pfs::PfsParams p = fast_params();
+  p.client_bw = 0.25e9;  // 4 us per 1 KiB chunk, against 1.1 us of service
+  return p;
 }
 
 }  // namespace
@@ -222,4 +256,37 @@ TEST(PfsRead, ConcurrentReadersShareTargets) {
     done[static_cast<std::size_t>(ctx.rank())] = ctx.now();
   });
   EXPECT_GE(std::max(done[0], done[1]), 8192);
+}
+
+// Content order of writes whose completions cross: a Store file applies
+// pending writes in submission order, each batch at the first read that
+// finds it durable (or at read_back). These three cases pin that order.
+TEST(PfsRead, CrossedWritesWithoutAReadKeepTheLaterSubmitted) {
+  pfs::StorageSystem sys(slow_client_params(), nullptr);
+  auto f = crossed_writes(sys, [](sim::RankCtx&, pfs::File&) {});
+  EXPECT_EQ(f->read_back(0, 1024), second_write());
+  EXPECT_EQ(f->read_back(1024, 11 * 1024), region(1024, 11 * 1024));
+}
+
+TEST(PfsRead, CrossedWritesReadBetweenCompletionsKeepsTheLaterCompleted) {
+  pfs::StorageSystem sys(slow_client_params(), nullptr);
+  auto f = crossed_writes(sys, [](sim::RankCtx& ctx, pfs::File& file) {
+    std::vector<std::byte> out(1024);
+    file.read_at(ctx, 2, 0, out);
+    EXPECT_EQ(out, second_write());  // the first is still in flight
+  });
+  // The read applied the second write; the first landed over it later.
+  EXPECT_EQ(f->read_back(0, 12 * 1024), region(0, 12 * 1024));
+}
+
+TEST(PfsRead, CrossedWritesUnmovedByADisjointWriteBetweenCompletions) {
+  // A write submitted while the first is in flight applies no durable
+  // write queued behind it: that would land the second before the first.
+  pfs::StorageSystem sys(slow_client_params(), nullptr);
+  auto f = crossed_writes(sys, [](sim::RankCtx& ctx, pfs::File& file) {
+    (void)file.iwrite_at(ctx, 2, 20 * 1024, region(20 * 1024, 1024));
+  });
+  EXPECT_EQ(f->read_back(0, 1024), second_write());
+  EXPECT_EQ(f->read_back(1024, 11 * 1024), region(1024, 11 * 1024));
+  EXPECT_EQ(f->read_back(20 * 1024, 1024), region(20 * 1024, 1024));
 }

@@ -1,6 +1,7 @@
 // Paper-scale stress suite for the cooperative rank scheduler: the 576-rank
 // Tile-I/O point the paper actually measures and a 4096-rank smoke run,
-// both with peak-RSS ceilings, the smoke also with a host-time one.
+// both with peak-RSS ceilings, the smoke also with a host-time one; and
+// two memory checks of verified runs, each in a child process of its own.
 //
 // Registered under the `scale` ctest label with a wall-clock budget (see
 // tests/CMakeLists.txt).
@@ -8,17 +9,25 @@
 #include <gtest/gtest.h>
 
 #include <sys/resource.h>
+#include <sys/wait.h>
+#include <unistd.h>
 
 #include <chrono>
+#include <cstdlib>
+#include <functional>
+#include <vector>
 
 #include "harness/runner.hpp"
 #include "harness/sweep.hpp"
+#include "pfs/pfs.hpp"
+#include "sched/conductor.hpp"
 #include "simbase/sanitizers.hpp"
 #include "simbase/units.hpp"
 
 namespace xp = tpio::xp;
 namespace wl = tpio::wl;
 namespace coll = tpio::coll;
+namespace pfs = tpio::pfs;
 namespace sim = tpio::sim;
 
 namespace {
@@ -30,9 +39,13 @@ namespace {
 #if defined(TPIO_ASAN) || defined(TPIO_TSAN)
 constexpr double kTileCellRssMiB = 8192.0;
 constexpr double kMetadataSmokeRssMiB = 8192.0;
+constexpr double kStoreReadBackRssMiB = 8192.0;
+constexpr double kSecondRunExtraRssMiB = 8192.0;
 #else
-constexpr double kTileCellRssMiB = 64.0;
-constexpr double kMetadataSmokeRssMiB = 96.0;
+constexpr double kTileCellRssMiB = 10.0;
+constexpr double kMetadataSmokeRssMiB = 34.0;
+constexpr double kStoreReadBackRssMiB = 192.0;
+constexpr double kSecondRunExtraRssMiB = 40.0;
 #endif
 
 double peak_rss_mib() {
@@ -41,7 +54,102 @@ double peak_rss_mib() {
   return static_cast<double>(ru.ru_maxrss) / 1024.0;
 }
 
+/// Runs `body` in a child process and returns the child's peak RSS in MiB,
+/// so the measurement covers that body alone, whatever ran before it in
+/// this process. The child exits 0 when `body` returns true; anything
+/// else, a throw included, fails the calling test.
+double child_peak_rss_mib(const std::function<bool()>& body) {
+  const pid_t pid = ::fork();
+  if (pid == 0) {
+    bool ok = false;
+    try {
+      ok = body();
+    } catch (...) {
+    }
+    std::_Exit(ok ? 0 : 1);
+  }
+  if (pid < 0) {
+    ADD_FAILURE() << "fork failed";
+    return 0.0;
+  }
+  int status = 0;
+  struct rusage ru {};
+  EXPECT_EQ(::wait4(pid, &status, 0, &ru), pid);
+  EXPECT_TRUE(WIFEXITED(status) && WEXITSTATUS(status) == 0)
+      << "child failed, status " << status;
+  return static_cast<double>(ru.ru_maxrss) / 1024.0;
+}
+
+/// One verified write of `bytes_per_rank` per rank at 16 ranks; true when
+/// the file verifies.
+bool verified_ior_run(std::uint64_t bytes_per_rank) {
+  xp::RunSpec spec;
+  spec.platform = xp::scaled(xp::ibex());
+  spec.workload = wl::make_ior(bytes_per_rank);
+  spec.nprocs = 16;
+  spec.options.cb_size = xp::kCbSize;
+  spec.options.overlap = coll::OverlapMode::WriteComm2;
+  spec.verify = true;
+  spec.seed = 16;
+  const xp::RunResult r = xp::execute(spec);
+  return r.verify_error.empty() && r.io_error.empty() &&
+         r.bytes == 16 * bytes_per_rank;
+}
+
 }  // namespace
+
+TEST(Scale, StoreFileReadBackHoldsOneCopy) {
+  // One rank writes 128 MiB to a Store file in blocking 4 MiB writes, then
+  // reads it back 4 MiB at a time. Each write is durable before the next
+  // is submitted, so the file is held once, as its chunks: the child peaks
+  // at about 143 MiB. Applying a write's snapshot only at the first read
+  // held the chunks and all 32 snapshots at once there: 267 MiB.
+  constexpr std::uint64_t kFile = 128 * sim::MiB;
+  constexpr std::size_t kBlock = 4 * sim::MiB;
+  auto content = [](std::uint64_t off, std::vector<std::byte>& out) {
+    for (std::size_t i = 0; i < out.size(); ++i) {
+      out[i] = static_cast<std::byte>((off / kBlock) * 7 + i % 251);
+    }
+  };
+  const double peak = child_peak_rss_mib([&] {
+    pfs::StorageSystem sys(pfs::PfsParams{}, nullptr);
+    auto file = sys.create("restart", pfs::Integrity::Store);
+    bool same = true;
+    sim::Conductor conductor(1);
+    conductor.run([&](sim::RankCtx& ctx) {
+      std::vector<std::byte> buf(kBlock), want(kBlock);
+      for (std::uint64_t off = 0; off < kFile; off += kBlock) {
+        content(off, buf);
+        same = same && file->write_at(ctx, 0, off, buf) == pfs::IoStatus::Ok;
+      }
+      for (std::uint64_t off = 0; off < kFile; off += kBlock) {
+        same = same && file->read_at(ctx, 0, off, buf) == pfs::IoStatus::Ok;
+        content(off, want);
+        same = same && buf == want;
+      }
+    });
+    return same;
+  });
+  EXPECT_LT(peak, kStoreReadBackRssMiB)
+      << "peak RSS writing and reading back a 128 MiB Store file (MiB)";
+}
+
+TEST(Scale, SecondVerifiedRunReusesTheFirstRunsMemory) {
+  // A 4 MiB-per-rank verified run, then an 8 MiB-per-rank one: their rank
+  // buffers fall in different size classes. Freed at the first run's
+  // teardown, the first run's buffers are heap pages the second reuses,
+  // so the pair peaks about 16 MiB above the second run alone (139 MiB).
+  // Parked in a process-wide reservoir across runs, they added 64 MiB.
+  const double second = child_peak_rss_mib([] {
+    return verified_ior_run(8 * sim::MiB);
+  });
+  const double both = child_peak_rss_mib([] {
+    return verified_ior_run(4 * sim::MiB) && verified_ior_run(8 * sim::MiB);
+  });
+  EXPECT_LT(both, second + kSecondRunExtraRssMiB)
+      << "peak RSS of both runs (MiB), against " << second
+      << " MiB for the second alone";
+}
 
 TEST(Scale, TileIoTableCellAt576Ranks) {
   // The paper's headline Tile-I/O geometry runs at 576 processes. One
@@ -65,9 +173,11 @@ TEST(Scale, TileIoTableCellAt576Ranks) {
   // payload and zero-filled every window, at about 17 MiB after that, at
   // about 15 MiB once stage 2 of the metadata exchange shared one view
   // table and fiber stacks were recycled, at about 11 MiB while each rank
-  // still held a heap data buffer nothing read, and at about 8.5 MiB since
-  // timing-only payload buffers are unbacked: the ceiling fails if payload
-  // traffic comes back.
+  // still held a heap data buffer nothing read, at about 8.4 MiB once
+  // timing-only payload buffers were unbacked, and at about 7.7 MiB since
+  // empty smpi endpoint queues allocate nothing. The ceiling sits between
+  // that and the 12.4 MiB of this code with heap-backed timing-only
+  // payloads restored, so it fails if payload memory comes back.
   EXPECT_LT(peak_rss_mib(), kTileCellRssMiB)
       << "peak RSS after two 576-rank runs (MiB)";
 }
@@ -82,9 +192,11 @@ TEST(Scale, MetadataExchangeSmokeAt4096Ranks) {
   // message sizes instead of bytes, about 48 MiB once its 16 aggregators
   // shared one stage-2 view table instead of copying 4096 blobs each,
   // about 47 MiB while each rank still held a 16 KiB heap data buffer
-  // nothing read, and about 31 MiB since timing-only payload buffers are
-  // unbacked. The wall-time ceiling only
-  // guards against hangs. Host time at 8192 ranks is tracked by the
+  // nothing read, about 31 MiB once timing-only payload buffers were
+  // unbacked, and about 26 MiB since empty smpi endpoint queues allocate
+  // nothing. The ceiling sits between that and the 42 MiB of this code
+  // with heap-backed timing-only payloads restored. The wall-time ceiling
+  // only guards against hangs. Host time at 8192 ranks is tracked by the
   // repository benchmark's scale8192 workload (bench/e2e, records in
   // BENCH_PERF.json).
   xp::RunSpec spec;
