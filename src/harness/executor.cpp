@@ -238,17 +238,20 @@ std::vector<double> run_jobs(const std::vector<SweepJob>& jobs,
     }
   }
 
+  // The calling thread is one of the workers. Alone, it drains the jobs
+  // inline in input order; beside workers - 1 pool threads, the memory its
+  // earlier runs left in its malloc arena serves its share of the jobs,
+  // where an idle caller would leave it unused while every job ran on a
+  // fresh thread's arena.
   const int workers = effective_workers(opt.jobs, jobs.size());
-  if (workers <= 1) {
-    // Serial path: inline, in input order, on the calling thread.
-    drain(jobs, opt, st);
-  } else {
+  {
     std::vector<std::jthread> pool;
-    pool.reserve(static_cast<std::size_t>(workers));
-    for (int w = 0; w < workers; ++w) {
+    pool.reserve(static_cast<std::size_t>(workers - 1));
+    for (int w = 1; w < workers; ++w) {
       pool.emplace_back([&] { drain(jobs, opt, st); });
     }
-  }
+    drain(jobs, opt, st);
+  }  // joins the pool
 
   if (st.first_error) std::rethrow_exception(st.first_error);
   TPIO_CHECK(st.completed + st.restored == jobs.size(),

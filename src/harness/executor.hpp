@@ -23,10 +23,11 @@ struct SweepJob {
 
 /// Execution policy of a sweep.
 struct ExecOptions {
-  /// Worker threads. 0 = hardware concurrency; 1 = run jobs inline on the
-  /// calling thread in input order (the historical serial path). Because
-  /// every job derives its own seeds, any value produces bit-identical
-  /// result tables — only wall-clock changes.
+  /// Worker threads, the calling thread included. 0 = hardware
+  /// concurrency; 1 = run jobs inline on the calling thread in input order
+  /// (the historical serial path). Because every job derives its own
+  /// seeds, any value produces bit-identical result tables — only
+  /// wall-clock changes.
   int jobs = 0;
   /// Live progress to stderr: jobs done/total, ETA, and the key of the
   /// longest-running in-flight job (the current bottleneck config).
@@ -54,14 +55,15 @@ struct ExecOptions {
 /// (the standard permits it when the count is not computable).
 int resolve_jobs(int jobs);
 
-/// Worker count run_jobs actually launches: resolve_jobs(jobs) clamped to
-/// the grid size (never more workers than jobs, never fewer than 1).
-/// Exposed for tests.
+/// Worker count run_jobs actually runs, the calling thread included:
+/// resolve_jobs(jobs) clamped to the grid size (never more workers than
+/// jobs, never fewer than 1). Exposed for tests.
 int effective_workers(int jobs, std::size_t grid_jobs);
 
 /// Run every job and return the results in input order, regardless of
 /// completion order. With opt.jobs == 1 the jobs execute inline on the
-/// calling thread; otherwise a bounded std::jthread pool drains them.
+/// calling thread; otherwise the calling thread drains them beside a
+/// bounded std::jthread pool of effective_workers() - 1 threads.
 /// A job that throws aborts the sweep (the first exception is rethrown
 /// after the pool winds down) — partial results are still checkpointed.
 std::vector<double> run_jobs(const std::vector<SweepJob>& jobs,

@@ -56,22 +56,26 @@ std::byte* unread_span(std::size_t n) {
   return r->base;
 }
 
-/// Pin glibc's allocator policy, once per process. By default glibc
-/// raises its mmap threshold to the largest block freed so far and trims
-/// the heap top as soon as twice that much is free there. A sweep frees
-/// and re-allocates the same sub-buffers run after run, so whether the
-/// next run reuses their pages or faults them in afresh would turn on
-/// incidental heap layout (a few long-lived small allocations above them
-/// block the trim); on the 576-rank paper cell that swings page faults and
-/// wall time by about a fifth. Blocks below 32 MiB come from the heap, and
-/// up to 1 GiB of free heap top is kept for reuse: this is how a run's
-/// pool storage, freed at teardown, reaches the next run. glibc caps the
-/// threshold at 32 MiB, so larger buffers are mapped afresh each run.
+/// Pin glibc's allocator policy, once per process. By default glibc maps
+/// every block of 128 KiB or more on its own, raises that threshold to the
+/// largest block freed so far, and trims the heap top as soon as twice
+/// that much is free there. A sweep frees and re-allocates the same
+/// buffers run after run, so whether the next run reuses their pages or
+/// faults them in afresh would turn on incidental heap layout (a few
+/// long-lived small allocations above them block the trim); on the
+/// 576-rank paper cell that swings page faults and wall time by about a
+/// fifth. So no block is mapped on its own, whatever its size, and up to
+/// 1 GiB of free heap top is kept: this is how a run's pool storage,
+/// freed at teardown, reaches the next run, 32 MiB buffers and larger
+/// included. (The mmap threshold cannot be raised past 32 MiB; with no
+/// mapped blocks allowed, glibc maps only what its heap cannot hold.) A
+/// worker thread's arena keeps freed memory alike, except that glibc may
+/// unmap one of its 64 MiB heaps once all of it is free (DESIGN.md §5b).
 void pin_malloc_policy() {
 #if defined(__GLIBC__)
   static std::once_flag once;
   std::call_once(once, [] {
-    mallopt(M_MMAP_THRESHOLD, 32 << 20);
+    mallopt(M_MMAP_MAX, 0);
     mallopt(M_TRIM_THRESHOLD, 1 << 30);
   });
 #endif

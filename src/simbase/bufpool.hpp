@@ -31,9 +31,10 @@ namespace tpio::sim {
 /// release simply lands in the releasing thread's pool.
 ///
 /// Memory carries from one run to the next through malloc: the first pool
-/// of the process pins glibc's allocator policy so that freed blocks below
-/// 32 MiB stay in the heap, where the next run reuses their pages whatever
-/// size class it asks for (see bufpool.cpp).
+/// of the process pins glibc's allocator policy so that freed blocks of
+/// any size stay in the heap, where the next run on the thread reuses
+/// their pages whatever size class it asks for (see bufpool.cpp). A run
+/// on another thread does not: glibc gives threads arenas of their own.
 ///
 /// Under ASan, storage parked in a free list is poisoned until the next
 /// acquire() hands it out, so a use after Buffer::reset() is reported even

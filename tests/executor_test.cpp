@@ -1,8 +1,10 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <cstdio>
 #include <string>
+#include <thread>
 #include <utility>
 #include <vector>
 
@@ -70,6 +72,37 @@ TEST(Executor, ResultsInInputOrderRegardlessOfWorkers) {
           << "workers=" << workers;
     }
   }
+}
+
+TEST(Executor, CallingThreadIsOneOfTheWorkers) {
+  // Two workers, two jobs that each wait until both have started: each
+  // runs on a thread of its own, and one of the two is the caller, whose
+  // malloc arena then serves its job instead of sitting idle. The wait
+  // gives up after 10 s, so a single thread running both jobs fails the
+  // test instead of hanging it.
+  std::atomic<int> started{0};
+  std::vector<std::thread::id> ran_on(2);
+  std::vector<xp::SweepJob> jobs;
+  for (int i = 0; i < 2; ++i) {
+    jobs.push_back(xp::SweepJob{"job/" + std::to_string(i), [&, i] {
+      ran_on[static_cast<std::size_t>(i)] = std::this_thread::get_id();
+      ++started;
+      const auto deadline =
+          std::chrono::steady_clock::now() + std::chrono::seconds(10);
+      while (started.load() < 2 &&
+             std::chrono::steady_clock::now() < deadline) {
+        std::this_thread::yield();
+      }
+      return 0.0;
+    }});
+  }
+  xp::ExecOptions opt;
+  opt.jobs = 2;
+  xp::run_jobs(jobs, opt);
+  EXPECT_NE(ran_on[0], ran_on[1]);
+  const std::thread::id me = std::this_thread::get_id();
+  EXPECT_TRUE(ran_on[0] == me || ran_on[1] == me)
+      << "no job ran on the calling thread";
 }
 
 TEST(Executor, EmptyJobListIsFine) {

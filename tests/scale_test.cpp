@@ -1,7 +1,8 @@
 // Paper-scale stress suite for the cooperative rank scheduler: the 576-rank
 // Tile-I/O point the paper actually measures and a 4096-rank smoke run,
 // both with peak-RSS ceilings, the smoke also with a host-time one; and
-// two memory checks of verified runs, each in a child process of its own.
+// three memory checks of verified runs, each in a child process of its
+// own.
 //
 // Registered under the `scale` ctest label with a wall-clock budget (see
 // tests/CMakeLists.txt).
@@ -13,6 +14,7 @@
 #include <unistd.h>
 
 #include <chrono>
+#include <cstdio>
 #include <cstdlib>
 #include <functional>
 #include <vector>
@@ -41,11 +43,13 @@ constexpr double kTileCellRssMiB = 8192.0;
 constexpr double kMetadataSmokeRssMiB = 8192.0;
 constexpr double kStoreReadBackRssMiB = 8192.0;
 constexpr double kSecondRunExtraRssMiB = 8192.0;
+constexpr double kRepeatRunFaultShare = 8192.0;
 #else
 constexpr double kTileCellRssMiB = 10.0;
 constexpr double kMetadataSmokeRssMiB = 34.0;
 constexpr double kStoreReadBackRssMiB = 192.0;
 constexpr double kSecondRunExtraRssMiB = 40.0;
+constexpr double kRepeatRunFaultShare = 0.25;
 #endif
 
 double peak_rss_mib() {
@@ -80,20 +84,27 @@ double child_peak_rss_mib(const std::function<bool()>& body) {
   return static_cast<double>(ru.ru_maxrss) / 1024.0;
 }
 
-/// One verified write of `bytes_per_rank` per rank at 16 ranks; true when
-/// the file verifies.
-bool verified_ior_run(std::uint64_t bytes_per_rank) {
+/// Minor page faults of this process so far.
+long minor_faults() {
+  struct rusage ru {};
+  ::getrusage(RUSAGE_SELF, &ru);
+  return ru.ru_minflt;
+}
+
+/// One verified write of `bytes_per_rank` per rank at `nprocs` ranks; true
+/// when the file verifies.
+bool verified_ior_run(std::uint64_t bytes_per_rank, int nprocs = 16) {
   xp::RunSpec spec;
   spec.platform = xp::scaled(xp::ibex());
   spec.workload = wl::make_ior(bytes_per_rank);
-  spec.nprocs = 16;
+  spec.nprocs = nprocs;
   spec.options.cb_size = xp::kCbSize;
   spec.options.overlap = coll::OverlapMode::WriteComm2;
   spec.verify = true;
   spec.seed = 16;
   const xp::RunResult r = xp::execute(spec);
   return r.verify_error.empty() && r.io_error.empty() &&
-         r.bytes == 16 * bytes_per_rank;
+         r.bytes == static_cast<std::uint64_t>(nprocs) * bytes_per_rank;
 }
 
 }  // namespace
@@ -149,6 +160,29 @@ TEST(Scale, SecondVerifiedRunReusesTheFirstRunsMemory) {
   EXPECT_LT(both, second + kSecondRunExtraRssMiB)
       << "peak RSS of both runs (MiB), against " << second
       << " MiB for the second alone";
+}
+
+TEST(Scale, RepeatedRunFaultsItsLargeBuffersInOnce) {
+  // The same verified run twice, 32 MiB per rank at 4 ranks: the rank
+  // buffers are of the 32 MiB class, which glibc would map on their own.
+  // Freed at the first run's teardown into a heap that maps no block on
+  // its own, they are the second run's pages too: the second run faults
+  // in about 1 page against about 33,900 for the first. With each 32 MiB
+  // block mapped on its own, the second faulted in as many as the first.
+  child_peak_rss_mib([] {
+    const long before = minor_faults();
+    if (!verified_ior_run(32 * sim::MiB, 4)) return false;
+    const long first = minor_faults() - before;
+    if (!verified_ior_run(32 * sim::MiB, 4)) return false;
+    const long second = minor_faults() - before - first;
+    const bool reused = static_cast<double>(second) <
+                        kRepeatRunFaultShare * static_cast<double>(first);
+    if (!reused) {
+      std::fprintf(stderr, "minor faults: first run %ld, second run %ld\n",
+                   first, second);
+    }
+    return reused;
+  });
 }
 
 TEST(Scale, TileIoTableCellAt576Ranks) {
