@@ -84,7 +84,7 @@ Engine::Engine(smpi::Mpi& mpi, pfs::File& file, const Plan& plan,
   const std::uint64_t sb = plan_.sub_buffer_bytes();
   if (opt_.transfer == Transfer::TwoSided) {
     if (my_agg_ >= 0) {
-      // Pooled sub-buffers, recycled across cycles and runs. Zeroing is
+      // Pooled sub-buffers, recycled across the run's cycles. Zeroing is
       // only needed when contents are recorded: file regions of a cycle
       // range not covered by any incoming segment keep the sub-buffer's
       // prior bytes, which a fresh std::vector guaranteed to be zero.
@@ -235,7 +235,7 @@ void Engine::leader_gather(int cycle, int slot) {
   // the merged staging buffer.
   ScopedTraceEvent ev(opt_.trace, "leader_gather", cycle, mpi_.ctx());
   // The staging buffer is fully covered by the members' pieces, so it
-  // needs no zeroing; pooled, recycled across cycles and runs.
+  // needs no zeroing; pooled, recycled across the run's cycles.
   s.stage = sim::BufferPool::local().acquire(stage_bytes, staging_);
   std::vector<std::pair<int, sim::BufferPool::Buffer>> bufs;
   std::vector<smpi::Request> reqs;

@@ -84,7 +84,7 @@ class Engine {
     std::vector<smpi::Request> reqs;
     // Two-sided receive staging (per source), unpacked into the
     // collective buffer at shuffle_wait. Pooled storage, recycled across
-    // cycles and runs; the vector keeps its capacity (clear, never
+    // the run's cycles; the vector keeps its capacity (clear, never
     // reconstruct) so steady-state cycles do not allocate.
     std::vector<RecvStage> recv_bufs;
 

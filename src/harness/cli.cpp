@@ -463,6 +463,10 @@ CliConfig parse_cli(const std::vector<std::string>& args, Tool tool) {
   CliConfig& cfg = l.cfg;
   cfg.spec.nprocs = 64;
   cfg.spec.options.cb_size = kCbSize;
+  // A sweep checkpoint belongs to the command line that wrote it, less the
+  // flags that only say how the grid runs: every flag that can change a
+  // cell is part of its identity.
+  if (tool == Tool::Sweep) cfg.exec.manifest = tool_name(tool);
 
   for (std::size_t i = 0; i < args.size(); ++i) {
     const std::string a = args[i] == "-h" ? "--help" : args[i];
@@ -483,6 +487,10 @@ CliConfig parse_cli(const std::vector<std::string>& args, Tool tool) {
         return cfg;
       }
       v = args[++i];
+    }
+    if (tool == Tool::Sweep && a != "--jobs" && a != "--progress" &&
+        a != "--resume") {
+      cfg.exec.manifest += " " + a + (f->arg != nullptr ? " " + v : "");
     }
     try {
       f->set(l, v);

@@ -32,7 +32,8 @@ struct CliConfig {
   pfs::QosPolicy qos = pfs::QosPolicy::Fifo;
   /// Grid switches of tpio_sweep and the bench drivers: the reduced grid,
   /// the Fig. 4 primitive grid, the Auto column, the unscaled geometry,
-  /// and how the grid's jobs run.
+  /// and how the grid's jobs run. tpio_sweep's exec.manifest is its
+  /// command line less --jobs, --progress and --resume.
   bool quick = false;
   bool primitives = false;
   bool include_auto = false;

@@ -188,6 +188,10 @@ void drain(const std::vector<SweepJob>& jobs, const ExecOptions& opt,
 
 std::vector<double> run_jobs(const std::vector<SweepJob>& jobs,
                              const ExecOptions& opt) {
+  if (!opt.checkpoint.empty() && opt.manifest.empty()) {
+    tpio::fail("checkpoint " + opt.checkpoint +
+               " needs a manifest naming the sweep that writes it");
+  }
   {
     std::set<std::string> keys;
     for (const SweepJob& j : jobs) {

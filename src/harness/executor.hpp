@@ -37,10 +37,9 @@ struct ExecOptions {
   /// results are merged from the file. The file is rewritten atomically as
   /// jobs complete, so an interrupted sweep resumes where it stopped.
   std::string checkpoint;
-  /// Identifies the sweep grid (kind, platform, seed, reps, quick, plus
-  /// any hierarchical/auto variants and the fault scenario — see
-  /// pfs::fault_tag — so results measured under different physics can
-  /// never be spliced together).
+  /// Identifies the sweep that writes `checkpoint`: tpio_sweep's command
+  /// line less --jobs, --progress and --resume (parse_cli), so every flag
+  /// that can change a cell is part of it. Required with a checkpoint.
   /// run_jobs refuses to resume from a checkpoint whose manifest — or whose
   /// recorded grid signature (job count + key fingerprint) — differs from
   /// the current run: splicing results from a different grid would corrupt

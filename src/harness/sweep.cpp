@@ -69,42 +69,6 @@ std::string job_key(const SweepCase& c, int procs, const char* variant) {
          std::to_string(procs) + "/" + variant;
 }
 
-std::string sweep_manifest(const char* sweep, const Platform& plat, int reps,
-                           std::uint64_t seed, bool quick,
-                           const coll::Options& base, bool include_auto,
-                           bool paper_scale = false) {
-  std::string m = std::string(sweep) + "|platform=" + plat.name +
-                  "|seed=" + std::to_string(seed) +
-                  "|reps=" + std::to_string(reps) +
-                  "|quick=" + (quick ? "1" : "0");
-  // Unscaled grids run different geometry under the same job keys — keep
-  // their checkpoints apart from the scaled stand-in grid's.
-  if (paper_scale) m += "|paper=1";
-  if (base.hierarchical) {
-    // Keep hierarchical grids in their own checkpoint namespace — the job
-    // keys coincide with the flat sweep's, only the options differ.
-    m += std::string("|hier=1|leader=") + coll::to_string(base.leader_policy);
-  }
-  // Six-column (Auto) grids get their own namespace too; the executor also
-  // fingerprints the job keys, so a five-column checkpoint can never be
-  // spliced into a six-column table even with a hand-set manifest.
-  if (include_auto) m += "|auto=1";
-  // Fault-injected grids must never share a checkpoint with healthy ones
-  // (identical job keys, different physics) — tag the scenario and the
-  // resilience knobs that shape the results.
-  m += pfs::fault_tag(plat.pfs.faults);
-  if (pfs::FaultModel(plat.pfs.faults).enabled()) {
-    m += "|retries=" + std::to_string(base.max_retries);
-    if (base.degrade_slowdown > 0.0) {
-      m += "|degrade=" + std::to_string(base.degrade_slowdown);
-    }
-  }
-  // Subfiled grids run under different plans and storage layouts than the
-  // shared-file grid (identical job keys) — keep their checkpoints apart.
-  m += subfiling_tag(base);
-  return m;
-}
-
 /// One sweep grid: a series per (case, process count), a job per column.
 template <class Column>
 struct Grid {
@@ -122,8 +86,7 @@ struct Grid {
 template <class Column>
 std::vector<SweepSeries<Column>> run_grid(const Grid<Column>& g, int reps,
                                           std::uint64_t seed,
-                                          ExecOptions exec,
-                                          const std::string& manifest) {
+                                          const ExecOptions& exec) {
   // Plan the whole (series x column) grid up front: every job carries a
   // seed derived from its grid position, so results are independent of
   // both execution order and worker count.
@@ -172,7 +135,6 @@ std::vector<SweepSeries<Column>> run_grid(const Grid<Column>& g, int reps,
     }
   }
 
-  if (exec.manifest.empty()) exec.manifest = manifest;
   const std::vector<double> min_ms = run_jobs(jobs, exec);
   for (std::size_t i = 0; i < jobs.size(); ++i) {
     out[slot[i].first].min_ms[slot[i].second] = min_ms[i];
@@ -226,9 +188,7 @@ std::vector<OverlapSeries> run_overlap_sweep(const Platform& platform,
   if (include_auto) g.columns.push_back(coll::OverlapMode::Auto);
   g.base = base;
   g.base.cb_size = bench_cb_size(paper_scale);
-  return run_grid(g, reps, seed, exec,
-                  sweep_manifest("overlap", g.plat, reps, seed, quick, base,
-                                 include_auto, paper_scale));
+  return run_grid(g, reps, seed, exec);
 }
 
 std::vector<OverlapSeries> run_overlap_sweep(const Platform& platform,
@@ -254,12 +214,7 @@ std::vector<OverlapSeries> run_contended_sweep(const Platform& platform,
   g.base.cb_size = kCbSize;
   g.tenancy = tenancy;
   g.first_series = 0x80000;
-  // The tag reads the tenancy shape only, never the jobs' specs.
-  return run_grid(g, reps, seed, exec,
-                  sweep_manifest("overlap", g.plat, reps, seed, quick, base,
-                                 /*include_auto=*/false) +
-                      "|contended=1" +
-                      tenancy_tag(contended(RunSpec{}, tenancy)));
+  return run_grid(g, reps, seed, exec);
 }
 
 std::vector<PrimitiveSeries> run_primitive_sweep(const Platform& platform,
@@ -284,9 +239,7 @@ std::vector<PrimitiveSeries> run_primitive_sweep(const Platform& platform,
   // the shuffle implementation, as the paper's same-day back-to-back
   // measurements effectively did.
   g.paired = true;
-  return run_grid(g, reps, seed, exec,
-                  sweep_manifest("primitive", g.plat, reps, seed, quick, base,
-                                 /*include_auto=*/false));
+  return run_grid(g, reps, seed, exec);
 }
 
 BenchArgs parse_bench_args(int argc, char** argv,

@@ -94,7 +94,7 @@ using PrimitiveSeries = SweepSeries<coll::Transfer>;
 /// the calling thread.
 /// `paper_scale` runs the grid at the unscaled geometry: the platform
 /// preset verbatim, the paper's process counts, and the 32 MiB collective
-/// buffer. Checkpoints are namespaced separately from the scaled grid.
+/// buffer.
 std::vector<OverlapSeries> run_overlap_sweep(const Platform& platform,
                                              int reps, std::uint64_t seed,
                                              bool quick,
@@ -118,9 +118,7 @@ std::vector<OverlapSeries> run_overlap_sweep(const Platform& platform,
 /// cell runs as tenant 0 of the system contended() shapes around it, and
 /// the recorded measurement is the *measured tenant's* minimum turnaround
 /// (completion - arrival) across reps. Same executor guarantees as
-/// run_overlap_sweep. Checkpoints are namespaced by the tenancy
-/// configuration (tenancy_tag) on top of the usual manifest, so contended
-/// results can never splice into idle-system ones.
+/// run_overlap_sweep.
 std::vector<OverlapSeries> run_contended_sweep(const Platform& platform,
                                                const coll::Options& base,
                                                const ContentionConfig& tenancy,

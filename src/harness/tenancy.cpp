@@ -161,27 +161,9 @@ std::vector<std::pair<int, int>> sub_comm_partition(int nprocs, int k) {
   return out;
 }
 
-std::string subfiling_tag(const coll::Options& opt) {
-  if (opt.sub_comm_count == 1 && opt.subfile_stripe_unit == 0 &&
-      opt.subfile_stripe_factor == 0) {
-    return {};
-  }
-  std::string tag = "|subk=" + std::to_string(opt.sub_comm_count);
-  if (opt.subfile_stripe_unit > 0) {
-    tag += "|sunit=" + std::to_string(opt.subfile_stripe_unit);
-  }
-  if (opt.subfile_stripe_factor > 0) {
-    tag += "|sfac=" + std::to_string(opt.subfile_stripe_factor);
-  }
-  return tag;
-}
-
 MultiRunResult execute_multi(const MultiRunSpec& spec, bool with_baselines) {
   const int nt = static_cast<int>(spec.tenants.size());
   TPIO_CHECK(nt > 0, "multi-run needs at least one tenant");
-  TPIO_CHECK(spec.weights.empty() ||
-                 static_cast<int>(spec.weights.size()) == nt,
-             "weights must be empty or one per tenant");
   TPIO_CHECK(spec.priorities.empty() ||
                  static_cast<int>(spec.priorities.size()) == nt,
              "priorities must be empty or one per tenant");
@@ -289,11 +271,9 @@ MultiRunResult execute_multi(const MultiRunSpec& spec, bool with_baselines) {
     // Billing class: one dense id per (tenant, subgroup) — for all-k=1 runs
     // the flat index equals the tenant index, so QoS lanes, stats and
     // fault-oracle inputs are unchanged. Subfiles inherit their tenant's
-    // weight and priority (homogeneous sub-jobs of one tenant).
+    // priority (homogeneous sub-jobs of one tenant).
     pfs::TenantClass cls;
     cls.id = gi;
-    cls.weight =
-        spec.weights.empty() ? 1.0 : spec.weights[static_cast<std::size_t>(t)];
     cls.priority = spec.priorities.empty()
                        ? 0
                        : spec.priorities[static_cast<std::size_t>(t)];
@@ -471,30 +451,6 @@ MultiRunSpec contended(const RunSpec& measured,
     ms.priorities[0] = 1;
   }
   return ms;
-}
-
-std::string tenancy_tag(const MultiRunSpec& spec) {
-  const bool trivial =
-      spec.tenants.size() <= 1 && spec.qos == pfs::QosPolicy::Fifo &&
-      spec.arrival.model == ArrivalModel::Fixed && spec.arrival.gap == 0 &&
-      spec.weights.empty() && spec.priorities.empty();
-  if (trivial) return {};
-  std::string tag = "|tenants=" + std::to_string(spec.tenants.size()) +
-                    "|qos=" + to_string(spec.qos) +
-                    "|arrival=" + to_string(spec.arrival.model) + ":" +
-                    std::to_string(spec.arrival.gap);
-  if (spec.arrival.model == ArrivalModel::Trace) {
-    for (sim::Time t : spec.arrival.trace) tag += "," + std::to_string(t);
-  }
-  if (!spec.weights.empty()) {
-    tag += "|w=";
-    for (double w : spec.weights) tag += std::to_string(w) + ",";
-  }
-  if (!spec.priorities.empty()) {
-    tag += "|p=";
-    for (int p : spec.priorities) tag += std::to_string(p) + ",";
-  }
-  return tag;
 }
 
 }  // namespace tpio::xp

@@ -1,7 +1,6 @@
 #pragma once
 
 #include <cstdint>
-#include <string>
 #include <utility>
 #include <vector>
 
@@ -47,8 +46,6 @@ struct MultiRunSpec {
   ArrivalSpec arrival;
   /// Queuing discipline of the shared storage targets.
   pfs::QosPolicy qos = pfs::QosPolicy::Fifo;
-  /// FairShare weight per tenant; empty = all 1.0.
-  std::vector<double> weights;
   /// Priority class per tenant (higher wins); empty = all 0.
   std::vector<int> priorities;
   /// Master seed of the *shared* system's noise/aio streams (per-tenant
@@ -100,22 +97,10 @@ struct ContentionConfig {
 MultiRunSpec contended(const RunSpec& measured,
                        const ContentionConfig& tenancy);
 
-/// Compact textual fingerprint of the tenancy configuration (tenant count,
-/// arrivals, QoS, weights/priorities), empty for a default solo spec; used
-/// to namespace sweep-checkpoint manifests so contended results can never
-/// be spliced into idle-system ones.
-std::string tenancy_tag(const MultiRunSpec& spec);
-
 /// Contiguous partition of `nprocs` ranks into `k` sub-communicators:
 /// subgroup g gets (base, count) with counts nprocs/k rounded up for the
 /// first nprocs%k groups — the block split MPI_Comm_split would produce
 /// for color = rank * k / nprocs. Requires 1 <= k <= nprocs.
 std::vector<std::pair<int, int>> sub_comm_partition(int nprocs, int k);
-
-/// Compact textual fingerprint of the subfiling configuration
-/// (sub-communicator count, per-subfile stripe unit/factor), empty when
-/// every knob is at its shared-file default; appended to sweep-checkpoint
-/// manifests so subfiled grids can never splice into shared-file ones.
-std::string subfiling_tag(const coll::Options& opt);
 
 }  // namespace tpio::xp

@@ -18,11 +18,10 @@ using detail::ceil_log2;
 // paper's analysis depends on.
 //
 // The closed forms follow the optimized collectives of Jocksch et al.
-// (arXiv:2006.13112): dissemination (Bruck-style) allgatherv in
-// ceil(log2 P) latency rounds with the volume bottleneck at the rank that
-// contributed least; binomial trees for the rooted collectives with the
-// volume charged at the root's NIC; recursive halving then its mirror
-// allgather for the butterfly allreduce. Degenerate
+// (arXiv:2006.13112): dissemination (Bruck-style) allgather in
+// ceil(log2 P) latency rounds, each rank receiving the P - 1 blobs it did
+// not contribute; a binomial tree for the broadcast; recursive halving
+// then its mirror allgather for the butterfly allreduce. Degenerate
 // exchanges are free: P == 1 pays nothing, and empty contributions never
 // pay a volume term (transfer_time(0) == 0 by construction).
 
@@ -53,25 +52,10 @@ namespace {
 /// Collectives are called in the same order on every rank, so a generation
 /// is always homogeneous (checked at deposit time).
 enum CollKind : int {
-  kAllgatherv = 0,
   kAllgather,
-  kGatherv,
-  kScatterv,
   kBcast,
   kSparse,
 };
-
-std::uint64_t blob_total(const std::vector<std::vector<std::byte>>& blobs) {
-  std::uint64_t total = 0;
-  for (const auto& b : blobs) total += b.size();
-  return total;
-}
-
-std::uint64_t blob_min(const std::vector<std::vector<std::byte>>& blobs) {
-  std::uint64_t m = UINT64_MAX;
-  for (const auto& b : blobs) m = std::min<std::uint64_t>(m, b.size());
-  return m;
-}
 
 /// Closed-form duration of one exchange generation, computed by the last
 /// arrival from the full blob table (and, for sparse exchanges, the want
@@ -87,34 +71,12 @@ sim::Duration exchange_cost(Machine& m, int kind, int root,
   const sim::Duration sync = m.sync_collective_cost(P);
 
   switch (kind) {
-    case kAllgatherv:
     case kAllgather: {
-      // Dissemination allgatherv: ceil(log2 P) rounds; the volume
-      // bottleneck is the rank that contributed least — it receives
-      // total - min_blob bytes. Using the true minimum (not the average
-      // total/P of the old ring formula) keeps uneven blob mixes from
-      // undercharging the exchange.
-      const std::uint64_t total = blob_total(blobs);
-      return log_p * lat +
-             sim::transfer_time(total - blob_min(blobs),
-                                m.fabric().params().inter_bw) +
-             sync;
-    }
-    case kGatherv: {
-      // Binomial gather: tree latency, volume bound by the root's inbound
-      // NIC (everything except the root's own contribution). Non-roots
-      // forward strictly less, so charging everyone the allgatherv volume
-      // (the old model) overstated the cost of every gather.
-      const std::uint64_t total = blob_total(blobs);
-      const auto& root_blob = blobs[static_cast<std::size_t>(root)];
-      return log_p * lat +
-             sim::transfer_time(total - root_blob.size(), bw) + sync;
-    }
-    case kScatterv: {
-      // Binomial scatter: the root injects the whole packed payload down
-      // the tree.
-      const auto& packed = blobs[static_cast<std::size_t>(root)];
-      return log_p * lat + sim::transfer_time(packed.size(), bw) + sync;
+      // Dissemination allgather: ceil(log2 P) rounds; every rank receives
+      // the P - 1 equal-size blobs it did not contribute.
+      const std::uint64_t remote =
+          static_cast<std::uint64_t>(P - 1) * blobs[0].size();
+      return log_p * lat + sim::transfer_time(remote, bw) + sync;
     }
     case kBcast: {
       // Binomial broadcast: every tree level forwards the full payload.
@@ -219,11 +181,6 @@ std::shared_ptr<const Mpi::BlobTable> Mpi::exchange(
   return cap.blobs;
 }
 
-std::vector<std::vector<std::byte>> Mpi::allgatherv(
-    std::span<const std::byte> mine) {
-  return *exchange(mine, kAllgatherv, /*root=*/-1, {0, 0});
-}
-
 std::shared_ptr<const Mpi::BlobTable> Mpi::allgather_shared(
     std::span<const std::byte> mine) {
   return exchange(mine, kAllgather, /*root=*/-1, {0, 0});
@@ -252,30 +209,7 @@ std::vector<std::pair<int, std::vector<std::byte>>> Mpi::sparse_allgatherv(
   return out;
 }
 
-namespace {
-
-std::uint64_t reduce_identity(Mpi::ReduceOp op) {
-  switch (op) {
-    case Mpi::ReduceOp::Max: return 0;
-    case Mpi::ReduceOp::Min: return UINT64_MAX;
-    case Mpi::ReduceOp::Sum: return 0;
-  }
-  return 0;
-}
-
-std::uint64_t reduce_fold(std::uint64_t a, std::uint64_t b,
-                          Mpi::ReduceOp op) {
-  switch (op) {
-    case Mpi::ReduceOp::Max: return std::max(a, b);
-    case Mpi::ReduceOp::Min: return std::min(a, b);
-    case Mpi::ReduceOp::Sum: return a + b;
-  }
-  return a;
-}
-
-}  // namespace
-
-std::uint64_t Mpi::allreduce(std::uint64_t v, ReduceOp op) {
+std::uint64_t Mpi::allreduce_max(std::uint64_t v) {
   Machine& m = *machine_;
   const int P = size();
 
@@ -285,13 +219,8 @@ std::uint64_t Mpi::allreduce(std::uint64_t v, ReduceOp op) {
   };
   Captured cap = ctx_->act([&]() -> Captured {
     Machine::ReduceSlot& slot = m.reduce_;
-    if (!slot.accum) {
-      slot.accum = std::make_shared<std::uint64_t>(reduce_identity(op));
-      slot.op = static_cast<int>(op);
-    }
-    TPIO_CHECK(slot.op == static_cast<int>(op),
-               "mismatched reduce calls across ranks");
-    *slot.accum = reduce_fold(*slot.accum, v, op);
+    if (!slot.accum) slot.accum = std::make_shared<std::uint64_t>(0);
+    *slot.accum = std::max(*slot.accum, v);
     slot.arrived += 1;
     slot.max_clock = std::max(slot.max_clock, ctx_->now());
     Captured c{slot.accum, slot.release};
@@ -316,80 +245,6 @@ std::uint64_t Mpi::allreduce(std::uint64_t v, ReduceOp op) {
   });
   ctx_->wait_event(*cap.release, "mpi.reduce");
   return *cap.accum;
-}
-
-std::uint64_t Mpi::allreduce_max(std::uint64_t v) {
-  return allreduce(v, ReduceOp::Max);
-}
-
-std::uint64_t Mpi::allreduce_min(std::uint64_t v) {
-  return allreduce(v, ReduceOp::Min);
-}
-
-std::uint64_t Mpi::allreduce_sum(std::uint64_t v) {
-  return allreduce(v, ReduceOp::Sum);
-}
-
-std::vector<std::vector<std::byte>> Mpi::gatherv(
-    std::span<const std::byte> mine, int root) {
-  TPIO_CHECK(root >= 0 && root < size(), "gatherv: root out of range");
-  auto table = exchange(mine, kGatherv, root, {0, 0});
-  if (rank() != root) {
-    // Non-roots never see the gathered set (and never pay for holding it).
-    return std::vector<std::vector<std::byte>>(table->size());
-  }
-  return *table;
-}
-
-std::vector<std::byte> detail::scatterv_unpack(
-    std::span<const std::byte> packed, int nprocs, int rank) {
-  const auto P = static_cast<std::size_t>(nprocs);
-  TPIO_CHECK(packed.size() >= P * sizeof(std::uint64_t),
-             "scatterv: malformed root payload");
-  std::vector<std::uint64_t> sizes(P);
-  std::memcpy(sizes.data(), packed.data(), P * sizeof(std::uint64_t));
-  std::size_t pos = P * sizeof(std::uint64_t);
-  for (std::size_t r = 0; r < P; ++r) {
-    TPIO_CHECK(sizes[r] <= packed.size() - pos,
-               "scatterv: size table overruns the root payload");
-    pos += sizes[r];
-  }
-  pos = P * sizeof(std::uint64_t);
-  for (std::size_t r = 0; r < static_cast<std::size_t>(rank); ++r) {
-    pos += sizes[r];
-  }
-  std::vector<std::byte> out(sizes[static_cast<std::size_t>(rank)]);
-  if (!out.empty()) std::memcpy(out.data(), packed.data() + pos, out.size());
-  return out;
-}
-
-std::vector<std::byte> Mpi::scatterv(
-    const std::vector<std::vector<std::byte>>& blobs, int root) {
-  TPIO_CHECK(root >= 0 && root < size(), "scatterv: root out of range");
-  TPIO_CHECK(rank() != root ||
-                 blobs.size() == static_cast<std::size_t>(size()),
-             "scatterv: root must supply one blob per rank");
-  // Root contributes the concatenation; per-rank sizes ride in a header.
-  std::vector<std::byte> mine;
-  if (rank() == root) {
-    std::vector<std::uint64_t> sizes;
-    sizes.reserve(blobs.size());
-    std::size_t total = 0;
-    for (const auto& b : blobs) {
-      sizes.push_back(b.size());
-      total += b.size();
-    }
-    mine.resize(sizes.size() * sizeof(std::uint64_t) + total);
-    std::memcpy(mine.data(), sizes.data(), sizes.size() * sizeof(std::uint64_t));
-    std::size_t pos = sizes.size() * sizeof(std::uint64_t);
-    for (const auto& b : blobs) {
-      if (!b.empty()) std::memcpy(mine.data() + pos, b.data(), b.size());
-      pos += b.size();
-    }
-  }
-  auto table = exchange(mine, kScatterv, root, {0, 0});
-  return detail::scatterv_unpack((*table)[static_cast<std::size_t>(root)],
-                                 size(), rank());
 }
 
 void Mpi::bcast(std::span<std::byte> data, int root) {

@@ -1,9 +1,7 @@
 #pragma once
 
 #include <bit>
-#include <cstddef>
-#include <span>
-#include <vector>
+#include <cstdint>
 
 #include "simbase/error.hpp"
 
@@ -17,14 +15,5 @@ inline int ceil_log2(int n) {
 
 /// Wire size of protocol control messages (RTS/CTS, lock traffic).
 inline constexpr std::uint64_t kControlBytes = 64;
-
-/// Unpack rank `rank`'s slice of a scatterv root payload: a table of
-/// `nprocs` uint64 sizes followed by the concatenated per-rank blobs.
-/// Every size-table entry is validated against the remaining payload
-/// before any copy, so a malformed table can never drive memcpy past the
-/// end of `packed`; every rank rejects a malformed payload, not only the
-/// ranks whose slice happens to land out of bounds.
-std::vector<std::byte> scatterv_unpack(std::span<const std::byte> packed,
-                                       int nprocs, int rank);
 
 }  // namespace tpio::smpi::detail

@@ -198,13 +198,6 @@ void Mpi::waitall(std::span<Request> reqs) {
   }
 }
 
-bool Mpi::test(Request& req) {
-  TPIO_CHECK(req.valid(), "test on an empty request");
-  const bool done = ctx_->test_event(*req.ev_, sim::nanoseconds(100));
-  if (done) req.ev_.reset();
-  return done;
-}
-
 void Mpi::set_unavailable_until(sim::Time t) {
   Machine& m = *machine_;
   ctx_->act([&] {

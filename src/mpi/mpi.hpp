@@ -79,7 +79,7 @@ struct MpiParams {
 class Machine;
 class Window;
 
-/// A non-blocking operation handle. Cheap to copy; wait/test through Mpi.
+/// A non-blocking operation handle. Cheap to copy; wait through Mpi.
 class Request {
  public:
   Request() = default;
@@ -119,7 +119,6 @@ class Mpi {
 
   void wait(Request& req);
   void waitall(std::span<Request> reqs);
-  bool test(Request& req);
 
   // ----- progress accounting ----------------------------------------------
   /// Declare that this rank is about to block outside MPI until time `t`
@@ -140,10 +139,8 @@ class Mpi {
   /// One collective generation's contributions, indexed by rank.
   using BlobTable = std::vector<std::vector<std::byte>>;
 
-  /// Everyone contributes `mine`; returns all contributions indexed by rank.
-  std::vector<std::vector<std::byte>> allgatherv(std::span<const std::byte> mine);
-  /// Fixed-size allgather: like allgatherv but every rank must contribute
-  /// the same number of bytes (checked once per contribution, at deposit).
+  /// Fixed-size allgather: every rank contributes the same number of
+  /// bytes (checked once per contribution, at deposit).
   /// The vehicle of compact per-rank summary exchanges — one cheap
   /// dissemination round trip instead of shipping full metadata blobs.
   /// Returns the generation's table itself: every rank of the generation
@@ -181,24 +178,13 @@ class Mpi {
     if (rank >= want_end) visit(rank);
   }
 
-  enum class ReduceOp { Max, Min, Sum };
-  /// Butterfly allreduce of one scalar: recursive halving then its mirror
-  /// allgather (Jocksch et al.). The data plane folds every contribution
-  /// into the generation's one shared accumulator; O(1) host memory per
-  /// rank.
-  std::uint64_t allreduce(std::uint64_t v, ReduceOp op);
+  /// Butterfly allreduce (maximum) of one scalar: recursive halving then
+  /// its mirror allgather (Jocksch et al.). The data plane folds every
+  /// contribution into the generation's one shared accumulator; O(1) host
+  /// memory per rank.
   std::uint64_t allreduce_max(std::uint64_t v);
-  std::uint64_t allreduce_min(std::uint64_t v);
-  std::uint64_t allreduce_sum(std::uint64_t v);
   /// Root's buffer is broadcast into every rank's `data` (same size everywhere).
   void bcast(std::span<std::byte> data, int root);
-  /// Every rank contributes `mine`; only `root` receives all contributions
-  /// (indexed by rank; empty vectors elsewhere).
-  std::vector<std::vector<std::byte>> gatherv(std::span<const std::byte> mine,
-                                              int root);
-  /// Root supplies one blob per rank; returns this rank's blob.
-  std::vector<std::byte> scatterv(
-      const std::vector<std::vector<std::byte>>& blobs, int root);
 
   // ----- one-sided ----------------------------------------------------------
   /// Collective window allocation; every rank passes its local exposure size
@@ -223,7 +209,7 @@ class Mpi {
   /// One generation of the shared exchange slot: deposit `mine`, wait for
   /// the collective's closed-form cost, return the full blob table. `kind`
   /// selects the cost shape (see collectives.cpp); `root` and `want` feed
-  /// the rooted and sparse variants.
+  /// the broadcast and the sparse exchange.
   std::shared_ptr<const BlobTable> exchange(std::span<const std::byte> mine,
                                             int kind, int root,
                                             std::pair<int, int> want);
@@ -330,7 +316,6 @@ class Machine {
   ExchangeSlot exchange_;
   struct ReduceSlot {
     int arrived = 0;
-    int op = -1;
     sim::Time max_clock = 0;
     std::shared_ptr<std::uint64_t> accum;
     sim::EventPtr release = std::make_shared<sim::Event>();

@@ -37,23 +37,6 @@ bool FaultModel::fails(double rate, std::uint64_t key, std::uint64_t salt,
   return rng.next_double() < rate;
 }
 
-std::string fault_tag(const FaultParams& p) {
-  FaultModel m(p);
-  if (!m.enabled()) return {};
-  std::string tag = "|faults=1|wrate=" + std::to_string(p.write_fail_rate) +
-                    "|rrate=" + std::to_string(p.read_fail_rate) +
-                    "|fseed=" + std::to_string(p.seed);
-  if (p.fail_until_attempt > 1) {
-    tag += "|until=" + std::to_string(p.fail_until_attempt);
-  }
-  if (p.straggler_targets > 0 && p.straggler_factor > 1.0) {
-    tag += "|strag=" + std::to_string(p.straggler_factor) + "x" +
-           std::to_string(p.straggler_targets) + "@" +
-           std::to_string(p.straggler_after);
-  }
-  return tag;
-}
-
 StorageSystem::StorageSystem(const PfsParams& params, net::Fabric* fabric)
     : params_(params), fabric_(fabric), faults_(params.faults) {
   TPIO_CHECK(params.num_targets > 0, "storage system needs targets");
@@ -119,7 +102,6 @@ std::shared_ptr<File> StorageSystem::create(std::string name,
                                             int node_offset,
                                             const FileStriping& striping) {
   TPIO_CHECK(tenant.id >= 0, "tenant id must be >= 0");
-  TPIO_CHECK(tenant.weight > 0.0, "tenant weight must be positive");
   TPIO_CHECK(node_offset >= 0, "node offset must be >= 0");
   TPIO_CHECK(striping.stripe_factor >= 0 &&
                  striping.stripe_factor <= params_.num_targets,

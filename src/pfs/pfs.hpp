@@ -136,11 +136,6 @@ class FaultModel {
   FaultParams p_;
 };
 
-/// Compact textual fingerprint of a fault configuration, empty for the
-/// healthy default. Used to tag sweep-checkpoint manifests so results
-/// recorded under one fault scenario can never be spliced into another.
-std::string fault_tag(const FaultParams& p);
-
 /// BeeGFS-flavoured parallel file system model. All durations are virtual
 /// nanoseconds, all bandwidths bytes/second.
 struct PfsParams {

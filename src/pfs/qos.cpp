@@ -30,13 +30,11 @@ QosPolicy parse_qos(const std::string& s) {
 
 ServiceQueue::Lane& ServiceQueue::lane(const TenantClass& who) {
   TPIO_CHECK(who.id >= 0, "tenant id must be >= 0");
-  TPIO_CHECK(who.weight > 0.0, "tenant weight must be positive");
   if (static_cast<std::size_t>(who.id) >= lanes_.size()) {
     lanes_.resize(static_cast<std::size_t>(who.id) + 1);
   }
   Lane& ln = lanes_[static_cast<std::size_t>(who.id)];
   ln.used = true;
-  ln.weight = who.weight;
   return ln;
 }
 
@@ -56,60 +54,51 @@ sim::Timeline::Interval ServiceQueue::reserve(sim::Time earliest,
   }
 
   Lane& ln = lane(who);
-  const sim::Time own_prev = ln.next_free;
-  sim::Time start = 0;
-  sim::Duration served = d;
+  // Every discipline queues a request behind its tenant's earlier ones;
+  // FIFO queues it behind everyone's, and Priority behind the committed
+  // horizon of every class at its priority or higher (lower-priority work
+  // never delays it).
+  const sim::Time own_start = std::max(earliest, ln.next_free);
+  sim::Time start = own_start;
+  if (policy_ == QosPolicy::Fifo) start = std::max(earliest, fifo_next_free_);
+  if (policy_ == QosPolicy::Priority) {
+    for (const auto& [prio, free_at] : class_free_) {
+      if (prio >= who.priority) start = std::max(start, free_at);
+    }
+  }
+  // Tenants backlogged at the start, this one included.
+  int active = 1;
+  for (std::size_t t = 0; t < lanes_.size(); ++t) {
+    if (static_cast<int>(t) == who.id) continue;
+    if (lanes_[t].used && lanes_[t].next_free > start) ++active;
+  }
 
+  sim::Duration served = d;
   switch (policy_) {
-    case QosPolicy::Fifo: {
-      start = std::max(earliest, fifo_next_free_);
+    case QosPolicy::Fifo:
       fifo_next_free_ = start + served;
-      // Queueing behind own earlier requests is not interference.
-      ln.stats.cross_wait += start - std::max(earliest, own_prev);
       break;
-    }
-    case QosPolicy::FairShare: {
-      // Each tenant queues only behind its own lane; contention shows up
-      // as a service stretch proportional to the backlogged weight.
-      start = std::max(earliest, own_prev);
-      double active_weight = who.weight;
-      for (std::size_t t = 0; t < lanes_.size(); ++t) {
-        if (static_cast<int>(t) == who.id) continue;
-        const Lane& other = lanes_[t];
-        if (other.used && other.next_free > start) {
-          active_weight += other.weight;
-        }
-      }
-      const double stretch = active_weight / who.weight;  // >= 1
+    case QosPolicy::FairShare:
+      // A lane never queues behind the others; contention stretches its
+      // service by the backlogged tenant count instead.
       served = static_cast<sim::Duration>(
-          std::llround(static_cast<double>(d) * stretch));
-      ln.stats.cross_wait += served - d;
+          std::llround(static_cast<double>(d) * static_cast<double>(active)));
       break;
-    }
     case QosPolicy::Priority: {
-      // Wait behind the committed horizon of every class at this priority
-      // or higher; lower-priority work never delays this request.
-      start = std::max(earliest, own_prev);
-      for (const auto& [prio, free_at] : class_free_) {
-        if (prio >= who.priority) start = std::max(start, free_at);
-      }
       sim::Time& horizon = class_free_[who.priority];
       horizon = std::max(horizon, start + served);
-      ln.stats.cross_wait += start - std::max(earliest, own_prev);
       break;
     }
   }
+  // Waiting behind the tenant's own earlier requests is not interference;
+  // waiting behind others and the fair-share stretch are.
+  ln.stats.cross_wait += (start - own_start) + (served - d);
 
   const sim::Time end = start + served;
   ln.next_free = std::max(ln.next_free, end);
   busy_ += served;
   ln.stats.requests += 1;
   ln.stats.busy += served;
-  int active = 1;
-  for (std::size_t t = 0; t < lanes_.size(); ++t) {
-    if (static_cast<int>(t) == who.id) continue;
-    if (lanes_[t].used && lanes_[t].next_free > start) ++active;
-  }
   ln.stats.peak_active = std::max(ln.stats.peak_active, active);
   return {start, end};
 }

@@ -18,11 +18,10 @@ enum class QosPolicy {
   /// First-come-first-served in virtual-time (baton) order; exactly the
   /// historical single-job Timeline semantics.
   Fifo,
-  /// Weighted fair sharing: each tenant queues behind its own lane only,
-  /// and service is stretched by (sum of active tenant weights / own
-  /// weight) — a generalized-processor-sharing approximation. With equal
-  /// weights a tenant's service is never stretched by more than the number
-  /// of simultaneously active tenants.
+  /// Fair sharing: each tenant queues behind its own lane only, and its
+  /// service is stretched by the number of tenants backlogged when it
+  /// starts — a generalized-processor-sharing approximation with equal
+  /// shares.
   FairShare,
   /// Strict priority: a request waits behind the committed horizon of
   /// every class at its own priority or higher, and is never delayed by
@@ -36,12 +35,11 @@ const char* to_string(QosPolicy p);
 QosPolicy parse_qos(const std::string& s);
 
 /// Identity of the job a storage request is billed to. Solo runs use the
-/// default (tenant 0, weight 1, priority 0), which makes every QoS
-/// discipline collapse to FIFO.
+/// default (tenant 0, priority 0), which makes every QoS discipline
+/// collapse to FIFO.
 struct TenantClass {
-  int id = 0;           // dense tenant index, 0-based
-  double weight = 1.0;  // FairShare share (> 0)
-  int priority = 0;     // Priority class; higher wins
+  int id = 0;        // dense tenant index, 0-based
+  int priority = 0;  // Priority class; higher wins
 };
 
 /// Per-tenant interference accounting of one ServiceQueue (or the rollup
@@ -103,7 +101,6 @@ class ServiceQueue {
  private:
   struct Lane {
     sim::Time next_free = 0;
-    double weight = 1.0;
     QosStats stats;
     bool used = false;
   };

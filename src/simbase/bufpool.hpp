@@ -30,6 +30,20 @@ namespace tpio::sim {
 /// Buffers may be acquired on one thread and released on another — the
 /// release simply lands in the releasing thread's pool.
 ///
+/// Why the free lists stay, though nothing is parked across runs: with
+/// every heap checkout a plain exact-size `new std::byte[n]` (no lists, no
+/// trim_local), 6 alternating full-benchmark pairs (seeds 3101-3106,
+/// default budget) of bench/e2e's restart_verified read wall_s 1.584 s
+/// against 1.387 s (+14.2%, worse in 5 of 6 pairs; `run.py --compare`
+/// judged it unresolved), cpu_s 13.6% higher and peak RSS 430.0 against
+/// 443.3 MiB. SIGPROF leaf-PC samples put all of the added time in the
+/// benchmark's own std::equal read-back compare (0.53 ns/B became about
+/// 0.9 ns/B). Rounding sizes to powers of two without the lists did not
+/// recover it, so the lists' LIFO reuse is what matters. Cache residency
+/// is the likely reason (a 300 MiB last-level cache, about 430 MiB touched
+/// per pass); that is unverified, as the 4-vCPU VM measured exposes no
+/// hardware performance counters.
+///
 /// Memory carries from one run to the next through malloc: the first pool
 /// of the process pins glibc's allocator policy so that freed blocks of
 /// any size stay in the heap, where the next run on the thread reuses

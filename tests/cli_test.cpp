@@ -1,6 +1,9 @@
 #include <gtest/gtest.h>
 
+#include <map>
+#include <string>
 #include <string_view>
+#include <vector>
 
 #include "harness/cli.hpp"
 #include "harness/sweep.hpp"
@@ -355,4 +358,45 @@ TEST(Cli, SweepChecksEveryProcessCountOfItsGrid) {
   EXPECT_NE(parse_as(xp::Tool::Sweep, {"--auto", "--primitives"})
                 .error.find("--auto"),
             std::string::npos);
+}
+
+// A sweep checkpoint belongs to the tpio_sweep command line that wrote it,
+// less the flags that only say how the grid runs: every other flag is part
+// of the manifest by construction.
+TEST(Cli, SweepManifestIsTheCommandLineLessRunFlags) {
+  const std::vector<std::string> base = {"--reps", "1"};
+  // A valid value for every tpio_sweep flag.
+  const std::map<std::string, std::vector<std::string>> values = {
+      {"--arrival", {"fixed:1"}},   {"--auto", {}},
+      {"--fault-rate", {"0.1"}},    {"--fault-seed", {"2"}},
+      {"--hierarchical", {}},       {"--jobs", {"3"}},
+      {"--leader", {"spread"}},     {"--local-aggs", {"2"}},
+      {"--max-retries", {"2"}},     {"--platform", {"crill"}},
+      {"--primitives", {}},         {"--progress", {}},
+      {"--qos", {"fair"}},          {"--quick", {}},
+      {"--reps", {"2"}},            {"--resume", {"ck.json"}},
+      {"--straggler", {"2"}},       {"--straggler-targets", {"1"}},
+      {"--stripe-factor", {"2"}},   {"--stripe-unit", {"1M"}},
+      {"--sub-comms", {"2"}},       {"--tenants", {"2"}}};
+  const xp::CliConfig plain = xp::parse_cli(base, xp::Tool::Sweep);
+  ASSERT_EQ(plain.error, "");
+  EXPECT_FALSE(plain.exec.manifest.empty());
+  for (const std::string& flag : xp::cli_flags(xp::Tool::Sweep)) {
+    if (flag == "--help") continue;
+    const auto it = values.find(flag);
+    ASSERT_NE(it, values.end()) << "no test value for " << flag;
+    std::vector<std::string> args = base;
+    args.push_back(flag);
+    args.insert(args.end(), it->second.begin(), it->second.end());
+    const xp::CliConfig cfg = xp::parse_cli(args, xp::Tool::Sweep);
+    ASSERT_EQ(cfg.error, "") << flag;
+    if (flag == "--jobs" || flag == "--progress" || flag == "--resume") {
+      EXPECT_EQ(cfg.exec.manifest, plain.exec.manifest) << flag;
+    } else {
+      EXPECT_NE(cfg.exec.manifest, plain.exec.manifest) << flag;
+    }
+  }
+  // Only tpio_sweep takes --resume, so only its lines name a checkpoint.
+  EXPECT_EQ(parse({"--reps", "2"}).exec.manifest, "");
+  EXPECT_EQ(parse_as(xp::Tool::Bench, {"--quick"}).exec.manifest, "");
 }

@@ -40,11 +40,9 @@ void drive(Cluster& cluster, const coll::Options& opt, std::uint64_t block,
            F&& f, pfs::Integrity integrity = pfs::Integrity::Store) {
   auto file = cluster.storage().create("wb", integrity);
   cluster.run([&](tpio::smpi::Mpi& mpi) {
-    const coll::FileView view = block_view(mpi.rank(), block);
-    const auto data = fill_local(view);
-    auto blobs = mpi.allgatherv(view.serialize());
+    const auto data = fill_local(block_view(mpi.rank(), block));
     std::vector<coll::FileView> views;
-    for (const auto& b : blobs) views.push_back(coll::FileView::deserialize(b));
+    for (int r = 0; r < mpi.size(); ++r) views.push_back(block_view(r, block));
     coll::Plan plan(std::move(views),
                     mpi.machine().fabric().topology(), file->stripe_size(),
                     opt);
@@ -61,11 +59,9 @@ TEST(EngineWhitebox, ManualPhaseSequenceWritesCorrectly) {
   auto file = cluster.storage().create("wb", pfs::Integrity::Store);
   const std::uint64_t block = 6000;
   cluster.run([&](tpio::smpi::Mpi& mpi) {
-    const coll::FileView view = block_view(mpi.rank(), block);
-    const auto data = fill_local(view);
-    auto blobs = mpi.allgatherv(view.serialize());
+    const auto data = fill_local(block_view(mpi.rank(), block));
     std::vector<coll::FileView> views;
-    for (const auto& b : blobs) views.push_back(coll::FileView::deserialize(b));
+    for (int r = 0; r < mpi.size(); ++r) views.push_back(block_view(r, block));
     coll::Options opt = two_slot_options();
     coll::Plan plan(std::move(views), mpi.machine().fabric().topology(),
                     file->stripe_size(), opt);

@@ -228,6 +228,26 @@ TEST(Executor, MismatchedManifestIsRefused) {
   EXPECT_EQ(back.done.size(), 1u);
 }
 
+TEST(Executor, CheckpointWithoutManifestIsRefused) {
+  // A checkpoint must say which sweep wrote it, or any other sweep with
+  // the same job keys could splice its results in.
+  TempFile f("executor_ckpt_nomanifest.json");
+  std::atomic<int> executed{0};
+  xp::ExecOptions opt;
+  opt.jobs = 1;
+  opt.checkpoint = f.path;
+  try {
+    xp::run_jobs(square_jobs(3, &executed), opt);
+    FAIL() << "a checkpoint without a manifest must be refused";
+  } catch (const tpio::Error& e) {
+    EXPECT_NE(std::string(e.what()).find(f.path), std::string::npos)
+        << e.what();
+  }
+  EXPECT_EQ(executed.load(), 0);
+  xp::Checkpoint back;
+  EXPECT_FALSE(xp::checkpoint_load(f.path, back));  // nothing written
+}
+
 TEST(Executor, MismatchedGridIsRefused) {
   TempFile f("executor_ckpt_gridmismatch.json");
   // Same manifest string, but the file was written against a 4-job grid —

@@ -124,14 +124,12 @@ TEST(WriteOp, ValueInitialized) {
 TEST(FaultModel, HealthyDefaultsAreDisabled) {
   EXPECT_FALSE(pfs::FaultModel().enabled());
   EXPECT_FALSE(pfs::FaultModel(pfs::FaultParams{}).enabled());
-  EXPECT_EQ(pfs::fault_tag(pfs::FaultParams{}), "");
 
   // A different seed alone does not enable the model: with all rates at
   // their defaults there is no fault stream to seed.
   pfs::FaultParams seeded;
   seeded.seed = 0xDEADBEEF;
   EXPECT_FALSE(pfs::FaultModel(seeded).enabled());
-  EXPECT_EQ(pfs::fault_tag(seeded), "");
 }
 
 TEST(FaultModel, VerdictIsPureFunctionOfKeyAndAttempt) {
@@ -216,19 +214,6 @@ TEST(FaultModel, ServiceFactorAsymmetry) {
   no_targets.straggler_targets = 0;
   EXPECT_DOUBLE_EQ(pfs::FaultModel(no_targets).service_factor(0, true, 1000),
                    1.0);
-}
-
-TEST(FaultModel, FaultTagDiscriminatesScenarios) {
-  pfs::FaultParams a;
-  a.write_fail_rate = 0.1;
-  pfs::FaultParams b = a;
-  b.seed = 2;
-  pfs::FaultParams c = a;
-  c.straggler_factor = 4.0;
-  c.straggler_targets = 2;
-  EXPECT_NE(pfs::fault_tag(a), "");
-  EXPECT_NE(pfs::fault_tag(a), pfs::fault_tag(b));
-  EXPECT_NE(pfs::fault_tag(a), pfs::fault_tag(c));
 }
 
 // ---------------------------------------------------------------------------

@@ -118,20 +118,22 @@ TEST(MpiColl, LaneBarrierRejectsCallerOutsideInterval) {
                tpio::Error);
 }
 
+// An allgatherv of variable-size blobs is a sparse_allgatherv whose want
+// interval covers every rank.
+
 TEST(MpiColl, AllgathervRoundTripsData) {
   Rig rig(6);
   rig.run([&](smpi::Mpi& mpi) {
     // Rank r contributes r+1 bytes, each = r.
     std::vector<std::byte> mine(static_cast<std::size_t>(mpi.rank() + 1),
                                 static_cast<std::byte>(mpi.rank()));
-    auto all = mpi.allgatherv(mine);
+    const auto all = mpi.sparse_allgatherv(mine, 0, 6);
     ASSERT_EQ(all.size(), 6u);
     for (int r = 0; r < 6; ++r) {
-      EXPECT_EQ(all[static_cast<std::size_t>(r)].size(),
-                static_cast<std::size_t>(r + 1));
-      for (std::byte b : all[static_cast<std::size_t>(r)]) {
-        EXPECT_EQ(b, static_cast<std::byte>(r));
-      }
+      const auto& [src, blob] = all[static_cast<std::size_t>(r)];
+      EXPECT_EQ(src, r);
+      EXPECT_EQ(blob.size(), static_cast<std::size_t>(r + 1));
+      for (std::byte b : blob) EXPECT_EQ(b, static_cast<std::byte>(r));
     }
   });
 }
@@ -141,21 +143,28 @@ TEST(MpiColl, AllgathervEmptyContributionsAllowed) {
   rig.run([&](smpi::Mpi& mpi) {
     std::vector<std::byte> mine;
     if (mpi.rank() == 2) mine.assign(8, std::byte{42});
-    auto all = mpi.allgatherv(mine);
-    EXPECT_TRUE(all[0].empty());
-    EXPECT_EQ(all[2].size(), 8u);
+    const auto all = mpi.sparse_allgatherv(mine, 0, 4);
+    ASSERT_EQ(all.size(), 4u);
+    EXPECT_TRUE(all[0].second.empty());
+    EXPECT_EQ(all[2].second, std::vector<std::byte>(8, std::byte{42}));
   });
 }
 
 TEST(MpiColl, RepeatedAllgathervGenerationsIsolated) {
+  // Back-to-back generations of both exchanges never see each other's
+  // contributions.
   Rig rig(4);
   rig.run([&](smpi::Mpi& mpi) {
     for (int round = 0; round < 10; ++round) {
-      std::vector<std::byte> mine(4, static_cast<std::byte>(mpi.rank() * 16 + round));
-      auto all = mpi.allgatherv(mine);
+      const std::vector<std::byte> mine(
+          4, static_cast<std::byte>(mpi.rank() * 16 + round));
+      const auto table = mpi.allgather_shared(mine);
+      const auto all = mpi.sparse_allgatherv(mine, 0, 4);
       for (int r = 0; r < 4; ++r) {
-        EXPECT_EQ(all[static_cast<std::size_t>(r)][0],
-                  static_cast<std::byte>(r * 16 + round))
+        const auto want = static_cast<std::byte>(r * 16 + round);
+        EXPECT_EQ((*table)[static_cast<std::size_t>(r)][0], want)
+            << "round " << round;
+        EXPECT_EQ(all[static_cast<std::size_t>(r)].second[0], want)
             << "round " << round;
       }
     }
@@ -167,8 +176,8 @@ TEST(MpiColl, AllreduceOps) {
   rig.run([&](smpi::Mpi& mpi) {
     const auto v = static_cast<std::uint64_t>(mpi.rank() + 1);  // 1..5
     EXPECT_EQ(mpi.allreduce_max(v), 5u);
-    EXPECT_EQ(mpi.allreduce_min(v), 1u);
-    EXPECT_EQ(mpi.allreduce_sum(v), 15u);
+    // A second generation starts from a fresh accumulator.
+    EXPECT_EQ(mpi.allreduce_max(v % 3), 2u);
   });
 }
 
@@ -197,8 +206,7 @@ TEST(MpiColl, CollectiveAfterP2PTrafficStillCorrect) {
     } else if (mpi.rank() == 1) {
       mpi.recv(0, 0, buf);
     }
-    const auto sum = mpi.allreduce_sum(1);
-    EXPECT_EQ(sum, 4u);
+    EXPECT_EQ(mpi.allreduce_max(static_cast<std::uint64_t>(mpi.rank())), 3u);
   });
 }
 
@@ -210,7 +218,7 @@ TEST(MpiColl, DeterministicCollectiveTimes) {
       mpi.ctx().advance(static_cast<sim::Duration>((mpi.rank() * 97) % 31));
       for (int i = 0; i < 5; ++i) {
         std::vector<std::byte> mine(static_cast<std::size_t>(mpi.rank()) * 7 + 1);
-        (void)mpi.allgatherv(mine);
+        (void)mpi.sparse_allgatherv(mine, 0, 8);
       }
       mpi.barrier();
       if (mpi.rank() == 0) t = mpi.ctx().now();
@@ -218,58 +226,6 @@ TEST(MpiColl, DeterministicCollectiveTimes) {
     return t;
   };
   EXPECT_EQ(once(), once());
-}
-
-TEST(MpiColl, GathervOnlyRootReceives) {
-  Rig rig(5);
-  rig.run([&](smpi::Mpi& mpi) {
-    std::vector<std::byte> mine(static_cast<std::size_t>(mpi.rank() + 1),
-                                static_cast<std::byte>(0x40 + mpi.rank()));
-    auto all = mpi.gatherv(mine, 2);
-    if (mpi.rank() == 2) {
-      for (int r = 0; r < 5; ++r) {
-        ASSERT_EQ(all[static_cast<std::size_t>(r)].size(),
-                  static_cast<std::size_t>(r + 1));
-        EXPECT_EQ(all[static_cast<std::size_t>(r)][0],
-                  static_cast<std::byte>(0x40 + r));
-      }
-    } else {
-      for (const auto& b : all) EXPECT_TRUE(b.empty());
-    }
-  });
-}
-
-TEST(MpiColl, ScattervDistributesPerRankBlobs) {
-  Rig rig(4);
-  rig.run([&](smpi::Mpi& mpi) {
-    std::vector<std::vector<std::byte>> blobs;
-    if (mpi.rank() == 1) {
-      for (int r = 0; r < 4; ++r) {
-        blobs.emplace_back(static_cast<std::size_t>(3 * r + 1),
-                           static_cast<std::byte>(r * 11));
-      }
-    }
-    const auto mine = mpi.scatterv(blobs, 1);
-    ASSERT_EQ(mine.size(), static_cast<std::size_t>(3 * mpi.rank() + 1));
-    for (std::byte b : mine) EXPECT_EQ(b, static_cast<std::byte>(mpi.rank() * 11));
-  });
-}
-
-TEST(MpiColl, ScattervEmptyBlobsAllowed) {
-  Rig rig(3);
-  rig.run([&](smpi::Mpi& mpi) {
-    std::vector<std::vector<std::byte>> blobs;
-    if (mpi.rank() == 0) {
-      blobs.resize(3);
-      blobs[1].assign(5, std::byte{9});
-    }
-    const auto mine = mpi.scatterv(blobs, 0);
-    if (mpi.rank() == 1) {
-      EXPECT_EQ(mine.size(), 5u);
-    } else {
-      EXPECT_TRUE(mine.empty());
-    }
-  });
 }
 
 // ---------------------------------------------------------------------------
@@ -292,92 +248,44 @@ TEST(MpiColl, AllgatherFixedSizeRoundTrips) {
   });
 }
 
-TEST(MpiColl, ScattervMalformedSizeTableRejectedOnEveryRank) {
-  // A size table claiming more bytes than the payload holds must be
-  // rejected before any copy — by every rank, not only the ranks whose
-  // slice happens to land out of bounds.
-  const int nprocs = 3;
-  std::vector<std::byte> packed(nprocs * sizeof(std::uint64_t) + 4);
-  const std::uint64_t sizes[3] = {2, 2, 64};  // 64 overruns the 4-byte tail
-  std::memcpy(packed.data(), sizes, sizeof(sizes));
-  for (int r = 0; r < nprocs; ++r) {
-    EXPECT_THROW(smpi::detail::scatterv_unpack(packed, nprocs, r),
-                 tpio::Error);
-  }
-  // A payload shorter than its own size table is equally malformed.
-  const std::vector<std::byte> stub(sizeof(std::uint64_t));
-  EXPECT_THROW(smpi::detail::scatterv_unpack(stub, nprocs, 0), tpio::Error);
-}
-
-TEST(MpiColl, GathervCheaperThanAllgathervSameBlobs) {
-  // gatherv charges the root-bound volume (total minus the root's own
-  // blob); allgatherv charges the dissemination volume (total minus the
-  // smallest blob). With the largest blob at the root, gatherv must
-  // finish strictly earlier — the old model priced both identically.
-  auto finish = [](bool gather) {
-    Rig rig(6);
-    sim::Time t = 0;
-    rig.run([&](smpi::Mpi& mpi) {
-      const std::vector<std::byte> mine(
-          1000u * (static_cast<std::size_t>(mpi.rank()) + 1));
-      if (gather) {
-        mpi.gatherv(mine, 5);
-      } else {
-        mpi.allgatherv(mine);
-      }
-      if (mpi.rank() == 0) t = mpi.ctx().now();
-    });
-    return t;
-  };
-  EXPECT_LT(finish(true), finish(false));
-}
-
 TEST(MpiColl, AllgathervSingleRankIsFree) {
   // P = 1: no remote bytes, no hops, no sync — time must not move.
   Rig rig(1);
   rig.run([&](smpi::Mpi& mpi) {
     const sim::Time before = mpi.ctx().now();
     const std::vector<std::byte> mine(4096, std::byte{7});
-    const auto out = mpi.allgatherv(mine);
+    const auto table = mpi.allgather_shared(mine);
+    ASSERT_EQ(table->size(), 1u);
+    EXPECT_EQ((*table)[0].size(), 4096u);
+    const auto out = mpi.sparse_allgatherv(mine, 0, 1);
     ASSERT_EQ(out.size(), 1u);
-    EXPECT_EQ(out[0].size(), 4096u);
+    EXPECT_EQ(out[0].second.size(), 4096u);
+    EXPECT_EQ(mpi.allreduce_max(9), 9u);
     EXPECT_EQ(mpi.ctx().now(), before);
   });
 }
 
 TEST(MpiColl, AllgathervAllEmptyPaysNoVolumeTerm) {
-  // All-empty exchange costs exactly the latency + sync floor: the
-  // volume term must vanish with the payload.
+  // All-empty exchanges cost exactly their latency, matching and sync
+  // floors: the volume term must vanish with the payload.
   Rig rig(4);
-  sim::Time t = 0;
+  sim::Time gathered = 0, delivered = 0;
   rig.run([&](smpi::Mpi& mpi) {
-    const auto out = mpi.allgatherv({});
+    const auto table = mpi.allgather_shared({});
+    for (const auto& b : *table) EXPECT_TRUE(b.empty());
+    if (mpi.rank() == 0) gathered = mpi.ctx().now();
+    const auto out = mpi.sparse_allgatherv({}, 0, 4);
     ASSERT_EQ(out.size(), 4u);
-    for (const auto& b : out) EXPECT_TRUE(b.empty());
-    if (mpi.rank() == 0) t = mpi.ctx().now();
+    for (const auto& [src, b] : out) EXPECT_TRUE(b.empty());
+    if (mpi.rank() == 0) delivered = mpi.ctx().now();
   });
   const sim::Duration floor_cost =
       static_cast<sim::Duration>(smpi::detail::ceil_log2(4)) * 100 +
       rig.machine.sync_collective_cost(4);
-  EXPECT_EQ(t, floor_cost);
-}
-
-TEST(MpiColl, AllgathervChargesTotalMinusSmallestBlob) {
-  // Two grids with the same total volume: the skewed one disseminates
-  // more remote bytes (total - min). The old total - total/P formula
-  // priced both at 3000 bytes; the fix must separate them.
-  auto finish = [](std::vector<std::size_t> sizes) {
-    Rig rig(4);
-    sim::Time t = 0;
-    rig.run([&](smpi::Mpi& mpi) {
-      const std::vector<std::byte> mine(
-          sizes[static_cast<std::size_t>(mpi.rank())]);
-      mpi.allgatherv(mine);
-      if (mpi.rank() == 0) t = mpi.ctx().now();
-    });
-    return t;
-  };
-  EXPECT_GT(finish({0, 0, 0, 4000}), finish({1000, 1000, 1000, 1000}));
+  EXPECT_EQ(gathered, floor_cost);
+  // The bottleneck rank matches the 3 blobs it did not contribute.
+  EXPECT_EQ(delivered - gathered,
+            floor_cost + 3 * rig.machine.params().match_cost);
 }
 
 TEST(MpiColl, SparseAllgathervDeliversWantedInterval) {
@@ -408,17 +316,17 @@ TEST(MpiColl, SparseAllgathervDeliversWantedInterval) {
 }
 
 TEST(MpiColl, SparseAllgathervFullWantMatchesAllgathervData) {
+  // A full want delivers exactly the table the fixed-size allgather does.
   constexpr int P = 5;
   std::vector<std::vector<std::byte>> via_dense(P);
   std::vector<std::vector<std::byte>> via_sparse(P);
   auto payload = [](int r) {
-    return std::vector<std::byte>(static_cast<std::size_t>(2 * r + 1),
-                                  static_cast<std::byte>(r * 13));
+    return std::vector<std::byte>(8, static_cast<std::byte>(r * 13));
   };
   {
     Rig rig(P);
     rig.run([&](smpi::Mpi& mpi) {
-      const auto out = mpi.allgatherv(payload(mpi.rank()));
+      const auto out = mpi.allgather(payload(mpi.rank()));
       if (mpi.rank() == 0) via_dense = out;
     });
   }
@@ -449,44 +357,6 @@ TEST(MpiColl, BcastRootAtLastRank) {
     for (std::size_t i = 0; i < 8; ++i) {
       EXPECT_EQ(buf[i], static_cast<std::byte>(0xA0 + i));
     }
-  });
-}
-
-TEST(MpiColl, GathervRootAtLastRank) {
-  Rig rig(5);
-  rig.run([&](smpi::Mpi& mpi) {
-    const std::vector<std::byte> mine(
-        static_cast<std::size_t>(mpi.rank()),
-        static_cast<std::byte>(mpi.rank()));
-    const auto out = mpi.gatherv(mine, 4);
-    ASSERT_EQ(out.size(), 5u);
-    if (mpi.rank() == 4) {
-      for (int r = 0; r < 5; ++r) {
-        ASSERT_EQ(out[static_cast<std::size_t>(r)].size(),
-                  static_cast<std::size_t>(r));
-        for (std::byte b : out[static_cast<std::size_t>(r)]) {
-          EXPECT_EQ(b, static_cast<std::byte>(r));
-        }
-      }
-    } else {
-      for (const auto& b : out) EXPECT_TRUE(b.empty());
-    }
-  });
-}
-
-TEST(MpiColl, ScattervRootAtLastRank) {
-  Rig rig(4);
-  rig.run([&](smpi::Mpi& mpi) {
-    std::vector<std::vector<std::byte>> blobs;
-    if (mpi.rank() == 3) {
-      for (int r = 0; r < 4; ++r) {
-        blobs.emplace_back(static_cast<std::size_t>(r + 1),
-                           static_cast<std::byte>(r * 5));
-      }
-    }
-    const auto mine = mpi.scatterv(blobs, 3);
-    ASSERT_EQ(mine.size(), static_cast<std::size_t>(mpi.rank()) + 1);
-    for (std::byte b : mine) EXPECT_EQ(b, static_cast<std::byte>(mpi.rank() * 5));
   });
 }
 

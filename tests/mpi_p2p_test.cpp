@@ -302,23 +302,6 @@ TEST(MpiP2P, WaitallCompletesEverything) {
   });
 }
 
-TEST(MpiP2P, TestPollsWithoutBlocking) {
-  Rig rig(2, 1, zero_overhead_params());
-  rig.run([&](smpi::Mpi& mpi) {
-    if (mpi.rank() == 1) {
-      std::vector<std::byte> buf(64);
-      smpi::Request r = mpi.irecv(0, 0, buf);
-      EXPECT_FALSE(mpi.test(r));  // sender still sleeping
-      mpi.ctx().advance_to(sim::milliseconds(2.0));
-      EXPECT_TRUE(mpi.test(r));
-      EXPECT_EQ(buf, pattern(64, 9));
-    } else {
-      mpi.ctx().advance(sim::milliseconds(1.0));
-      mpi.send(1, 0, pattern(64, 9));
-    }
-  });
-}
-
 TEST(MpiP2P, MatchCostScalesWithQueueDepth) {
   // A receive that scans a deep unexpected queue pays match_cost per entry.
   smpi::MpiParams mp = zero_overhead_params();

@@ -297,8 +297,8 @@ TEST(Subfiling, ComposesWithContention) {
 }
 
 TEST(Subfiling, SubfiledSweepIdenticalAcrossJobs) {
-  // The sweep layer (checkpoints namespaced by subfiling_tag) must stay
-  // bit-identical at any worker count with k > 1.
+  // The sweep layer must stay bit-identical at any worker count with
+  // k > 1.
   std::vector<std::vector<xp::OverlapSeries>> tables;
   for (int jobs : {1, 8}) {
     xp::ExecOptions exec;
@@ -312,15 +312,4 @@ TEST(Subfiling, SubfiledSweepIdenticalAcrossJobs) {
   for (std::size_t i = 0; i < tables[0].size(); ++i) {
     EXPECT_EQ(tables[0][i].min_ms, tables[1][i].min_ms) << "series " << i;
   }
-}
-
-TEST(Subfiling, TagNamespacesCheckpoints) {
-  coll::Options opt;
-  EXPECT_EQ(xp::subfiling_tag(opt), "");
-  opt.sub_comm_count = 4;
-  EXPECT_NE(xp::subfiling_tag(opt), "");
-  coll::Options striped;
-  striped.subfile_stripe_unit = 1 << 20;
-  EXPECT_NE(xp::subfiling_tag(striped), "");
-  EXPECT_NE(xp::subfiling_tag(striped), xp::subfiling_tag(opt));
 }

@@ -190,11 +190,11 @@ TEST(Sweep, ResumeFromCheckpointReproducesTable) {
   xp::ExecOptions e;
   e.jobs = 2;
   e.checkpoint = path;
+  e.manifest = "primitive sweep, crill, 1 rep, seed 99, quick";
   const auto a =
       xp::run_primitive_sweep(xp::crill(), coll::Options{}, 1, 99, true, e);
-  // The rerun restores every job from the checkpoint file (the default
-  // manifest encodes platform/seed/reps/quick, so the grids match) and
-  // must reproduce the identical table.
+  // The rerun restores every job from the checkpoint file (same manifest,
+  // same grid) and must reproduce the identical table.
   const auto b =
       xp::run_primitive_sweep(xp::crill(), coll::Options{}, 1, 99, true, e);
   ASSERT_EQ(a.size(), b.size());

@@ -26,7 +26,11 @@
 //       `PlanCache::X`, `Engine::X`, `ReadEngine::X` and `Conductor::X`
 //       in the docs must name an identifier declared in that class's
 //       definition in a header under src/, so a deleted or renamed member
-//       can never linger in the manual either.
+//       can never linger in the manual either, and
+//   (g) namespace references — every `xp::X`, `coll::X`, `pfs::X`,
+//       `sim::X`, `smpi::X`, `wl::X` and `net::X` in the docs must name an
+//       identifier that occurs in some header under src/ (comments
+//       skipped), so a deleted free function or type cannot linger either.
 //
 // Usage: docs_check <repo-root> <build-dir>
 // Exit code 0 = clean; 1 = at least one broken reference (each printed).
@@ -285,6 +289,27 @@ std::set<std::string> class_identifiers(const std::string& code,
   return out;
 }
 
+// Every identifier in `code`, comments skipped.
+std::set<std::string> identifiers(const std::string& code) {
+  std::set<std::string> out;
+  std::string word;
+  for (std::size_t i = 0; i < code.size(); ++i) {
+    const char c = code[i];
+    if (name_char(c)) {
+      word += c;
+      continue;
+    }
+    if (!word.empty() && !std::isdigit(static_cast<unsigned char>(word[0])))
+      out.insert(word);
+    word.clear();
+    if (c == '/' && i + 1 < code.size() && code[i + 1] == '/') {
+      i = code.find('\n', i);
+      if (i == std::string::npos) break;
+    }
+  }
+  return out;
+}
+
 // Names registered via `tpio_add_bench(<name> ...)`.
 std::vector<std::string> bench_targets(const std::string& cmake_text) {
   std::vector<std::string> out;
@@ -424,6 +449,21 @@ int main(int argc, char** argv) {
           std::cerr << doc.lexically_relative(repo).string() << ": " << cls
                     << "::" << name << " is not declared in class " << cls
                     << " under src/\n";
+          ++broken;
+        }
+      }
+    }
+  }
+
+  // (g) Docs may name only namespace members some header declares.
+  const std::set<std::string> declared = identifiers(headers);
+  for (const char* ns : {"xp", "coll", "pfs", "sim", "smpi", "wl", "net"}) {
+    for (const fs::path& doc : docs) {
+      for (const std::string& name : scoped_refs(slurp(doc), ns)) {
+        ++api_refs;
+        if (declared.count(name) == 0) {
+          std::cerr << doc.lexically_relative(repo).string() << ": " << ns
+                    << "::" << name << " occurs in no header under src/\n";
           ++broken;
         }
       }

@@ -20,8 +20,10 @@
 // Series are independent simulations, so the sweep fans out over a worker
 // pool (--jobs, default: hardware concurrency); any worker count produces a
 // byte-identical CSV because every grid point derives its own seed.
-// --resume FILE checkpoints completed grid points to FILE (JSON) and, when
-// re-run with the same grid, skips everything already recorded there.
+// --resume FILE checkpoints completed grid points to FILE (JSON) under a
+// manifest, the command line less --jobs, --progress and --resume. A rerun
+// with the same flags, spelled the same way, skips everything recorded
+// there; any other command line's checkpoint is refused (exit 1).
 
 #include <cstdio>
 #include <string>
