@@ -94,7 +94,6 @@ int main(int argc, char** argv) {
   xp::Platform flat = plat;
   flat.name = "ibex-ppn1";
   flat.procs_per_node = 1;
-  flat.max_nodes = plat.max_nodes * plat.procs_per_node;
   std::puts("== Degeneracy check: one process per node ==");
   xp::Table t1({"workload", "procs", "direct(ms)", "hier(ms)", "identical"});
   bool all_identical = true;

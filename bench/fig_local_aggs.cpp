@@ -52,7 +52,6 @@ xp::Platform with_ppn(xp::Platform p, int ppn) {
   // Same fabric/storage physics, re-packed nodes: the grid varies how many
   // ranks share a node leader, exactly Kang's experiment.
   p.name += "-ppn" + std::to_string(ppn);
-  p.max_nodes = p.max_nodes * p.procs_per_node / ppn;
   p.procs_per_node = ppn;
   return p;
 }

@@ -117,13 +117,8 @@ std::span<std::byte> Engine::cb_span(int slot) {
 // ---------------------------------------------------------------------------
 
 void Engine::leader_gather(int cycle, int slot) {
-  if (!plan_.hierarchical()) return;
+  if (lane_last_ - lane_first_ <= 1) return;  // flat or single-member lane
   Slot& s = slots_[slot];
-  if (s.gathered_cycle == cycle) return;
-  TPIO_CHECK(!s.sh.pending,
-             "leader_gather while a shuffle is pending on slot");
-  s.gathered_cycle = cycle;
-  if (lane_last_ - lane_first_ <= 1) return;  // degenerate: direct path
 
   const int me = mpi_.rank();
 
@@ -187,22 +182,26 @@ void Engine::leader_gather(int cycle, int slot) {
 
   // Leader: derive the staging layout — concatenation over aggregators of
   // the lane's coalesced cycle segments, file-ordered within each
-  // aggregator slice. Only leaders compute it (it reads every lane
+  // aggregator's run — and keep it in the slot, where shuffle_init
+  // forwards each run. Only leaders compute it (it reads every lane
   // member's view, which the sparse metadata exchange delivers to leaders
   // alone); members pack in for_pieces order, whose positions the leader
   // re-derives when unpacking, so no gather metadata is exchanged.
-  std::vector<Segment> layout;  // local_offset = position in stage
+  if (!s.layout) s.layout = std::make_unique<StageLayout>();
+  std::vector<Segment>& layout = s.layout->segs;
+  layout.clear();
+  s.layout->runs.clear();
   std::uint64_t stage_bytes = 0;
   for (int a = lane_aggs_.first; a < lane_aggs_.second; ++a) {
     const Plan::Range r = plan_.cycle_range(a, cycle);
     const auto segs = plan_.lane_segments_in(node_, lane_, r.begin, r.end);
+    if (segs.empty()) continue;
     for (Segment g : segs) {
       g.local_offset += stage_bytes;
       layout.push_back(g);
     }
-    if (!segs.empty()) {
-      stage_bytes += segs.back().local_offset + segs.back().length;
-    }
+    stage_bytes += segs.back().local_offset + segs.back().length;
+    s.layout->runs.emplace_back(a, layout.size());
   }
   if (stage_bytes == 0) return;  // lane contributes nothing this cycle
 
@@ -340,21 +339,15 @@ void Engine::post_receives(int cycle, int slot) {
 }
 
 void Engine::shuffle_init(int cycle, int slot) {
-  leader_gather(cycle, slot);  // hierarchical mode only; no-op otherwise
-  ScopedTraceEvent ev(opt_.trace, "shuffle_init", cycle, mpi_.ctx());
   Slot& s = slots_[slot];
   TPIO_CHECK(!s.sh.pending, "shuffle_init while a shuffle is pending on slot");
   TPIO_CHECK(!io_.in_flight(slot),
              "shuffle_init into a sub-buffer with an outstanding write");
+  leader_gather(cycle, slot);  // hierarchical mode only; no-op otherwise
+  ScopedTraceEvent ev(opt_.trace, "shuffle_init", cycle, mpi_.ctx());
   s.sh.clear();  // keeps vector capacity: steady-state cycles don't allocate
   s.sh.cycle = cycle;
   s.sh.pending = true;
-
-  const int me = mpi_.rank();
-  const auto tag = static_cast<smpi::Tag>(cycle);
-  // The aggregators this rank's own pieces may reach (Plan::aggs_of); the
-  // direct paths below visit only these, in ascending order.
-  const auto [my_a0, my_a1] = plan_.aggs_of(me);
 
   if (opt_.transfer == Transfer::TwoSided) {
     // Per-cycle metadata synchronization (vulcan exchanges offsets/counts
@@ -375,57 +368,7 @@ void Engine::shuffle_init(int cycle, int slot) {
     }
     // Aggregator side: one receive per contributing source.
     if (my_agg_ >= 0) post_receives(cycle, slot);
-    if (lane_last_ - lane_first_ > 1) {
-      // Hierarchical forward: the lane leader sends one contiguous slice of
-      // the staging buffer per destination aggregator, zero-copy (the slice
-      // layout is exactly leader_gather's). Members already handed their
-      // pieces to the leader and send nothing. The posts are timed into the
-      // forward bucket and the slot remembers the post instant, feeding the
-      // pipelined-overlap stat at shuffle_wait.
-      if (is_leader_) {
-        s.fwd_begin = mpi_.ctx().now();
-        std::uint64_t base = 0;
-        for (int a = lane_aggs_.first; a < lane_aggs_.second; ++a) {
-          const Plan::Range r = plan_.cycle_range(a, cycle);
-          const std::uint64_t n =
-              plan_.lane_bytes_in(node_, lane_, r.begin, r.end);
-          if (n == 0) continue;
-          const std::span<const std::byte> payload(s.stage.data() + base, n);
-          timed(mpi_.ctx(), t_.forward, [&] {
-            s.sh.reqs.push_back(mpi_.isend(plan_.agg_rank(a), tag, payload));
-          });
-          base += n;
-        }
-        s.fwd_posted = base > 0;
-        s.fwd_post_cost = mpi_.ctx().now() - s.fwd_begin;
-      }
-      return;
-    }
-    // Sender side (direct path; also hierarchical single-member lanes):
-    // the pieces of a cycle range form one contiguous local run
-    // (SegmentRange), so the message is a slice of the user buffer, sent
-    // in place and untouched until this slot's shuffle_wait. The pack CPU
-    // of a multi-segment message is still charged on the virtual timeline.
-    for (int a = my_a0; a < my_a1; ++a) {
-      const Plan::Range r = plan_.cycle_range(a, cycle);
-      const SegmentRange pieces = plan_.segments_in(me, r.begin, r.end);
-      if (pieces.empty()) continue;
-      const std::span<const std::byte> payload =
-          data_.subspan(pieces.local_offset(), pieces.bytes());
-      if (pieces.size() > 1) {
-        timed(mpi_.ctx(), t_.pack, [&] {
-          mpi_.ctx().advance(pack_cost(pieces.size(), payload.size()));
-        });
-      }
-      timed(mpi_.ctx(), t_.shuffle, [&] {
-        s.sh.reqs.push_back(mpi_.isend(plan_.agg_rank(a), tag, payload));
-      });
-    }
-    return;
-  }
-
-  // One-sided variants.
-  if (opt_.transfer == Transfer::OneSidedLock) {
+  } else if (opt_.transfer == Transfer::OneSidedLock) {
     // Origins must not overwrite a sub-buffer whose previous content the
     // aggregator is still writing; the paper resolves this with a barrier.
     timed(mpi_.ctx(), t_.sync, [&] { mpi_.barrier(); });
@@ -434,64 +377,84 @@ void Engine::shuffle_init(int cycle, int slot) {
     timed(mpi_.ctx(), t_.sync, [&] { mpi_.win_fence(*s.win); });
   }
 
-  if (lane_last_ - lane_first_ > 1) {
-    // Hierarchical one-sided: only lane leaders originate puts — one per
-    // coalesced union segment, sourced from the staging buffer. The gather
-    // itself stays two-sided intra-node traffic (it models shared-memory
-    // staging, not RMA). The lanes' leaders originate their puts
-    // independently; the fence/barrier epoch structure is global, so there
-    // is no per-cycle lane sync here. Put issue time is charged to the
-    // forward bucket (the lifetime stat stays two-sided-only: put
-    // completion is epoch-based, so no per-leader forward lifetime exists
-    // to measure).
-    if (!is_leader_) return;
-    std::uint64_t base = 0;
-    for (int a = lane_aggs_.first; a < lane_aggs_.second; ++a) {
-      const Plan::Range r = plan_.cycle_range(a, cycle);
-      const auto segs = plan_.lane_segments_in(node_, lane_, r.begin, r.end);
-      if (segs.empty()) continue;
-      const int target = plan_.agg_rank(a);
-      if (opt_.transfer == Transfer::OneSidedLock) {
-        timed(mpi_.ctx(), t_.sync,
-              [&] { mpi_.win_lock(*s.win, target, opt_.lock_type); });
-      }
-      timed(mpi_.ctx(), t_.forward, [&] {
-        for (const Segment& g : segs) {
-          mpi_.ctx().advance(kSegmentCpu);
-          mpi_.put(*s.win, target, g.file_offset - r.begin,
-                   s.stage.span().subspan(base + g.local_offset, g.length));
-        }
-      });
-      if (opt_.transfer == Transfer::OneSidedLock) {
-        timed(mpi_.ctx(), t_.sync, [&] { mpi_.win_unlock(*s.win, target); });
-      }
-      base += segs.back().local_offset + segs.back().length;
-    }
-    return;
-  }
-
-  for (int a = my_a0; a < my_a1; ++a) {
-    const Plan::Range r = plan_.cycle_range(a, cycle);
-    const SegmentRange pieces = plan_.segments_in(me, r.begin, r.end);
-    if (pieces.empty()) continue;
+  // Origin side. In a multi-member lane only the leader originates: it
+  // forwards the runs of the stage layout its gather built (the members
+  // already handed it their pieces; the gather stays two-sided intra-node
+  // traffic, modelling shared-memory staging). One-sided leaders put
+  // inside the job-wide epoch (barrier or fence above), so they need no
+  // per-cycle lane sync. Every other rank sends its own pieces from the
+  // user buffer, the direct path.
+  const bool forward = lane_last_ - lane_first_ > 1;
+  if (forward && !is_leader_) return;
+  const auto tag = static_cast<smpi::Tag>(cycle);
+  sim::Duration& bucket = forward ? t_.forward : t_.shuffle;
+  // One post to aggregator `a` of `pieces`, which lie back to back in `src`
+  // in file order.
+  const auto post = [&](int a, const auto& pieces,
+                        std::span<const std::byte> src) {
     const int target = plan_.agg_rank(a);
+    if (opt_.transfer == Transfer::TwoSided) {
+      // The message is one contiguous slice of `src`, sent in place and
+      // untouched until this slot's shuffle_wait. A direct sender still
+      // charges the pack CPU of a multi-segment message on the virtual
+      // timeline; a leader paid it at the gather.
+      const Segment head = pieces.front(), tail = pieces.back();
+      const std::span<const std::byte> payload =
+          src.subspan(head.local_offset,
+                      tail.local_offset + tail.length - head.local_offset);
+      if (!forward && pieces.size() > 1) {
+        timed(mpi_.ctx(), t_.pack, [&] {
+          mpi_.ctx().advance(pack_cost(pieces.size(), payload.size()));
+        });
+      }
+      timed(mpi_.ctx(), bucket,
+            [&] { s.sh.reqs.push_back(mpi_.isend(target, tag, payload)); });
+      return;
+    }
+    // One-sided: each contiguous piece goes straight to its final position
+    // in the target's sub-buffer (origin-side placement, no target CPU).
+    const std::uint64_t lo = plan_.cycle_range(a, cycle).begin;
     if (opt_.transfer == Transfer::OneSidedLock) {
       timed(mpi_.ctx(), t_.sync,
             [&] { mpi_.win_lock(*s.win, target, opt_.lock_type); });
     }
-    timed(mpi_.ctx(), t_.shuffle, [&] {
+    timed(mpi_.ctx(), bucket, [&] {
       for (const Segment& g : pieces) {
-        // Each contiguous piece goes straight to its final position in the
-        // target's sub-buffer: origin-side placement, no target CPU.
         mpi_.ctx().advance(kSegmentCpu);
-        mpi_.put(*s.win, target, g.file_offset - r.begin,
-                 data_.subspan(g.local_offset, g.length));
+        mpi_.put(*s.win, target, g.file_offset - lo,
+                 src.subspan(g.local_offset, g.length));
       }
     });
     if (opt_.transfer == Transfer::OneSidedLock) {
       timed(mpi_.ctx(), t_.sync, [&] { mpi_.win_unlock(*s.win, target); });
     }
+  };
+
+  if (!forward) {
+    // The aggregators this rank's pieces may reach (Plan::aggs_of), in
+    // ascending order; a cycle range's pieces are one local run.
+    const int me = mpi_.rank();
+    const auto [a0, a1] = plan_.aggs_of(me);
+    for (int a = a0; a < a1; ++a) {
+      const Plan::Range r = plan_.cycle_range(a, cycle);
+      const SegmentRange pieces = plan_.segments_in(me, r.begin, r.end);
+      if (!pieces.empty()) post(a, pieces, data_);
+    }
+    return;
   }
+  // The slot remembers when the forwards were posted and what posting
+  // cost, inputs of the pipelined-overlap stat that a two-sided
+  // shuffle_wait closes out (put completion is epoch-based, so one-sided
+  // forwards have no lifetime to measure).
+  s.fwd_begin = mpi_.ctx().now();
+  const StageLayout& layout = *s.layout;
+  std::size_t first = 0;
+  for (const auto& [a, end] : layout.runs) {
+    post(a, std::span<const Segment>(layout.segs).subspan(first, end - first),
+         s.stage.span());
+    first = end;
+  }
+  s.fwd_post_cost = mpi_.ctx().now() - s.fwd_begin;
 }
 
 void Engine::shuffle_wait(int slot) {
@@ -507,11 +470,12 @@ void Engine::shuffle_wait(int slot) {
       // own forward isends, so the blocked time is forward-completion wait;
       // a leader that is also an aggregator waits on a mix of recvs and
       // forwards, which stays in shuffle.
-      const bool fwd_wait = s.fwd_posted && my_agg_ < 0;
+      const bool fwd_posted = s.layout && !s.layout->runs.empty();
+      const bool fwd_wait = fwd_posted && my_agg_ < 0;
       const sim::Time w0 = mpi_.ctx().now();
       timed(mpi_.ctx(), fwd_wait ? t_.forward : t_.shuffle,
             [&] { mpi_.waitall(s.sh.reqs); });
-      if (s.fwd_posted) {
+      if (fwd_posted) {
         // Pipelined-overlap stat: the forward lifetime runs from the post
         // instant to the end of this waitall; the leader was blocked on
         // forwarding while posting and (pure leaders only) inside the
@@ -521,8 +485,6 @@ void Engine::shuffle_wait(int slot) {
         fwd_lifetime_ += mpi_.ctx().now() - s.fwd_begin;
         fwd_blocked_ += s.fwd_post_cost;
         if (fwd_wait) fwd_blocked_ += mpi_.ctx().now() - w0;
-        s.fwd_posted = false;
-        s.fwd_post_cost = 0;
       }
       if (my_agg_ >= 0 && !s.sh.recv_bufs.empty()) {
         // Scatter staged multi-segment messages into the collective buffer

@@ -36,14 +36,6 @@ class Engine {
   void run();
 
   // ----- individual phase operations (also used by tests) -----------------
-  /// Hierarchical-mode intra-node gather: the lane leader collects its
-  /// lane's ranks' pieces of `cycle` into a per-slot staging buffer
-  /// (coalesced, aggregator-major order) over intra-node links. With one
-  /// lane per node (local_aggregators == 1) the lane is the whole node.
-  /// No-op unless Plan::hierarchical; idempotent per (cycle, slot); called
-  /// automatically at the top of shuffle_init. Single-member lanes skip
-  /// staging entirely — the direct send path is used unchanged.
-  void leader_gather(int cycle, int slot);
   void shuffle_init(int cycle, int slot);
   void shuffle_wait(int slot);
   void shuffle_blocking(int cycle, int slot);
@@ -93,26 +85,45 @@ class Engine {
       recv_bufs.clear();
     }
   };
+  /// A lane leader's cycle layout, built by leader_gather and forwarded by
+  /// shuffle_init: the lane's coalesced segments concatenated over
+  /// aggregators (local_offset = position in the stage), and each
+  /// aggregator's run of them, ascending. The vectors keep their capacity
+  /// across the run's cycles (clear, never reconstruct).
+  struct StageLayout {
+    std::vector<Segment> segs;
+    std::vector<std::pair<int, std::size_t>> runs;  // (aggregator, end in segs)
+  };
   struct Slot {
     sim::BufferPool::Buffer cb;          // two-sided sub-buffer (aggregators)
     std::shared_ptr<smpi::Window> win;   // one-sided sub-buffer
     ShuffleState sh;
     // Hierarchical mode, leaders of multi-member lanes only: the lane's
-    // merged cycle payload, laid out as the concatenation over aggregators
-    // of the coalesced lane segments. Forwards (sends/puts) reference this
-    // memory, so it stays untouched until the slot's shuffle_wait.
+    // merged cycle payload, laid out per `layout`. Forwards (sends/puts)
+    // reference this memory, so it stays untouched until the slot's
+    // shuffle_wait. The layout sits behind a pointer because an Engine
+    // lives in collective_write's frame on every rank's fiber stack, whose
+    // deepest chain ends less than 112 bytes above a page boundary
+    // (DESIGN.md §5a).
     sim::BufferPool::Buffer stage;
-    int gathered_cycle = -1;  // last cycle gathered into this slot
+    std::unique_ptr<StageLayout> layout;
     // Two-sided leaders of multi-member lanes only: when this slot's
-    // forwards were posted, and the leader's blocked time while posting
-    // them — inputs of the pipelined-overlap stat closed out at the slot's
-    // shuffle_wait.
-    bool fwd_posted = false;
+    // forwards (the layout's runs) were posted, and the leader's blocked
+    // time while posting them — inputs of the pipelined-overlap stat
+    // closed out at the slot's shuffle_wait.
     sim::Time fwd_begin = 0;
     sim::Duration fwd_post_cost = 0;
   };
 
   std::span<std::byte> cb_span(int slot);
+  /// shuffle_init's first step in hierarchical mode: the lane leader
+  /// collects its lane's ranks' pieces of `cycle` into the slot's stage
+  /// (coalesced, aggregator-major order) over intra-node links, and keeps
+  /// the stage's layout for shuffle_init to forward. With one lane per
+  /// node (local_aggregators == 1) the lane is the whole node. No-op
+  /// unless Plan::hierarchical; single-member lanes skip staging entirely
+  /// (the direct send path is used unchanged).
+  void leader_gather(int cycle, int slot);
   /// shuffle_init's two-sided aggregator side: post this cycle's receives
   /// into `slot`. Kept out of shuffle_init so that every sender's fiber
   /// does not carry the receive side's locals on its stack.

@@ -362,13 +362,4 @@ std::vector<Segment> Plan::lane_segments_in(int node, int lane,
   return out;
 }
 
-std::uint64_t Plan::lane_bytes_in(int node, int lane, std::uint64_t lo,
-                                  std::uint64_t hi) const {
-  const auto [first, last] = lane_rank_range(node, lane);
-  if (last - first == 1) return segments_in(first, lo, hi).bytes();
-  std::uint64_t n = 0;
-  for (const Segment& g : lane_segments_in(node, lane, lo, hi)) n += g.length;
-  return n;
-}
-
 }  // namespace tpio::coll

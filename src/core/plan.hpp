@@ -278,12 +278,11 @@ class Plan {
   /// `local_offset` re-purposed as the position inside the merged message.
   /// A single-member lane returns segments_in(member)'s pieces verbatim,
   /// so it sends exactly what the direct path would. Requires the lane
-  /// members' views.
+  /// members' views. The engine asks once per (lane, aggregator, cycle) on
+  /// the lane's leader, whose gather keeps the result as its stage layout,
+  /// and once on the aggregator that receives the message.
   std::vector<Segment> lane_segments_in(int node, int lane, std::uint64_t lo,
                                         std::uint64_t hi) const;
-  /// Bytes of the merged lane message for [lo, hi).
-  std::uint64_t lane_bytes_in(int node, int lane, std::uint64_t lo,
-                              std::uint64_t hi) const;
 
   /// Rank `r`'s full view; requires it to be held on this rank.
   const FileView& view(int r) const {

@@ -212,20 +212,20 @@ std::vector<double> run_jobs(const std::vector<SweepJob>& jobs,
   if (!opt.checkpoint.empty()) {
     Checkpoint prior;
     if (checkpoint_load(opt.checkpoint, prior)) {
+      const char* fresh =
+          "\ndelete the file (or point --resume elsewhere) to start fresh";
       if (prior.manifest != opt.manifest) {
         tpio::fail("checkpoint " + opt.checkpoint +
                    " belongs to a different sweep\n  file manifest: " +
                    prior.manifest + "\n  this run:      " + opt.manifest +
-                   "\ndelete the file (or point --checkpoint elsewhere) to "
-                   "start fresh");
+                   fresh);
       }
       if (prior.grid != st.checkpoint.grid) {
         tpio::fail("checkpoint " + opt.checkpoint +
                    " was written against a different job grid (same "
                    "manifest, different cases/modes/order)\n  file grid: " +
                    prior.grid + "\n  this run:  " + st.checkpoint.grid +
-                   "\ndelete the file (or point --checkpoint elsewhere) to "
-                   "start fresh");
+                   fresh);
       }
       for (std::size_t i = 0; i < jobs.size(); ++i) {
         const auto it = prior.done.find(jobs[i].key);

@@ -15,7 +15,6 @@ Platform crill() {
   Platform p;
   p.name = "crill";
   p.procs_per_node = 48;
-  p.max_nodes = 16;
 
   p.fabric.inter_bw = 2.6e9;
   p.fabric.intra_bw = 6.0e9;
@@ -54,7 +53,6 @@ Platform ibex() {
   Platform p;
   p.name = "ibex";
   p.procs_per_node = 40;
-  p.max_nodes = 108;
 
   p.fabric.inter_bw = 3.4e9;
   p.fabric.intra_bw = 9.0e9;

@@ -15,7 +15,6 @@ namespace tpio::xp {
 struct Platform {
   std::string name;
   int procs_per_node = 1;
-  int max_nodes = 0;  // informational; fit() may exceed for big P
   /// Co-located storage (crill): the job's storage pool is the drives of
   /// the nodes it runs on, so the target count scales with the node count
   /// (targets = nodes * targets_per_node). 0 = fixed external system

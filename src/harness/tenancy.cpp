@@ -247,7 +247,7 @@ MultiRunResult execute_multi(const MultiRunSpec& spec, bool with_baselines) {
   for (int t = 0; t < nt; ++t) {
     const RunSpec& ts = spec.tenants[static_cast<std::size_t>(t)];
     coll::Options o = ts.options;
-    o.materialize = ts.verify || spec.store_content;
+    o.materialize = ts.verify;
     eff.push_back(o);
     results[static_cast<std::size_t>(t)].resize(
         static_cast<std::size_t>(ts.nprocs));
@@ -278,9 +278,7 @@ MultiRunResult execute_multi(const MultiRunSpec& spec, bool with_baselines) {
                        ? 0
                        : spec.priorities[static_cast<std::size_t>(t)];
     const pfs::Integrity integrity =
-        spec.store_content
-            ? pfs::Integrity::Store
-            : (ts.verify ? pfs::Integrity::Digest : pfs::Integrity::None);
+        ts.verify ? pfs::Integrity::Digest : pfs::Integrity::None;
     // gio-style per-subfile striping: subfile g starts its stripe set at
     // target g * factor, so k * factor <= num_targets gives the subfiles
     // disjoint target subsets. All-zero striping inherits system defaults.

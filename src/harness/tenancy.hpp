@@ -51,9 +51,6 @@ struct MultiRunSpec {
   /// Master seed of the *shared* system's noise/aio streams (per-tenant
   /// RunSpec::seed is ignored — tenants share one machine).
   std::uint64_t seed = 1;
-  /// Retain full file contents (Integrity::Store) instead of digests —
-  /// lets tests prove byte-exact cross-tenant isolation. Costs memory.
-  bool store_content = false;
 };
 
 /// One tenant's outcome plus its interference accounting.

@@ -353,7 +353,6 @@ class Window {
   explicit Window(Machine& m);
 
   struct LockWaiter {
-    int origin;
     Mpi::LockType type;
     sim::EventPtr granted;
   };

@@ -129,7 +129,7 @@ void Mpi::win_lock(Window& win, int target, LockType type) {
           m.params_.lock_service);
       ctx_->complete(*granted, iv.end + m.params_.rma_control_latency);
     } else {
-      t.queue.push_back(Window::LockWaiter{rank(), type, granted});
+      t.queue.push_back(Window::LockWaiter{type, granted});
     }
   });
   ctx_->wait_event(*granted, "mpi.win_lock");

@@ -165,13 +165,6 @@ void RankCtx::wait_all_events(std::span<const EventPtr> evs,
   }
 }
 
-bool RankCtx::test_event(Event& ev, Duration poll_cost) {
-  advance(poll_cost);
-  // Determinism requires all potentially-earlier actions to have committed,
-  // i.e. this rank must hold the baton when it peeks.
-  return act([&] { return ev.done_ && ev.time_ <= clock_; });
-}
-
 std::string Conductor::deadlock_message() const {
   // Bounded report: at 8192 ranks an exhaustive listing would build a
   // megabyte string; the first few blockers with their wait sites and

@@ -92,10 +92,6 @@ class RankCtx {
   void wait_all_events(std::span<const EventPtr> evs,
                        const char* site = "wait_event");
 
-  /// True once `ev` has completed — without blocking. Advances the clock by
-  /// `poll_cost` to model the test call itself. (MPI_Test analogue.)
-  bool test_event(Event& ev, Duration poll_cost = 0);
-
   Conductor& conductor() { return *conductor_; }
 
  private:

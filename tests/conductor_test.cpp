@@ -133,32 +133,6 @@ TEST(Conductor, WaitAllEventsEndsAtMax) {
   });
 }
 
-TEST(Conductor, TestEventSeesOnlyPastCompletions) {
-  Conductor c(2);
-  auto ev = std::make_shared<Event>();
-  c.run([&](RankCtx& ctx) {
-    if (ctx.rank() == 0) {
-      // Completes the event with a *future* timestamp.
-      ctx.act([&] { ctx.complete(*ev, 5000); });
-    } else {
-      ctx.advance(1000);
-      EXPECT_FALSE(ctx.test_event(*ev));  // done, but at t=5000 > 1000
-      ctx.advance_to(6000);
-      EXPECT_TRUE(ctx.test_event(*ev));
-    }
-  });
-}
-
-TEST(Conductor, TestEventChargesPollCost) {
-  Conductor c(1);
-  auto ev = std::make_shared<Event>();
-  c.run([&](RankCtx& ctx) {
-    ctx.act([&] { ctx.complete(*ev, 0); });
-    ctx.test_event(*ev, 25);
-    EXPECT_EQ(ctx.now(), 25);
-  });
-}
-
 TEST(Conductor, DeadlockDetected) {
   Conductor c(2);
   auto ev = std::make_shared<Event>();  // nobody completes it

@@ -129,9 +129,7 @@ TEST(MultiTenant, RepeatedRunsBitIdentical) {
 }
 
 TEST(MultiTenant, EveryTenantVerifiesAndConservesBytes) {
-  xp::MultiRunSpec m = three_tenants();
-  m.store_content = true;
-  const xp::MultiRunResult r = xp::execute_multi(m);
+  const xp::MultiRunResult r = xp::execute_multi(three_tenants());
   for (std::size_t t = 0; t < r.tenants.size(); ++t) {
     const xp::RunResult& run = r.tenants[t].run;
     EXPECT_EQ(run.verify_error, "") << "tenant " << t;

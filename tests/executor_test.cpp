@@ -218,6 +218,9 @@ TEST(Executor, MismatchedManifestIsRefused) {
     const std::string what = e.what();
     EXPECT_NE(what.find("grid-B"), std::string::npos) << what;
     EXPECT_NE(what.find("grid-A"), std::string::npos) << what;
+    // The remedy names tpio_sweep's checkpoint flag.
+    EXPECT_NE(what.find("point --resume elsewhere"), std::string::npos)
+        << what;
   }
   EXPECT_EQ(executed.load(), 0);  // refused before running anything
 
@@ -259,7 +262,15 @@ TEST(Executor, MismatchedGridIsRefused) {
   xp::run_jobs(square_jobs(4, nullptr), opt);
 
   std::atomic<int> executed{0};
-  EXPECT_THROW(xp::run_jobs(square_jobs(3, &executed), opt), tpio::Error);
+  try {
+    xp::run_jobs(square_jobs(3, &executed), opt);
+    FAIL() << "a checkpoint of another job grid must be refused";
+  } catch (const tpio::Error& e) {
+    const std::string what = e.what();
+    EXPECT_NE(what.find("different job grid"), std::string::npos) << what;
+    EXPECT_NE(what.find("point --resume elsewhere"), std::string::npos)
+        << what;
+  }
   EXPECT_EQ(executed.load(), 0);
 }
 

@@ -230,8 +230,7 @@ TEST(LaneGeometry, SupersetLeadersSitOnAggregators) {
 
 // For disjoint per-rank views, splitting a node into lanes must neither
 // duplicate nor drop a byte: over any window, the lane messages sum to the
-// members' raw bytes; and the materialized lane segments agree with the
-// cheap byte count.
+// members' raw bytes.
 TEST(LaneBytes, LanesConserveNodePayload) {
   for (std::uint64_t seed = 1; seed <= 6; ++seed) {
     sim::Rng rng(sim::Rng::derive_seed(seed, 0x1A9E5));
@@ -260,14 +259,9 @@ TEST(LaneBytes, LanesConserveNodePayload) {
         }
         std::uint64_t lane_bytes = 0;
         for (int l = 0; l < plan.lanes(n); ++l) {
-          const std::uint64_t b = plan.lane_bytes_in(n, l, lo, hi);
-          std::uint64_t seg_bytes = 0;
           for (const coll::Segment& s : plan.lane_segments_in(n, l, lo, hi)) {
-            seg_bytes += s.length;
+            lane_bytes += s.length;
           }
-          EXPECT_EQ(b, seg_bytes) << "seed=" << seed << " node=" << n
-                                  << " lane=" << l;
-          lane_bytes += b;
         }
         EXPECT_EQ(lane_bytes, member_bytes)
             << "seed=" << seed << " node=" << n;

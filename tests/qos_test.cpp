@@ -197,8 +197,8 @@ xp::RunSpec tenant_spec(std::uint64_t pick, int procs) {
 TEST(QosFuzz, RandomMixesConserveBytesPerTenant) {
   // Randomized tenant mixes (count, shapes, arrivals, QoS policy): every
   // tenant's file must verify byte-exactly against its own workload —
-  // byte conservation and no cross-tenant content bleed under
-  // Integrity::Store — and the result geometry must be internally
+  // byte conservation and no cross-tenant content bleed, checked by the
+  // Digest over every byte — and the result geometry must be internally
   // consistent.
   for (std::uint64_t seed = 1; seed <= 6; ++seed) {
     sim::Rng rng(sim::Rng::derive_seed(0xC0, seed));
@@ -221,7 +221,6 @@ TEST(QosFuzz, RandomMixesConserveBytesPerTenant) {
         (rng.next_u64() % 2) ? xp::ArrivalModel::Poisson : xp::ArrivalModel::Fixed;
     m.arrival.gap = sim::microseconds(200);
     m.seed = seed;
-    m.store_content = true;
 
     const xp::MultiRunResult r = xp::execute_multi(m);
     ASSERT_EQ(r.tenants.size(), static_cast<std::size_t>(nt));
