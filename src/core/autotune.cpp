@@ -5,7 +5,6 @@
 #include <map>
 #include <mutex>
 
-#include "core/plan.hpp"
 #include "mpi/mpi.hpp"
 #include "net/fabric.hpp"
 #include "simbase/error.hpp"
@@ -23,7 +22,24 @@ double probe_aio_ratio(const ProbeStats& s) {
   return s.write_async_ns / s.write_block_ns;
 }
 
-OverlapMode decide(const ProbeStats& s, const AutoPolicy& p) {
+namespace {
+
+// Thresholds of the decision model, calibrated on the quick Table I grid.
+// Async writes are rejected when their per-cycle floor (aio_ratio *
+// blocking write) exceeds the blocking pipeline's floor max(shuffle,
+// blocking write) by more than this fraction: the Lustre guard of the
+// paper's section V. It absorbs the platforms' aio jitter (sigma <= 0.08)
+// without tripping on healthy aio.
+constexpr double kAioMargin = 0.15;
+// Bad-aio regime: minimum comm share for Comm to beat NoOverlap.
+constexpr double kCommFloor = 0.10;
+// Good-aio regime: below this comm share the plain Write scheduler is
+// chosen (a non-blocking shuffle has nothing to hide behind).
+constexpr double kWriteOnlyCeiling = 0.04;
+
+}  // namespace
+
+OverlapMode decide(const ProbeStats& s) {
   const double share = probe_comm_share(s);
   const double ratio = probe_aio_ratio(s);
   // aio guard: an async-write scheduler's steady-state cycle can never beat
@@ -35,12 +51,11 @@ OverlapMode decide(const ProbeStats& s, const AutoPolicy& p) {
   // blocking-write schedulers compete.
   const double blocking_floor = std::max(s.shuffle_ns, s.write_block_ns);
   const double async_floor = ratio * s.write_block_ns;
-  if (async_floor > (1.0 + p.aio_margin) * blocking_floor) {
-    return share >= p.comm_floor ? OverlapMode::Comm : OverlapMode::None;
+  if (async_floor > (1.0 + kAioMargin) * blocking_floor) {
+    return share >= kCommFloor ? OverlapMode::Comm : OverlapMode::None;
   }
-  if (share < p.write_only_ceiling) return OverlapMode::Write;
-  if (share >= p.joint_wait_floor) return OverlapMode::WriteComm;
-  return OverlapMode::WriteComm2;
+  return share < kWriteOnlyCeiling ? OverlapMode::Write
+                                   : OverlapMode::WriteComm2;
 }
 
 std::vector<int> sub_comm_candidates(const net::Topology& topo,
@@ -108,11 +123,6 @@ std::string workload_signature(int nprocs, std::uint64_t global_bytes,
   s += std::string("|ts=") + to_string(opt.transfer);
   if (opt.hierarchical) s += "|hier";
   return s;
-}
-
-std::string workload_signature(const Plan& plan, const Options& opt) {
-  return workload_signature(plan.topology().nprocs(), plan.global_bytes(),
-                            opt);
 }
 
 // ---------------------------------------------------------------------------

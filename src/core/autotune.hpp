@@ -7,10 +7,12 @@
 // wins where aio_write is pathological (Lustre, section V), and the winner
 // tracks the platform's communication/IO time share (section IV-A). This
 // module turns that analysis into a runtime policy: the engine executes the
-// first K cycles as blocking probes, reduces the measured per-cycle costs
-// job-wide, and decide() maps them onto one of the five fixed schedulers.
-// A persistent JSON tuning cache keyed by platform signature x workload
-// shape x procs lets later opens of the same configuration skip the probes.
+// first K cycles as blocking probes (Engine::probe) and reduces the measured
+// per-cycle costs job-wide, decide() maps them onto a fixed scheduler, and
+// the engine runs the remaining cycles under it. A persistent JSON tuning
+// cache keyed by platform signature x workload shape x procs lets later
+// opens of the same configuration skip the probes. coll::collective_write
+// is the one caller of all of it.
 //
 // Probes run through the same resilient write path as every scheduler
 // (retries, backoff, give-ups — see Options::max_retries), so Auto
@@ -35,8 +37,6 @@ struct FabricParams;
 
 namespace tpio::coll {
 
-class Plan;
-
 /// Per-cycle probe costs in virtual nanoseconds, max-reduced over the job
 /// so every rank feeds decide() the same numbers. Shuffle cost is the
 /// job-wide bottleneck (any rank); write costs come from the bottleneck
@@ -46,28 +46,7 @@ struct ProbeStats {
   double write_block_ns = 0.0;  // blocking write service
   double write_async_ns = 0.0;  // async write, init + immediate wait
   bool has_async = false;       // at least one async probe ran
-};
-
-/// Thresholds of the decision model, calibrated on the quick Table I grid.
-/// Every run uses the defaults; tests hand coll::Engine other values to
-/// force each switch target.
-struct AutoPolicy {
-  /// Async writes are rejected when their per-cycle floor (aio_ratio *
-  /// blocking write) exceeds the blocking pipeline's floor
-  /// max(shuffle, blocking write) by more than this fraction — the Lustre
-  /// guard of the paper's section V. The default absorbs the platforms'
-  /// aio jitter (sigma <= 0.08) without tripping on healthy aio.
-  double aio_margin = 0.15;
-  /// Bad-aio regime: minimum comm share for Comm to beat NoOverlap.
-  double comm_floor = 0.10;
-  /// Good-aio regime: below this comm share the plain Write scheduler is
-  /// chosen (a non-blocking shuffle has nothing to hide behind).
-  double write_only_ceiling = 0.04;
-  /// Good-aio regime: at/above this comm share the joint-wait scheduler
-  /// (WriteComm) is preferred. Defaults out of range — WriteComm2's
-  /// data-flow ordering dominates it on every measured grid — but kept as
-  /// a knob so every switch target stays reachable.
-  double joint_wait_floor = 2.0;
+  int cycles = 0;               // probe cycles run
 };
 
 /// Shuffle share of a probed cycle: shuffle / (shuffle + blocking write).
@@ -76,9 +55,12 @@ double probe_comm_share(const ProbeStats& s);
 /// Falls back to 1 when no async probe ran.
 double probe_aio_ratio(const ProbeStats& s);
 
-/// Map probe statistics onto a fixed scheduler. Pure and deterministic:
-/// identical inputs give identical outputs on every rank.
-OverlapMode decide(const ProbeStats& s, const AutoPolicy& p);
+/// Map probe statistics onto a fixed scheduler under the thresholds
+/// calibrated on the quick Table I grid. Pure and deterministic: identical
+/// inputs give identical outputs on every rank. Never WriteComm: its joint
+/// wait is dominated by WriteComm2's data-flow ordering on every measured
+/// grid.
+OverlapMode decide(const ProbeStats& s);
 
 /// Sub-communicator counts worth probing for one geometry: powers of two
 /// in [1, min(nodes, num_targets, 8)]. Splitting only helps when there is
@@ -117,7 +99,6 @@ std::string platform_signature(const net::Topology& topo,
 /// stored the decision and the fixed-mode plan that consumes it.
 std::string workload_signature(int nprocs, std::uint64_t global_bytes,
                                const Options& opt);
-std::string workload_signature(const Plan& plan, const Options& opt);
 
 /// Persistent JSON map of signature -> chosen scheduler. All accessors are
 /// safe against concurrent use from parallel sweep workers in this process

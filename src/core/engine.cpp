@@ -44,15 +44,14 @@ using WriteStage = Stage<Engine, &Engine::write_init, &Engine::write_wait,
 
 Engine::Engine(smpi::Mpi& mpi, pfs::File& file, const Plan& plan,
                std::span<const std::byte> local_data, const Options& opt,
-               PhaseTimings& timings, const AutoPolicy& policy)
+               PhaseTimings& timings)
     : mpi_(mpi),
       file_(file),
       plan_(plan),
       data_(local_data),
       opt_(opt),
       t_(timings),
-      policy_(policy),
-      io_(mpi, file, plan, opt_, timings, kWriteDirection),
+      io_(mpi, file, plan, opt, timings, kWriteDirection),
       staging_(payload_touched(opt, mpi.machine())
                    ? sim::BufferPool::Contents::overwritten
                    : sim::BufferPool::Contents::unread) {
@@ -556,54 +555,29 @@ void Engine::write_blocking(int cycle, int slot) {
 }
 
 // ---------------------------------------------------------------------------
-// Scheduling: the pipeline's fixed orders (pipeline.hpp) and Auto
+// Scheduling: the pipeline's fixed orders (pipeline.hpp) and Auto's probe
 // ---------------------------------------------------------------------------
 
-void Engine::run() {
-  if (plan_.num_cycles() == 0) return;
-  if (opt_.overlap == OverlapMode::Auto) {
-    run_auto();
-    return;
-  }
-  run_scheduler(opt_.overlap, 0);
-}
-
-void Engine::run_scheduler(OverlapMode m, int first) {
+void Engine::run(OverlapMode mode, int first) {
   ShuffleStage shuffle{*this};
   WriteStage write{*this};
-  run_pipeline(shuffle, write, m, /*file_first=*/false, first,
+  run_pipeline(shuffle, write, mode, /*file_first=*/false, first,
                plan_.num_cycles(), num_slots(opt_.overlap));
 }
 
-void Engine::run_auto() {
-  const int N = plan_.num_cycles();
-  AutoDecision& d = auto_decision_;
-  d.engaged = true;
-
-  // The warm-start path lives in collective_write(): a cache hit is
-  // resolved *before* planning so the chosen scheduler runs with its
-  // native buffer geometry rather than Auto's split sub-buffers. When this
-  // engine runs, the cache (if any) missed — probe, decide, and store the
-  // fresh decision under the same geometry-independent key.
-  std::string key;
-  if (!opt_.tuning_cache.empty()) {
-    key = platform_signature(plan_.topology(),
-                             mpi_.machine().fabric().params(),
-                             mpi_.machine().params(), file_.params()) +
-          "|" + workload_signature(plan_, opt_);
-  }
-
-  // Probe phase: K fully blocking cycles. Even cycles write through the
-  // blocking path, odd ones through aio (init + immediate wait), so the
-  // stats expose the platform's async-write quality. Blocking probes leave
-  // both sub-buffers quiescent — the precondition for any scheduler to
-  // take over at the switch boundary.
-  const int K = std::min(std::max(opt_.probe_cycles, 1), N);
-  d.probe_cycles = K;
+ProbeStats Engine::probe() {
+  // K fully blocking cycles. Even cycles write through the blocking path,
+  // odd ones through aio (init + immediate wait), so the stats expose the
+  // platform's async-write quality. Blocking probes leave both sub-buffers
+  // quiescent — the precondition for any scheduler to take over at the
+  // switch boundary.
+  const int K = std::min(std::max(opt_.probe_cycles, 1), plan_.num_cycles());
+  TPIO_CHECK(K > 0 && num_slots(opt_.overlap) == 2,
+             "the Auto probe needs a cycle and two slots");
   sim::Duration shuffle_ns = 0, write_block_ns = 0, write_async_ns = 0;
   int nblock = 0, nasync = 0;
   for (int c = 0; c < K; ++c) {
-    const int slot = c % 2;  // Auto always runs two slots
+    const int slot = c % 2;
     const sim::Time s0 = mpi_.ctx().now();
     shuffle_blocking(c, slot);
     shuffle_ns += mpi_.ctx().now() - s0;
@@ -634,16 +608,8 @@ void Engine::run_auto() {
         static_cast<std::uint64_t>(nasync > 0 ? write_async_ns / nasync : 0)));
   });
   st.has_async = nasync > 0 && st.write_async_ns > 0.0;
-
-  d.comm_share = probe_comm_share(st);
-  d.aio_ratio = probe_aio_ratio(st);
-  d.chosen = decide(st, policy_);
-  // Persist only decisions backed by both write paths; a one-cycle
-  // operation never sampled aio and teaches the cache nothing.
-  if (!key.empty() && st.has_async && mpi_.rank() == 0) {
-    TuningCache::store(opt_.tuning_cache, key, d.chosen);
-  }
-  run_scheduler(d.chosen, K);
+  st.cycles = K;
+  return st;
 }
 
 // ---------------------------------------------------------------------------
@@ -672,14 +638,15 @@ Result collective_write(smpi::Mpi& mpi, pfs::File& file, const FileView& view,
   // sub-buffers. Rank 0 consults the host file and broadcasts, so every
   // rank replans identically even if cache files diverge across (real)
   // nodes; the broadcast costs virtual time (meta) like any collective.
+  // The key is geometry-independent, so a cold run stores its decision
+  // under the same one.
   Options eff = opt;
-  AutoDecision warm;
+  std::string key;
   if (opt.overlap == OverlapMode::Auto && !opt.tuning_cache.empty()) {
     const net::Topology& topo = mpi.machine().fabric().topology();
-    const std::string key =
-        platform_signature(topo, mpi.machine().fabric().params(),
-                           mpi.machine().params(), file.params()) +
-        "|" + workload_signature(topo.nprocs(), meta.global_bytes(), opt);
+    key = platform_signature(topo, mpi.machine().fabric().params(),
+                             mpi.machine().params(), file.params()) +
+          "|" + workload_signature(topo.nprocs(), meta.global_bytes(), opt);
     std::byte msg[2] = {std::byte{0}, std::byte{0}};
     if (mpi.rank() == 0) {
       OverlapMode cached{};
@@ -690,10 +657,10 @@ Result collective_write(smpi::Mpi& mpi, pfs::File& file, const FileView& view,
     }
     mpi.bcast(msg, 0);
     if (msg[0] == std::byte{1}) {
-      warm.engaged = true;
-      warm.chosen = static_cast<OverlapMode>(msg[1]);
-      warm.from_cache = true;
-      eff.overlap = warm.chosen;
+      res.autotune.engaged = true;
+      res.autotune.chosen = static_cast<OverlapMode>(msg[1]);
+      res.autotune.from_cache = true;
+      eff.overlap = res.autotune.chosen;
     }
   }
 
@@ -705,11 +672,28 @@ Result collective_write(smpi::Mpi& mpi, pfs::File& file, const FileView& view,
   t.meta += mpi.ctx().now() - meta_start;
 
   Engine engine(mpi, file, *plan, data, eff, t);
-  engine.run();
+  if (eff.overlap != OverlapMode::Auto) {
+    engine.run(eff.overlap);
+  } else if (plan->num_cycles() > 0) {
+    // Cold Auto: probe, decide, persist, and hand the remaining cycles to
+    // the chosen scheduler.
+    const ProbeStats st = engine.probe();
+    AutoDecision& d = res.autotune;
+    d.engaged = true;
+    d.probe_cycles = st.cycles;
+    d.comm_share = probe_comm_share(st);
+    d.aio_ratio = probe_aio_ratio(st);
+    d.chosen = decide(st);
+    // Persist only decisions backed by both write paths; a one-cycle
+    // operation never sampled aio and teaches the cache nothing.
+    if (!key.empty() && st.has_async && mpi.rank() == 0) {
+      TuningCache::store(opt.tuning_cache, key, d.chosen);
+    }
+    engine.run(d.chosen, st.cycles);
+  }
 
   t.total = mpi.ctx().now() - start;
   res.timings = t;
-  res.autotune = warm.engaged ? warm : engine.auto_decision();
   res.faults = engine.fault_stats();
   res.io_error = engine.io_error();
   res.forward_lifetime = engine.forward_lifetime();

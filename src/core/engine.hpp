@@ -24,16 +24,23 @@ namespace tpio::coll {
 /// (pipeline.hpp) in the selected overlap algorithm's order. The write
 /// phase is the pipeline's FileStage, with its retry policy and degraded
 /// mode. Constructed and run by coll::collective_write(); exposed for
-/// white-box tests of individual phases.
+/// white-box tests of individual phases. Holds `opt` and `timings` by
+/// reference.
 class Engine {
  public:
-  /// `policy` holds the thresholds OverlapMode::Auto decides with.
   Engine(smpi::Mpi& mpi, pfs::File& file, const Plan& plan,
          std::span<const std::byte> local_data, const Options& opt,
-         PhaseTimings& timings, const AutoPolicy& policy = AutoPolicy{});
+         PhaseTimings& timings);
 
-  /// Execute all cycles with the configured overlap algorithm.
-  void run();
+  /// Run cycles [first, num_cycles) under the fixed scheduler `mode`.
+  /// `first` > 0 continues an OverlapMode::Auto write after probe().
+  void run(OverlapMode mode, int first = 0);
+  /// OverlapMode::Auto's probe phase: run the first K = min(max(
+  /// Options::probe_cycles, 1), num_cycles) cycles blocking and max-reduce
+  /// their per-cycle costs over the job (ProbeStats::cycles is K).
+  /// Collective; needs a cycle. run(m, K) may then continue under any
+  /// scheduler m.
+  ProbeStats probe();
 
   // ----- individual phase operations (also used by tests) -----------------
   void shuffle_init(int cycle, int slot);
@@ -42,10 +49,6 @@ class Engine {
   void write_init(int cycle, int slot);
   void write_wait(int slot);
   void write_blocking(int cycle, int slot);
-
-  /// OverlapMode::Auto only: what the probe phase decided (valid after
-  /// run(); engaged == false for fixed overlap modes).
-  const AutoDecision& auto_decision() const { return auto_decision_; }
 
   /// Retry/give-up/degradation counters of this rank (valid after run();
   /// all zero on a fault-free run).
@@ -103,8 +106,8 @@ class Engine {
     // reference this memory, so it stays untouched until the slot's
     // shuffle_wait. The layout sits behind a pointer because an Engine
     // lives in collective_write's frame on every rank's fiber stack, whose
-    // deepest chain ends less than 112 bytes above a page boundary
-    // (DESIGN.md §5a).
+    // deepest chain ends less than 96 bytes above a page boundary on an
+    // Auto write (DESIGN.md §5a).
     sim::BufferPool::Buffer stage;
     std::unique_ptr<StageLayout> layout;
     // Two-sided leaders of multi-member lanes only: when this slot's
@@ -129,20 +132,12 @@ class Engine {
   /// does not carry the receive side's locals on its stack.
   void post_receives(int cycle, int slot);
 
-  /// Run cycles [first, num_cycles) under the fixed scheduler `m`.
-  /// `first` > 0 is the Auto continuation.
-  void run_scheduler(OverlapMode m, int first);
-  /// OverlapMode::Auto: consult the tuning cache, else probe, decide,
-  /// persist, and hand the remaining cycles to the chosen scheduler.
-  void run_auto();
-
   smpi::Mpi& mpi_;
   pfs::File& file_;
   const Plan& plan_;
   std::span<const std::byte> data_;
-  Options opt_;
+  const Options& opt_;
   PhaseTimings& t_;
-  AutoPolicy policy_;
   FileStage io_;  // the write phase; holds opt_ and t_ by reference
   // How buffers the shuffle fills before reading are checked out:
   // overwritten, or unread where nothing touches the payload.
@@ -163,7 +158,6 @@ class Engine {
   // summed forward lifetimes and the portion the leader spent blocked.
   sim::Duration fwd_lifetime_ = 0;
   sim::Duration fwd_blocked_ = 0;
-  AutoDecision auto_decision_;
   Slot slots_[2];
 };
 

@@ -43,7 +43,7 @@ ReadEngine::ReadEngine(smpi::Mpi& mpi, pfs::File& file, const Plan& plan,
       out_(local_out),
       opt_(opt),
       t_(timings),
-      io_(mpi, file, plan, opt_, timings, kReadDirection) {
+      io_(mpi, file, plan, opt, timings, kReadDirection) {
   TPIO_CHECK(opt.transfer == Transfer::TwoSided,
              "collective read implements the two-sided scatter only");
   TPIO_CHECK(opt.overlap != OverlapMode::Auto,

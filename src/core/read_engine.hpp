@@ -92,7 +92,7 @@ class ReadEngine {
   pfs::File& file_;
   const Plan& plan_;
   std::span<std::byte> out_;
-  Options opt_;
+  const Options& opt_;
   PhaseTimings& t_;
   FileStage io_;  // the read phase; holds opt_ and t_ by reference
   int my_agg_ = -1;

@@ -2,7 +2,6 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <deque>
 #include <map>
 #include <memory>
 #include <span>
@@ -359,17 +358,21 @@ class Window {
   struct TargetState {
     sim::BufferPool::Buffer mem;
     sim::Timeline lock_agent;  // serializes lock/unlock request handling
-    // Active-target epoch tracking: latest put arrival this epoch.
-    sim::Time epoch_last_arrival = 0;
-    // Passive-target lock state.
+    // Passive-target lock state. The waiter queue is FIFO and a vector
+    // because an empty vector allocates nothing (see Machine::Endpoint).
     int shared_holders = 0;
     bool exclusive_held = false;
-    std::deque<LockWaiter> queue;
+    std::vector<LockWaiter> queue;
     sim::Time last_release = 0;
   };
-  // Per (origin) tracking of puts to each target in the current passive
-  // epoch, for unlock completion semantics. Indexed [origin][target].
-  std::vector<std::vector<sim::Time>> origin_put_arrival_;
+  // Active-target epoch tracking: the latest put arrival this epoch over
+  // every target, the closing fence's floor.
+  sim::Time epoch_last_arrival_ = 0;
+  // Per origin: (target, latest arrival) of its puts since its last unlock
+  // of that target or its last fence, for unlock completion semantics. An
+  // origin holds entries only for targets it put to, so the window's state
+  // is O(P), not a P x P table.
+  std::vector<std::vector<std::pair<int, sim::Time>>> origin_puts_;
 
   Machine* machine_;
   std::vector<TargetState> targets_;

@@ -10,9 +10,7 @@ namespace tpio::smpi {
 using detail::kControlBytes;
 
 Window::Window(Machine& m)
-    : origin_put_arrival_(
-          static_cast<std::size_t>(m.size()),
-          std::vector<sim::Time>(static_cast<std::size_t>(m.size()), 0)),
+    : origin_puts_(static_cast<std::size_t>(m.size())),
       machine_(&m),
       targets_(static_cast<std::size_t>(m.size())),
       fence_sync_(m.size()) {}
@@ -68,10 +66,18 @@ void Mpi::put(Window& win, int target, std::size_t target_offset,
     if (m.payloads_) {
       std::memcpy(t.mem.data() + target_offset, data.data(), data.size());
     }
-    t.epoch_last_arrival = std::max(t.epoch_last_arrival, arrival);
-    auto& mine = win.origin_put_arrival_[static_cast<std::size_t>(rank())]
-                                        [static_cast<std::size_t>(target)];
-    mine = std::max(mine, arrival);
+    win.epoch_last_arrival_ = std::max(win.epoch_last_arrival_, arrival);
+    // An origin puts to its targets in runs, so the newest entry is the
+    // usual hit.
+    auto& mine = win.origin_puts_[static_cast<std::size_t>(rank())];
+    const auto it =
+        std::find_if(mine.rbegin(), mine.rend(),
+                     [&](const auto& e) { return e.first == target; });
+    if (it == mine.rend()) {
+      mine.emplace_back(target, arrival);
+    } else {
+      it->second = std::max(it->second, arrival);
+    }
   });
 }
 
@@ -83,24 +89,19 @@ void Mpi::win_fence(Window& win) {
   // ordering the *last* arriver observes every committed put of the epoch,
   // so the release time is exact.
   const int P = size();
-  const sim::Time floor = ctx_->act([&] {
-    sim::Time f = 0;
-    for (const auto& t : win.targets_) {
-      f = std::max(f, t.epoch_last_arrival);
-    }
-    return f;
-  });
+  const sim::Time floor = ctx_->act([&] { return win.epoch_last_arrival_; });
   const auto cost = static_cast<sim::Duration>(
       static_cast<double>(m.sync_collective_cost(P)) *
       m.params().fence_cost_factor);
   win.fence_sync_.arrive(*ctx_, cost, floor, "mpi.win_fence");
   // Open the next epoch. The guard keeps the reset from erasing a put that
   // an already-released rank issued for the new epoch (such a put's
-  // arrival necessarily lies after this rank's post-release clock):
+  // arrival necessarily lies after this rank's post-release clock). This
+  // rank's own puts of the closed epoch have all landed, so it forgets
+  // them:
   ctx_->act([&] {
-    for (auto& t : win.targets_) {
-      if (t.epoch_last_arrival <= ctx_->now()) t.epoch_last_arrival = 0;
-    }
+    if (win.epoch_last_arrival_ <= ctx_->now()) win.epoch_last_arrival_ = 0;
+    win.origin_puts_[static_cast<std::size_t>(rank())].clear();
   });
 }
 
@@ -139,12 +140,17 @@ void Mpi::win_unlock(Window& win, int target) {
   Machine& m = *machine_;
   ctx_->act([&] {
     Window::TargetState& t = win.targets_[static_cast<std::size_t>(target)];
-    auto& mine = win.origin_put_arrival_[static_cast<std::size_t>(rank())]
-                                        [static_cast<std::size_t>(target)];
     // Passive-target completion: unlock returns only after this origin's
     // RMA operations on the target have landed.
-    const sim::Time flush = std::max(ctx_->now(), mine);
-    mine = 0;
+    auto& mine = win.origin_puts_[static_cast<std::size_t>(rank())];
+    const auto it =
+        std::find_if(mine.begin(), mine.end(),
+                     [&](const auto& e) { return e.first == target; });
+    sim::Time flush = ctx_->now();
+    if (it != mine.end()) {
+      flush = std::max(flush, it->second);
+      mine.erase(it);
+    }
     // The release notification is handled by the same serial lock agent.
     const auto iv = t.lock_agent.reserve(
         flush + m.params_.rma_control_latency, m.params_.lock_service);
@@ -158,22 +164,19 @@ void Mpi::win_unlock(Window& win, int target) {
     }
     // Grant queued waiters in FIFO order: one exclusive, or a run of
     // shared locks.
-    while (!t.queue.empty()) {
-      Window::LockWaiter& w = t.queue.front();
-      if (w.type == LockType::Exclusive) {
+    auto w = t.queue.begin();
+    for (; w != t.queue.end(); ++w) {
+      if (w->type == LockType::Exclusive) {
         if (t.shared_holders > 0 || t.exclusive_held) break;
         t.exclusive_held = true;
-        ctx_->complete(*w.granted,
-                       t.last_release + 2 * m.params_.rma_control_latency);
-        t.queue.pop_front();
-        break;
+      } else {
+        if (t.exclusive_held) break;
+        t.shared_holders += 1;
       }
-      if (t.exclusive_held) break;
-      t.shared_holders += 1;
-      ctx_->complete(*w.granted,
+      ctx_->complete(*w->granted,
                      t.last_release + 2 * m.params_.rma_control_latency);
-      t.queue.pop_front();
     }
+    t.queue.erase(t.queue.begin(), w);
     ctx_->advance_to(released);
   });
 }

@@ -80,8 +80,6 @@ class Fabric {
 
   /// True when this fabric is a tenant view over a shared parent.
   bool is_view() const { return parent_ != nullptr; }
-  /// First parent node this view maps onto (0 for standalone fabrics).
-  int node_offset() const { return node_offset_; }
 
  private:
   // Timeline resolution: standalone fabrics own their per-node channels;

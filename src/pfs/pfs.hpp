@@ -338,18 +338,12 @@ class File {
   /// Effective stripe size of this file: the per-file stripe_unit override
   /// when set, else the storage system's stripe_size.
   std::uint64_t stripe_size() const;
-  /// Per-file striping overrides (all-zero for files created without them).
-  const FileStriping& striping() const { return striping_; }
   /// Parameters of the underlying storage system (e.g. for the autotune
   /// platform signature).
   const PfsParams& params() const { return sys_->params(); }
   /// Fault oracle of the underlying storage system (for retry jitter
   /// seeding and tests).
   const FaultModel& faults() const { return sys_->faults(); }
-  /// Tenant this file's I/O is billed to (default tenant 0 for solo runs).
-  const TenantClass& tenant() const { return tenant_; }
-  /// First shared-system node of this file's tenant (0 for solo runs).
-  int node_offset() const { return node_offset_; }
   /// Highest successfully written offset + 1 (0 for an empty file).
   std::uint64_t size() const { return size_; }
   /// Lowest successfully written offset (0 for an empty file). Subfiles

@@ -57,8 +57,6 @@ class RankCtx {
  public:
   int rank() const { return rank_; }
   int size() const;
-  /// Group (tenant) index this rank belongs to; 0 in single-group runs.
-  int group() const { return group_; }
   Time now() const { return clock_; }
 
   /// Local computation: advance only this rank's clock. No synchronization.

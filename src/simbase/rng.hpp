@@ -52,8 +52,6 @@ class NoiseModel {
   /// A factor >= ~e^{-3 sigma}; multiply a service duration by it.
   double factor();
 
-  double sigma() const { return sigma_; }
-
  private:
   double sigma_;
   Rng rng_;

@@ -6,7 +6,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdio>
+#include <filesystem>
+#include <optional>
 #include <string>
 #include <thread>
 #include <vector>
@@ -73,75 +76,56 @@ std::vector<coll::FileView> strided_views(int P, std::uint64_t chunk,
 
 struct RunOut {
   std::uint64_t crc = 0;
-  coll::AutoDecision decision;
+  int cycles = 0;
+  coll::AutoDecision decision;  // collective_write's report
+  coll::ProbeStats probe;       // rank 0's probe, forced runs only
 };
 
-/// One collective write of `views`. With `policy`, the Plan and Engine
-/// are built as collective_write builds them, but Auto decides under
-/// `policy` instead of the calibrated thresholds.
+/// One collective write of `views`. With `forced`, the Plan and Engine are
+/// built as collective_write builds them for a cold Auto write and probe
+/// as it does, but the remaining cycles run under `*forced` whatever the
+/// probes measured, so every switch target is exercised.
 RunOut run_once(const ClusterSpec& cs,
                 const std::vector<coll::FileView>& views, std::uint64_t total,
                 const coll::Options& o,
-                const coll::AutoPolicy* policy = nullptr) {
+                std::optional<coll::OverlapMode> forced = std::nullopt) {
   Cluster cluster(cs);
   auto file = cluster.storage().create("auto_diff", pfs::Integrity::Store);
   std::vector<coll::Result> results(static_cast<std::size_t>(cluster.nprocs()));
+  std::vector<coll::ProbeStats> probes(results.size());
   cluster.run([&](tpio::smpi::Mpi& mpi) {
     const auto r = static_cast<std::size_t>(mpi.rank());
     const auto& view = views[r];
     const auto data = fill_local(view);
-    if (policy == nullptr) {
+    if (!forced) {
       results[r] = coll::collective_write(mpi, *file, view, data, o);
       return;
     }
     coll::MetadataExchange meta(mpi, view);
     const auto plan = meta.plan(file->stripe_size(), o, /*lane_routing=*/true);
     coll::PhaseTimings t;
-    coll::Engine engine(mpi, *file, *plan, data, o, t, *policy);
-    engine.run();
-    results[r].autotune = engine.auto_decision();
+    coll::Engine engine(mpi, *file, *plan, data, o, t);
+    probes[r] = engine.probe();
+    engine.run(*forced, probes[r].cycles);
+    results[r].cycles = plan->num_cycles();
   });
   EXPECT_EQ(file->verify(expected_byte), "")
       << "overlap=" << coll::to_string(o.overlap)
       << " transfer=" << coll::to_string(o.transfer)
       << " hier=" << o.hierarchical;
+  // decide() relies on every rank probing the same job-wide costs.
+  for (const coll::ProbeStats& p : probes) {
+    EXPECT_EQ(p.shuffle_ns, probes[0].shuffle_ns);
+    EXPECT_EQ(p.write_block_ns, probes[0].write_block_ns);
+    EXPECT_EQ(p.write_async_ns, probes[0].write_async_ns);
+    EXPECT_EQ(p.cycles, probes[0].cycles);
+  }
   RunOut out;
   out.crc = sim::crc64(file->read_back(0, total));
+  out.cycles = results[0].cycles;
   out.decision = results[0].autotune;
+  out.probe = probes[0];
   return out;
-}
-
-/// Thresholds that force decide() onto one scheduler regardless of the
-/// measured probe costs, so every switch target is exercised.
-coll::AutoPolicy forced(coll::OverlapMode target) {
-  coll::AutoPolicy p;
-  switch (target) {
-    case coll::OverlapMode::None:
-      p.aio_margin = -1.0;  // async floor > 0: always bad-aio branch
-      p.comm_floor = 2.0;   // comm share can never reach it
-      break;
-    case coll::OverlapMode::Comm:
-      p.aio_margin = -1.0;
-      p.comm_floor = 0.0;
-      break;
-    case coll::OverlapMode::Write:
-      p.aio_margin = 1e9;  // good-aio branch
-      p.write_only_ceiling = 2.0;
-      break;
-    case coll::OverlapMode::WriteComm:
-      p.aio_margin = 1e9;
-      p.write_only_ceiling = -1.0;
-      p.joint_wait_floor = 0.0;
-      break;
-    case coll::OverlapMode::WriteComm2:
-      p.aio_margin = 1e9;
-      p.write_only_ceiling = -1.0;
-      p.joint_wait_floor = 2.0;
-      break;
-    case coll::OverlapMode::Auto:
-      break;
-  }
-  return p;
 }
 
 }  // namespace
@@ -159,39 +143,28 @@ TEST(AutoDecide, ProbeShareAndRatio) {
 }
 
 TEST(AutoDecide, GoodAioPicksAsyncSchedulers) {
-  const coll::AutoPolicy p;  // defaults
   // Tiny comm share: nothing worth hiding; plain async Write wins.
-  EXPECT_EQ(coll::decide(stats(1.0, 99.0, 99.0), p), coll::OverlapMode::Write);
+  EXPECT_EQ(coll::decide(stats(1.0, 99.0, 99.0)), coll::OverlapMode::Write);
   // Typical share: the data-flow scheduler (the paper's overall winner).
-  EXPECT_EQ(coll::decide(stats(23.0, 77.0, 78.0), p),
+  EXPECT_EQ(coll::decide(stats(23.0, 77.0, 78.0)),
             coll::OverlapMode::WriteComm2);
 }
 
 TEST(AutoDecide, BadAioFallsBackToBlockingSchedulers) {
-  const coll::AutoPolicy p;  // defaults: aio_margin 1.0, comm_floor 0.10
   // Lustre regime: async premium (1.2x of write) dwarfs the hideable
-  // shuffle cost. Visible comm share -> overlap shuffle only (Comm).
-  EXPECT_EQ(coll::decide(stats(20.0, 80.0, 176.0), p),
-            coll::OverlapMode::Comm);
+  // shuffle cost. Visible comm share (at least 10%) -> overlap shuffle
+  // only (Comm).
+  EXPECT_EQ(coll::decide(stats(20.0, 80.0, 176.0)), coll::OverlapMode::Comm);
   // Same pathology with negligible communication -> plain NoOverlap.
-  EXPECT_EQ(coll::decide(stats(2.0, 98.0, 215.0), p), coll::OverlapMode::None);
-}
-
-TEST(AutoDecide, JointWaitReachableViaKnob) {
-  coll::AutoPolicy p;
-  p.joint_wait_floor = 0.20;
-  EXPECT_EQ(coll::decide(stats(23.0, 77.0, 78.0), p),
-            coll::OverlapMode::WriteComm);
+  EXPECT_EQ(coll::decide(stats(2.0, 98.0, 215.0)), coll::OverlapMode::None);
 }
 
 TEST(AutoDecide, MarginGovernsTheAioGuard) {
-  // Async floor 88ns vs blocking floor 80ns: a 10% premium passes the
-  // default 15% margin but trips a tightened 5% one.
-  const auto s = stats(20.0, 80.0, 88.0);
-  coll::AutoPolicy p;
-  EXPECT_EQ(coll::decide(s, p), coll::OverlapMode::WriteComm2);
-  p.aio_margin = 0.05;
-  EXPECT_EQ(coll::decide(s, p), coll::OverlapMode::Comm);
+  // Blocking floor 80ns. An async floor of 88ns (a 10% premium) passes
+  // the 15% margin; one of 96ns (20%) trips it.
+  EXPECT_EQ(coll::decide(stats(20.0, 80.0, 88.0)),
+            coll::OverlapMode::WriteComm2);
+  EXPECT_EQ(coll::decide(stats(20.0, 80.0, 96.0)), coll::OverlapMode::Comm);
 }
 
 TEST(AutoDecide, PlatformSignatureIgnoresNoiseAndAioJitter) {
@@ -216,7 +189,8 @@ TEST(AutoDecide, PlatformSignatureIgnoresNoiseAndAioJitter) {
 
 // Every switch target x shuffle primitive x hierarchy: the Auto run (probe
 // cycles, then handoff at a cycle boundary) must land the same bytes as the
-// fixed scheduler it chose, and must report that choice.
+// fixed scheduler it switched to. WriteComm is no decide() outcome, but the
+// handoff must hold for every fixed scheduler.
 TEST(AutoDiff, AllSwitchTargetsBytesMatchFixedScheduler) {
   ClusterSpec cs;
   cs.nodes = 3;
@@ -238,14 +212,9 @@ TEST(AutoDiff, AllSwitchTargetsBytesMatchFixedScheduler) {
 
         coll::Options au = fixed;
         au.overlap = coll::OverlapMode::Auto;
-        const coll::AutoPolicy policy = forced(target);
-        const RunOut got = run_once(cs, views, total, au, &policy);
-        EXPECT_TRUE(got.decision.engaged);
-        EXPECT_EQ(got.decision.chosen, target)
-            << "transfer=" << coll::to_string(fixed.transfer)
-            << " hier=" << hier;
-        EXPECT_FALSE(got.decision.from_cache);
-        EXPECT_GT(got.decision.probe_cycles, 0);
+        const RunOut got = run_once(cs, views, total, au, target);
+        EXPECT_GT(got.probe.cycles, 0);
+        EXPECT_LT(got.probe.cycles, got.cycles) << "no cycle left to switch";
         EXPECT_EQ(got.crc, ref.crc)
             << "target=" << coll::to_string(target)
             << " transfer=" << coll::to_string(fixed.transfer)
@@ -270,16 +239,36 @@ TEST(AutoDiff, ProbeWindowEdgeCases) {
   fixed.overlap = coll::OverlapMode::None;
   const RunOut ref = run_once(cs, views, total, fixed);
 
-  const coll::AutoPolicy policy = forced(coll::OverlapMode::None);
   for (int probes : {1, 1000}) {
     coll::Options au = fixed;
     au.overlap = coll::OverlapMode::Auto;
     au.probe_cycles = probes;
-    const RunOut got = run_once(cs, views, total, au, &policy);
+    const RunOut got =
+        run_once(cs, views, total, au, coll::OverlapMode::None);
     EXPECT_EQ(got.crc, ref.crc) << "probe_cycles=" << probes;
-    EXPECT_TRUE(got.decision.engaged);
-    EXPECT_EQ(got.decision.chosen, coll::OverlapMode::None);
+    EXPECT_EQ(got.probe.cycles, std::min(probes, got.cycles));
+    EXPECT_EQ(got.probe.has_async, probes > 1);
   }
+}
+
+// An Auto write without cycles has nothing to probe: it reports no
+// decision, and a tuning cache stays untouched.
+TEST(AutoDiff, ZeroCycleAutoWriteReportsNoDecision) {
+  TempFile cache("autotune_cache_zerocycle.json");
+  ClusterSpec cs;
+  cs.nodes = 2;
+  cs.ppn = 2;
+  const std::vector<coll::FileView> views(4);
+
+  coll::Options o;
+  o.cb_size = 16384;
+  o.overlap = coll::OverlapMode::Auto;
+  o.tuning_cache = cache.path;
+  const RunOut got = run_once(cs, views, 0, o);
+  ASSERT_EQ(got.cycles, 0);
+  EXPECT_FALSE(got.decision.engaged);
+  EXPECT_EQ(got.decision.probe_cycles, 0);
+  EXPECT_FALSE(std::filesystem::exists(cache.path));
 }
 
 // ---------------------------------------------------------------------------
@@ -315,6 +304,30 @@ TEST(TuningCache, ColdRunProbesWarmRunSkipsThem) {
   const std::uint64_t total2 = 1500ull * 4 * 10;
   const RunOut other = run_once(cs, views2, total2, o);
   EXPECT_FALSE(other.decision.from_cache);
+}
+
+// A one-cycle Auto write never samples aio, so it teaches the cache
+// nothing: no entry is stored, and the same write probes again.
+TEST(TuningCache, OneCycleAutoWriteStoresNothing) {
+  TempFile cache("autotune_cache_onecycle.json");
+  ClusterSpec cs;
+  cs.nodes = 2;
+  cs.ppn = 2;
+  const auto views = strided_views(4, 500, 2);
+  const std::uint64_t total = 500ull * 4 * 2;
+
+  coll::Options o;
+  o.cb_size = 16384;
+  o.overlap = coll::OverlapMode::Auto;
+  o.tuning_cache = cache.path;
+  for (int run = 0; run < 2; ++run) {
+    const RunOut got = run_once(cs, views, total, o);
+    ASSERT_EQ(got.cycles, 1);
+    EXPECT_TRUE(got.decision.engaged);
+    EXPECT_FALSE(got.decision.from_cache) << "run " << run;
+    EXPECT_EQ(got.decision.probe_cycles, 1);
+  }
+  EXPECT_FALSE(std::filesystem::exists(cache.path));
 }
 
 TEST(TuningCache, LookupMissesOnAbsentAndGarbageFiles) {

@@ -234,7 +234,7 @@ TEST(EngineWhitebox, RunMatchesManualSchedule) {
     o.overlap = coll::OverlapMode::None;
     drive(cluster, o, 6000,
           [&](coll::Engine& e, const coll::Plan&, tpio::smpi::Mpi& mpi) {
-            e.run();
+            e.run(o.overlap);
             if (mpi.rank() == 0) t = mpi.ctx().now();
           });
     return t;

@@ -268,6 +268,28 @@ TEST(MpiRma, UnlockWaitsForOwnPuts) {
   });
 }
 
+TEST(MpiRma, UnlockWaitsOnlyForPutsToItsTarget) {
+  // One origin holds locks on two targets and puts a small block to the
+  // second, then 1 MiB to the first. Unlocking the second waits for the
+  // small put alone; unlocking the first waits for the 1 MiB.
+  in_both_modes(3, [](smpi::Mpi& mpi, Mode) {
+    auto win = mpi.win_allocate(mpi.rank() == 0 ? 0 : (1 << 20));
+    if (mpi.rank() == 0) {
+      mpi.win_lock(*win, 1, smpi::Mpi::LockType::Shared);
+      mpi.win_lock(*win, 2, smpi::Mpi::LockType::Shared);
+      const sim::Time t0 = mpi.ctx().now();
+      mpi.put(*win, 2, 0, pattern(64, 2));
+      mpi.put(*win, 1, 0, pattern(1 << 20, 1));
+      mpi.win_unlock(*win, 2);
+      // The 1 MiB put needs ~1M ns on the wire, the small one far less.
+      EXPECT_LT(mpi.ctx().now() - t0, 100'000);
+      mpi.win_unlock(*win, 1);
+      EXPECT_GE(mpi.ctx().now() - t0, 1 << 20);
+    }
+    mpi.barrier();
+  });
+}
+
 TEST(MpiRma, LockPutBarrierMakesDataVisible) {
   // The paper's passive-target scheme: shared locks + puts + barrier.
   in_both_modes(5, [](smpi::Mpi& mpi, Mode mode) {

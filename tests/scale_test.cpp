@@ -1,8 +1,8 @@
 // Paper-scale stress suite for the cooperative rank scheduler: the 576-rank
 // Tile-I/O point the paper actually measures and a 4096-rank smoke run,
-// both with peak-RSS ceilings, the smoke also with a host-time one; and
-// three memory checks of verified runs, each in a child process of its
-// own.
+// both with peak-RSS ceilings, the smoke also with a host-time one; a
+// one-sided run at 4096 ranks; and three memory checks of verified runs,
+// each in a child process of its own.
 //
 // Registered under the `scale` ctest label with a wall-clock budget (see
 // tests/CMakeLists.txt).
@@ -44,12 +44,14 @@ constexpr double kMetadataSmokeRssMiB = 8192.0;
 constexpr double kStoreReadBackRssMiB = 8192.0;
 constexpr double kSecondRunExtraRssMiB = 8192.0;
 constexpr double kRepeatRunFaultShare = 8192.0;
+constexpr double kOneSidedRssMiB = 8192.0;
 #else
 constexpr double kTileCellRssMiB = 8.8;
 constexpr double kMetadataSmokeRssMiB = 34.0;
 constexpr double kStoreReadBackRssMiB = 192.0;
 constexpr double kSecondRunExtraRssMiB = 40.0;
 constexpr double kRepeatRunFaultShare = 0.25;
+constexpr double kOneSidedRssMiB = 34.0;
 #endif
 
 double peak_rss_mib() {
@@ -211,8 +213,8 @@ TEST(Scale, TileIoTableCellAt576Ranks) {
   // timing-only payload buffers were unbacked, and at about 7.7 MiB since
   // empty smpi endpoint queues allocate nothing. The ceiling sits between
   // that and the 9.8-10.0 MiB of one more resident stack page per rank:
-  // each rank's deepest call chain ends 104-111 bytes above a page
-  // boundary, and an Engine 112 bytes larger (it lives in every rank's
+  // each rank's deepest call chain ends 280-287 bytes above a page
+  // boundary, and an Engine 288 bytes larger (it lives in every rank's
   // collective_write frame) crosses it (DESIGN.md §5a). Heap-backed
   // timing-only payloads (12.4 MiB) fail it too.
   EXPECT_LT(peak_rss_mib(), kTileCellRssMiB)
@@ -254,4 +256,32 @@ TEST(Scale, MetadataExchangeSmokeAt4096Ranks) {
   EXPECT_LT(wall_s, 60.0);
   EXPECT_LT(peak_rss_mib(), kMetadataSmokeRssMiB)
       << "peak RSS after the 4096-rank run (MiB)";
+}
+
+TEST(Scale, OneSidedRunAt4096RanksHoldsLinearWindowState) {
+  // A 64 KiB-per-rank IOR write at 4096 ranks through each one-sided
+  // primitive; the write-comm-2 scheduler allocates two windows. Each
+  // window used to fill a P x P table of per-origin put arrivals (128 MiB
+  // here) and give every target a deque lock queue, which allocates
+  // before it holds anything: both runs peaked at 286 MiB. With one epoch
+  // maximum per window, per-origin entries for the targets an origin put
+  // to, and vector queues, each peaks at about 25 MiB, as a two-sided run
+  // does.
+  for (const coll::Transfer transfer :
+       {coll::Transfer::OneSidedFence, coll::Transfer::OneSidedLock}) {
+    const double peak = child_peak_rss_mib([transfer] {
+      xp::RunSpec spec;
+      spec.platform = xp::scaled(xp::ibex());
+      spec.workload = wl::make_ior(64 * sim::KiB);
+      spec.nprocs = 4096;
+      spec.options.cb_size = xp::kCbSize;
+      spec.options.overlap = coll::OverlapMode::WriteComm2;
+      spec.options.transfer = transfer;
+      spec.seed = 4096;
+      return xp::execute(spec).bytes == 4096ull * 64 * sim::KiB;
+    });
+    EXPECT_LT(peak, kOneSidedRssMiB)
+        << "peak RSS of the 4096-rank " << coll::to_string(transfer)
+        << " run (MiB)";
+  }
 }
