@@ -23,15 +23,6 @@ void append_event(std::string& out, const TraceEvent& e, int rank,
 
 }  // namespace
 
-std::string Trace::chrome_events(int rank) const {
-  std::string out;
-  bool first = true;
-  for (const TraceEvent& e : events_) {
-    append_event(out, e, rank, first);
-  }
-  return out;
-}
-
 std::string Trace::chrome_document(std::span<const Trace> per_rank) {
   std::string out = "{\"traceEvents\":[\n";
   bool first = true;

@@ -32,9 +32,6 @@ class Trace {
   const std::vector<TraceEvent>& events() const { return events_; }
   bool empty() const { return events_.empty(); }
 
-  /// JSON array elements for this rank (tid = rank), without brackets.
-  std::string chrome_events(int rank) const;
-
   /// A complete chrome://tracing document for a set of ranks' traces.
   static std::string chrome_document(std::span<const Trace> per_rank);
 

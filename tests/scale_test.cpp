@@ -1,8 +1,8 @@
 // Paper-scale stress suite for the cooperative rank scheduler: the 576-rank
 // Tile-I/O point the paper actually measures and a 4096-rank smoke run,
 // both with peak-RSS ceilings, the smoke also with a host-time one; a
-// one-sided run at 4096 ranks; and three memory checks of verified runs,
-// each in a child process of its own.
+// one-sided run at 4096 ranks; and four memory checks of verified runs and
+// restarts, each in a child process of its own.
 //
 // Registered under the `scale` ctest label with a wall-clock budget (see
 // tests/CMakeLists.txt).
@@ -43,6 +43,7 @@ constexpr double kTileCellRssMiB = 8192.0;
 constexpr double kMetadataSmokeRssMiB = 8192.0;
 constexpr double kStoreReadBackRssMiB = 8192.0;
 constexpr double kSecondRunExtraRssMiB = 8192.0;
+constexpr double kRestartRssMiB = 8192.0;
 constexpr double kRepeatRunFaultShare = 8192.0;
 constexpr double kOneSidedRssMiB = 8192.0;
 #else
@@ -50,6 +51,7 @@ constexpr double kTileCellRssMiB = 8.8;
 constexpr double kMetadataSmokeRssMiB = 34.0;
 constexpr double kStoreReadBackRssMiB = 192.0;
 constexpr double kSecondRunExtraRssMiB = 40.0;
+constexpr double kRestartRssMiB = 336.0;
 constexpr double kRepeatRunFaultShare = 0.25;
 constexpr double kOneSidedRssMiB = 34.0;
 #endif
@@ -93,9 +95,8 @@ long minor_faults() {
   return ru.ru_minflt;
 }
 
-/// One verified write of `bytes_per_rank` per rank at `nprocs` ranks; true
-/// when the file verifies.
-bool verified_ior_run(std::uint64_t bytes_per_rank, int nprocs = 16) {
+/// A verified IOR write of `bytes_per_rank` per rank at `nprocs` ranks.
+xp::RunSpec verified_ior(std::uint64_t bytes_per_rank, int nprocs) {
   xp::RunSpec spec;
   spec.platform = xp::scaled(xp::ibex());
   spec.workload = wl::make_ior(bytes_per_rank);
@@ -104,7 +105,12 @@ bool verified_ior_run(std::uint64_t bytes_per_rank, int nprocs = 16) {
   spec.options.overlap = coll::OverlapMode::WriteComm2;
   spec.verify = true;
   spec.seed = 16;
-  const xp::RunResult r = xp::execute(spec);
+  return spec;
+}
+
+/// Runs verified_ior(bytes_per_rank, nprocs); true when the file verifies.
+bool verified_ior_run(std::uint64_t bytes_per_rank, int nprocs = 16) {
+  const xp::RunResult r = xp::execute(verified_ior(bytes_per_rank, nprocs));
   return r.verify_error.empty() && r.io_error.empty() &&
          r.bytes == static_cast<std::uint64_t>(nprocs) * bytes_per_rank;
 }
@@ -162,6 +168,21 @@ TEST(Scale, SecondVerifiedRunReusesTheFirstRunsMemory) {
   EXPECT_LT(both, second + kSecondRunExtraRssMiB)
       << "peak RSS of both runs (MiB), against " << second
       << " MiB for the second alone";
+}
+
+TEST(Scale, RestartHoldsOneBufferPerRank) {
+  // A restart of 8 MiB per rank at 16 ranks. Each rank's written buffer
+  // goes back to the pool when its write returns, so the read-back buffers
+  // reuse it and the child peaks at about 272 MiB: the 128 MiB file and
+  // 128 MiB of read-back buffers. Keeping the written buffers through the
+  // read-back peaked at 404 MiB.
+  const double peak = child_peak_rss_mib([] {
+    const xp::RestartResult r =
+        xp::execute_restart(verified_ior(8 * sim::MiB, 16));
+    return r.write.verify_error.empty() && r.read.verify_error.empty() &&
+           r.read.io_error.empty();
+  });
+  EXPECT_LT(peak, kRestartRssMiB) << "peak RSS of the restart (MiB)";
 }
 
 TEST(Scale, RepeatedRunFaultsItsLargeBuffersInOnce) {
