@@ -53,12 +53,7 @@ Row breakdown(const xp::Platform& platform, int procs) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  const xp::BenchArgs args = xp::parse_bench_args(argc, argv, {"--quick"});
-  if (!args.error.empty()) {
-    std::fprintf(stderr, "error: %s\nusage: breakdown_comm_io [--quick]\n",
-                 args.error.c_str());
-    return 2;
-  }
+  const xp::BenchArgs args = xp::bench_args(argc, argv, {"--quick"});
   const bool quick = args.quick;
 
   std::puts("== Communication vs. file-I/O breakdown (no-overlap, Tile 1M) ==");

@@ -31,15 +31,8 @@ constexpr coll::OverlapMode kModes[] = {
 }  // namespace
 
 int main(int argc, char** argv) {
-  const xp::BenchArgs args = xp::parse_bench_args(
+  const xp::BenchArgs args = xp::bench_args(
       argc, argv, {"--quick", "--jobs", "--progress", "--paper-scale"});
-  if (!args.error.empty()) {
-    std::fprintf(stderr,
-                 "error: %s\nusage: fig1_tile1m_exectime [--quick] "
-                 "[--jobs N] [--progress] [--paper-scale]\n",
-                 args.error.c_str());
-    return 2;
-  }
   const bool quick = args.quick;
   // --paper-scale runs the published 256/576-process points on the
   // unscaled platform presets (paper collective buffer, stripes, eager

@@ -20,15 +20,8 @@ namespace sim = tpio::sim;
 
 int run_improvement_figure(const xp::Platform& platform, const char* figure,
                            const char* paper_note, int argc, char** argv) {
-  const xp::BenchArgs args = xp::parse_bench_args(
+  const xp::BenchArgs args = xp::bench_args(
       argc, argv, {"--quick", "--jobs", "--progress", "--paper-scale"});
-  if (!args.error.empty()) {
-    std::fprintf(stderr,
-                 "error: %s\nusage: %s [--quick] [--jobs N] [--progress] "
-                 "[--paper-scale]\n",
-                 args.error.c_str(), argv[0]);
-    return 2;
-  }
   const bool quick = args.quick;
   const int reps = quick ? 2 : 3;
 

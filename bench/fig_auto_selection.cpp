@@ -37,15 +37,8 @@ constexpr coll::OverlapMode kFixed[] = {
 }  // namespace
 
 int main(int argc, char** argv) {
-  const xp::BenchArgs args = xp::parse_bench_args(
+  const xp::BenchArgs args = xp::bench_args(
       argc, argv, {"--quick", "--jobs", "--progress"});
-  if (!args.error.empty()) {
-    std::fprintf(stderr,
-                 "error: %s\nusage: fig_auto_selection [--quick] "
-                 "[--jobs N] [--progress]\n",
-                 args.error.c_str());
-    return 2;
-  }
   // The acceptance grid is the quick one either way. Six repetitions even
   // in --quick mode: Auto's first rep is the cold probe run, so its series
   // minimum is a min over reps-1 warm samples while every fixed column

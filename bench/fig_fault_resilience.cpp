@@ -100,12 +100,7 @@ std::string fmt3(double v) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  const xp::BenchArgs args = xp::parse_bench_args(argc, argv, {"--quick"});
-  if (!args.error.empty()) {
-    std::fprintf(stderr, "error: %s\nusage: fig_fault_resilience [--quick]\n",
-                 args.error.c_str());
-    return 2;
-  }
+  const xp::BenchArgs args = xp::bench_args(argc, argv, {"--quick"});
   const int reps = args.quick ? 2 : 3;
   const std::uint64_t seed_base = 1;
   bool ok = true;

@@ -40,12 +40,7 @@ std::string fmt_count(std::uint64_t n) { return std::to_string(n); }
 }  // namespace
 
 int main(int argc, char** argv) {
-  const xp::BenchArgs args = xp::parse_bench_args(argc, argv, {"--quick"});
-  if (!args.error.empty()) {
-    std::fprintf(stderr, "error: %s\nusage: fig_hier_shuffle [--quick]\n",
-                 args.error.c_str());
-    return 2;
-  }
+  const xp::BenchArgs args = xp::bench_args(argc, argv, {"--quick"});
   const bool quick = args.quick;
   const xp::Platform plat = xp::scaled(xp::ibex());
 

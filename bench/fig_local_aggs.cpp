@@ -74,12 +74,7 @@ xp::RunResult run(const xp::Platform& plat, const wl::Spec& workload,
 }  // namespace
 
 int main(int argc, char** argv) {
-  const xp::BenchArgs args = xp::parse_bench_args(argc, argv, {"--quick"});
-  if (!args.error.empty()) {
-    std::fprintf(stderr, "error: %s\nusage: fig_local_aggs [--quick]\n",
-                 args.error.c_str());
-    return 2;
-  }
+  const xp::BenchArgs args = xp::bench_args(argc, argv, {"--quick"});
   const bool quick = args.quick;
   const int nodes = quick ? 4 : 6;
   bool ok = true;

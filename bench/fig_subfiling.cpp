@@ -79,12 +79,7 @@ bool same_tables(const std::vector<xp::OverlapSeries>& a,
 }  // namespace
 
 int main(int argc, char** argv) {
-  const xp::BenchArgs args = xp::parse_bench_args(argc, argv, {"--quick"});
-  if (!args.error.empty()) {
-    std::fprintf(stderr, "error: %s\nusage: fig_subfiling [--quick]\n",
-                 args.error.c_str());
-    return 2;
-  }
+  const xp::BenchArgs args = xp::bench_args(argc, argv, {"--quick"});
   const int reps = args.quick ? 1 : 2;
   bool ok = true;
 

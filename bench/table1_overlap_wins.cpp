@@ -33,15 +33,8 @@ constexpr coll::OverlapMode kModes[] = {
 }  // namespace
 
 int main(int argc, char** argv) {
-  const xp::BenchArgs args = xp::parse_bench_args(
+  const xp::BenchArgs args = xp::bench_args(
       argc, argv, {"--quick", "--jobs", "--progress"});
-  if (!args.error.empty()) {
-    std::fprintf(stderr,
-                 "error: %s\nusage: table1_overlap_wins [--quick] "
-                 "[--jobs N] [--progress]\n",
-                 args.error.c_str());
-    return 2;
-  }
   const bool quick = args.quick;
   const int reps = quick ? 2 : 3;
 

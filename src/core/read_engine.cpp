@@ -34,6 +34,17 @@ using ScatterStage =
 
 }  // namespace
 
+const char* read_refusal(const Options& opt) {
+  if (opt.transfer != Transfer::TwoSided) {
+    return "options.transfer: the collective read scatters two-sided only";
+  }
+  if (opt.overlap == OverlapMode::Auto) {
+    return "options.overlap: the collective read needs a fixed mode (Auto "
+           "probes write costs only)";
+  }
+  return nullptr;
+}
+
 ReadEngine::ReadEngine(smpi::Mpi& mpi, pfs::File& file, const Plan& plan,
                        std::span<std::byte> local_out, const Options& opt,
                        PhaseTimings& timings)
@@ -44,11 +55,7 @@ ReadEngine::ReadEngine(smpi::Mpi& mpi, pfs::File& file, const Plan& plan,
       opt_(opt),
       t_(timings),
       io_(mpi, file, plan, opt, timings, kReadDirection) {
-  TPIO_CHECK(opt.transfer == Transfer::TwoSided,
-             "collective read implements the two-sided scatter only");
-  TPIO_CHECK(opt.overlap != OverlapMode::Auto,
-             "collective read needs a fixed overlap mode (Auto probes "
-             "write costs only)");
+  if (const char* refusal = read_refusal(opt)) fail(refusal);
   TPIO_CHECK(out_.size() == plan.view(mpi.rank()).total_bytes(),
              "output buffer size does not match the file view");
   my_agg_ = plan_.agg_index(mpi_.rank());

@@ -99,6 +99,11 @@ class ReadEngine {
   Slot slots_[2];
 };
 
+/// Why collective_read cannot run under `opt`, naming the Options field,
+/// or nullptr. ReadEngine refuses it from inside a rank; xp::execute_restart
+/// before any rank runs.
+const char* read_refusal(const Options& opt);
+
 /// Collective read of this rank's `view` into `out` (extent bytes in
 /// order), together with every other rank. Collective call.
 Result collective_read(smpi::Mpi& mpi, pfs::File& file, const FileView& view,

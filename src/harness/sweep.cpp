@@ -1,6 +1,8 @@
 #include "harness/sweep.hpp"
 
 #include <algorithm>
+#include <cstdio>
+#include <cstdlib>
 
 #include "harness/cli.hpp"
 #include "simbase/error.hpp"
@@ -260,6 +262,19 @@ BenchArgs parse_bench_args(int argc, char** argv,
     }
   }
   return out;
+}
+
+BenchArgs bench_args(int argc, char** argv,
+                     std::initializer_list<std::string_view> takes) {
+  BenchArgs out = parse_bench_args(argc, argv, takes);
+  if (out.error.empty()) return out;
+  std::string usage = argv[0];
+  for (const std::string_view t : takes) {
+    usage += " [" + std::string(t) + (t == "--jobs" ? " N]" : "]");
+  }
+  std::fprintf(stderr, "error: %s\nusage: %s\n", out.error.c_str(),
+               usage.c_str());
+  std::exit(2);
 }
 
 }  // namespace tpio::xp

@@ -145,8 +145,7 @@ std::vector<PrimitiveSeries> run_primitive_sweep(const Platform& platform,
 ///                  cells), 32 MiB collective buffer
 /// parse_cli holds their rules; each driver passes the subset it honours
 /// as `takes`. A flag outside that subset, a flag no driver takes, or a
-/// bad value sets `error`, naming the flag (the caller prints it with its
-/// usage and exits 2).
+/// bad value sets `error`, naming the flag.
 struct BenchArgs {
   bool quick = false;
   bool paper_scale = false;
@@ -155,5 +154,11 @@ struct BenchArgs {
 };
 BenchArgs parse_bench_args(int argc, char** argv,
                            std::initializer_list<std::string_view> takes);
+
+/// parse_bench_args for a driver's main: a refused command line prints
+/// `error: <why>` and the driver's usage (the flags in `takes`) to stderr
+/// and exits 2.
+BenchArgs bench_args(int argc, char** argv,
+                     std::initializer_list<std::string_view> takes);
 
 }  // namespace tpio::xp
