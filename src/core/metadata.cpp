@@ -27,8 +27,7 @@ std::uint64_t MetadataExchange::global_bytes() const {
 }
 
 std::shared_ptr<const Plan> MetadataExchange::plan(std::uint64_t stripe_size,
-                                                   const Options& opt,
-                                                   bool lane_routing) {
+                                                   const Options& opt) {
   const net::Topology& topo = mpi_.machine().fabric().topology();
   std::shared_ptr<const PlanSkeleton> skel =
       PlanCache::get_or_build_skeleton(summaries_, topo, stripe_size, opt);
@@ -36,15 +35,15 @@ std::shared_ptr<const Plan> MetadataExchange::plan(std::uint64_t stripe_size,
 
   // Stage 2: targeted delivery of the full view blobs. Aggregators plan
   // over every source (any rank may be among their sources_of); lane
-  // leaders of a two-level plan additionally unpack their members' gather
-  // pieces, so they pull their lane's rank interval; everyone else keeps
-  // only its own view.
+  // leaders of a two-level plan additionally place their members' pieces
+  // in the stage (a write's gather, a read's scatter), so they pull their
+  // lane's rank interval; everyone else keeps only its own view.
   const int me = mpi_.rank();
   const int P = topo.nprocs();
   int want_b = 0, want_e = 0;
   if (skel->is_aggregator(me)) {
     want_e = P;
-  } else if (lane_routing && skel->hierarchical() && skel->is_leader(me)) {
+  } else if (skel->hierarchical() && skel->is_leader(me)) {
     std::tie(want_b, want_e) =
         skel->lane_rank_range(topo.node_of(me), skel->lane_of(me));
   }

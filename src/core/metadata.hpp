@@ -14,7 +14,7 @@ namespace tpio::coll {
 ///
 ///   MetadataExchange meta(mpi, view);         // stage 1: summary allgather
 ///   ... meta.global_bytes() ...               // optional: e.g. warm start
-///   auto plan = meta.plan(stripe, opt, ...);  // skeleton + stage 2
+///   auto plan = meta.plan(stripe, opt);       // skeleton + stage 2
 ///
 /// Per-rank host work is O(1) in P outside the stage-2 blobs a rank
 /// actually pulls: every rank holds the generation's one shared summary
@@ -33,12 +33,11 @@ class MetadataExchange {
   /// Skeleton, then stage 2: derive the run's shared PlanSkeleton from the
   /// summary table under `opt`, deliver full view blobs to the ranks that
   /// plan over them, and return this rank's Plan. Aggregators pull every
-  /// view; with `lane_routing` (the write path's two-level shuffle) a
-  /// hierarchical lane leader also pulls its lane's rank interval; every
-  /// other rank keeps only its own view. Collective; call once. Drops the
-  /// summary table before the stage-2 exchange.
+  /// view; a lane leader of a two-level plan pulls its lane's rank
+  /// interval; every other rank keeps only its own view. Collective; call
+  /// once. Drops the summary table before the stage-2 exchange.
   std::shared_ptr<const Plan> plan(std::uint64_t stripe_size,
-                                   const Options& opt, bool lane_routing);
+                                   const Options& opt);
 
  private:
   smpi::Mpi& mpi_;

@@ -7,7 +7,7 @@ namespace tpio::coll {
 
 FileStage::FileStage(smpi::Mpi& mpi, pfs::File& file, const Plan& plan,
                      const Options& opt, PhaseTimings& timings,
-                     const FileDirection& dir)
+                     const Direction& dir)
     : mpi_(mpi), file_(file), plan_(plan), opt_(opt), t_(timings), dir_(dir) {
   // Materialized contents must travel through the shuffle: on a size-only
   // Machine a verified run would check bytes that never moved.

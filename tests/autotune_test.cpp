@@ -102,7 +102,7 @@ RunOut run_once(const ClusterSpec& cs,
       return;
     }
     coll::MetadataExchange meta(mpi, view);
-    const auto plan = meta.plan(file->stripe_size(), o, /*lane_routing=*/true);
+    const auto plan = meta.plan(file->stripe_size(), o);
     coll::PhaseTimings t;
     coll::Engine engine(mpi, *file, *plan, data, o, t);
     probes[r] = engine.probe();

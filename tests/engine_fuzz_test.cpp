@@ -139,6 +139,11 @@ TEST_P(EngineFuzz, WriteThenReadRoundTrip) {
   wopt.cb_size = 4096 + opt_rng.next_below(20'000);
   coll::Options ropt = wopt;
   ropt.overlap = static_cast<coll::OverlapMode>(opt_rng.next_below(5));
+  // The read may route through lanes: the rig's 2-rank nodes make one
+  // 2-member lane (co = 1) or two single-member ones (co = 2).
+  ropt.hierarchical = opt_rng.next_below(2) == 1;
+  ropt.local_aggregators = 1 + static_cast<int>(opt_rng.next_below(2));
+  ropt.leader_policy = static_cast<coll::LeaderPolicy>(opt_rng.next_below(3));
 
   auto file = cluster.storage().create("fuzz", pfs::Integrity::Store);
   cluster.run([&](tpio::smpi::Mpi& mpi) {

@@ -70,7 +70,7 @@ TEST(EngineWhitebox, ManualPhaseSequenceWritesCorrectly) {
     // Hand-rolled no-overlap schedule on the two-slot engine.
     for (int c = 0; c < plan.num_cycles(); ++c) {
       engine.shuffle_blocking(c, c % 2);
-      engine.write_blocking(c, c % 2);
+      engine.file_blocking(c, c % 2);
     }
   });
   EXPECT_EQ(file->verify(expected_byte), "");
@@ -83,7 +83,7 @@ TEST(EngineWhitebox, ShuffleIntoPendingWriteThrows) {
             [](coll::Engine& e, const coll::Plan& plan, tpio::smpi::Mpi&) {
               ASSERT_GE(plan.num_cycles(), 2);
               e.shuffle_blocking(0, 0);
-              e.write_init(0, 0);
+              e.file_init(0, 0);
               // Refilling slot 0 while its write is in flight is the bug
               // class the double-buffer invariant catches.
               e.shuffle_init(1, 0);
@@ -117,7 +117,7 @@ TEST(EngineWhitebox, WriteInitDuringShuffleThrows) {
       drive(cluster, two_slot_options(), 6000,
             [](coll::Engine& e, const coll::Plan&, tpio::smpi::Mpi&) {
               e.shuffle_init(0, 0);
-              e.write_init(0, 0);  // sub-buffer still filling
+              e.file_init(0, 0);  // sub-buffer still filling
             }),
       tpio::Error);
 }
@@ -129,15 +129,15 @@ TEST(EngineWhitebox, DoubleWriteInitThrows) {
             [](coll::Engine& e, const coll::Plan& plan, tpio::smpi::Mpi&) {
               ASSERT_GE(plan.num_cycles(), 2);
               e.shuffle_blocking(0, 0);
-              e.write_init(0, 0);
-              e.write_init(1, 0);
+              e.file_init(0, 0);
+              e.file_init(1, 0);
             }),
       tpio::Error);
 }
 
 TEST(EngineWhitebox, AsyncWritePipelinesAcrossSlots) {
   // The write of cycle 0 must drain while cycle 1 shuffles: the engine's
-  // write_wait after an interleaved shuffle ends no later than issuing
+  // file_wait after an interleaved shuffle ends no later than issuing
   // both writes back-to-back blocking.
   ClusterSpec spec;
   Cluster interleaved(spec), serial(spec);
@@ -149,14 +149,14 @@ TEST(EngineWhitebox, AsyncWritePipelinesAcrossSlots) {
           [&](coll::Engine& e, const coll::Plan& plan, tpio::smpi::Mpi& mpi) {
             ASSERT_GE(plan.num_cycles(), 2);
             e.shuffle_blocking(0, 0);
-            e.write_init(0, 0);
+            e.file_init(0, 0);
             e.shuffle_blocking(1, 1);  // overlaps write 0
-            e.write_init(1, 1);
-            e.write_wait(0);
-            e.write_wait(1);
+            e.file_init(1, 1);
+            e.file_wait(0);
+            e.file_wait(1);
             for (int c = 2; c < plan.num_cycles(); ++c) {
               e.shuffle_blocking(c, c % 2);
-              e.write_blocking(c, c % 2);
+              e.file_blocking(c, c % 2);
             }
             if (mpi.rank() == 0) t_inter = mpi.ctx().now();
           });
@@ -166,7 +166,7 @@ TEST(EngineWhitebox, AsyncWritePipelinesAcrossSlots) {
           [&](coll::Engine& e, const coll::Plan& plan, tpio::smpi::Mpi& mpi) {
             for (int c = 0; c < plan.num_cycles(); ++c) {
               e.shuffle_blocking(c, c % 2);
-              e.write_blocking(c, c % 2);
+              e.file_blocking(c, c % 2);
             }
             if (mpi.rank() == 0) t_serial = mpi.ctx().now();
           });
@@ -219,7 +219,7 @@ TEST(EngineWhitebox, RunMatchesManualSchedule) {
           [&](coll::Engine& e, const coll::Plan& plan, tpio::smpi::Mpi& mpi) {
             for (int c = 0; c < plan.num_cycles(); ++c) {
               e.shuffle_blocking(c, 0);
-              e.write_blocking(c, 0);
+              e.file_blocking(c, 0);
             }
             if (mpi.rank() == 0) t = mpi.ctx().now();
           });

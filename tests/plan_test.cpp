@@ -890,7 +890,7 @@ TEST(Metadata, EveryRankSharesOneSkeleton) {
     smpi::Mpi mpi(machine, ctx);
     const auto r = static_cast<std::size_t>(mpi.rank());
     coll::MetadataExchange meta(mpi, views[r]);
-    plans[r] = meta.plan(0, opt, /*lane_routing=*/true);
+    plans[r] = meta.plan(0, opt);
   });
   const coll::PlanSkeleton* skel = &plans[0]->skeleton();
   const coll::Plan* agg_plan = nullptr;
