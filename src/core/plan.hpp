@@ -279,8 +279,8 @@ class Plan {
   /// A single-member lane returns segments_in(member)'s pieces verbatim,
   /// so it sends exactly what the direct path would. Requires the lane
   /// members' views. The engine asks once per (lane, aggregator, cycle) on
-  /// the lane's leader, whose gather keeps the result as its stage layout,
-  /// and once on the aggregator that receives the message.
+  /// the lane's leader, which keeps the result as its stage layout, and
+  /// once on the aggregator that posts the matching message.
   std::vector<Segment> lane_segments_in(int node, int lane, std::uint64_t lo,
                                         std::uint64_t hi) const;
 

@@ -23,7 +23,7 @@
 //       table, must name a field of coll::Options. A renamed or deleted
 //       knob can never linger in the manual, and
 //   (f) API references — every `Mpi::X`, `Plan::X`, `PlanSkeleton::X`,
-//       `PlanCache::X`, `Engine::X`, `ReadEngine::X` and `Conductor::X`
+//       `PlanCache::X`, `Engine::X` and `Conductor::X`
 //       in the docs must name an identifier declared in that class's
 //       definition in a header under src/, so a deleted or renamed member
 //       can never linger in the manual either, and
@@ -439,8 +439,8 @@ int main(int argc, char** argv) {
   for (const auto& e : fs::recursive_directory_iterator(repo / "src"))
     if (e.path().extension() == ".hpp") headers += slurp(e.path());
   int api_refs = 0;
-  for (const char* cls : {"Mpi", "Plan", "PlanSkeleton", "PlanCache", "Engine",
-                          "ReadEngine", "Conductor"}) {
+  for (const char* cls :
+       {"Mpi", "Plan", "PlanSkeleton", "PlanCache", "Engine", "Conductor"}) {
     const std::set<std::string> members = class_identifiers(headers, cls);
     for (const fs::path& doc : docs) {
       for (const std::string& name : scoped_refs(slurp(doc), cls)) {
